@@ -22,7 +22,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use netupd_model::SwitchId;
-use netupd_sat::{Lit, Model, SolveResult, Solver, SolverStats, Var};
+use netupd_sat::{Lit, SolveResult, Solver, SolverStats, Var};
 
 /// The set `V` of visited configurations, keyed by the set of applied units.
 #[derive(Debug, Default, Clone)]
@@ -367,6 +367,48 @@ pub enum LearntConstraint {
     },
 }
 
+impl LearntConstraint {
+    /// Evaluates this constraint's clause under a placement: `position[u]`
+    /// is where unit `u` sits, `usize::MAX` meaning "after every placed unit,
+    /// order unknown" (placed units fill positions `0..m`). The literal
+    /// "`b` before `a`" is decided false exactly when
+    /// `position[b] > position[a]`. Returns whether some literal is *not*
+    /// decided false — for a full placement, whether the order satisfies
+    /// the constraint.
+    fn is_open(&self, position: &[usize]) -> bool {
+        let may_precede = |b: usize, a: usize| b != a && position[b] <= position[a];
+        match self {
+            LearntConstraint::SomeBefore { before, after } => before
+                .iter()
+                .any(|&b| after.iter().any(|&a| may_precede(b, a))),
+            // Some outside unit may precede the latest inside unit unless the
+            // inside units fill exactly the first `applied.len()` positions.
+            LearntConstraint::PrefixSet { applied } => {
+                applied.len() < position.len()
+                    && applied.iter().any(|&u| position[u] >= applied.len())
+            }
+            LearntConstraint::Order { order } => {
+                order.windows(2).any(|pair| may_precede(pair[1], pair[0]))
+            }
+        }
+    }
+}
+
+/// The position of every unit of `0..n` in `order`; `usize::MAX` for the
+/// units `order` leaves out.
+fn positions_in(n: usize, order: &[usize]) -> Vec<usize> {
+    let mut position = vec![usize::MAX; n];
+    for (at, &unit) in order.iter().enumerate() {
+        position[unit] = at;
+    }
+    position
+}
+
+/// The position of every unit in the permutation `order`.
+fn positions(order: &[usize]) -> Vec<usize> {
+    positions_in(order.len(), order)
+}
+
 /// The CEGIS constraint store of the SAT-guided strategy: precedence
 /// constraints over *update units*, with a canonical order extractor.
 ///
@@ -393,9 +435,7 @@ pub enum LearntConstraint {
 /// [`propose`](UnitOrdering::propose) does not return an arbitrary model:
 /// it returns the **lexicographically minimal** total order consistent with
 /// every learnt clause, built greedily (fix the smallest unit that can still
-/// go first, then the smallest that can go second, ...; each fixing question
-/// is one assumption-based solve, with a model-witness shortcut that skips
-/// the solve when the previous model already places the candidate next).
+/// go first, then the smallest that can go second, ...).
 /// Because every clause the CEGIS loop learns is *entailed* — it never
 /// excludes a correct order — the order the loop finally commits is the
 /// lex-min **correct** order, independent of which entailed clauses happen
@@ -404,12 +444,41 @@ pub enum LearntConstraint {
 /// previous request changes how much work the loop does, never what it
 /// returns.
 ///
+/// ## Answering fixing questions on concrete orders
+///
+/// "Can `candidate` go next after the fixed prefix?" is a question about
+/// total orders, and the learnt clauses keep their provenance
+/// ([`LearntConstraint`]), so most answers come from evaluating the clauses
+/// against explicit (partial) orders with a position array. Each step gives
+/// the verdict the solver would, so proposals do not change:
+///
+/// 1. **Warm start.** The store only gains clauses, so the new lex-min order
+///    is ≥ the previous proposal. While the fixed prefix equals the previous
+///    proposal's, every unit below the previous choice at this position was
+///    infeasible under a subset of today's clauses and is skipped.
+/// 2. **Direct refutation.** Under "prefix, then `candidate`, then the rest
+///    in unknown order", the literal `before(b, a)` is false exactly when `a`
+///    is placed and `b` is unplaced or placed later. A clause with every
+///    literal false is the conflict the solver would reach while installing
+///    the same assumptions.
+/// 3. **Witness by completion.** A concrete total order satisfying every
+///    learnt clause is a model of the eager encoding, so one that starts
+///    with prefix-then-candidate proves the candidate feasible and becomes
+///    the *witness*: its unit at each later position is feasible without a
+///    question. Tried first is the witness with the candidate moved to the
+///    front of its tail (the previous proposal while there is no witness);
+///    if that closes a clause, a greedy retry places, position by position,
+///    the first remaining unit that closes none.
+///
+/// Only a candidate neither refuted nor completed reaches the solver, which
+/// stays the complete oracle and the source of the unsat core.
+///
 /// ## Lazy transitivity
 ///
 /// The eager encoding needs two clauses per unordered triple — `2·C(n, 3)`,
-/// nearly 30 000 clauses at 45 units — and every one of the hundreds of
-/// assumption solves a proposal makes pays propagation over all of them,
-/// even though the *learnt* constraint set is typically a few dozen clauses.
+/// nearly 30 000 clauses at 45 units — and every solve pays propagation over
+/// all of them, even though the *learnt* constraint set is typically a few
+/// dozen clauses.
 /// Instead, the store solves over the learnt clauses alone and checks each
 /// satisfying assignment for acyclicity: every pair variable is assigned, so
 /// the model is a tournament, and a tournament is a total order exactly when
@@ -428,7 +497,7 @@ pub enum LearntConstraint {
 /// ## Selectors and unsat cores
 ///
 /// Every learnt clause is guarded by a fresh selector variable (the order
-/// axioms stay hard) and proposals assume all selectors. When the clause
+/// axioms stay hard) and every solve assumes all selectors. When the clause
 /// set goes unsatisfiable, the solver's assumption core — deletion-minimized
 /// — names the minimal conflicting constraint set, readable through
 /// [`infeasibility_core`](UnitOrdering::infeasibility_core) with full
@@ -451,6 +520,10 @@ pub struct UnitOrdering {
     /// axioms have been materialized (lazily, by
     /// [`UnitOrdering::solve_acyclic`]).
     axiom_triples: HashSet<(usize, usize, usize)>,
+    /// The last order [`UnitOrdering::propose`] returned (the identity
+    /// before the first): the lex-min order of a subset of today's clauses,
+    /// which the next proposal warm-starts from.
+    last_proposal: Vec<usize>,
     constraints: usize,
     proposals: usize,
 }
@@ -474,6 +547,7 @@ impl UnitOrdering {
             selectors: Vec::new(),
             core: None,
             axiom_triples: HashSet::new(),
+            last_proposal: (0..n).collect(),
             constraints: 0,
             proposals: 0,
         }
@@ -601,57 +675,56 @@ impl UnitOrdering {
         repaired
     }
 
-    /// Asks the solver for the *lexicographically minimal* total order
-    /// consistent with every constraint learnt so far (see the type-level
-    /// docs for why lex-min). Returns `None` when the constraints are
-    /// unsatisfiable — no simple order of the units exists — in which case
-    /// [`UnitOrdering::infeasibility_core`] holds the minimal conflicting
-    /// constraint set.
+    /// Returns the *lexicographically minimal* total order consistent with
+    /// every constraint learnt so far (see the type-level docs for why
+    /// lex-min, and for the concrete-order steps that answer most fixing
+    /// questions without the solver). Returns `None` when the constraints
+    /// are unsatisfiable — no simple order of the units exists — in which
+    /// case [`UnitOrdering::infeasibility_core`] holds the minimal
+    /// conflicting constraint set.
     pub fn propose(&mut self) -> Option<Vec<usize>> {
         self.proposals += 1;
-        let selectors: Vec<Lit> = self.selectors.iter().map(|(v, _)| Lit::pos(*v)).collect();
-        let mut assumptions = selectors.clone();
-        let mut remaining: BTreeSet<usize> = (0..self.n).collect();
+        let previous = self.last_proposal.clone();
+        // A total order that satisfies every learnt constraint and starts
+        // with `order`. The previous proposal is one if no clause learnt
+        // since excludes it.
+        let mut witness = self.admits(&positions(&previous)).then(|| previous.clone());
         let mut order = Vec::with_capacity(self.n);
-        let mut witness: Option<Model> = None;
-        while remaining.len() > 1 {
-            // The previous model already realizes the fixed prefix; its
-            // earliest remaining unit is feasible without a solve. Smaller
-            // candidates still have to be ruled out by solving.
-            let witness_first = witness
-                .as_ref()
-                .map(|m| self.first_of_remaining(m, &remaining));
-            let mut chosen = None;
-            for &candidate in &remaining {
-                if witness_first == Some(candidate) {
-                    chosen = Some(candidate);
-                    break;
-                }
-                let mut trial = assumptions.clone();
-                trial.extend(
-                    remaining
-                        .iter()
-                        .filter(|&&r| r != candidate)
-                        .map(|&r| self.before_lit(candidate, r)),
-                );
-                if self.solve_acyclic(&trial) == SolveResult::Sat {
-                    witness = Some(self.solver.model_snapshot());
-                    chosen = Some(candidate);
-                    break;
-                }
-            }
+        // Position of every fixed unit; `usize::MAX` while unplaced.
+        let mut placed = vec![usize::MAX; self.n];
+        // Warm start: the store only gains clauses, so while `order` is a
+        // prefix of the previous (lex-min) proposal, every unit below the
+        // previous proposal's choice was already proven unable to go next.
+        let mut on_previous = true;
+        while order.len() < self.n {
+            let at = order.len();
+            let floor = if on_previous { previous[at] } else { 0 };
+            let chosen = (floor..self.n)
+                .filter(|&unit| placed[unit] == usize::MAX)
+                .find(|&candidate| {
+                    let template = match &witness {
+                        Some(witness) if witness[at] == candidate => return true,
+                        Some(witness) => witness,
+                        None => &previous,
+                    };
+                    let found = self.witness_through(&order, candidate, template);
+                    let feasible = found.is_some();
+                    if feasible {
+                        witness = found;
+                    }
+                    feasible
+                });
             let Some(candidate) = chosen else {
-                // No unit can go first: the clause set is unsatisfiable
-                // (reachable only before any position is fixed — a realized
-                // prefix always has a feasible next unit, witnessed by the
-                // model that realized it). Re-solve over the selectors alone
-                // so the unsat core ranges over whole constraints.
+                // No unit can go next: the clause set is unsatisfiable
+                // (reachable only before any position is fixed — a fixed
+                // prefix always has a feasible next unit, the witness's).
+                // Solve over the selectors alone so the unsat core ranges
+                // over whole constraints.
+                let selectors = self.selector_lits();
                 return match self.solve_acyclic(&selectors) {
                     SolveResult::Sat => {
-                        // Defensive fallback; greedy fixing cannot fail while
-                        // the constraints are satisfiable.
-                        let model = self.solver.model_snapshot();
-                        Some(self.decode(&model))
+                        debug_assert!(false, "greedy fixing failed on a satisfiable store");
+                        Some(self.decode())
                     }
                     SolveResult::Unsat => {
                         self.extract_core();
@@ -659,32 +732,94 @@ impl UnitOrdering {
                     }
                 };
             };
-            remaining.remove(&candidate);
-            assumptions.extend(remaining.iter().map(|&r| self.before_lit(candidate, r)));
+            on_previous &= candidate == floor;
+            placed[candidate] = at;
             order.push(candidate);
         }
-        order.extend(remaining);
+        self.last_proposal.clone_from(&order);
         Some(order)
     }
 
-    /// The unit the model places first among `remaining`.
-    fn first_of_remaining(&self, model: &Model, remaining: &BTreeSet<usize>) -> usize {
-        'outer: for &u in remaining {
-            for &v in remaining {
-                if v == u {
-                    continue;
-                }
-                let u_first = match self.before_lit(u, v) {
-                    lit if lit.is_positive() => model.value(lit.var()) == Some(true),
-                    lit => model.value(lit.var()) == Some(false),
-                };
-                if !u_first {
-                    continue 'outer;
-                }
-            }
-            return u;
+    /// Decides whether some total order consistent with every learnt
+    /// constraint starts with `order` followed by `candidate`, and returns
+    /// one if so. `template` (a permutation) suggests how to order the rest.
+    fn witness_through(
+        &mut self,
+        order: &[usize],
+        candidate: usize,
+        template: &[usize],
+    ) -> Option<Vec<usize>> {
+        let head: Vec<usize> = order.iter().copied().chain([candidate]).collect();
+        let placed = positions_in(self.n, &head);
+        // Direct refutation: a clause with every literal decided false by
+        // "`order`, then `candidate`, then everything else" is the conflict
+        // the solver would reach while installing the same assumptions.
+        if !self.admits(&placed) {
+            return None;
         }
-        unreachable!("a total-order model has a minimum among any unit subset")
+        // A concrete order that satisfies every constraint is a model of the
+        // eager encoding: the candidate is feasible, no solve.
+        if let Some(found) = self.complete(&head, &placed, template) {
+            return Some(found);
+        }
+        // Inconclusive: ask the complete oracle, assuming every fixed unit
+        // (and the candidate) before everything after it.
+        let mut assumptions = self.selector_lits();
+        for (at, &unit) in head.iter().enumerate() {
+            assumptions.extend(
+                (0..self.n)
+                    .filter(|&later| placed[later] > at)
+                    .map(|later| self.before_lit(unit, later)),
+            );
+        }
+        (self.solve_acyclic(&assumptions) == SolveResult::Sat).then(|| self.decode())
+    }
+
+    /// Tries to extend `order` (positions in `placed`) to a total order
+    /// satisfying every learnt constraint: first by appending the remaining
+    /// units in `template` order, then greedily — always the first unplaced
+    /// template unit that closes no clause. `None` is inconclusive.
+    fn complete(
+        &self,
+        order: &[usize],
+        placed: &[usize],
+        template: &[usize],
+    ) -> Option<Vec<usize>> {
+        let straight: Vec<usize> = (order.iter())
+            .chain(template.iter().filter(|&&unit| placed[unit] == usize::MAX))
+            .copied()
+            .collect();
+        if self.admits(&positions(&straight)) {
+            return Some(straight);
+        }
+        let (mut order, mut placed) = (order.to_vec(), placed.to_vec());
+        while order.len() < self.n {
+            let next = template.iter().copied().find(|&unit| {
+                if placed[unit] != usize::MAX {
+                    return false;
+                }
+                placed[unit] = order.len();
+                let open = self.admits(&placed);
+                if !open {
+                    placed[unit] = usize::MAX;
+                }
+                open
+            })?;
+            order.push(next);
+        }
+        Some(order)
+    }
+
+    /// The assumptions that switch every learnt clause on.
+    fn selector_lits(&self) -> Vec<Lit> {
+        self.selectors.iter().map(|(v, _)| Lit::pos(*v)).collect()
+    }
+
+    /// Returns `false` iff some learnt clause has every literal decided
+    /// false under `position` (see [`LearntConstraint::is_open`]). For a
+    /// total order that is exactly "the order satisfies every constraint".
+    fn admits(&self, position: &[usize]) -> bool {
+        self.selectors.iter().all(|(_, c)| c.is_open(position))
     }
 
     /// Extracts and deletion-minimizes the selector core after an
@@ -751,17 +886,16 @@ impl UnitOrdering {
         }
     }
 
-    /// Decodes a model into the total order it describes: unit `i`'s rank is
-    /// the number of units the model places before it. The axioms guarantee
-    /// the relation is a strict total order, so the ranks are a permutation.
-    fn decode(&self, model: &Model) -> Vec<usize> {
+    /// Decodes the solver's current model into the total order it describes:
+    /// unit `i`'s rank is the number of units the model places before it.
+    /// Called only after [`UnitOrdering::solve_acyclic`] answered `Sat`, so
+    /// the relation is a strict total order and the ranks are a permutation.
+    fn decode(&self) -> Vec<usize> {
         let mut rank = vec![0usize; self.n];
         for i in 0..self.n {
             for j in (i + 1)..self.n {
-                let i_first = model
-                    .value(self.pair_vars[self.pair_index(i, j)])
-                    .unwrap_or(false);
-                if i_first {
+                let var = self.pair_vars[self.pair_index(i, j)];
+                if self.solver.value(var) == Some(true) {
                     rank[j] += 1;
                 } else {
                     rank[i] += 1;
@@ -769,10 +903,10 @@ impl UnitOrdering {
             }
         }
         let mut order: Vec<usize> = (0..self.n).collect();
-        order.sort_by_key(|&i| (rank[i], i));
+        order.sort_by_key(|&i| rank[i]);
         debug_assert!(
-            order.windows(2).all(|w| rank[w[0]] < rank[w[1]]) || self.n < 2,
-            "transitivity axioms must make the decoded relation a total order"
+            order.windows(2).all(|w| rank[w[0]] < rank[w[1]]),
+            "an acyclic model decodes to a total order"
         );
         order
     }
@@ -860,6 +994,7 @@ impl UnitOrdering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sw(n: u32) -> SwitchId {
         SwitchId(n)
@@ -1185,6 +1320,18 @@ mod tests {
         })
     }
 
+    /// Feeds `constraint` to the store through the public entry point that
+    /// produces it. Returns whether the clause was new.
+    fn learn(store: &mut UnitOrdering, constraint: &LearntConstraint) -> bool {
+        match constraint {
+            LearntConstraint::SomeBefore { before, after } => {
+                store.require_some_before(before, after)
+            }
+            LearntConstraint::PrefixSet { applied } => store.block_prefix_set(applied),
+            LearntConstraint::Order { order } => store.block_order(order),
+        }
+    }
+
     #[test]
     fn proposals_match_the_brute_force_lex_min_reference() {
         // Exercise the lazy-transitivity solve against an exhaustive
@@ -1242,17 +1389,7 @@ mod tests {
             let n = 5;
             let mut store = UnitOrdering::new(n);
             for c in learnt {
-                match c {
-                    LearntConstraint::SomeBefore { before, after } => {
-                        store.require_some_before(before, after);
-                    }
-                    LearntConstraint::PrefixSet { applied } => {
-                        store.block_prefix_set(applied);
-                    }
-                    LearntConstraint::Order { order } => {
-                        store.block_order(order);
-                    }
-                }
+                learn(&mut store, c);
             }
             assert_eq!(
                 store.propose(),
@@ -1304,5 +1441,174 @@ mod tests {
             store.block_prefix_set(&order[..2].iter().copied().collect());
         }
         assert!(rounds >= 3, "blocked too aggressively: {rounds}");
+    }
+
+    #[test]
+    fn pinning_chain_stays_out_of_the_solver() {
+        // The benchmark's layer replay: pin a fixed order one adjacent pair
+        // at a time, proposing after each pin. Every proposal warm-starts
+        // from the one before it, repairs it into a witness by completion
+        // and extends that by move-to-front, so the solver is never asked.
+        // The parent commit (one assumption solve per fixing question) spent
+        // 11 411 decisions on this chain, this one 0; the ceiling is a
+        // quarter of the parent's.
+        let permutation = [
+            17, 3, 22, 8, 0, 13, 19, 5, 11, 23, 1, 15, 7, 20, 9, 2, 18, 12, 4, 21, 6, 14, 10, 16,
+        ];
+        let mut store = UnitOrdering::new(permutation.len());
+        let mut proposal = store.propose();
+        for pair in permutation.windows(2) {
+            assert!(store.require_some_before(&pair[..1], &pair[1..]));
+            proposal = store.propose();
+        }
+        assert_eq!(proposal.as_deref(), Some(&permutation[..]));
+        let decisions = store.solver_stats().decisions;
+        assert!(decisions <= 2852, "fast path stopped firing: {decisions}");
+    }
+
+    // ---- stateful lex-min property test ------------------------------------
+
+    /// One step of a random session against a [`UnitOrdering`].
+    #[derive(Debug, Clone)]
+    enum Op {
+        Learn(LearntConstraint),
+        /// Re-issue the constraint learnt `.0` steps ago (a duplicate).
+        Repeat(usize),
+        /// Re-issue it with unit `.1` added to every disjunct side it has —
+        /// a clause the original entails.
+        Weaken(usize, usize),
+        /// Block the last proposal's prefix set of this length, as the CEGIS
+        /// loop does after a failed verification.
+        Refute(usize),
+        Propose,
+        WarmStart(Vec<usize>),
+    }
+
+    fn arb_permutation(n: usize) -> BoxedStrategy<Vec<usize>> {
+        proptest::collection::vec(0u32..1000, n..n + 1).prop_map(|keys| {
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by_key(|&u| (keys[u], u));
+            order
+        })
+    }
+
+    fn arb_constraint(n: usize) -> BoxedStrategy<LearntConstraint> {
+        let units = || proptest::collection::vec(0..n, 1..4);
+        prop_oneof![
+            (units(), units())
+                .prop_map(|(before, after)| LearntConstraint::SomeBefore { before, after }),
+            proptest::collection::vec(0..n, 1..n).prop_map(|applied| {
+                LearntConstraint::PrefixSet {
+                    applied: applied.into_iter().collect(),
+                }
+            }),
+            arb_permutation(n).prop_map(|order| LearntConstraint::Order { order }),
+        ]
+        .boxed()
+    }
+
+    fn arb_op(n: usize) -> BoxedStrategy<Op> {
+        prop_oneof![
+            arb_constraint(n).prop_map(Op::Learn),
+            arb_constraint(n).prop_map(Op::Learn),
+            (0usize..8).prop_map(Op::Repeat),
+            (0usize..8, 0..n).prop_map(|(back, unit)| Op::Weaken(back, unit)),
+            (1..n).prop_map(Op::Refute),
+            (1..n).prop_map(Op::Refute),
+            Just(Op::Propose),
+            Just(Op::Propose),
+            arb_permutation(n).prop_map(Op::WarmStart),
+        ]
+        .boxed()
+    }
+
+    /// A session: the unit count, constraints pre-loaded before the first
+    /// proposal (the engine's carry), and the interleaving that follows.
+    fn arb_session() -> BoxedStrategy<(usize, Vec<LearntConstraint>, Vec<Op>)> {
+        (2usize..7).prop_flat_map(|n| {
+            (
+                Just(n),
+                proptest::collection::vec(arb_constraint(n), 0..5),
+                proptest::collection::vec(arb_op(n), 1..24),
+            )
+        })
+    }
+
+    proptest! {
+        /// Every proposal of a long-lived store — warm-started from the one
+        /// before it, under constraints learnt in any interleaving — is the
+        /// brute-force lex-min order of everything learnt so far, and the
+        /// core reported at the end is a minimal conflicting set.
+        #[test]
+        fn stateful_proposals_match_the_brute_force_reference(
+            (n, preload, ops) in arb_session()
+        ) {
+            let mut store = UnitOrdering::new(n);
+            let mut learnt: Vec<LearntConstraint> = Vec::new();
+            let mut last: Option<Vec<usize>> = None;
+            // The reference holds duplicates too; they change nothing.
+            let issue = |store: &mut UnitOrdering,
+                             learnt: &mut Vec<LearntConstraint>,
+                             constraint: LearntConstraint| {
+                let fresh = learn(store, &constraint);
+                learnt.push(constraint);
+                fresh
+            };
+            for constraint in preload {
+                issue(&mut store, &mut learnt, constraint);
+            }
+            // The random interleaving, then refute every proposal until the
+            // store goes unsatisfiable (each refutation excludes at least
+            // the order it was learnt from, so this terminates).
+            let drive = (0..).flat_map(|round| [Op::Propose, Op::Refute(1 + round % (n - 1))]);
+            for op in ops.into_iter().chain(drive) {
+                match op {
+                    Op::Learn(constraint) => {
+                        issue(&mut store, &mut learnt, constraint);
+                    }
+                    Op::Repeat(back) => {
+                        if let Some(constraint) = learnt.iter().rev().nth(back).cloned() {
+                            prop_assert!(!issue(&mut store, &mut learnt, constraint));
+                        }
+                    }
+                    Op::Weaken(back, unit) => {
+                        if let Some(mut constraint) = learnt.iter().rev().nth(back).cloned() {
+                            if let LearntConstraint::SomeBefore { before, after } =
+                                &mut constraint
+                            {
+                                before.push(unit);
+                                after.push(unit);
+                                issue(&mut store, &mut learnt, constraint);
+                            }
+                        }
+                    }
+                    Op::Refute(len) => {
+                        if let Some(order) = &last {
+                            let applied = order[..len].iter().copied().collect();
+                            let refutation = LearntConstraint::PrefixSet { applied };
+                            issue(&mut store, &mut learnt, refutation);
+                        }
+                    }
+                    Op::WarmStart(order) => store.warm_start_from_order(&order),
+                    Op::Propose => {
+                        last = store.propose();
+                        prop_assert_eq!(&last, &brute_force_lex_min(n, &learnt));
+                        if last.is_none() {
+                            break;
+                        }
+                    }
+                }
+            }
+            let core = store.infeasibility_core().expect("core after unsat").to_vec();
+            prop_assert_eq!(brute_force_lex_min(n, &core), None);
+            for dropped in 0..core.len() {
+                let mut rest = core.clone();
+                rest.remove(dropped);
+                prop_assert!(
+                    brute_force_lex_min(n, &rest).is_some(),
+                    "core {core:?} stays unsatisfiable without member {dropped}"
+                );
+            }
+        }
     }
 }

@@ -545,8 +545,6 @@ impl<'a> SatLane<'a> {
             }));
             return;
         };
-        let steps = materialize(self.problem, self.units, &order);
-
         // Skip the longest already-verified prefix.
         let mut start = 0;
         let mut prefix_set = BTreeSet::new();
@@ -568,10 +566,7 @@ impl<'a> SatLane<'a> {
             return;
         }
 
-        let mut base = self.problem.initial.clone();
-        for step in &steps[..start] {
-            base.set_table(step.switch, step.table.clone());
-        }
+        let (steps, base) = materialize(self.problem, self.units, &order, start);
         self.held_set = order[..start].iter().copied().collect();
         self.order = order;
         self.steps = steps;

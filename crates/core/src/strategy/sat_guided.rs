@@ -5,11 +5,13 @@
 //! aborts the search, and the CDCL solver's models are discarded. This
 //! strategy completes the loop:
 //!
-//! 1. **Propose.** Ask the incremental solver for a total order of the
-//!    update units consistent with every learnt precedence clause
-//!    ([`UnitOrdering::propose`] decodes the model over the `before(i, j)`
-//!    variables; phase saving in the solver makes successive proposals warm
-//!    restarts of the previous one).
+//! 1. **Propose.** Ask the store for the lex-min total order of the update
+//!    units consistent with every learnt precedence clause
+//!    ([`UnitOrdering::propose`]). Successive proposals are warm: each starts
+//!    from the previous one (the lex-min order can only move up as clauses
+//!    arrive), and the per-position questions are answered by evaluating the
+//!    learnt clauses against concrete orders; the incremental solver is the
+//!    fallback oracle and the source of the unsat core.
 //! 2. **Verify.** Check the candidate sequence with the configured backend
 //!    through the first-failing-prefix entry
 //!    ([`ModelChecker::check_sequence`](netupd_mc::ModelChecker)): walk the
@@ -36,8 +38,8 @@
 //!
 //! # Determinism
 //!
-//! For a fixed problem and options the run is byte-identical: the solver is
-//! deterministic, the decode is a pure function of the model, every prefix
+//! For a fixed problem and options the run is byte-identical: the proposal
+//! is a pure function of the learnt clauses (the lex-min rule), every prefix
 //! verdict is a pure function of the prefix (the invariant the parallel DFS
 //! already rests on, DESIGN.md §5), and the parallel verification pre-splits
 //! the steps into deterministic grain boundaries with no cross-grain abort —
@@ -49,7 +51,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use netupd_kripke::NetworkKripke;
 use netupd_mc::SequenceStep;
-use netupd_model::{CommandSeq, SwitchId};
+use netupd_model::{CommandSeq, Configuration, SwitchId};
 
 use crate::checkpoint::CheckpointCache;
 use crate::constraints::{LearntConstraint, UnitOrdering};
@@ -226,11 +228,6 @@ pub(crate) fn solve(
             });
         };
 
-        // Materialize the candidate: one table-install step per unit. The
-        // walk's base configurations are derived on demand — cloning a full
-        // configuration per prefix would dominate the loop on large shapes.
-        let steps = materialize(problem, units, &order);
-
         // Skip the longest already-verified prefix: the walk starts at the
         // first prefix whose unit set has not been checked before.
         let mut start = 0;
@@ -254,12 +251,10 @@ pub(crate) fn solve(
             // Every prefix of this order was verified in earlier iterations.
             None
         } else {
-            // The configuration the walk starts from: the initial
-            // configuration with the skipped prefix applied.
-            let mut base = problem.initial.clone();
-            for step in &steps[..start] {
-                base.set_table(step.switch, step.table.clone());
-            }
+            // Materialize the candidate: one table-install step per unit,
+            // and the configuration the walk starts from (the initial one
+            // with the skipped prefix applied).
+            let (steps, base) = materialize(problem, units, &order, start);
             if parallel {
                 let verification = parallel::verify_order_with_contexts(
                     options,
@@ -419,26 +414,36 @@ fn lead_context<'a>(
     slot.get_or_insert_with(|| WorkerContext::fresh(options.backend))
 }
 
-/// Builds the candidate's step sequence: one table-install per unit, derived
-/// by walking a single running configuration. Shared with the portfolio's
-/// SAT lane.
+/// Builds the candidate's step sequence — one table-install per unit — and
+/// the configuration before step `start`, with a single clone of the initial
+/// configuration: steps before `start` walk that clone, later ones walk an
+/// overlay holding only the switches they touch (a unit reads no table but
+/// its own switch's). Shared with the portfolio's SAT lane.
 pub(crate) fn materialize(
     problem: &UpdateProblem,
     units: &[UpdateUnit],
     order: &[usize],
-) -> Vec<SequenceStep> {
-    let mut config = problem.initial.clone();
+    start: usize,
+) -> (Vec<SequenceStep>, Configuration) {
+    let mut base = problem.initial.clone();
+    let mut overlay = Configuration::new();
     let mut steps = Vec::with_capacity(order.len());
-    for &index in order {
+    for (k, &index) in order.iter().enumerate() {
         let unit = &units[index];
-        let table = unit.apply(&config);
-        config.set_table(unit.switch(), table.clone());
-        steps.push(SequenceStep {
-            switch: unit.switch(),
-            table,
-        });
+        let switch = unit.switch();
+        let config = if k < start {
+            &mut base
+        } else {
+            if overlay.table_ref(switch).is_none() {
+                overlay.set_table(switch, base.table(switch));
+            }
+            &mut overlay
+        };
+        let table = unit.apply(config);
+        config.set_table(switch, table.clone());
+        steps.push(SequenceStep { switch, table });
     }
-    steps
+    (steps, base)
 }
 
 /// Unit indices per switch, for translating counterexample switch sets into

@@ -27,7 +27,9 @@ use netupd::synth::{
     Granularity, SearchStrategy, SynthesisError, SynthesisOptions, Synthesizer, UpdateProblem,
     UpdateSequence,
 };
-use netupd::topo::scenario::{diamond_scenario, double_diamond_scenario, PropertyKind};
+use netupd::topo::scenario::{
+    diamond_scenario, double_diamond_scenario, multi_diamond_scenario, PropertyKind,
+};
 use netupd::topo::{generators, NetworkGraph};
 
 /// Forces the speculative fan-out on regardless of the host's core count
@@ -510,4 +512,32 @@ fn sat_guided_stats_are_coherent() {
     // DFS reports no CEGIS iterations but still surfaces its solver effort.
     let dfs = synthesize(&problem, &SynthesisOptions::default()).expect("solvable");
     assert_eq!(dfs.stats.cegis_iterations, 0);
+}
+
+#[test]
+fn sat_guided_proposals_stay_out_of_the_solver() {
+    // Two diamonds on a 120-switch Small-World graph: 32 units, 22 CEGIS
+    // iterations. With one assumption solve per fixing question (the commit
+    // before the concrete-order fast path) the store spent 62 018 decisions
+    // here; answering the questions on explicit orders spends none. The
+    // ceiling is a quarter of the old value, so the fast path cannot
+    // silently stop firing — and the committed sequence is still the DFS's.
+    let mut rng = StdRng::seed_from_u64(10);
+    let graph = generators::small_world(120, 4, 0.1, &mut rng);
+    let scenario = multi_diamond_scenario(&graph, PropertyKind::Reachability, 2, &mut rng)
+        .expect("two disjoint diamonds fit");
+    let problem = UpdateProblem::from_scenario(&scenario);
+    let sat = synthesize(
+        &problem,
+        &SynthesisOptions::default().strategy(SearchStrategy::SatGuided),
+    )
+    .expect("solvable");
+    let dfs = synthesize(&problem, &SynthesisOptions::default()).expect("solvable");
+    assert_eq!(sat.commands, dfs.commands);
+    assert!(sat.stats.cegis_iterations >= 10, "too easy to gate on");
+    assert!(
+        sat.stats.sat_decisions <= 15_504,
+        "{} decisions",
+        sat.stats.sat_decisions
+    );
 }
