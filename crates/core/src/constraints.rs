@@ -12,17 +12,20 @@
 //!
 //! The same counterexamples also induce *ordering* constraints ("some
 //! not-yet-updated switch on the trace must be updated before some updated
-//! one"), maintained incrementally in a SAT solver. The DFS strategy uses
-//! them negatively — [`OrderingConstraints`] detects unsatisfiability and
-//! terminates the search early — while the SAT-guided strategy completes the
-//! CEGIS loop: [`UnitOrdering`] *decodes a candidate total order from the
-//! solver's model*, hands it to the model checker, and learns the failure
-//! back as a new clause.
+//! one"). Every strategy keeps them in one store, [`UnitOrdering`], and
+//! learns them through one function (`UnitOrdering::learn_counterexample`).
+//! The DFS strategy asks the store only whether any total order is left
+//! ([`propose`](UnitOrdering::propose) returning `None` ends the search
+//! early); the SAT-guided strategy takes the proposed order itself, hands it
+//! to the model checker, and learns the failure back as a new clause.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use netupd_model::SwitchId;
 use netupd_sat::{Lit, SolveResult, Solver, SolverStats, Var};
+
+use crate::search::SynthStats;
+use crate::units::UpdateUnit;
 
 /// The set `V` of visited configurations, keyed by the set of applied units.
 #[derive(Debug, Default, Clone)]
@@ -129,215 +132,6 @@ impl WrongSet {
     }
 }
 
-/// Deletion-minimizes the unsat core left in `solver` by the immediately
-/// preceding unsatisfiable `solve_with_assumptions` call: literals are
-/// dropped one at a time (in core order) and kept out whenever the remainder
-/// still refutes. Each successful deletion re-reads the solver's refined
-/// core, so the result is a *minimal* core — removing any single literal
-/// makes it satisfiable. Deterministic: the scan order is the assumption
-/// install order.
-fn minimize_selector_core(solver: &mut Solver) -> Vec<Lit> {
-    let mut core: Vec<Lit> = solver.unsat_core().to_vec();
-    let mut i = 0;
-    while i < core.len() {
-        let mut trial = core.clone();
-        trial.remove(i);
-        if solver.solve_with_assumptions(&trial) == SolveResult::Unsat {
-            // The refined core is a subset of `trial`, so it strictly
-            // shrinks; restarting the scan terminates.
-            core = solver.unsat_core().to_vec();
-            i = 0;
-        } else {
-            i += 1;
-        }
-    }
-    core
-}
-
-/// Accumulated ordering constraints over switch updates (§4.2 B).
-///
-/// Every counterexample observed at a configuration with updated switches `A`
-/// and not-yet-updated switches `C` (both restricted to the switches on the
-/// counterexample trace) implies that in any correct simple order, *some*
-/// switch of `C` must be updated before *some* switch of `A`. These
-/// constraints are encoded over precedence variables `before(x, y)` together
-/// with totality, antisymmetry, and transitivity axioms; when the clause set
-/// becomes unsatisfiable, no simple switch-granularity order exists and the
-/// DFS strategy stops immediately.
-///
-/// Every counterexample clause is guarded by a fresh *selector* variable
-/// (the order axioms stay hard), and [`satisfiable`] solves under the
-/// selector assumptions. On unsatisfiability the solver's assumption core,
-/// deletion-minimized, names the minimal conflicting counterexample set —
-/// readable through [`infeasibility_core`] as [`WrongFormula`]s.
-///
-/// [`satisfiable`]: OrderingConstraints::satisfiable
-/// [`infeasibility_core`]: OrderingConstraints::infeasibility_core
-#[derive(Debug, Default)]
-pub struct OrderingConstraints {
-    solver: Solver,
-    /// Precedence variable `before(a, b)` for each ordered pair.
-    precedence: HashMap<(SwitchId, SwitchId), Var>,
-    /// Switches mentioned so far.
-    switches: Vec<SwitchId>,
-    /// Counterexample pairs already encoded, keyed by the restricted
-    /// `(updated, not_updated)` switch-set pair: repeat observations of the
-    /// same pair would re-add an identical clause to the solver.
-    seen: HashSet<(BTreeSet<SwitchId>, BTreeSet<SwitchId>)>,
-    /// Selector variable and provenance per counterexample clause, in learn
-    /// order.
-    selectors: Vec<(Var, WrongFormula)>,
-    /// Minimal conflicting counterexample set, populated by the first
-    /// unsatisfiable [`OrderingConstraints::satisfiable`] call.
-    core: Option<Vec<WrongFormula>>,
-    constraints: usize,
-}
-
-impl OrderingConstraints {
-    /// Creates an empty constraint store.
-    pub fn new() -> Self {
-        OrderingConstraints::default()
-    }
-
-    /// Number of *distinct* counterexample-derived clauses added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints
-    }
-
-    /// Effort counters of the underlying solver.
-    pub fn solver_stats(&self) -> SolverStats {
-        self.solver.stats()
-    }
-
-    /// Returns the precedence variable for `a` before `b`, creating it (and
-    /// the order axioms it participates in) on demand.
-    fn before_var(&mut self, a: SwitchId, b: SwitchId) -> Var {
-        debug_assert_ne!(a, b);
-        if let Some(var) = self.precedence.get(&(a, b)) {
-            return *var;
-        }
-        self.ensure_switch(a);
-        self.ensure_switch(b);
-        self.precedence[&(a, b)]
-    }
-
-    /// Registers a switch: creates precedence variables against every known
-    /// switch and adds totality, antisymmetry, and transitivity axioms.
-    fn ensure_switch(&mut self, sw: SwitchId) {
-        if self.switches.contains(&sw) {
-            return;
-        }
-        let existing = self.switches.clone();
-        for other in &existing {
-            let fwd = self.solver.new_var();
-            let bwd = self.solver.new_var();
-            self.precedence.insert((sw, *other), fwd);
-            self.precedence.insert((*other, sw), bwd);
-            // Totality: one of the two orders holds.
-            self.solver.add_clause([Lit::pos(fwd), Lit::pos(bwd)]);
-            // Antisymmetry: not both.
-            self.solver.add_clause([Lit::neg(fwd), Lit::neg(bwd)]);
-        }
-        self.switches.push(sw);
-        // Transitivity among all triples involving the new switch.
-        let switches = self.switches.clone();
-        for x in &switches {
-            for y in &switches {
-                for z in &switches {
-                    if x == y || y == z || x == z {
-                        continue;
-                    }
-                    if *x != sw && *y != sw && *z != sw {
-                        continue;
-                    }
-                    let xy = self.precedence[&(*x, *y)];
-                    let yz = self.precedence[&(*y, *z)];
-                    let xz = self.precedence[&(*x, *z)];
-                    self.solver
-                        .add_clause([Lit::neg(xy), Lit::neg(yz), Lit::pos(xz)]);
-                }
-            }
-        }
-    }
-
-    /// Adds the constraint derived from a counterexample: some switch of
-    /// `not_updated` must precede some switch of `updated`.
-    ///
-    /// Constraints with an empty side are ignored (they carry no ordering
-    /// information: an empty `updated` side means the initial configuration
-    /// itself violates the specification, which the search reports directly).
-    /// Identical `(updated, not_updated)` pairs are deduplicated — the same
-    /// violating trace observed at different search positions would otherwise
-    /// re-add an identical clause per observation.
-    pub fn add_counterexample(
-        &mut self,
-        updated: &BTreeSet<SwitchId>,
-        not_updated: &BTreeSet<SwitchId>,
-    ) {
-        if updated.is_empty() || not_updated.is_empty() {
-            return;
-        }
-        if self.seen.contains(&(updated.clone(), not_updated.clone())) {
-            return;
-        }
-        let mut clause = Vec::with_capacity(updated.len() * not_updated.len());
-        for c in not_updated {
-            for a in updated {
-                if c == a {
-                    continue;
-                }
-                clause.push(Lit::pos(self.before_var(*c, *a)));
-            }
-        }
-        if !clause.is_empty() {
-            let selector = self.solver.new_var();
-            clause.push(Lit::neg(selector));
-            self.solver.add_clause(clause);
-            self.selectors.push((
-                selector,
-                WrongFormula {
-                    updated: updated.clone(),
-                    not_updated: not_updated.clone(),
-                },
-            ));
-            self.seen.insert((updated.clone(), not_updated.clone()));
-            self.constraints += 1;
-        }
-    }
-
-    /// Returns `true` if some total order of switch updates is still
-    /// consistent with every constraint added so far. The first `false`
-    /// answer also extracts and minimizes the conflicting constraint core
-    /// (see [`OrderingConstraints::infeasibility_core`]).
-    pub fn satisfiable(&mut self) -> bool {
-        let assumptions: Vec<Lit> = self.selectors.iter().map(|(v, _)| Lit::pos(*v)).collect();
-        match self.solver.solve_with_assumptions(&assumptions) {
-            SolveResult::Sat => true,
-            SolveResult::Unsat => {
-                if self.core.is_none() {
-                    let core = minimize_selector_core(&mut self.solver);
-                    let by_var: HashMap<u32, &WrongFormula> =
-                        self.selectors.iter().map(|(v, f)| (v.0, f)).collect();
-                    self.core = Some(
-                        core.iter()
-                            .filter_map(|l| by_var.get(&l.var().0).map(|&f| f.clone()))
-                            .collect(),
-                    );
-                }
-                false
-            }
-        }
-    }
-
-    /// The minimal conflicting set of counterexample constraints, available
-    /// after [`OrderingConstraints::satisfiable`] has answered `false`:
-    /// dropping any single member makes the remainder satisfiable, so this
-    /// is an *explanation* of why no simple order exists.
-    pub fn infeasibility_core(&self) -> Option<&[WrongFormula]> {
-        self.core.as_deref()
-    }
-}
-
 /// Provenance of one learnt [`UnitOrdering`] clause, in unit indices.
 ///
 /// Kept alongside the selector variable guarding the clause, so that (a) an
@@ -409,17 +203,19 @@ fn positions(order: &[usize]) -> Vec<usize> {
     positions_in(order.len(), order)
 }
 
-/// The CEGIS constraint store of the SAT-guided strategy: precedence
-/// constraints over *update units*, with a canonical order extractor.
+/// The ordering store of every strategy: precedence constraints over *update
+/// units* (§4.2 B), with a canonical order extractor.
 ///
-/// Where [`OrderingConstraints`] only asks "is some order still possible?",
-/// this store completes the loop the paper's §4.2 B machinery was already
-/// paying for: `before(i, j)` variables are allocated for every unit pair up
-/// front (one variable per unordered pair — `before(j, i)` is its negation,
-/// so antisymmetry and totality are free), transitivity axioms are
+/// `before(i, j)` variables are allocated for every unit pair up front (one
+/// variable per unordered pair — `before(j, i)` is its negation, so
+/// antisymmetry and totality are free), transitivity axioms are
 /// materialized *lazily* (see below), and
-/// [`propose`](UnitOrdering::propose) extracts a concrete total
-/// order for the model checker to verify. Failed verifications come back
+/// [`propose`](UnitOrdering::propose) extracts a concrete total order. The
+/// SAT-guided strategy hands that order to the model checker; the DFS
+/// strategy only needs to know that one exists — its early-termination
+/// question "is any total order still consistent with the counterexamples?"
+/// is `propose().is_none()`, answered from the kept previous order for as
+/// long as no new clause refutes it. Failed verifications come back
 /// through [`block_prefix_set`](UnitOrdering::block_prefix_set) (sound for
 /// any granularity and backend: applying a set of units yields the same
 /// configuration in any order, so a violating prefix *set* refutes every
@@ -563,8 +359,8 @@ impl UnitOrdering {
         self.constraints
     }
 
-    /// Number of [`propose`](UnitOrdering::propose) calls made (the CEGIS
-    /// iteration count).
+    /// Number of [`propose`](UnitOrdering::propose) calls made (the
+    /// SAT-guided strategy's CEGIS iteration count).
     pub fn proposals(&self) -> usize {
         self.proposals
     }
@@ -823,8 +619,11 @@ impl UnitOrdering {
     }
 
     /// Extracts and deletion-minimizes the selector core after an
-    /// unsatisfiable solve, storing it as provenance. Same scheme as
-    /// [`minimize_selector_core`], but the trial solves go through
+    /// unsatisfiable solve, storing it as provenance: literals are dropped
+    /// one at a time (in core order) and kept out whenever the remainder
+    /// still refutes, so the result is a *minimal* core — removing any
+    /// single member makes it satisfiable. Deterministic: the scan order is
+    /// the assumption install order. The trial solves go through
     /// [`UnitOrdering::solve_acyclic`]: a trial that looks satisfiable only
     /// because a transitivity axiom is still missing must not keep its
     /// literal in the core, or the minimality claim would hold for the
@@ -863,27 +662,6 @@ impl UnitOrdering {
     /// The provenance of every learnt constraint, in learn order.
     pub fn learnt_constraints(&self) -> impl Iterator<Item = &LearntConstraint> + '_ {
         self.selectors.iter().map(|(_, c)| c)
-    }
-
-    /// Seeds solver phases from a previously accepted order: the next model
-    /// search tries the old relative polarities first. A pure warm start —
-    /// assumption-driven lex-min extraction is phase-independent in its
-    /// *results*, so this only shifts solver effort.
-    pub fn warm_start_from_order(&mut self, order: &[usize]) {
-        let mut position = vec![usize::MAX; self.n];
-        for (p, &u) in order.iter().enumerate() {
-            if u < self.n {
-                position[u] = p;
-            }
-        }
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                if position[i] != usize::MAX && position[j] != usize::MAX {
-                    let var = self.pair_vars[self.pair_index(i, j)];
-                    self.solver.set_phase(var, position[i] < position[j]);
-                }
-            }
-        }
     }
 
     /// Decodes the solver's current model into the total order it describes:
@@ -951,6 +729,48 @@ impl UnitOrdering {
                 after: after_units.to_vec(),
             },
         )
+    }
+
+    /// Learns the §4.2 B constraint of a counterexample `trace` observed in a
+    /// configuration where exactly the switches of `updated` were updated:
+    /// some unit of a not-yet-updated trace switch must precede some unit of
+    /// an updated one. Trace switches without a unit never update, so they
+    /// can be "updated before" nothing and are left out. Returns `false`,
+    /// learning nothing, when either side comes out empty (the trace does
+    /// not depend on the order) or the clause was already known.
+    ///
+    /// Every strategy's learn site goes through here, so a trace means the
+    /// same clause to all of them.
+    pub(crate) fn learn_counterexample(
+        &mut self,
+        trace: &[SwitchId],
+        updated: &BTreeSet<SwitchId>,
+        units: &[UpdateUnit],
+    ) -> bool {
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        for switch in trace {
+            let side = if updated.contains(switch) {
+                &mut after
+            } else {
+                &mut before
+            };
+            side.extend((0..units.len()).filter(|&i| units[i].switch() == *switch));
+        }
+        !before.is_empty() && !after.is_empty() && self.require_some_before(&before, &after)
+    }
+
+    /// Copies the store's clause count and its solver's effort counters into
+    /// the run's statistics.
+    pub(crate) fn fill_solver_stats(&self, stats: &mut SynthStats) {
+        stats.sat_constraints = self.constraints;
+        let solver = self.solver.stats();
+        stats.sat_conflicts = solver.conflicts;
+        stats.sat_clauses = solver.clauses;
+        stats.sat_learnt = solver.learnt;
+        stats.sat_restarts = solver.restarts;
+        stats.sat_decisions = solver.decisions;
+        stats.sat_learnt_deleted = solver.learnt_deleted;
+        stats.sat_clause_lits_removed = solver.clause_lits_removed;
     }
 
     /// Learns that exactly this total order must never be proposed again:
@@ -1035,118 +855,19 @@ mod tests {
         assert_eq!(wrong.len(), 1);
     }
 
-    // ---- ordering constraints (§4.2 B) -------------------------------------
-
-    fn set(ids: &[u32]) -> BTreeSet<SwitchId> {
-        ids.iter().map(|n| sw(*n)).collect()
-    }
-
-    #[test]
-    fn empty_constraints_are_satisfiable() {
-        let mut constraints = OrderingConstraints::new();
-        assert!(constraints.satisfiable());
-        assert_eq!(constraints.num_constraints(), 0);
-    }
-
-    #[test]
-    fn single_constraint_is_satisfiable() {
-        let mut constraints = OrderingConstraints::new();
-        constraints.add_counterexample(&set(&[1]), &set(&[2]));
-        assert!(constraints.satisfiable());
-        assert_eq!(constraints.num_constraints(), 1);
-    }
-
-    #[test]
-    fn contradictory_pair_is_unsat() {
-        let mut constraints = OrderingConstraints::new();
-        // s2 must come before s1, and s1 must come before s2.
-        constraints.add_counterexample(&set(&[1]), &set(&[2]));
-        constraints.add_counterexample(&set(&[2]), &set(&[1]));
-        assert!(!constraints.satisfiable());
-    }
-
-    #[test]
-    fn cycle_through_three_switches_is_unsat() {
-        let mut constraints = OrderingConstraints::new();
-        constraints.add_counterexample(&set(&[1]), &set(&[2]));
-        constraints.add_counterexample(&set(&[2]), &set(&[3]));
-        constraints.add_counterexample(&set(&[3]), &set(&[1]));
-        assert!(!constraints.satisfiable());
-    }
-
-    #[test]
-    fn disjunctive_constraints_remain_satisfiable() {
-        let mut constraints = OrderingConstraints::new();
-        // "2 or 3 before 1" and "1 before 2" is satisfiable via 3 before 1.
-        constraints.add_counterexample(&set(&[1]), &set(&[2, 3]));
-        constraints.add_counterexample(&set(&[2]), &set(&[1]));
-        assert!(constraints.satisfiable());
-    }
-
-    #[test]
-    fn empty_sides_are_ignored() {
-        let mut constraints = OrderingConstraints::new();
-        constraints.add_counterexample(&set(&[]), &set(&[1]));
-        constraints.add_counterexample(&set(&[1]), &set(&[]));
-        assert_eq!(constraints.num_constraints(), 0);
-        assert!(constraints.satisfiable());
-    }
-
-    #[test]
-    fn infeasibility_core_names_only_the_conflicting_counterexamples() {
-        let mut constraints = OrderingConstraints::new();
-        // An irrelevant constraint over disjoint switches...
-        constraints.add_counterexample(&set(&[5]), &set(&[6]));
-        // ...and a genuine contradiction.
-        constraints.add_counterexample(&set(&[1]), &set(&[2]));
-        constraints.add_counterexample(&set(&[2]), &set(&[1]));
-        assert!(!constraints.satisfiable());
-        let core = constraints.infeasibility_core().expect("core after unsat");
-        assert_eq!(core.len(), 2, "minimal core is exactly the contradiction");
-        for formula in core {
-            let mentioned: BTreeSet<SwitchId> = formula
-                .updated
-                .union(&formula.not_updated)
-                .copied()
-                .collect();
-            assert_eq!(mentioned, set(&[1, 2]), "core mentions only the conflict");
-        }
-        // The core is cached: asking again does not disturb it.
-        assert!(!constraints.satisfiable());
-        assert_eq!(constraints.infeasibility_core().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn identical_counterexample_pairs_are_deduplicated() {
-        let mut constraints = OrderingConstraints::new();
-        constraints.add_counterexample(&set(&[1, 4]), &set(&[2, 3]));
-        let clauses_after_first = constraints.solver_stats().clauses;
-        constraints.add_counterexample(&set(&[1, 4]), &set(&[2, 3]));
-        constraints.add_counterexample(&set(&[1, 4]), &set(&[2, 3]));
-        // One distinct constraint, and the solver saw exactly one clause for
-        // it (no silent re-adds).
-        assert_eq!(constraints.num_constraints(), 1);
-        assert_eq!(constraints.solver_stats().clauses, clauses_after_first);
-        // A genuinely different pair still counts.
-        constraints.add_counterexample(&set(&[1]), &set(&[2, 3]));
-        assert_eq!(constraints.num_constraints(), 2);
-    }
-
-    // ---- unit ordering (CEGIS store) ----------------------------------------
+    // ---- unit ordering (§4.2 B) -----------------------------------------------
 
     #[test]
     fn unconstrained_proposal_is_the_identity_order() {
         let mut store = UnitOrdering::new(4);
-        // With no constraints and all-false phases, every `before(i, j)` with
-        // i < j decodes negatively... either way the proposal is *a* valid
-        // permutation, and proposing twice without learning is stable.
+        // The lex-min order of an empty store is the identity, and proposing
+        // twice without learning is stable.
         let first = store.propose().expect("no constraints");
         let second = store.propose().expect("still satisfiable");
+        assert_eq!(first, vec![0, 1, 2, 3]);
         assert_eq!(first, second);
-        let mut sorted = first.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
         assert_eq!(store.proposals(), 2);
+        assert_eq!(store.num_constraints(), 0);
     }
 
     #[test]
@@ -1197,6 +918,36 @@ mod tests {
     }
 
     #[test]
+    fn counterexample_traces_become_clauses_over_updating_switches() {
+        let unit = |n: u32| UpdateUnit::ReplaceTable {
+            switch: sw(n),
+            table: netupd_model::Table::default(),
+        };
+        // Units 0, 1, 2 update switches 4, 5, 6; switch 9 never updates.
+        let units = [unit(4), unit(5), unit(6)];
+        let updated: BTreeSet<SwitchId> = [sw(5)].into_iter().collect();
+        let mut store = UnitOrdering::new(units.len());
+        assert!(store.learn_counterexample(&[sw(9), sw(5), sw(6)], &updated, &units));
+        assert_eq!(
+            store.learnt_constraints().collect::<Vec<_>>(),
+            vec![&LearntConstraint::SomeBefore {
+                before: vec![2],
+                after: vec![1],
+            }]
+        );
+        // The same trace again is the same clause.
+        assert!(!store.learn_counterexample(&[sw(6), sw(5)], &updated, &units));
+        // A side left empty by the mapping carries no ordering information:
+        // nothing updated on the trace, nothing left to update on it, or the
+        // only other switch on it has no unit.
+        assert!(!store.learn_counterexample(&[sw(4), sw(6)], &updated, &units));
+        assert!(!store.learn_counterexample(&[sw(5)], &updated, &units));
+        assert!(!store.learn_counterexample(&[sw(9), sw(5)], &updated, &units));
+        assert_eq!(store.num_constraints(), 1);
+        assert_eq!(store.propose(), Some(vec![0, 2, 1]));
+    }
+
+    #[test]
     fn learnt_clauses_are_deduplicated() {
         let mut store = UnitOrdering::new(3);
         assert!(store.require_some_before(&[0], &[1, 2]));
@@ -1228,18 +979,6 @@ mod tests {
         assert!(preloaded.block_prefix_set(&[0].into_iter().collect()));
         assert_eq!(plain.propose(), preloaded.propose());
         assert_eq!(plain.propose(), Some(vec![1, 2, 3, 0]));
-    }
-
-    #[test]
-    fn warm_start_does_not_change_proposals() {
-        let mut cold = UnitOrdering::new(4);
-        assert!(cold.require_some_before(&[3], &[0]));
-        let mut warm = UnitOrdering::new(4);
-        assert!(warm.require_some_before(&[3], &[0]));
-        // Seed phases from an order that *disagrees* with the lex-min answer;
-        // the committed proposal must not move.
-        warm.warm_start_from_order(&[0, 3, 2, 1]);
-        assert_eq!(cold.propose(), warm.propose());
     }
 
     #[test]
@@ -1373,6 +1112,17 @@ mod tests {
                     applied: [3, 4].into_iter().collect(),
                 },
             ],
+            // "2 or 3 before 1" and "1 before 2": satisfiable via 3 before 1.
+            vec![
+                LearntConstraint::SomeBefore {
+                    before: vec![2, 3],
+                    after: vec![1],
+                },
+                LearntConstraint::SomeBefore {
+                    before: vec![1],
+                    after: vec![2],
+                },
+            ],
             // Unsatisfiable: a precedence 2-cycle.
             vec![
                 LearntConstraint::SomeBefore {
@@ -1384,6 +1134,21 @@ mod tests {
                     after: vec![0],
                 },
             ],
+            // Unsatisfiable only through transitivity: a 3-cycle.
+            vec![
+                LearntConstraint::SomeBefore {
+                    before: vec![2],
+                    after: vec![1],
+                },
+                LearntConstraint::SomeBefore {
+                    before: vec![3],
+                    after: vec![2],
+                },
+                LearntConstraint::SomeBefore {
+                    before: vec![1],
+                    after: vec![3],
+                },
+            ],
         ];
         for learnt in &scenarios {
             let n = 5;
@@ -1391,9 +1156,12 @@ mod tests {
             for c in learnt {
                 learn(&mut store, c);
             }
+            let expected = brute_force_lex_min(n, learnt);
+            assert_eq!(store.propose(), expected, "constraints: {learnt:?}");
+            // Both unsatisfiable scenarios are cycles: every clause is needed.
             assert_eq!(
-                store.propose(),
-                brute_force_lex_min(n, learnt),
+                store.infeasibility_core().map(<[_]>::len),
+                expected.is_none().then_some(learnt.len()),
                 "constraints: {learnt:?}"
             );
         }
@@ -1481,7 +1249,6 @@ mod tests {
         /// loop does after a failed verification.
         Refute(usize),
         Propose,
-        WarmStart(Vec<usize>),
     }
 
     fn arb_permutation(n: usize) -> BoxedStrategy<Vec<usize>> {
@@ -1517,7 +1284,6 @@ mod tests {
             (1..n).prop_map(Op::Refute),
             Just(Op::Propose),
             Just(Op::Propose),
-            arb_permutation(n).prop_map(Op::WarmStart),
         ]
         .boxed()
     }
@@ -1589,7 +1355,6 @@ mod tests {
                             issue(&mut store, &mut learnt, refutation);
                         }
                     }
-                    Op::WarmStart(order) => store.warm_start_from_order(&order),
                     Op::Propose => {
                         last = store.propose();
                         prop_assert_eq!(&last, &brute_force_lex_min(n, &learnt));

@@ -68,7 +68,7 @@ use netupd_model::{CommandSeq, Configuration, HostId, Network, SwitchId, Topolog
 
 use crate::checkpoint::CheckpointCache;
 use crate::constraints::LearntConstraint;
-use crate::explain::{ConflictConstraint, InfeasibilityExplanation};
+use crate::explain::InfeasibilityExplanation;
 use crate::options::{Granularity, SearchStrategy, SynthesisOptions};
 use crate::parallel::{self, WorkerContext};
 use crate::problem::UpdateProblem;
@@ -101,9 +101,9 @@ pub struct UpdateEngine {
     portfolio_dfs_ctx: Option<WorkerContext>,
     /// Persistent context of the portfolio's SAT lane.
     portfolio_sat_ctx: Option<WorkerContext>,
-    /// The SAT-guided strategy's cross-request harvest (switch-level
-    /// constraints and the accepted order of the previous successful
-    /// request), revalidated against each new request before pre-loading.
+    /// The SAT-guided strategy's cross-request harvest (the switch-level
+    /// constraints of the previous successful request), revalidated against
+    /// each new request before pre-loading.
     sat_carry: Option<SatCarry>,
     /// The prefix-checkpoint cache (see `checkpoint`): shared by the
     /// sequential DFS, the parallel workers, both portfolio lanes, and the
@@ -127,8 +127,6 @@ struct SatCarry {
     prefix_sets: Vec<BTreeSet<SwitchId>>,
     /// Prefix sets verified to satisfy the specification.
     verified: Vec<BTreeSet<SwitchId>>,
-    /// The accepted order, for warm-starting solver phases.
-    last_order: Vec<SwitchId>,
     /// Exact-order blocking clauses learnt by the previous request. They are
     /// never carried (an order over the old unit set has no sound reading
     /// over the new one), only counted as retired.
@@ -297,7 +295,7 @@ impl UpdateEngine {
                 );
                 self.last_explanation = artifacts.explanation.take();
                 if carry_enabled && result.is_ok() {
-                    self.sat_carry = harvest_carry(&artifacts, &units);
+                    self.sat_carry = Some(harvest_carry(&artifacts, &units));
                 }
                 result
             }
@@ -445,25 +443,16 @@ impl UpdateEngine {
             stats,
         );
         let outcome = search.dfs();
-        let sat_constraints = search.ordering.num_constraints();
-        let solver = search.ordering.solver_stats();
-        // When the DFS aborted because the constraints went unsatisfiable,
-        // the store has the minimal core cached — capture it before the
-        // search (and the store inside it) is dropped.
-        let core = search.ordering.infeasibility_core().map(<[_]>::to_vec);
-        let mut stats = std::mem::take(&mut search.stats);
-        let end_config = std::mem::take(&mut search.config);
-        drop(search);
+        // The store outlives the search: when the DFS aborted because the
+        // constraints went unsatisfiable, it holds the minimal core.
+        let DfsSearch {
+            ordering,
+            mut stats,
+            config: end_config,
+            ..
+        } = search;
         ctx.set_config(end_config);
-
-        stats.sat_constraints = sat_constraints;
-        stats.sat_conflicts = solver.conflicts;
-        stats.sat_clauses = solver.clauses;
-        stats.sat_learnt = solver.learnt;
-        stats.sat_restarts = solver.restarts;
-        stats.sat_decisions = solver.decisions;
-        stats.sat_learnt_deleted = solver.learnt_deleted;
-        stats.sat_clause_lits_removed = solver.clause_lits_removed;
+        ordering.fill_solver_stats(&mut stats);
 
         match outcome {
             Ok(Some(order_indices)) => Ok(finish_sequence(
@@ -482,13 +471,9 @@ impl UpdateEngine {
                         proven_by_constraints: true,
                     })
                 {
-                    if let Some(core) = core {
-                        stats.unsat_core_size = core.len();
-                        self.last_explanation = Some(InfeasibilityExplanation {
-                            constraints: core.iter().map(ConflictConstraint::from_wrong).collect(),
-                            stats,
-                        });
-                    }
+                    self.last_explanation = Some(InfeasibilityExplanation::from_store(
+                        &ordering, units, stats,
+                    ));
                 }
                 Err(error)
             }
@@ -496,11 +481,9 @@ impl UpdateEngine {
     }
 }
 
-/// Harvests the switch-level carry of a successful SAT-guided run. `None`
-/// when nothing was committed (trivial request with no units) — the carry is
-/// dropped rather than left stale.
-fn harvest_carry(artifacts: &sat_guided::Artifacts, units: &[UpdateUnit]) -> Option<SatCarry> {
-    let accepted = artifacts.accepted_order.as_ref()?;
+/// Harvests the switch-level carry of a successful SAT-guided run (empty
+/// after a trivial request with no units, so nothing stale is left behind).
+fn harvest_carry(artifacts: &sat_guided::Artifacts, units: &[UpdateUnit]) -> SatCarry {
     let switches = |indices: &[usize]| -> BTreeSet<SwitchId> {
         indices.iter().map(|&i| units[i].switch()).collect()
     };
@@ -512,7 +495,6 @@ fn harvest_carry(artifacts: &sat_guided::Artifacts, units: &[UpdateUnit]) -> Opt
             .iter()
             .map(|set| set.iter().map(|&i| units[i].switch()).collect())
             .collect(),
-        last_order: accepted.iter().map(|&i| units[i].switch()).collect(),
         orders_learnt: 0,
     };
     for constraint in &artifacts.learnt {
@@ -528,7 +510,7 @@ fn harvest_carry(artifacts: &sat_guided::Artifacts, units: &[UpdateUnit]) -> Opt
             LearntConstraint::Order { .. } => carry.orders_learnt += 1,
         }
     }
-    Some(carry)
+    carry
 }
 
 /// Revalidates a previous request's harvest against a new request by direct
@@ -652,11 +634,6 @@ fn revalidate_carry(
         }
     }
 
-    carry_in.warm_order = carry
-        .last_order
-        .iter()
-        .filter_map(|sw| unit_of.get(sw).copied())
-        .collect();
     carry_in
 }
 

@@ -3,27 +3,28 @@
 //! When synthesis fails with
 //! [`SynthesisError::NoOrderingExists`](crate::SynthesisError) and
 //! `proven_by_constraints` is `true`, the verdict came from the ordering
-//! solver: the accumulated precedence constraints admit no total order. The
-//! solver's assumption-based unsat core, deletion-minimized, pins that
-//! verdict on a *minimal conflicting set* of learnt facts — dropping any one
-//! member would make the remainder satisfiable — and this module renders
-//! that set in switch-level terms an operator can act on.
+//! store ([`UnitOrdering`]): the accumulated precedence constraints admit no
+//! total order. The solver's assumption-based unsat core, deletion-minimized,
+//! pins that verdict on a *minimal conflicting set* of learnt facts —
+//! dropping any one member would make the remainder satisfiable — and this
+//! module renders that set in switch-level terms an operator can act on.
 //!
 //! Explanations are a side channel: [`SynthesisError`](crate::SynthesisError)
 //! stays a small comparable enum, and the engine records the most recent
 //! explanation behind
 //! [`UpdateEngine::last_explanation`](crate::UpdateEngine::last_explanation).
-//! They are produced by the SAT-guided strategy and the sequential DFS; the
-//! parallel DFS scheduler and the portfolio report the verdict without one
-//! (their constraint stores live inside the scheduler/lanes and the verdict
-//! may come from either lane).
+//! They are produced by the SAT-guided strategy and the sequential DFS, both
+//! through `InfeasibilityExplanation::from_store`; the parallel DFS
+//! scheduler and the portfolio report the verdict without one (their stores
+//! live inside the scheduler/lanes and the verdict may come from either
+//! lane).
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use netupd_model::SwitchId;
 
-use crate::constraints::{LearntConstraint, WrongFormula};
+use crate::constraints::{LearntConstraint, UnitOrdering};
 use crate::search::SynthStats;
 use crate::units::UpdateUnit;
 
@@ -53,7 +54,7 @@ pub enum ConflictConstraint {
 }
 
 impl ConflictConstraint {
-    /// Renders a unit-level constraint of the SAT-guided store in switch
+    /// Renders a unit-level constraint of the ordering store in switch
     /// terms. At switch granularity the mapping is one-to-one; at rule
     /// granularity several units collapse onto their switch.
     pub(crate) fn from_learnt(constraint: &LearntConstraint, units: &[UpdateUnit]) -> Self {
@@ -69,16 +70,6 @@ impl ConflictConstraint {
             LearntConstraint::Order { order } => ConflictConstraint::Order {
                 order: order.iter().map(|&i| units[i].switch()).collect(),
             },
-        }
-    }
-
-    /// Renders a counterexample formula of the DFS ordering store: the
-    /// not-yet-updated switches of the trace must (some of them) precede the
-    /// updated ones.
-    pub(crate) fn from_wrong(formula: &WrongFormula) -> Self {
-        ConflictConstraint::SomeBefore {
-            before: formula.not_updated.clone(),
-            after: formula.updated.clone(),
         }
     }
 }
@@ -132,6 +123,27 @@ pub struct InfeasibilityExplanation {
     pub stats: SynthStats,
 }
 
+impl InfeasibilityExplanation {
+    /// Renders the minimal conflicting set `store` extracted when its
+    /// [`propose`](UnitOrdering::propose) returned `None`, and records its
+    /// size in the run's `stats`.
+    pub(crate) fn from_store(
+        store: &UnitOrdering,
+        units: &[UpdateUnit],
+        mut stats: SynthStats,
+    ) -> Self {
+        let core = store.infeasibility_core().unwrap_or(&[]);
+        stats.unsat_core_size = core.len();
+        InfeasibilityExplanation {
+            constraints: core
+                .iter()
+                .map(|c| ConflictConstraint::from_learnt(c, units))
+                .collect(),
+            stats,
+        }
+    }
+}
+
 impl fmt::Display for InfeasibilityExplanation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -152,21 +164,6 @@ mod tests {
 
     fn set(ids: &[u32]) -> BTreeSet<SwitchId> {
         ids.iter().map(|&n| SwitchId(n)).collect()
-    }
-
-    #[test]
-    fn wrong_formulas_render_as_some_before() {
-        let formula = WrongFormula {
-            updated: set(&[1]),
-            not_updated: set(&[2, 3]),
-        };
-        assert_eq!(
-            ConflictConstraint::from_wrong(&formula),
-            ConflictConstraint::SomeBefore {
-                before: set(&[2, 3]),
-                after: set(&[1]),
-            }
-        );
     }
 
     #[test]

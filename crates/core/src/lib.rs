@@ -16,13 +16,14 @@
 //!   checker (labels are reused between the closely-related queries), learns
 //!   from counterexamples, pruning every future configuration that agrees
 //!   with a counterexample on its updated/not-updated switches, and
-//!   terminates early when the accumulated ordering constraints become
-//!   unsatisfiable (decided by an incremental SAT solver).
-//! * [`SearchStrategy::SatGuided`] completes the same §4.2 B machinery into
-//!   a CEGIS loop: the SAT solver *proposes* a constraint-consistent total
-//!   order, the backend verifies it prefix by prefix in one
-//!   first-failing-prefix call, and the failure is learnt back as a new
-//!   clause — until a model verifies or the clause set goes unsatisfiable.
+//!   terminates early when the accumulated ordering constraints admit no
+//!   total order (decided by [`constraints::UnitOrdering`]: on concrete
+//!   orders while one survives, by an incremental SAT solver otherwise).
+//! * [`SearchStrategy::SatGuided`] runs the same §4.2 B store as a CEGIS
+//!   loop: the store *proposes* a constraint-consistent total order, the
+//!   backend verifies it prefix by prefix in one first-failing-prefix call,
+//!   and the failure is learnt back as a new clause — until a proposal
+//!   verifies or the clause set goes unsatisfiable.
 //! * [`SearchStrategy::Portfolio`] races the two as resumable sequential
 //!   lanes under a deterministic budget-ordered winner rule: each lane is
 //!   charged by the model-checker calls its sequential schedule issues, and

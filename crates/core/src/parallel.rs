@@ -78,12 +78,13 @@ use netupd_mc::{Backend, CheckOutcome, ModelChecker, SequenceOutcome, SequenceSt
 use netupd_model::{Configuration, SwitchId, Table};
 
 use crate::checkpoint::CheckpointCache;
-use crate::constraints::{OrderingConstraints, VisitedSet, WrongSet};
+use crate::constraints::{UnitOrdering, VisitedSet, WrongSet};
 use crate::options::{Granularity, SynthesisOptions};
 use crate::problem::UpdateProblem;
 use crate::search::{
     finish_sequence, updated_switches, SearchMode, SynthStats, SynthesisError, UpdateSequence,
 };
+use crate::strategy::dfs::early_termination_store;
 use crate::units::UpdateUnit;
 
 /// Upper bound on simulated replay steps per speculation round, so
@@ -991,7 +992,7 @@ pub(crate) fn synthesize_with_contexts(
             frames: Vec::new(),
             visited: VisitedSet::new(),
             wrong: WrongSet::new(),
-            ordering: OrderingConstraints::new(),
+            ordering: early_termination_store(options, units),
             predictor: Predictor::new(),
             budget_calls: 0,
             stats: SynthStats {
@@ -1066,7 +1067,7 @@ pub(crate) fn synthesize_with_contexts(
             frames: Vec::new(),
             visited: VisitedSet::new(),
             wrong: WrongSet::new(),
-            ordering: OrderingConstraints::new(),
+            ordering: early_termination_store(options, units),
             predictor: Predictor::new(),
             budget_calls: 0,
             stats: SynthStats {
@@ -1108,15 +1109,7 @@ fn commit(
     match outcome? {
         Some(order_indices) => {
             let mut stats = scheduler.stats;
-            stats.sat_constraints = scheduler.ordering.num_constraints();
-            let solver = scheduler.ordering.solver_stats();
-            stats.sat_conflicts = solver.conflicts;
-            stats.sat_clauses = solver.clauses;
-            stats.sat_learnt = solver.learnt;
-            stats.sat_restarts = solver.restarts;
-            stats.sat_decisions = solver.decisions;
-            stats.sat_learnt_deleted = solver.learnt_deleted;
-            stats.sat_clause_lits_removed = solver.clause_lits_removed;
+            scheduler.ordering.fill_solver_stats(&mut stats);
             stats.model_checker_calls = checks_per_worker.iter().sum();
             stats.states_relabeled = states_relabeled;
             stats.checks_per_worker = checks_per_worker;
@@ -1363,7 +1356,7 @@ struct Scheduler<'a> {
     frames: Vec<Frame>,
     visited: VisitedSet,
     wrong: WrongSet,
-    ordering: OrderingConstraints,
+    ordering: UnitOrdering,
     predictor: Predictor,
     /// Mirror of the sequential `stats.model_checker_calls` counter, used
     /// for the deterministic budget decision and reported as
@@ -1472,24 +1465,17 @@ impl Scheduler<'_> {
                         let updated = updated_switches(self.units, &candidate);
                         self.wrong.learn(cex_switches, &updated);
                         self.stats.counterexamples_learnt += 1;
-                        if self.options.early_termination {
-                            let cex_updated: BTreeSet<SwitchId> = cex_switches
-                                .iter()
-                                .copied()
-                                .filter(|sw| updated.contains(sw))
-                                .collect();
-                            let cex_not_updated: BTreeSet<SwitchId> = cex_switches
-                                .iter()
-                                .copied()
-                                .filter(|sw| !updated.contains(sw))
-                                .collect();
-                            self.ordering
-                                .add_counterexample(&cex_updated, &cex_not_updated);
-                            if !self.ordering.satisfiable() {
-                                return Err(SynthesisError::NoOrderingExists {
-                                    proven_by_constraints: true,
-                                });
-                            }
+                        if self.options.early_termination
+                            && self.ordering.learn_counterexample(
+                                cex_switches,
+                                &updated,
+                                self.units,
+                            )
+                            && self.ordering.propose().is_none()
+                        {
+                            return Err(SynthesisError::NoOrderingExists {
+                                proven_by_constraints: true,
+                            });
                         }
                     }
                 }

@@ -1,4 +1,13 @@
 //! The `OrderUpdate` depth-first search strategy (§4 of the paper).
+//!
+//! Early termination (§4.2 B) runs on the ordering store every strategy
+//! shares: each counterexample is learnt into a
+//! [`UnitOrdering`](crate::constraints::UnitOrdering) as "some not-yet-updated
+//! switch on the trace before some updated one", and the search stops as soon
+//! as the store has no total order left to propose. While the order it last
+//! found survives the new clause that answer costs one pass over the learnt
+//! clauses; the CDCL solver is the fallback and the source of the minimal
+//! core behind [`UpdateEngine::last_explanation`](crate::UpdateEngine).
 
 use std::collections::BTreeSet;
 
@@ -7,11 +16,25 @@ use netupd_mc::ModelChecker;
 use netupd_model::{Configuration, SwitchId};
 
 use crate::checkpoint::CheckpointCache;
-use crate::constraints::{OrderingConstraints, VisitedSet, WrongSet};
+use crate::constraints::{UnitOrdering, VisitedSet, WrongSet};
 use crate::options::{Granularity, SynthesisOptions};
 use crate::problem::UpdateProblem;
 use crate::search::{updated_switches, SynthStats, SynthesisError};
 use crate::units::UpdateUnit;
+
+/// The ordering store a DFS run (this one, the parallel scheduler's replay,
+/// or the portfolio's DFS lane) stops early on: over every unit when the
+/// options make the run learn into it and consult it, empty — no pair
+/// variables allocated — when they do not.
+pub(crate) fn early_termination_store(
+    options: &SynthesisOptions,
+    units: &[UpdateUnit],
+) -> UnitOrdering {
+    let consulted = options.use_counterexamples
+        && options.early_termination
+        && options.granularity == Granularity::Switch;
+    UnitOrdering::new(if consulted { units.len() } else { 0 })
+}
 
 /// The mutable state of one sequential DFS run.
 ///
@@ -49,7 +72,7 @@ pub(crate) struct DfsSearch<'a> {
     pub(crate) applied: BTreeSet<usize>,
     pub(crate) visited: VisitedSet,
     pub(crate) wrong: WrongSet,
-    pub(crate) ordering: OrderingConstraints,
+    pub(crate) ordering: UnitOrdering,
     pub(crate) stats: SynthStats,
 }
 
@@ -81,7 +104,7 @@ impl<'a> DfsSearch<'a> {
             applied: BTreeSet::new(),
             visited: VisitedSet::new(),
             wrong: WrongSet::new(),
-            ordering: OrderingConstraints::new(),
+            ordering: early_termination_store(options, units),
             stats,
         }
     }
@@ -191,26 +214,17 @@ impl<'a> DfsSearch<'a> {
                         let updated = self.updated_switches();
                         self.wrong.learn(&cex.switches, &updated);
                         self.stats.counterexamples_learnt += 1;
-                        if self.options.early_termination {
-                            let cex_updated: BTreeSet<SwitchId> = cex
-                                .switches
-                                .iter()
-                                .copied()
-                                .filter(|sw| updated.contains(sw))
-                                .collect();
-                            let cex_not_updated: BTreeSet<SwitchId> = cex
-                                .switches
-                                .iter()
-                                .copied()
-                                .filter(|sw| !updated.contains(sw))
-                                .collect();
-                            self.ordering
-                                .add_counterexample(&cex_updated, &cex_not_updated);
-                            if !self.ordering.satisfiable() {
-                                return Err(SynthesisError::NoOrderingExists {
-                                    proven_by_constraints: true,
-                                });
-                            }
+                        if self.options.early_termination
+                            && self.ordering.learn_counterexample(
+                                &cex.switches,
+                                &updated,
+                                self.units,
+                            )
+                            && self.ordering.propose().is_none()
+                        {
+                            return Err(SynthesisError::NoOrderingExists {
+                                proven_by_constraints: true,
+                            });
                         }
                     }
                 }

@@ -3,24 +3,25 @@
 //!
 //! All strategies solve the same problem — order the update units so that
 //! every intermediate configuration satisfies the specification — over the
-//! same substrate: the visited/wrong sets and counterexample→constraint
-//! learning of [`crate::constraints`], prefix checking through the
-//! sync-by-diff [`WorkerContext`](crate::parallel)s the engine persists
-//! across requests, and the unified [`SynthStats`](crate::SynthStats) /
-//! [`finish_sequence`](crate::search) commit path of [`crate::search`].
+//! same substrate: the visited/wrong sets and the one ordering store
+//! ([`UnitOrdering`](crate::constraints::UnitOrdering), learnt into through
+//! one counterexample→clause function) of [`crate::constraints`], prefix
+//! checking through the sync-by-diff [`WorkerContext`](crate::parallel)s the
+//! engine persists across requests, and the unified
+//! [`SynthStats`](crate::SynthStats) / [`finish_sequence`](crate::search)
+//! commit path of [`crate::search`].
 //!
 //! * `dfs` is the paper's `OrderUpdate` depth-first search (§4): it
 //!   explores prefixes one candidate unit at a time, prunes with the
-//!   visited- and wrong-sets, and uses the learnt ordering constraints only
-//!   *negatively* — unsatisfiability terminates the search early.
-//! * `sat_guided` completes the same machinery into a CEGIS loop
-//!   (§4.2 B, run forward): the incremental SAT solver *proposes* a total
-//!   order consistent with every learnt precedence clause, the configured
-//!   backend verifies the candidate sequence prefix by prefix in one
-//!   first-failing-prefix call, and the failure is learnt back as a new
-//!   clause — until a model verifies (success) or the clause set goes
-//!   unsatisfiable (infeasible, strictly subsuming the DFS's early
-//!   termination).
+//!   visited- and wrong-sets, and asks the ordering store only whether any
+//!   total order is left — when none is, the search terminates early.
+//! * `sat_guided` runs the same store forward as a CEGIS loop (§4.2 B):
+//!   the store *proposes* the lex-min total order consistent with every
+//!   learnt precedence clause, the configured backend verifies the candidate
+//!   sequence prefix by prefix in one first-failing-prefix call, and the
+//!   failure is learnt back as a new clause — until a proposal verifies
+//!   (success) or the clause set goes unsatisfiable (infeasible, strictly
+//!   subsuming the DFS's early termination).
 //! * `portfolio` races the two as resumable sequential lanes under a
 //!   deterministic budget-ordered winner rule: both lanes are charged by
 //!   their sequential-equivalent schedule, and the lane completing within

@@ -48,21 +48,22 @@
 //! charges for the ablation bench. `checks_per_worker` attributes real
 //! checks as `[dfs, sat]` — a lane is one logical worker here.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 use netupd_kripke::NetworkKripke;
 use netupd_mc::SequenceStep;
-use netupd_model::{CommandSeq, Configuration, SwitchId};
+use netupd_model::{CommandSeq, Configuration};
 
 use crate::checkpoint::CheckpointCache;
-use crate::constraints::{OrderingConstraints, UnitOrdering, VisitedSet, WrongSet};
+use crate::constraints::{UnitOrdering, VisitedSet, WrongSet};
 use crate::options::{Granularity, SynthesisOptions};
 use crate::parallel::{PrefixExplorer, WorkerContext};
 use crate::problem::UpdateProblem;
 use crate::search::{
     finish_sequence, updated_switches, SearchMode, SynthStats, SynthesisError, UpdateSequence,
 };
-use crate::strategy::sat_guided::{index_units_by_switch, materialize};
+use crate::strategy::dfs::early_termination_store;
+use crate::strategy::sat_guided::materialize;
 use crate::units::UpdateUnit;
 
 /// Runs the portfolio over the engine's two persistent lane contexts. Each
@@ -150,28 +151,12 @@ pub(crate) fn solve(
         stats.backtracks = dfs.backtracks;
         stats.counterexamples_learnt = dfs.counterexamples_learnt;
         stats.configurations_pruned = dfs.configurations_pruned;
-        stats.sat_constraints = dfs.ordering.num_constraints();
-        let solver = dfs.ordering.solver_stats();
-        stats.sat_conflicts = solver.conflicts;
-        stats.sat_clauses = solver.clauses;
-        stats.sat_learnt = solver.learnt;
-        stats.sat_restarts = solver.restarts;
-        stats.sat_decisions = solver.decisions;
-        stats.sat_learnt_deleted = solver.learnt_deleted;
-        stats.sat_clause_lits_removed = solver.clause_lits_removed;
+        dfs.ordering.fill_solver_stats(&mut stats);
     } else {
         stats.backtracks = sat.backtracks;
         stats.counterexamples_learnt = sat.counterexamples_learnt;
         stats.cegis_iterations = sat.store.proposals();
-        stats.sat_constraints = sat.store.num_constraints();
-        let solver = sat.store.solver_stats();
-        stats.sat_conflicts = solver.conflicts;
-        stats.sat_clauses = solver.clauses;
-        stats.sat_learnt = solver.learnt;
-        stats.sat_restarts = solver.restarts;
-        stats.sat_decisions = solver.decisions;
-        stats.sat_learnt_deleted = solver.learnt_deleted;
-        stats.sat_clause_lits_removed = solver.clause_lits_removed;
+        sat.store.fill_solver_stats(&mut stats);
     }
     let dfs_real = dfs.explorer.calls();
     stats.model_checker_calls = dfs_real + sat.real;
@@ -210,7 +195,7 @@ struct DfsLane<'a> {
     cursors: Vec<usize>,
     visited: VisitedSet,
     wrong: WrongSet,
-    ordering: OrderingConstraints,
+    ordering: UnitOrdering,
     /// The standalone strategy's `model_checker_calls` mirror: +1 per check
     /// and +1 per undo-and-restore recheck the sequential search would pay
     /// (the explorer itself syncs by diff and skips the restores).
@@ -258,7 +243,7 @@ impl<'a> DfsLane<'a> {
             cursors: Vec::new(),
             visited: VisitedSet::new(),
             wrong: WrongSet::new(),
-            ordering: OrderingConstraints::new(),
+            ordering: early_termination_store(options, units),
             charge: 0,
             phase: Phase::Start,
             result: None,
@@ -366,27 +351,18 @@ impl<'a> DfsLane<'a> {
                     let updated = updated_switches(self.units, &candidate);
                     self.wrong.learn(cex_switches, &updated);
                     self.counterexamples_learnt += 1;
-                    if self.options.early_termination {
-                        let cex_updated: BTreeSet<SwitchId> = cex_switches
-                            .iter()
-                            .copied()
-                            .filter(|sw| updated.contains(sw))
-                            .collect();
-                        let cex_not_updated: BTreeSet<SwitchId> = cex_switches
-                            .iter()
-                            .copied()
-                            .filter(|sw| !updated.contains(sw))
-                            .collect();
-                        self.ordering
-                            .add_counterexample(&cex_updated, &cex_not_updated);
-                        if !self.ordering.satisfiable() {
-                            // The standalone search aborts before paying the
-                            // restore recheck.
-                            self.finish(Err(SynthesisError::NoOrderingExists {
-                                proven_by_constraints: true,
-                            }));
-                            return;
-                        }
+                    if self.options.early_termination
+                        && self
+                            .ordering
+                            .learn_counterexample(cex_switches, &updated, self.units)
+                        && self.ordering.propose().is_none()
+                    {
+                        // The standalone search aborts before paying the
+                        // restore recheck.
+                        self.finish(Err(SynthesisError::NoOrderingExists {
+                            proven_by_constraints: true,
+                        }));
+                        return;
                     }
                 }
             }
@@ -425,7 +401,6 @@ struct SatLane<'a> {
     cache: &'a CheckpointCache,
     ctx: WorkerContext,
     store: UnitOrdering,
-    units_of_switch: BTreeMap<SwitchId, Vec<usize>>,
     /// Prefix *sets* already verified to hold (see the standalone strategy).
     verified: HashSet<BTreeSet<usize>>,
     /// The standalone strategy's deterministic budget mirror (one check per
@@ -465,7 +440,6 @@ impl<'a> SatLane<'a> {
             cache,
             ctx,
             store: UnitOrdering::new(units.len()),
-            units_of_switch: index_units_by_switch(units),
             verified: HashSet::new(),
             charge: 0,
             real: 0,
@@ -613,23 +587,7 @@ impl<'a> SatLane<'a> {
             if let Some(cex) = outcome.counterexample.map(|c| c.switches) {
                 self.counterexamples_learnt += 1;
                 let updated = updated_switches(self.units, &applied);
-                let after: Vec<usize> = cex
-                    .iter()
-                    .filter(|sw| updated.contains(sw))
-                    .filter_map(|sw| self.units_of_switch.get(sw))
-                    .flatten()
-                    .copied()
-                    .collect();
-                let before: Vec<usize> = cex
-                    .iter()
-                    .filter(|sw| !updated.contains(sw))
-                    .filter_map(|sw| self.units_of_switch.get(sw))
-                    .flatten()
-                    .copied()
-                    .collect();
-                if !after.is_empty() && !before.is_empty() {
-                    learnt = self.store.require_some_before(&before, &after);
-                }
+                learnt = self.store.learn_counterexample(&cex, &updated, self.units);
             }
         }
         // Dual-clause learning, mirroring the standalone SAT-guided loop

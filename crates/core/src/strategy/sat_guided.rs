@@ -1,9 +1,9 @@
 //! The SAT-guided (CEGIS) ordering strategy.
 //!
 //! The DFS strategy already derives precedence constraints from every
-//! counterexample (§4.2 B) but only uses them *negatively*: unsatisfiability
-//! aborts the search, and the CDCL solver's models are discarded. This
-//! strategy completes the loop:
+//! counterexample (§4.2 B) but only uses them *negatively*: it stops when the
+//! store has no order left, and discards the order the store does have. This
+//! strategy runs the same store forward:
 //!
 //! 1. **Propose.** Ask the store for the lex-min total order of the update
 //!    units consistent with every learnt precedence clause
@@ -47,15 +47,15 @@
 //! *budget* is charged by the sequential-equivalent schedule (one check per
 //! walked prefix), so the verdict cannot depend on the thread count either.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 use netupd_kripke::NetworkKripke;
 use netupd_mc::SequenceStep;
-use netupd_model::{CommandSeq, Configuration, SwitchId};
+use netupd_model::{CommandSeq, Configuration};
 
 use crate::checkpoint::CheckpointCache;
 use crate::constraints::{LearntConstraint, UnitOrdering};
-use crate::explain::{ConflictConstraint, InfeasibilityExplanation};
+use crate::explain::InfeasibilityExplanation;
 use crate::options::{Granularity, SynthesisOptions};
 use crate::parallel::{self, WorkerContext};
 use crate::problem::UpdateProblem;
@@ -80,9 +80,6 @@ pub(crate) struct CarryIn {
     /// Prefix sets re-proven to satisfy the specification, pre-seeding the
     /// verified-prefix skip.
     pub verified: Vec<BTreeSet<usize>>,
-    /// The previous request's accepted order (restricted to surviving
-    /// units), used to warm-start solver phases.
-    pub warm_order: Vec<usize>,
     /// Constraints carried (reported as
     /// [`SynthStats::constraints_carried`](crate::SynthStats)).
     pub carried: usize,
@@ -101,8 +98,6 @@ pub(crate) struct Artifacts {
     pub learnt: Vec<LearntConstraint>,
     /// Prefix sets verified to hold, sorted for determinism.
     pub verified: Vec<BTreeSet<usize>>,
-    /// The committed order on success.
-    pub accepted_order: Option<Vec<usize>>,
     /// The minimal-core explanation when the constraints went unsatisfiable.
     pub explanation: Option<InfeasibilityExplanation>,
 }
@@ -176,7 +171,6 @@ pub(crate) fn solve(
 
     let n = units.len();
     let mut store = UnitOrdering::new(n);
-    let units_of_switch = index_units_by_switch(units);
     // Prefix *sets* already verified to hold. A prefix verdict is a pure
     // function of the applied unit set (unit applications commute and check
     // outcomes are pure functions of the configuration), so a prefix a
@@ -184,8 +178,8 @@ pub(crate) fn solve(
     // successive proposals share long prefixes, because each learnt clause
     // only perturbs the tail it refuted.
     let mut verified: HashSet<BTreeSet<usize>> = HashSet::new();
-    // Pre-load the revalidated cross-request carry: entailed clauses, proven
-    // prefix sets, and saved phases from the previous accepted order.
+    // Pre-load the revalidated cross-request carry: entailed clauses and
+    // proven prefix sets.
     if let Some(carry) = &carry {
         for (before, after) in &carry.some_before {
             store.require_some_before(before, after);
@@ -196,9 +190,6 @@ pub(crate) fn solve(
         for set in &carry.verified {
             verified.insert(set.clone());
         }
-        if !carry.warm_order.is_empty() {
-            store.warm_start_from_order(&carry.warm_order);
-        }
         stats.constraints_carried = carry.carried;
         stats.constraints_retired = carry.retired;
     }
@@ -208,20 +199,13 @@ pub(crate) fn solve(
 
     loop {
         let Some(order) = store.propose() else {
-            fill_solver_stats(&mut stats, &store, parallel);
+            fill_cegis_stats(&mut stats, &store, parallel);
             stats.checks_per_worker = checks_per_worker;
             stats.charged_calls = budget_calls;
-            let core = store.infeasibility_core().unwrap_or(&[]).to_vec();
-            stats.unsat_core_size = core.len();
             if let Some(artifacts) = artifacts.as_deref_mut() {
                 harvest(artifacts, &store, &verified);
-                artifacts.explanation = Some(InfeasibilityExplanation {
-                    constraints: core
-                        .iter()
-                        .map(|c| ConflictConstraint::from_learnt(c, units))
-                        .collect(),
-                    stats,
-                });
+                artifacts.explanation =
+                    Some(InfeasibilityExplanation::from_store(&store, units, stats));
             }
             return Err(SynthesisError::NoOrderingExists {
                 proven_by_constraints: true,
@@ -307,7 +291,7 @@ pub(crate) fn solve(
 
         match first_failure {
             None => {
-                fill_solver_stats(&mut stats, &store, parallel);
+                fill_cegis_stats(&mut stats, &store, parallel);
                 stats.checks_per_worker = checks_per_worker;
                 // The sequential-equivalent schedule cost: every failing pass
                 // charged `failing + 1 - start` as it was learnt, plus the
@@ -315,7 +299,6 @@ pub(crate) fn solve(
                 stats.charged_calls = budget_calls + (n - start);
                 if let Some(artifacts) = artifacts.as_deref_mut() {
                     harvest(artifacts, &store, &verified);
-                    artifacts.accepted_order = Some(order.clone());
                 }
                 return Ok(finish_sequence(problem, options, units, &order, stats));
             }
@@ -328,23 +311,7 @@ pub(crate) fn solve(
                     if let Some(cex) = &cex_switches {
                         stats.counterexamples_learnt += 1;
                         let updated = updated_switches(units, &applied);
-                        let after: Vec<usize> = cex
-                            .iter()
-                            .filter(|sw| updated.contains(sw))
-                            .filter_map(|sw| units_of_switch.get(sw))
-                            .flatten()
-                            .copied()
-                            .collect();
-                        let before: Vec<usize> = cex
-                            .iter()
-                            .filter(|sw| !updated.contains(sw))
-                            .filter_map(|sw| units_of_switch.get(sw))
-                            .flatten()
-                            .copied()
-                            .collect();
-                        if !after.is_empty() && !before.is_empty() {
-                            learnt = store.require_some_before(&before, &after);
-                        }
+                        learnt = store.learn_counterexample(cex, &updated, units);
                     }
                 }
                 // Dual-clause learning: the prefix-set block is learnt
@@ -364,19 +331,12 @@ pub(crate) fn solve(
     }
 }
 
-/// Copies the solver's effort counters and the CEGIS progress counters into
-/// the run's statistics. Shared by the success and infeasibility exits.
-fn fill_solver_stats(stats: &mut SynthStats, store: &UnitOrdering, parallel: bool) {
+/// Copies the store's counters, the CEGIS iteration count and the effective
+/// mode into the run's statistics. Shared by the success and infeasibility
+/// exits.
+fn fill_cegis_stats(stats: &mut SynthStats, store: &UnitOrdering, parallel: bool) {
+    store.fill_solver_stats(stats);
     stats.cegis_iterations = store.proposals();
-    stats.sat_constraints = store.num_constraints();
-    let solver = store.solver_stats();
-    stats.sat_conflicts = solver.conflicts;
-    stats.sat_clauses = solver.clauses;
-    stats.sat_learnt = solver.learnt;
-    stats.sat_restarts = solver.restarts;
-    stats.sat_decisions = solver.decisions;
-    stats.sat_learnt_deleted = solver.learnt_deleted;
-    stats.sat_clause_lits_removed = solver.clause_lits_removed;
     stats.search_mode = if parallel {
         SearchMode::ParallelVerify
     } else {
@@ -444,14 +404,4 @@ pub(crate) fn materialize(
         steps.push(SequenceStep { switch, table });
     }
     (steps, base)
-}
-
-/// Unit indices per switch, for translating counterexample switch sets into
-/// unit-level precedence clauses. Shared with the portfolio's SAT lane.
-pub(crate) fn index_units_by_switch(units: &[UpdateUnit]) -> BTreeMap<SwitchId, Vec<usize>> {
-    let mut map: BTreeMap<SwitchId, Vec<usize>> = BTreeMap::new();
-    for (index, unit) in units.iter().enumerate() {
-        map.entry(unit.switch()).or_default().push(index);
-    }
-    map
 }

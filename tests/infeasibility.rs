@@ -95,49 +95,79 @@ fn strategies_agree_on_every_infeasibility_verdict() {
 /// sequential DFS), and clears it on the next request.
 #[test]
 fn engine_explains_constraint_proven_infeasibility() {
-    use netupd_synth::UpdateEngine;
-    let problem = double_diamond_problem(17);
-    for strategy in [SearchStrategy::SatGuided, SearchStrategy::Dfs] {
-        let mut engine =
-            UpdateEngine::for_problem(&problem, SynthesisOptions::default().strategy(strategy));
-        match engine.solve(&problem) {
-            Err(SynthesisError::NoOrderingExists {
-                proven_by_constraints: true,
-            }) => {}
-            other => panic!("{strategy}: expected constraint-proven infeasibility, got {other:?}"),
-        }
-        let explanation = engine
-            .last_explanation()
-            .unwrap_or_else(|| panic!("{strategy}: no explanation recorded"));
-        assert!(
-            !explanation.constraints.is_empty(),
-            "{strategy}: empty conflicting set"
-        );
-        assert_eq!(
-            explanation.stats.unsat_core_size,
-            explanation.constraints.len(),
-            "{strategy}: core size must match the explanation"
-        );
-        let text = explanation.to_string();
-        assert!(
-            text.contains("constraint(s) conflict"),
-            "{strategy}: unreadable rendering: {text}"
-        );
+    use netupd_synth::{ConflictConstraint, UpdateEngine};
+    // Per seed: the DFS's charged calls and core size at the point its early
+    // termination fires — pinned so that it cannot start firing later.
+    for (seed, dfs_charged, dfs_core) in [(17u64, 17, 8), (23, 9, 4)] {
+        let problem = double_diamond_problem(seed);
+        let updating = problem.switches_to_update();
+        for strategy in [SearchStrategy::SatGuided, SearchStrategy::Dfs] {
+            let context = format!("{strategy} seed {seed}");
+            let mut engine =
+                UpdateEngine::for_problem(&problem, SynthesisOptions::default().strategy(strategy));
+            match engine.solve(&problem) {
+                Err(SynthesisError::NoOrderingExists {
+                    proven_by_constraints: true,
+                }) => {}
+                other => {
+                    panic!("{context}: expected constraint-proven infeasibility, got {other:?}")
+                }
+            }
+            let explanation = engine
+                .last_explanation()
+                .unwrap_or_else(|| panic!("{context}: no explanation recorded"));
+            assert!(
+                !explanation.constraints.is_empty(),
+                "{context}: empty conflicting set"
+            );
+            assert_eq!(
+                explanation.stats.unsat_core_size,
+                explanation.constraints.len(),
+                "{context}: core size must match the explanation"
+            );
+            if strategy == SearchStrategy::Dfs {
+                assert_eq!(explanation.stats.charged_calls, dfs_charged, "{context}");
+                assert_eq!(explanation.stats.unsat_core_size, dfs_core, "{context}");
+            }
+            // A switch that is not being updated can be "updated before"
+            // nothing: an explanation names only switches the operator can
+            // reorder.
+            for constraint in &explanation.constraints {
+                let named: Vec<_> = match constraint {
+                    ConflictConstraint::SomeBefore { before, after } => {
+                        before.iter().chain(after).collect()
+                    }
+                    ConflictConstraint::PrefixSet { applied } => applied.iter().collect(),
+                    ConflictConstraint::Order { order } => order.iter().collect(),
+                };
+                for switch in named {
+                    assert!(
+                        updating.contains(switch),
+                        "{context}: {constraint} names {switch}, which is not being updated"
+                    );
+                }
+            }
+            let text = explanation.to_string();
+            assert!(
+                text.contains("constraint(s) conflict"),
+                "{context}: unreadable rendering: {text}"
+            );
 
-        // A subsequent request clears the stale explanation.
-        let trivial = UpdateProblem::new(
-            std::sync::Arc::clone(&problem.topology),
-            problem.initial.clone(),
-            problem.initial.clone(),
-            problem.classes.clone(),
-            problem.ingress_hosts.clone(),
-            problem.spec.clone(),
-        );
-        engine.solve(&trivial).expect("no-op update");
-        assert!(
-            engine.last_explanation().is_none(),
-            "{strategy}: explanation must clear on the next request"
-        );
+            // A subsequent request clears the stale explanation.
+            let trivial = UpdateProblem::new(
+                std::sync::Arc::clone(&problem.topology),
+                problem.initial.clone(),
+                problem.initial.clone(),
+                problem.classes.clone(),
+                problem.ingress_hosts.clone(),
+                problem.spec.clone(),
+            );
+            engine.solve(&trivial).expect("no-op update");
+            assert!(
+                engine.last_explanation().is_none(),
+                "{context}: explanation must clear on the next request"
+            );
+        }
     }
 }
 

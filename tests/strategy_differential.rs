@@ -494,8 +494,8 @@ fn sat_guided_stats_are_coherent() {
                 .threads(threads),
         )
         .expect("solvable");
-        // SAT effort is surfaced: the store always holds at least the
-        // transitivity axioms once more than one unit exists.
+        // The store's size is surfaced. Transitivity is lazy, so its clauses
+        // are the constraints learnt from this run's failed proposals.
         assert!(result.stats.sat_clauses > 0, "t{threads}");
         assert!(result.stats.cegis_iterations >= 1, "t{threads}");
         // Per-worker attribution covers every check performed.
@@ -509,24 +509,29 @@ fn sat_guided_stats_are_coherent() {
             assert!(result.stats.checks_per_worker.is_empty());
         }
     }
-    // DFS reports no CEGIS iterations but still surfaces its solver effort.
+    // The DFS consults the same store but takes no proposal from it.
     let dfs = synthesize(&problem, &SynthesisOptions::default()).expect("solvable");
     assert_eq!(dfs.stats.cegis_iterations, 0);
 }
 
-#[test]
-fn sat_guided_proposals_stay_out_of_the_solver() {
-    // Two diamonds on a 120-switch Small-World graph: 32 units, 22 CEGIS
-    // iterations. With one assumption solve per fixing question (the commit
-    // before the concrete-order fast path) the store spent 62 018 decisions
-    // here; answering the questions on explicit orders spends none. The
-    // ceiling is a quarter of the old value, so the fast path cannot
-    // silently stop firing — and the committed sequence is still the DFS's.
+/// Two diamonds on a 120-switch Small-World graph: 32 units, 22 CEGIS
+/// iterations, 21 counterexamples on the DFS's path.
+fn small_world_two_diamonds_problem() -> UpdateProblem {
     let mut rng = StdRng::seed_from_u64(10);
     let graph = generators::small_world(120, 4, 0.1, &mut rng);
     let scenario = multi_diamond_scenario(&graph, PropertyKind::Reachability, 2, &mut rng)
         .expect("two disjoint diamonds fit");
-    let problem = UpdateProblem::from_scenario(&scenario);
+    UpdateProblem::from_scenario(&scenario)
+}
+
+#[test]
+fn sat_guided_proposals_stay_out_of_the_solver() {
+    // With one assumption solve per fixing question (the commit before the
+    // concrete-order fast path) the store spent 62 018 decisions here;
+    // answering the questions on explicit orders spends none. The ceiling is
+    // a quarter of the old value, so the fast path cannot silently stop
+    // firing — and the committed sequence is still the DFS's.
+    let problem = small_world_two_diamonds_problem();
     let sat = synthesize(
         &problem,
         &SynthesisOptions::default().strategy(SearchStrategy::SatGuided),
@@ -540,4 +545,34 @@ fn sat_guided_proposals_stay_out_of_the_solver() {
         "{} decisions",
         sat.stats.sat_decisions
     );
+}
+
+#[test]
+fn dfs_early_termination_stays_out_of_the_solver() {
+    // The DFS asks the same store only "is any order left?". With a store of
+    // its own that encoded transitivity eagerly (the commit before the two
+    // stores became one) it held 16 283 clauses and spent 2 707 decisions on
+    // this instance; the ceilings are a quarter of those. The search itself
+    // must not move, at either thread count (the scheduler replays the
+    // sequential schedule).
+    force_speculation();
+    let problem = small_world_two_diamonds_problem();
+    for threads in [1, 4] {
+        let stats = synthesize(&problem, &SynthesisOptions::default().threads(threads))
+            .expect("solvable")
+            .stats;
+        assert!(
+            stats.sat_clauses <= 4_070,
+            "t{threads}: {} clauses",
+            stats.sat_clauses
+        );
+        assert!(
+            stats.sat_decisions <= 676,
+            "t{threads}: {} decisions",
+            stats.sat_decisions
+        );
+        assert_eq!(stats.charged_calls, 76, "t{threads}");
+        assert_eq!(stats.configurations_pruned, 132, "t{threads}");
+        assert_eq!(stats.cegis_iterations, 0, "t{threads}");
+    }
 }
