@@ -1,8 +1,7 @@
 //! Ablation study: the contribution of each optimization the paper describes
 //! (§4.2) — counterexample pruning, SAT-based early termination, and the
 //! incremental checker itself — measured on the same workload, plus the
-//! scheduler axis: the parallel DFS (work stealing, speculation, shared
-//! pruning) and the DFS/SAT portfolio with its per-lane charged budgets.
+//! SAT-guided strategy.
 
 use std::time::Duration;
 
@@ -35,11 +34,6 @@ fn configurations() -> Vec<(&'static str, SynthesisOptions)> {
             "sat-guided strategy",
             SynthesisOptions::default().strategy(SearchStrategy::SatGuided),
         ),
-        ("parallel dfs (t4)", SynthesisOptions::default().threads(4)),
-        (
-            "portfolio strategy",
-            SynthesisOptions::default().strategy(SearchStrategy::Portfolio),
-        ),
     ]
 }
 
@@ -54,19 +48,14 @@ fn bench_ablation(c: &mut Criterion) {
             "workload",
             "configuration",
             "runtime",
-            "mode",
             "mc calls",
             "charged",
             "states relabeled",
-            "stolen",
-            "spec issued/hit/wasted",
-            "prune pub/consult",
             "sat conflicts/clauses/learnt/deleted",
             "sat restarts/decisions",
             "unsat core",
             "carried/retired",
             "cegis iters",
-            "dfs/sat budget",
         ],
     );
     let mut group = c.benchmark_group("ablation");
@@ -95,32 +84,11 @@ fn bench_ablation(c: &mut Criterion) {
                 Ok(stats) => Some(stats.clone()),
                 Err(_) => infeasible_stats(&workload.problem, &options),
             };
-            let (
-                mode,
-                calls,
-                charged,
-                relabeled,
-                stolen,
-                spec,
-                prune,
-                sat,
-                restarts,
-                core,
-                carry,
-                iters,
-                budgets,
-            ) = match &row_stats {
+            let (calls, charged, relabeled, sat, restarts, core, carry, iters) = match &row_stats {
                 Some(stats) => (
-                    stats.search_mode.name().to_string(),
                     stats.model_checker_calls.to_string(),
                     stats.charged_calls.to_string(),
                     stats.states_relabeled.to_string(),
-                    stats.tasks_stolen.to_string(),
-                    format!(
-                        "{}/{}/{}",
-                        stats.speculative_issued, stats.speculative_hits, stats.speculative_wasted
-                    ),
-                    format!("{}/{}", stats.prune_publishes, stats.prune_consults),
                     format!(
                         "{}/{}/{}/{}",
                         stats.sat_conflicts,
@@ -135,44 +103,30 @@ fn bench_ablation(c: &mut Criterion) {
                         stats.constraints_carried, stats.constraints_retired
                     ),
                     stats.cegis_iterations.to_string(),
-                    format!(
-                        "{}/{}",
-                        stats.portfolio_dfs_budget, stats.portfolio_sat_budget
-                    ),
                 ),
                 None => (
-                    "-".to_string(),
                     "0".to_string(),
                     "0".to_string(),
                     "0".to_string(),
-                    "0".to_string(),
-                    "-".to_string(),
-                    "-".to_string(),
                     "-".to_string(),
                     "-".to_string(),
                     "-".to_string(),
                     "-".to_string(),
                     "0".to_string(),
-                    "-".to_string(),
                 ),
             };
             print_row(&[
                 workload_name.to_string(),
                 name.to_string(),
                 fmt_ms(single.elapsed),
-                mode,
                 calls,
                 charged,
                 relabeled,
-                stolen,
-                spec,
-                prune,
                 sat,
                 restarts,
                 core,
                 carry,
                 iters,
-                budgets,
             ]);
             group.bench_function(format!("{workload_name}/{name}"), |b| {
                 b.iter(|| time_synthesis_with(&workload.problem, options.clone()))

@@ -1,16 +1,13 @@
 //! Figure 7(a–c): synthesis runtime with the Incremental checker versus the
 //! monolithic product checker (NuSMV stand-in) and the Batch checker, on the
 //! three topology families, for the reachability property — swept across the
-//! parallel-search thread axis (1/2/4 workers; 1 is the sequential search)
-//! and the search-strategy axis (the DFS sweeps the thread axis; the
-//! SAT-guided CEGIS strategy and the portfolio are measured at one thread,
-//! where their fewer-model-checker-calls profiles show directly).
+//! search-strategy axis (DFS and SAT-guided CEGIS).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use netupd_bench::{
     criterion_budget, diamond_workload, fmt_min_mean_max, print_header, print_row, probe_run,
-    report_samples, sample_synthesis_with, strategy_threads, BenchReport, TopologyFamily,
+    report_samples, sample_synthesis_with, BenchReport, TopologyFamily,
 };
 use netupd_mc::Backend;
 use netupd_synth::{SearchStrategy, SynthesisOptions};
@@ -30,7 +27,6 @@ fn bench_backends(c: &mut Criterion) {
             "switches",
             "backend",
             "strategy",
-            "threads",
             "[min mean max]",
         ],
     );
@@ -52,64 +48,54 @@ fn bench_backends(c: &mut Criterion) {
                     continue;
                 }
                 for strategy in SearchStrategy::ALL {
-                    for &threads in strategy_threads(strategy) {
-                        let options = SynthesisOptions::with_backend(backend)
-                            .strategy(strategy)
-                            .threads(threads);
-                        let (search_mode, checkpoint) = probe_run(&workload.problem, &options);
-                        let samples =
-                            sample_synthesis_with(&workload.problem, &options, samples_per_series);
-                        print_row(&[
-                            family.name().to_string(),
-                            workload.switches.to_string(),
-                            backend.to_string(),
-                            strategy.to_string(),
-                            threads.to_string(),
-                            fmt_min_mean_max(&samples),
-                        ]);
-                        // DFS at one thread keeps the pre-axis record ids so
-                        // perf trajectories across PRs stay diffable; the
-                        // other axes extend the id.
-                        let id = match (strategy, threads) {
-                            (SearchStrategy::Dfs, 1) => {
-                                format!("fig7/{}/{}/{}", family.name(), backend, size)
-                            }
-                            (SearchStrategy::Dfs, _) => {
-                                format!("fig7/{}/{}/{}/t{}", family.name(), backend, size, threads)
-                            }
-                            _ => {
-                                format!("fig7/{}/{}/{}/{}", family.name(), backend, size, strategy)
-                            }
-                        };
-                        report.record(
-                            id,
-                            &[
-                                ("family", family.name()),
-                                ("backend", &backend.to_string()),
-                                ("strategy", strategy.name()),
-                                ("switches", &workload.switches.to_string()),
-                                ("rules", &workload.rules.to_string()),
-                                ("threads", &threads.to_string()),
-                                ("search_mode", search_mode),
-                                ("checkpoint_hits", &checkpoint.hits.to_string()),
-                                ("checkpoint_restores", &checkpoint.restores.to_string()),
-                                ("checkpoint_bytes", &checkpoint.bytes.to_string()),
-                            ],
-                            &samples,
-                        );
-                        group.bench_with_input(
-                            BenchmarkId::new(format!("{backend}/{strategy}/t{threads}"), size),
-                            &workload,
-                            |b, workload| {
-                                b.iter(|| {
-                                    netupd_bench::time_synthesis_with(
-                                        &workload.problem,
-                                        options.clone(),
-                                    )
-                                })
-                            },
-                        );
-                    }
+                    let options = SynthesisOptions::with_backend(backend).strategy(strategy);
+                    let checkpoint = probe_run(&workload.problem, &options);
+                    let samples =
+                        sample_synthesis_with(&workload.problem, &options, samples_per_series);
+                    print_row(&[
+                        family.name().to_string(),
+                        workload.switches.to_string(),
+                        backend.to_string(),
+                        strategy.to_string(),
+                        fmt_min_mean_max(&samples),
+                    ]);
+                    // The DFS keeps the pre-axis record ids so perf
+                    // trajectories across PRs stay diffable; the strategy
+                    // axis extends the id.
+                    let id = match strategy {
+                        SearchStrategy::Dfs => {
+                            format!("fig7/{}/{}/{}", family.name(), backend, size)
+                        }
+                        SearchStrategy::SatGuided => {
+                            format!("fig7/{}/{}/{}/{}", family.name(), backend, size, strategy)
+                        }
+                    };
+                    report.record(
+                        id,
+                        &[
+                            ("family", family.name()),
+                            ("backend", &backend.to_string()),
+                            ("strategy", strategy.name()),
+                            ("switches", &workload.switches.to_string()),
+                            ("rules", &workload.rules.to_string()),
+                            ("checkpoint_hits", &checkpoint.hits.to_string()),
+                            ("checkpoint_restores", &checkpoint.restores.to_string()),
+                            ("checkpoint_bytes", &checkpoint.bytes.to_string()),
+                        ],
+                        &samples,
+                    );
+                    group.bench_with_input(
+                        BenchmarkId::new(format!("{backend}/{strategy}"), size),
+                        &workload,
+                        |b, workload| {
+                            b.iter(|| {
+                                netupd_bench::time_synthesis_with(
+                                    &workload.problem,
+                                    options.clone(),
+                                )
+                            })
+                        },
+                    );
                 }
             }
         }

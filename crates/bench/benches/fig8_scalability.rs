@@ -1,15 +1,12 @@
 //! Figure 8(g): scalability of the Incremental backend on Small-World
 //! topologies of increasing size, for the three property families — swept
-//! across the parallel-search thread axis (1/2/4 workers; 1 is the
-//! sequential search) and the search-strategy axis (DFS, SAT-guided, and
-//! the portfolio racing both).
+//! across the search-strategy axis (DFS and SAT-guided).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use netupd_bench::{
     criterion_budget, fmt_min_mean_max, multi_diamond_workload, print_header, print_row, probe_run,
-    report_samples, sample_synthesis_with, strategy_threads, time_synthesis_with, BenchReport,
-    TopologyFamily,
+    report_samples, sample_synthesis_with, time_synthesis_with, BenchReport, TopologyFamily,
 };
 use netupd_mc::Backend;
 use netupd_synth::{SearchStrategy, SynthesisOptions};
@@ -33,7 +30,6 @@ fn bench_scalability(c: &mut Criterion) {
             "switches",
             "updating switches",
             "strategy",
-            "threads",
             "[min mean max]",
         ],
     );
@@ -49,68 +45,50 @@ fn bench_scalability(c: &mut Criterion) {
         for size in SIZES {
             let workload = multi_diamond_workload(TopologyFamily::SmallWorld, size, property, 4, 7);
             for strategy in SearchStrategy::ALL {
-                for &threads in strategy_threads(strategy) {
-                    let options = SynthesisOptions::with_backend(Backend::Incremental)
-                        .strategy(strategy)
-                        .threads(threads);
-                    let (search_mode, checkpoint) = probe_run(&workload.problem, &options);
-                    // The SAT-guided and portfolio rows are the figure's
-                    // single-measurement strategies (one thread, no axis to
-                    // average over), so even fast-mode runs keep at least 5
-                    // samples — 2 proved too noisy to judge their means.
-                    let strategy_samples = match strategy {
-                        SearchStrategy::Dfs => samples_per_series,
-                        _ => samples_per_series.max(5),
-                    };
-                    let samples =
-                        sample_synthesis_with(&workload.problem, &options, strategy_samples);
-                    print_row(&[
-                        property.name().to_string(),
-                        workload.switches.to_string(),
-                        workload.scenario.updating_switches().to_string(),
-                        strategy.to_string(),
-                        threads.to_string(),
-                        fmt_min_mean_max(&samples),
-                    ]);
-                    // DFS at one thread keeps the pre-axis record ids so perf
-                    // trajectories across PRs stay diffable.
-                    let id = match (strategy, threads) {
-                        (SearchStrategy::Dfs, 1) => format!("fig8/{}/{}", property.name(), size),
-                        (SearchStrategy::Dfs, _) => {
-                            format!("fig8/{}/{}/t{}", property.name(), size, threads)
-                        }
-                        _ => format!("fig8/{}/{}/{}", property.name(), size, strategy),
-                    };
-                    report.record(
-                        id,
-                        &[
-                            ("property", property.name()),
-                            ("backend", "incremental"),
-                            ("strategy", strategy.name()),
-                            ("switches", &workload.switches.to_string()),
-                            (
-                                "updating_switches",
-                                &workload.scenario.updating_switches().to_string(),
-                            ),
-                            ("threads", &threads.to_string()),
-                            ("search_mode", search_mode),
-                            ("checkpoint_hits", &checkpoint.hits.to_string()),
-                            ("checkpoint_restores", &checkpoint.restores.to_string()),
-                            ("checkpoint_bytes", &checkpoint.bytes.to_string()),
-                        ],
-                        &samples,
-                    );
-                    group.bench_with_input(
-                        BenchmarkId::new(
-                            format!("{}/{}/t{}", property.name(), strategy, threads),
-                            size,
+                let options =
+                    SynthesisOptions::with_backend(Backend::Incremental).strategy(strategy);
+                let checkpoint = probe_run(&workload.problem, &options);
+                let samples =
+                    sample_synthesis_with(&workload.problem, &options, samples_per_series);
+                print_row(&[
+                    property.name().to_string(),
+                    workload.switches.to_string(),
+                    workload.scenario.updating_switches().to_string(),
+                    strategy.to_string(),
+                    fmt_min_mean_max(&samples),
+                ]);
+                // The DFS keeps the pre-axis record ids so perf trajectories
+                // across PRs stay diffable.
+                let id = match strategy {
+                    SearchStrategy::Dfs => format!("fig8/{}/{}", property.name(), size),
+                    SearchStrategy::SatGuided => {
+                        format!("fig8/{}/{}/{}", property.name(), size, strategy)
+                    }
+                };
+                report.record(
+                    id,
+                    &[
+                        ("property", property.name()),
+                        ("backend", "incremental"),
+                        ("strategy", strategy.name()),
+                        ("switches", &workload.switches.to_string()),
+                        (
+                            "updating_switches",
+                            &workload.scenario.updating_switches().to_string(),
                         ),
-                        &workload,
-                        |b, workload| {
-                            b.iter(|| time_synthesis_with(&workload.problem, options.clone()))
-                        },
-                    );
-                }
+                        ("checkpoint_hits", &checkpoint.hits.to_string()),
+                        ("checkpoint_restores", &checkpoint.restores.to_string()),
+                        ("checkpoint_bytes", &checkpoint.bytes.to_string()),
+                    ],
+                    &samples,
+                );
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{}/{}", property.name(), strategy), size),
+                    &workload,
+                    |b, workload| {
+                        b.iter(|| time_synthesis_with(&workload.problem, options.clone()))
+                    },
+                );
             }
         }
     }

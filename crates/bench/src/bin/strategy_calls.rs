@@ -1,7 +1,7 @@
 //! One-shot strategy-comparison harness behind the EXPERIMENTS.md "Search
 //! strategies" tables: per-shape model-checker calls, charged budgets, and
-//! CEGIS iteration counts for the DFS, the SAT-guided strategy, and the
-//! portfolio, on the fig7/fig8 workloads (Incremental backend, one thread).
+//! CEGIS iteration counts for the DFS and the SAT-guided strategy on the
+//! fig7/fig8 workloads (Incremental backend).
 //!
 //! All printed counts are deterministic — one run per shape is the protocol.
 //! Times are indicative only. Run with:
@@ -55,7 +55,7 @@ fn run(workload: &Workload, strategy: SearchStrategy) -> (SynthStats, f64) {
 
 fn main() {
     print_header(
-        "Strategy comparison: model-checker calls and charged budgets (incremental, t1)",
+        "Strategy comparison: model-checker calls and charged budgets (incremental)",
         &[
             "shape",
             "dfs calls",
@@ -63,8 +63,6 @@ fn main() {
             "cegis iters",
             "dfs charged",
             "sat charged",
-            "pf charged",
-            "pf real",
             "dfs ms",
             "sat ms",
         ],
@@ -72,7 +70,6 @@ fn main() {
     for (name, workload) in shapes() {
         let (dfs, dfs_ms) = run(&workload, SearchStrategy::Dfs);
         let (sat, sat_ms) = run(&workload, SearchStrategy::SatGuided);
-        let (pf, _) = run(&workload, SearchStrategy::Portfolio);
         print_row(&[
             name,
             dfs.model_checker_calls.to_string(),
@@ -80,8 +77,6 @@ fn main() {
             sat.cegis_iterations.to_string(),
             dfs.charged_calls.to_string(),
             sat.charged_calls.to_string(),
-            pf.charged_calls.to_string(),
-            pf.model_checker_calls.to_string(),
             format!("{dfs_ms:.2}"),
             format!("{sat_ms:.2}"),
         ]);

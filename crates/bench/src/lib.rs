@@ -19,41 +19,20 @@ pub mod report;
 
 pub use report::{fmt_min_mean_max, BenchRecord, BenchReport};
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use netupd_mc::Backend;
-use netupd_serve::{MetricsSnapshot, ServeConfig, TenantId, UpdateServer};
 use netupd_synth::{
     Granularity, SynthStats, SynthesisError, SynthesisOptions, Synthesizer, UpdateEngine,
     UpdateProblem,
 };
 use netupd_topo::scenario::{
-    churn_scenarios, diamond_scenario, double_diamond_scenario, multi_diamond_scenario,
-    multi_tenant_churn_streams, PropertyKind,
+    diamond_scenario, double_diamond_scenario, multi_diamond_scenario, PropertyKind,
 };
 use netupd_topo::{generators, NetworkGraph, UpdateScenario};
-
-/// The thread counts the scaling benchmarks sweep (the parallel-search axis
-/// of Figures 7 and 8).
-pub const THREAD_AXIS: [usize; 3] = [1, 2, 4];
-
-/// The thread counts swept for a search strategy: the DFS takes the full
-/// [`THREAD_AXIS`]; the SAT-guided strategy is measured at one thread, where
-/// its fewer-model-checker-calls profile shows directly (its parallel
-/// candidate verification is covered by the determinism suites); the
-/// portfolio's lockstep race runs on the calling thread by design (its
-/// result is thread-count-independent), so one thread measures it fully.
-pub fn strategy_threads(strategy: netupd_synth::SearchStrategy) -> &'static [usize] {
-    match strategy {
-        netupd_synth::SearchStrategy::Dfs => &THREAD_AXIS,
-        netupd_synth::SearchStrategy::SatGuided => &[1],
-        netupd_synth::SearchStrategy::Portfolio => &[1],
-    }
-}
 
 /// Returns `true` when `NETUPD_BENCH_FAST` is set (to anything but `0`):
 /// the benches then use reduced sample counts and measurement budgets so the
@@ -66,8 +45,8 @@ pub fn fast_mode() -> bool {
 /// Number of samples for the machine-readable report series: 2 in
 /// [`fast_mode`] (CI smoke), otherwise the `NETUPD_BENCH_SAMPLES`
 /// environment override or `default` raised to at least 5 — two samples
-/// proved too noisy to judge thread scaling, so the figure benches always
-/// collect enough for a stable mean.
+/// proved too noisy, so the figure benches always collect enough for a
+/// stable mean.
 pub fn report_samples(default: usize) -> usize {
     if fast_mode() {
         return 2;
@@ -219,111 +198,9 @@ pub fn double_diamond_workload(
     }
 }
 
-/// A generated churn-stream workload: `steps` successive problems over one
-/// shared topology, each starting exactly where the previous one ended (see
-/// [`churn_scenarios`]).
-#[derive(Debug, Clone)]
-pub struct ChurnWorkload {
-    /// The per-step synthesis problems, all sharing one topology `Arc`.
-    pub problems: Vec<UpdateProblem>,
-    /// Number of switches in the topology.
-    pub switches: usize,
-}
-
-/// Generates a seeded churn-stream workload on a topology of roughly `size`
-/// switches.
-pub fn churn_workload(
-    family: TopologyFamily,
-    size: usize,
-    kind: PropertyKind,
-    steps: usize,
-    seed: u64,
-) -> ChurnWorkload {
-    let graph = family.generate(size, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x517c_c1b7);
-    let scenarios = churn_scenarios(&graph, kind, steps, &mut rng)
-        .or_else(|| {
-            let mut retry = StdRng::seed_from_u64(seed.wrapping_add(1));
-            churn_scenarios(&graph, kind, steps, &mut retry)
-        })
-        .expect("generated topologies admit a churn stream");
-    let topology = Arc::new(graph.topology().clone());
-    ChurnWorkload {
-        problems: scenarios
-            .iter()
-            .map(|s| UpdateProblem::from_scenario_shared(s, Arc::clone(&topology)))
-            .collect(),
-        switches: graph.num_switches(),
-    }
-}
-
-/// How a churn stream is served, for the fresh-vs-reuse comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamMode {
-    /// A fresh [`Synthesizer`] per request (everything rebuilt per call).
-    Fresh,
-    /// One long-lived [`UpdateEngine`] across the stream.
-    Reuse,
-}
-
-impl StreamMode {
-    /// Both modes, fresh first.
-    pub const ALL: [StreamMode; 2] = [StreamMode::Fresh, StreamMode::Reuse];
-
-    /// The identifier used in tables and report ids.
-    pub fn name(self) -> &'static str {
-        match self {
-            StreamMode::Fresh => "fresh",
-            StreamMode::Reuse => "reuse",
-        }
-    }
-}
-
-/// Serves the whole churn stream once in the given mode and returns the
-/// total wall-clock time. Panics if any request fails — churn streams are
-/// solvable by construction.
-pub fn time_churn_stream(
-    workload: &ChurnWorkload,
-    options: &SynthesisOptions,
-    mode: StreamMode,
-) -> Duration {
-    let start = Instant::now();
-    match mode {
-        StreamMode::Fresh => {
-            for problem in &workload.problems {
-                Synthesizer::new(problem.clone())
-                    .with_options(options.clone())
-                    .synthesize()
-                    .expect("churn steps are solvable");
-            }
-        }
-        StreamMode::Reuse => {
-            let mut engine = UpdateEngine::for_problem(&workload.problems[0], options.clone());
-            for problem in &workload.problems {
-                engine.solve(problem).expect("churn steps are solvable");
-            }
-        }
-    }
-    start.elapsed()
-}
-
-/// Serves the stream `runs` times and returns the *per-request mean*
-/// duration of each run — the series the churn bench reports.
-pub fn sample_churn_stream(
-    workload: &ChurnWorkload,
-    options: &SynthesisOptions,
-    mode: StreamMode,
-    runs: usize,
-) -> Vec<Duration> {
-    let requests = workload.problems.len().max(1) as u32;
-    (0..runs.max(1))
-        .map(|_| time_churn_stream(workload, options, mode) / requests)
-        .collect()
-}
-
-/// Prefix-checkpoint cache counters of a run (or a stream of runs) —
-/// attached to every bench record so the cache's effect on synthesis work
-/// stays diffable across PRs alongside the wall-clock numbers.
+/// Prefix-checkpoint cache counters of a run — attached to every bench
+/// record so the cache's effect on synthesis work stays diffable across PRs
+/// alongside the wall-clock numbers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckpointCounters {
     /// Checkpoint-cache hits (verdicts reused without a checker call).
@@ -331,8 +208,7 @@ pub struct CheckpointCounters {
     /// Hits that also restored a checker snapshot instead of replaying the
     /// configuration change set.
     pub restores: usize,
-    /// Resident cache bytes; for a stream, the largest value any request
-    /// reported.
+    /// Resident cache bytes.
     pub bytes: usize,
 }
 
@@ -346,208 +222,15 @@ impl CheckpointCounters {
     }
 }
 
-/// Deterministic work counters of serving a whole churn stream once —
-/// attached to the churn bench records so synthesis *effort* (not just
-/// wall-clock) stays diffable across PRs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChurnCounters {
-    /// Total CEGIS propose→verify→learn iterations across the stream
-    /// (SAT-guided rows; 0 for the DFS).
-    pub cegis_iterations: usize,
-    /// Total model-checker calls issued across the stream.
-    pub checker_calls: usize,
-    /// Constraints carried across requests (engine reuse under the
-    /// SAT-guided strategy with carry enabled; 0 everywhere else).
-    pub constraints_carried: usize,
-    /// Checkpoint-cache activity summed across the stream.
-    pub checkpoint: CheckpointCounters,
-}
-
-/// Serves the stream once in the given mode and sums the per-request work
-/// counters. Deterministic for fixed options — no timing involved. Panics if
-/// any request fails: churn streams are solvable by construction.
-pub fn churn_stream_counters(
-    workload: &ChurnWorkload,
-    options: &SynthesisOptions,
-    mode: StreamMode,
-) -> ChurnCounters {
-    let mut counters = ChurnCounters::default();
-    let mut absorb = |stats: &SynthStats| {
-        counters.cegis_iterations += stats.cegis_iterations;
-        counters.checker_calls += stats.model_checker_calls;
-        counters.constraints_carried += stats.constraints_carried;
-        counters.checkpoint.absorb(stats);
-    };
-    match mode {
-        StreamMode::Fresh => {
-            for problem in &workload.problems {
-                let update = Synthesizer::new(problem.clone())
-                    .with_options(options.clone())
-                    .synthesize()
-                    .expect("churn steps are solvable");
-                absorb(&update.stats);
-            }
-        }
-        StreamMode::Reuse => {
-            let mut engine = UpdateEngine::for_problem(&workload.problems[0], options.clone());
-            for problem in &workload.problems {
-                let update = engine.solve(problem).expect("churn steps are solvable");
-                absorb(&update.stats);
-            }
-        }
-    }
-    counters
-}
-
 /// Statistics of a constraint-proven infeasible run, recovered from the
 /// engine's explanation side channel — the error path returns no
 /// `UpdateSequence`, so [`UpdateEngine::last_explanation`] is the only place
 /// an infeasible run's counters surface. `None` when the run succeeds, or
-/// fails without an explanation (exhaustion, parallel DFS, portfolio).
+/// fails without an explanation (search space or budget exhausted).
 pub fn infeasible_stats(problem: &UpdateProblem, options: &SynthesisOptions) -> Option<SynthStats> {
     let mut engine = UpdateEngine::for_problem(problem, options.clone());
     engine.solve(problem).err()?;
     engine.last_explanation().map(|e| e.stats.clone())
-}
-
-/// A generated multi-tenant serving workload: `tenants` independent churn
-/// streams over one shared topology, flattened into a submission order that
-/// interleaves the tenants round-robin by step (so concurrent tenants
-/// genuinely contend for the worker fleet, instead of arriving one full
-/// stream at a time).
-#[derive(Debug, Clone)]
-pub struct ServeWorkload {
-    /// The requests in submission order; each tenant's sub-sequence is its
-    /// chained churn stream.
-    pub requests: Vec<(TenantId, UpdateProblem)>,
-    /// Number of tenants.
-    pub tenants: usize,
-    /// Churn steps per tenant.
-    pub steps: usize,
-    /// Number of switches in the shared topology.
-    pub switches: usize,
-}
-
-/// Generates a seeded multi-tenant serving workload on a topology of roughly
-/// `size` switches (see [`multi_tenant_churn_streams`]).
-pub fn serve_workload(
-    family: TopologyFamily,
-    size: usize,
-    kind: PropertyKind,
-    tenants: usize,
-    steps: usize,
-    seed: u64,
-) -> ServeWorkload {
-    let graph = family.generate(size, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x2545_f491);
-    let streams = multi_tenant_churn_streams(&graph, kind, tenants, steps, &mut rng)
-        .or_else(|| {
-            let mut retry = StdRng::seed_from_u64(seed.wrapping_add(1));
-            multi_tenant_churn_streams(&graph, kind, tenants, steps, &mut retry)
-        })
-        .expect("generated topologies admit multi-tenant churn streams");
-    let topology = Arc::new(graph.topology().clone());
-    let mut requests = Vec::with_capacity(tenants * steps);
-    for step in 0..steps {
-        for (t, stream) in streams.iter().enumerate() {
-            requests.push((
-                TenantId(t as u64),
-                UpdateProblem::from_scenario_shared(&stream[step], Arc::clone(&topology)),
-            ));
-        }
-    }
-    ServeWorkload {
-        requests,
-        tenants,
-        steps,
-        switches: graph.num_switches(),
-    }
-}
-
-/// The measurements of serving one [`ServeWorkload`] once through an
-/// [`UpdateServer`].
-#[derive(Debug, Clone)]
-pub struct ServeRun {
-    /// Wall-clock time from first submit to last response.
-    pub wall: Duration,
-    /// Per-request end-to-end latency (queue wait + service time), in
-    /// submission order.
-    pub e2e: Vec<Duration>,
-    /// Per-request queue wait, in submission order.
-    pub queue_waits: Vec<Duration>,
-    /// Per-request synthesis time, in submission order.
-    pub service_times: Vec<Duration>,
-    /// Checkpoint-cache activity aggregated over every request's
-    /// [`SynthStats`] passthrough.
-    pub checkpoint: CheckpointCounters,
-    /// The server's final metrics snapshot.
-    pub snapshot: MetricsSnapshot,
-}
-
-impl ServeRun {
-    /// Requests served per wall-clock second.
-    pub fn requests_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.e2e.len() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Mean end-to-end latency per request.
-    pub fn mean_e2e(&self) -> Duration {
-        if self.e2e.is_empty() {
-            Duration::ZERO
-        } else {
-            self.e2e.iter().sum::<Duration>() / self.e2e.len() as u32
-        }
-    }
-}
-
-/// Submits the whole workload to a fresh [`UpdateServer`] (started with
-/// `config`), waits for every response, and returns the run's measurements.
-/// The config's queue limits are raised to admit the whole workload — this
-/// harness measures throughput and latency, not shedding. Panics if any
-/// request fails: churn streams are solvable by construction.
-pub fn run_serve_stream(workload: &ServeWorkload, config: ServeConfig) -> ServeRun {
-    let config = config
-        .tenant_queue_limit(workload.steps.max(1))
-        .global_queue_limit(workload.requests.len().max(1));
-    let server = UpdateServer::start(config);
-    let start = Instant::now();
-    let handles: Vec<_> = workload
-        .requests
-        .iter()
-        .map(|(tenant, problem)| {
-            server
-                .submit(*tenant, problem.clone())
-                .expect("bench limits admit the whole workload")
-        })
-        .collect();
-    let mut e2e = Vec::with_capacity(handles.len());
-    let mut queue_waits = Vec::with_capacity(handles.len());
-    let mut service_times = Vec::with_capacity(handles.len());
-    let mut checkpoint = CheckpointCounters::default();
-    for handle in handles {
-        let outcome = handle.wait();
-        outcome.result.expect("churn steps are solvable");
-        e2e.push(outcome.metrics.queue_wait + outcome.metrics.service_time);
-        queue_waits.push(outcome.metrics.queue_wait);
-        service_times.push(outcome.metrics.service_time);
-        if let Some(stats) = &outcome.metrics.stats {
-            checkpoint.absorb(stats);
-        }
-    }
-    let wall = start.elapsed();
-    ServeRun {
-        wall,
-        e2e,
-        queue_waits,
-        service_times,
-        checkpoint,
-        snapshot: server.shutdown(),
-    }
 }
 
 /// The result of one timed synthesis run.
@@ -593,34 +276,15 @@ pub fn time_synthesis_with(
     }
 }
 
-/// Runs one synthesis and returns the effective [`SearchMode`] name from its
-/// statistics. The figure benches attach this to their JSON records so the
-/// scaling numbers stay interpretable: on hardware where the speculation cap
-/// gates to zero (1-core containers), `threads > 1` runs degrade to the
-/// inline single-flight mode, and a flat thread axis means "no concurrency
-/// available", not "no speedup possible".
-///
-/// [`SearchMode`]: netupd_synth::SearchMode
-pub fn probe_search_mode(problem: &UpdateProblem, options: &SynthesisOptions) -> &'static str {
-    probe_run(problem, options).0
-}
-
-/// Runs one synthesis and returns both the effective search-mode name (see
-/// [`probe_search_mode`]) and the run's deterministic checkpoint-cache
-/// counters — the figure benches attach both to their JSON records from this
-/// single probe call.
-pub fn probe_run(
-    problem: &UpdateProblem,
-    options: &SynthesisOptions,
-) -> (&'static str, CheckpointCounters) {
-    match time_synthesis_with(problem, options.clone()).outcome {
-        Ok(stats) => {
-            let mut checkpoint = CheckpointCounters::default();
-            checkpoint.absorb(&stats);
-            (stats.search_mode.name(), checkpoint)
-        }
-        Err(_) => ("failed", CheckpointCounters::default()),
+/// Runs one synthesis and returns the run's deterministic checkpoint-cache
+/// counters (zero when it fails) — the figure benches attach them to their
+/// JSON records.
+pub fn probe_run(problem: &UpdateProblem, options: &SynthesisOptions) -> CheckpointCounters {
+    let mut checkpoint = CheckpointCounters::default();
+    if let Ok(stats) = time_synthesis_with(problem, options.clone()).outcome {
+        checkpoint.absorb(&stats);
     }
+    checkpoint
 }
 
 /// Runs the synthesizer `runs` times and returns the wall-clock samples
@@ -637,8 +301,8 @@ pub fn sample_synthesis(
         .collect()
 }
 
-/// Like [`sample_synthesis`], but with fully custom options (the scaling
-/// benches use this to sweep [`SynthesisOptions::threads`]).
+/// Like [`sample_synthesis`], but with fully custom options (the figure
+/// benches use this to sweep the strategy axis).
 pub fn sample_synthesis_with(
     problem: &UpdateProblem,
     options: &SynthesisOptions,
@@ -708,50 +372,6 @@ mod tests {
             time_synthesis(&workload.problem, Backend::Incremental, Granularity::Switch);
         assert!(measurement.succeeded());
         assert!(measurement.elapsed > Duration::ZERO);
-    }
-
-    #[test]
-    fn churn_workload_chains_and_both_modes_serve_it() {
-        let workload = churn_workload(
-            TopologyFamily::FatTree,
-            20,
-            PropertyKind::Reachability,
-            3,
-            7,
-        );
-        assert_eq!(workload.problems.len(), 3);
-        for pair in workload.problems.windows(2) {
-            assert_eq!(pair[0].final_config, pair[1].initial);
-        }
-        let options = SynthesisOptions::default();
-        for mode in StreamMode::ALL {
-            let elapsed = time_churn_stream(&workload, &options, mode);
-            assert!(elapsed > Duration::ZERO, "{} mode ran", mode.name());
-        }
-    }
-
-    #[test]
-    fn serve_workload_interleaves_and_the_server_drains_it() {
-        let workload = serve_workload(
-            TopologyFamily::FatTree,
-            20,
-            PropertyKind::Reachability,
-            3,
-            2,
-            11,
-        );
-        assert_eq!(workload.requests.len(), 6);
-        // Round-robin interleave: the first `tenants` requests are step 0 of
-        // each tenant, in tenant order.
-        let first_round: Vec<u64> = workload.requests[..3].iter().map(|(t, _)| t.0).collect();
-        assert_eq!(first_round, vec![0, 1, 2]);
-
-        let run = run_serve_stream(&workload, ServeConfig::default().worker_threads(2));
-        assert_eq!(run.e2e.len(), 6);
-        assert_eq!(run.snapshot.completed, 6);
-        assert_eq!(run.snapshot.shed_tenant + run.snapshot.shed_global, 0);
-        assert!(run.requests_per_sec() > 0.0);
-        assert!(run.mean_e2e() > Duration::ZERO);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! configuration itself, the canonical representation of the applied set).
 //! A later walk that reaches the same configuration — a DFS re-exploring a
 //! permuted prefix, a SAT proposal sharing a prefix set with an earlier
-//! iteration, the other portfolio lane, a worker thread, or the next churn
-//! request — takes the verdict without a model-checker call.
+//! iteration, or the next churn request — takes the verdict without a
+//! model-checker call.
 //!
 //! One checkpoint per request additionally carries a restorable checker
 //! snapshot ([`ModelChecker::snapshot`](netupd_mc::ModelChecker)): the

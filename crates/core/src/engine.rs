@@ -2,19 +2,17 @@
 //!
 //! The one-shot [`Synthesizer`](crate::Synthesizer) rebuilds everything per
 //! call: the Kripke encoder, the structure, the proposition table, the
-//! checker (and, in parallel mode, one full checking context per worker).
-//! A production controller does not issue one update — it issues a *stream*
-//! of closely-related updates over one topology (rolling configuration
-//! churn), and for such a stream almost all of that per-call construction is
-//! redundant.
+//! checker. A production controller does not issue one update — it issues a
+//! *stream* of closely-related updates over one topology (rolling
+//! configuration churn), and for such a stream almost all of that per-call
+//! construction is redundant.
 //!
 //! [`UpdateEngine`] owns that state across requests:
 //!
 //! * the **encoder** ([`NetworkKripke`]) with its cached per-`(topology,
 //!   classes)` skeleton is built once;
-//! * the **sequential context** (Kripke structure + checker + probe pair)
-//!   and, for `threads > 1`, the **per-worker contexts** of the parallel
-//!   search persist, so each request syncs structures *by per-switch diff*
+//! * the **checking context** (Kripke structure + checker + probe pair)
+//!   persists, so each request syncs the structures *by per-switch diff*
 //!   from wherever the previous request left them and rechecks
 //!   incrementally, instead of encoding and labeling from scratch;
 //! * closures and proposition resolutions are shared per `(spec, table)`
@@ -27,12 +25,11 @@
 //! pure function of the checked `(configuration, spec)` pair — the encoder
 //! fixes the state space up front, updates only rewire transitions, and the
 //! labeling engines keep labels in canonical form — so a recheck over an
-//! accurate diff returns exactly what a cold full check would (the same
-//! invariant the parallel search's determinism already rests on, DESIGN.md
+//! accurate diff returns exactly what a cold full check would (DESIGN.md
 //! §5). The committed commands, unit order, and verdict are therefore
 //! byte-identical to a fresh [`Synthesizer`](crate::Synthesizer) per
 //! request; `tests/engine_differential.rs` enforces this for every backend
-//! and thread count over churn streams. Work counters
+//! and strategy over churn streams. Work counters
 //! ([`SynthStats::states_relabeled`](crate::SynthStats)) do shrink with
 //! reuse — that is the point.
 //!
@@ -68,12 +65,12 @@ use netupd_model::{CommandSeq, Configuration, HostId, Network, SwitchId, Topolog
 
 use crate::checkpoint::CheckpointCache;
 use crate::constraints::LearntConstraint;
+use crate::context::CheckContext;
 use crate::explain::InfeasibilityExplanation;
 use crate::options::{Granularity, SearchStrategy, SynthesisOptions};
-use crate::parallel::{self, WorkerContext};
 use crate::problem::UpdateProblem;
 use crate::search::{finish_sequence, SynthStats, SynthesisError, UpdateSequence};
-use crate::strategy::{dfs::DfsSearch, portfolio, sat_guided};
+use crate::strategy::{dfs::DfsSearch, sat_guided};
 use crate::units::{plan_units, UpdateUnit};
 
 /// A long-lived synthesis engine serving a stream of [`UpdateProblem`]s over
@@ -91,23 +88,14 @@ pub struct UpdateEngine {
     ingress_hosts: Vec<HostId>,
     options: SynthesisOptions,
     encoder: NetworkKripke,
-    /// Persistent context for the sequential path (`threads == 1`, or empty
-    /// unit lists on any thread count).
-    seq_ctx: Option<WorkerContext>,
-    /// Persistent per-worker context slots for the parallel path (`None` =
-    /// cold slot: never used yet, or its context was lost to a panic).
-    worker_ctxs: Vec<Option<WorkerContext>>,
-    /// Persistent context of the portfolio's DFS lane.
-    portfolio_dfs_ctx: Option<WorkerContext>,
-    /// Persistent context of the portfolio's SAT lane.
-    portfolio_sat_ctx: Option<WorkerContext>,
+    /// The persistent checking context (`None` until the first request).
+    ctx: Option<CheckContext>,
     /// The SAT-guided strategy's cross-request harvest (the switch-level
     /// constraints of the previous successful request), revalidated against
     /// each new request before pre-loading.
     sat_carry: Option<SatCarry>,
-    /// The prefix-checkpoint cache (see `checkpoint`): shared by the
-    /// sequential DFS, the parallel workers, both portfolio lanes, and the
-    /// SAT-guided verification walks, and persisted across churn requests
+    /// The prefix-checkpoint cache (see `checkpoint`): shared by the DFS and
+    /// the SAT-guided verification walks, and persisted across churn requests
     /// (invalidated down to the new request's mixture space per request).
     cache: CheckpointCache,
     /// The most recent request's infeasibility explanation, if any.
@@ -137,7 +125,6 @@ impl std::fmt::Debug for UpdateEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpdateEngine")
             .field("classes", &self.classes.len())
-            .field("threads", &self.options.threads)
             .field("backend", &self.options.backend)
             .field("requests_served", &self.requests_served)
             .field("rebuilds", &self.rebuilds)
@@ -167,10 +154,7 @@ impl UpdateEngine {
             ingress_hosts,
             options,
             encoder,
-            seq_ctx: None,
-            worker_ctxs: Vec::new(),
-            portfolio_dfs_ctx: None,
-            portfolio_sat_ctx: None,
+            ctx: None,
             sat_carry: None,
             cache,
             last_explanation: None,
@@ -220,23 +204,12 @@ impl UpdateEngine {
     ///
     /// This is the recycling hook for serving-layer pools: an engine evicted
     /// for tenant A can be re-pinned to tenant B's stream, keeping the warm
-    /// contexts' checker storage instead of reallocating it. Results are
+    /// context's checker storage instead of reallocating it. Results are
     /// unaffected either way — a re-pinned engine answers like a fresh one.
     pub fn repin(&mut self, problem: &UpdateProblem) {
         if !self.compatible(problem) {
             self.rebuild(problem);
         }
-    }
-
-    /// Number of resident persistent contexts (sequential, per-worker, and
-    /// portfolio lanes currently warm). A proxy for the engine's retained
-    /// memory beyond the encoder skeleton, used by serving-layer pools to
-    /// weigh eviction decisions.
-    pub fn resident_contexts(&self) -> usize {
-        usize::from(self.seq_ctx.is_some())
-            + self.worker_ctxs.iter().filter(|c| c.is_some()).count()
-            + usize::from(self.portfolio_dfs_ctx.is_some())
-            + usize::from(self.portfolio_sat_ctx.is_some())
     }
 
     /// Solves one request of the stream.
@@ -288,8 +261,7 @@ impl UpdateEngine {
                     &units,
                     &self.encoder,
                     &self.cache,
-                    &mut self.seq_ctx,
-                    &mut self.worker_ctxs,
+                    &mut self.ctx,
                     carry_in,
                     Some(&mut artifacts),
                 );
@@ -299,26 +271,7 @@ impl UpdateEngine {
                 }
                 result
             }
-            SearchStrategy::Dfs if self.options.threads > 1 && !units.is_empty() => {
-                parallel::synthesize_with_contexts(
-                    problem,
-                    &self.options,
-                    &units,
-                    &self.encoder,
-                    &self.cache,
-                    &mut self.worker_ctxs,
-                )
-            }
-            SearchStrategy::Dfs => self.solve_sequential(problem, &units),
-            SearchStrategy::Portfolio => portfolio::solve(
-                problem,
-                &self.options,
-                &units,
-                &self.encoder,
-                &self.cache,
-                &mut self.portfolio_dfs_ctx,
-                &mut self.portfolio_sat_ctx,
-            ),
+            SearchStrategy::Dfs => self.solve_dfs(problem, &units),
         };
         result.map(|mut update| {
             update.stats.checkpoint_hits = self.cache.hits() - hits_before;
@@ -344,16 +297,7 @@ impl UpdateEngine {
         self.classes = problem.classes.clone();
         self.ingress_hosts = problem.ingress_hosts.clone();
         self.encoder = build_encoder(&self.topology, &self.classes, &self.ingress_hosts);
-        if let Some(ctx) = &mut self.seq_ctx {
-            ctx.begin_new_series();
-        }
-        for ctx in self.worker_ctxs.iter_mut().flatten() {
-            ctx.begin_new_series();
-        }
-        for ctx in [&mut self.portfolio_dfs_ctx, &mut self.portfolio_sat_ctx]
-            .into_iter()
-            .flatten()
-        {
+        if let Some(ctx) = &mut self.ctx {
             ctx.begin_new_series();
         }
         self.sat_carry = None;
@@ -364,28 +308,24 @@ impl UpdateEngine {
 
     /// The infeasibility explanation of the most recent
     /// [`solve`](Self::solve), when that request failed with
-    /// [`SynthesisError::NoOrderingExists`] `{ proven_by_constraints: true }`
-    /// under a strategy that produces one (SAT-guided, or the
-    /// single-threaded DFS). Cleared at the start of every request; `None`
-    /// after successes, other failures, or strategies whose constraint
-    /// stores are not surfaced (parallel DFS, portfolio).
+    /// [`SynthesisError::NoOrderingExists`] `{ proven_by_constraints: true }`.
+    /// Cleared at the start of every request; `None` after successes and
+    /// other failures.
     pub fn last_explanation(&self) -> Option<&InfeasibilityExplanation> {
         self.last_explanation.as_ref()
     }
 
-    /// The sequential `OrderUpdate` run over the persistent sequential
-    /// context. Mirrors the paper's algorithm exactly; the only difference
-    /// from a one-shot run is that the initial check and final probe sync
-    /// existing structures by diff instead of encoding fresh ones.
-    fn solve_sequential(
+    /// The `OrderUpdate` DFS over the persistent context. Mirrors the paper's
+    /// algorithm exactly; the only difference from a one-shot run is that the
+    /// initial check and final probe sync existing structures by diff instead
+    /// of encoding fresh ones.
+    fn solve_dfs(
         &mut self,
         problem: &UpdateProblem,
         units: &[crate::units::UpdateUnit],
     ) -> Result<UpdateSequence, SynthesisError> {
         let backend = self.options.backend;
-        let ctx = self
-            .seq_ctx
-            .get_or_insert_with(|| WorkerContext::fresh(backend));
+        let ctx = self.ctx.get_or_insert_with(|| CheckContext::fresh(backend));
         let mut stats = SynthStats::default();
 
         // Check the initial configuration (line 7 of the paper's algorithm).
@@ -795,23 +735,21 @@ mod tests {
     }
 
     #[test]
-    fn engine_solves_across_backends_and_thread_counts() {
+    fn engine_solves_across_backends() {
         let problems = churn_problems(PropertyKind::Waypoint, 3, 9);
         for backend in Backend::ALL {
-            for threads in [1, 3] {
-                let options = SynthesisOptions::with_backend(backend).threads(threads);
-                let mut engine = UpdateEngine::for_problem(&problems[0], options.clone());
-                for problem in &problems {
-                    let fresh = Synthesizer::new(problem.clone())
-                        .with_options(options.clone())
-                        .synthesize()
-                        .unwrap_or_else(|e| panic!("{backend} t{threads} fresh: {e}"));
-                    let reused = engine
-                        .solve(problem)
-                        .unwrap_or_else(|e| panic!("{backend} t{threads} engine: {e}"));
-                    assert_eq!(fresh.commands, reused.commands, "{backend} t{threads}");
-                    assert_eq!(fresh.order, reused.order, "{backend} t{threads}");
-                }
+            let options = SynthesisOptions::with_backend(backend);
+            let mut engine = UpdateEngine::for_problem(&problems[0], options.clone());
+            for problem in &problems {
+                let fresh = Synthesizer::new(problem.clone())
+                    .with_options(options.clone())
+                    .synthesize()
+                    .unwrap_or_else(|e| panic!("{backend} fresh: {e}"));
+                let reused = engine
+                    .solve(problem)
+                    .unwrap_or_else(|e| panic!("{backend} engine: {e}"));
+                assert_eq!(fresh.commands, reused.commands, "{backend}");
+                assert_eq!(fresh.order, reused.order, "{backend}");
             }
         }
     }
@@ -820,18 +758,11 @@ mod tests {
     fn repin_rebuilds_only_on_incompatible_problems() {
         let problems = churn_problems(PropertyKind::Reachability, 2, 17);
         let mut engine = UpdateEngine::for_problem(&problems[0], SynthesisOptions::default());
-        assert_eq!(
-            engine.resident_contexts(),
-            0,
-            "cold engine holds no contexts"
-        );
         engine.solve(&problems[0]).expect("warm-up solve");
-        assert!(engine.resident_contexts() >= 1, "solve warms a context");
 
-        // Compatible repin is a no-op: no rebuild, contexts stay warm.
+        // Compatible repin is a no-op: no rebuild.
         engine.repin(&problems[1]);
         assert_eq!(engine.rebuilds(), 0);
-        assert!(engine.resident_contexts() >= 1);
 
         // Incompatible repin rebuilds, and the re-pinned engine answers like
         // a fresh one on the new stream.

@@ -13,11 +13,8 @@
 //! stays a small comparable enum, and the engine records the most recent
 //! explanation behind
 //! [`UpdateEngine::last_explanation`](crate::UpdateEngine::last_explanation).
-//! They are produced by the SAT-guided strategy and the sequential DFS, both
-//! through `InfeasibilityExplanation::from_store`; the parallel DFS
-//! scheduler and the portfolio report the verdict without one (their stores
-//! live inside the scheduler/lanes and the verdict may come from either
-//! lane).
+//! Both strategies produce them through
+//! `InfeasibilityExplanation::from_store`.
 
 use std::collections::BTreeSet;
 use std::fmt;

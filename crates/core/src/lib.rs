@@ -6,7 +6,7 @@
 //! Given an initial configuration, a final configuration, and an LTL
 //! specification over single-packet traces, the synthesizer searches for an
 //! ordering of switch updates (interleaved with `wait` commands) such that
-//! every intermediate configuration satisfies the specification. Three
+//! every intermediate configuration satisfies the specification. Two
 //! [`SearchStrategy`] implementations share one substrate (see
 //! [`strategy`]):
 //!
@@ -24,12 +24,6 @@
 //!   backend verifies it prefix by prefix in one first-failing-prefix call,
 //!   and the failure is learnt back as a new clause — until a proposal
 //!   verifies or the clause set goes unsatisfiable.
-//! * [`SearchStrategy::Portfolio`] races the two as resumable sequential
-//!   lanes under a deterministic budget-ordered winner rule: each lane is
-//!   charged by the model-checker calls its sequential schedule issues, and
-//!   the lane completing within the smaller charged budget wins (ties break
-//!   to DFS) — so the portfolio never pays more than the cheaper strategy
-//!   and its result is byte-identical at every thread count.
 //!
 //! Either way, unnecessary `wait` commands are removed in a
 //! reachability-based post-pass.
@@ -42,7 +36,7 @@
 //! For *streams* of related requests over one topology (rolling
 //! configuration churn), the long-lived [`UpdateEngine`] amortizes the
 //! per-request construction — encoder skeleton, Kripke structures, checker
-//! labelings, worker contexts — across requests; [`Synthesizer::synthesize`]
+//! labelings — across requests; [`Synthesizer::synthesize`]
 //! is a thin one-shot wrapper over a single-request engine.
 //!
 //! # Example
@@ -70,11 +64,11 @@
 pub mod baselines;
 pub(crate) mod checkpoint;
 pub mod constraints;
+pub(crate) mod context;
 pub mod engine;
 pub mod exec;
 pub mod explain;
 pub mod options;
-pub mod parallel;
 pub mod problem;
 pub mod search;
 pub mod strategy;
@@ -85,5 +79,5 @@ pub use engine::UpdateEngine;
 pub use explain::{ConflictConstraint, InfeasibilityExplanation};
 pub use options::{Granularity, SearchStrategy, SynthesisOptions};
 pub use problem::UpdateProblem;
-pub use search::{SearchMode, SynthStats, SynthesisError, Synthesizer, UpdateSequence};
+pub use search::{SynthStats, SynthesisError, Synthesizer, UpdateSequence};
 pub use units::UpdateUnit;

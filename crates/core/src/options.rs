@@ -34,30 +34,17 @@ pub enum SearchStrategy {
     /// model verifies (success) or the constraints go unsatisfiable
     /// (infeasible).
     SatGuided,
-    /// Race DFS and SatGuided with a deterministic *budget-ordered* winner
-    /// rule: both strategies run as resumable sequential lanes charged by the
-    /// model-checker calls their sequential schedule would issue, and the
-    /// strategy completing within the smaller charged budget wins (ties break
-    /// to DFS). The verdict, committed sequence, and statistics are therefore
-    /// byte-identical at every thread count, and the winner's charged budget
-    /// never exceeds the cheaper standalone strategy's.
-    Portfolio,
 }
 
 impl SearchStrategy {
     /// All strategies, in a stable order (DFS first).
-    pub const ALL: [SearchStrategy; 3] = [
-        SearchStrategy::Dfs,
-        SearchStrategy::SatGuided,
-        SearchStrategy::Portfolio,
-    ];
+    pub const ALL: [SearchStrategy; 2] = [SearchStrategy::Dfs, SearchStrategy::SatGuided];
 
     /// A short, stable name used in benchmark output and reports.
     pub fn name(self) -> &'static str {
         match self {
             SearchStrategy::Dfs => "dfs",
             SearchStrategy::SatGuided => "sat-guided",
-            SearchStrategy::Portfolio => "portfolio",
         }
     }
 }
@@ -73,8 +60,7 @@ impl fmt::Display for SearchStrategy {
 pub struct SynthesisOptions {
     /// The model-checking backend to use.
     pub backend: Backend,
-    /// The search strategy (DFS, SAT-guided CEGIS, or the portfolio racing
-    /// both).
+    /// The search strategy (DFS or SAT-guided CEGIS).
     pub strategy: SearchStrategy,
     /// Update granularity.
     pub granularity: Granularity,
@@ -87,22 +73,16 @@ pub struct SynthesisOptions {
     /// Run the wait-removal post-pass on the synthesized sequence (§4.2 C).
     pub remove_waits: bool,
     /// Hard bound on the number of model-checker calls before the search
-    /// gives up (guards against pathological instances). In parallel mode
-    /// the bound is applied to the deterministic search schedule (the checks
-    /// the equivalent sequential search would issue), not to the speculative
-    /// work the workers perform.
+    /// gives up (guards against pathological instances). The bound is
+    /// applied to the deterministic schedule
+    /// ([`SynthStats::charged_calls`](crate::SynthStats)), so the verdict
+    /// does not depend on what the checkpoint cache happened to answer.
     pub max_checks: usize,
-    /// Number of search worker threads. `1` (the default) runs the
-    /// single-threaded search; `n > 1` fans candidate orderings out across
-    /// `n` workers, each owning its own checker instance, and commits the
-    /// same [`UpdateSequence`](crate::UpdateSequence) the sequential search
-    /// would return.
-    pub threads: usize,
     /// Byte budget of the prefix-checkpoint cache (see DESIGN.md §13): every
     /// verified intermediate configuration is checkpointed (verdict plus a
     /// restorable checker snapshot) and revisits — permuted DFS prefixes,
-    /// SAT proposals sharing a prefix set, portfolio lanes, worker threads,
-    /// churn requests — take the cached verdict instead of re-checking.
+    /// SAT proposals sharing a prefix set, churn requests — take the cached
+    /// verdict instead of re-checking.
     /// Results are byte-identical with the cache on or off; the budget only
     /// bounds memory. `0` disables the cache (ablation / tight-memory
     /// deployments).
@@ -127,7 +107,6 @@ impl Default for SynthesisOptions {
             early_termination: true,
             remove_waits: true,
             max_checks: 1_000_000,
-            threads: 1,
             checkpoint_budget: 32 << 20,
             carry_forward: true,
         }
@@ -179,17 +158,6 @@ impl SynthesisOptions {
         self
     }
 
-    /// Builder-style setter for the number of search worker threads.
-    ///
-    /// `0` is treated as `1`. The committed result is identical for every
-    /// thread count; only the wall-clock time and the work attribution in
-    /// [`SynthStats`](crate::SynthStats) change.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Builder-style setter for the prefix-checkpoint cache's byte budget
     /// (`0` disables the cache). The committed result is identical at every
     /// budget; only the checking work performed changes.
@@ -220,7 +188,6 @@ mod tests {
         assert!(options.use_counterexamples);
         assert!(options.early_termination);
         assert!(options.remove_waits);
-        assert_eq!(options.threads, 1);
         assert!(
             options.checkpoint_budget > 0,
             "checkpointing is on by default"
@@ -236,7 +203,6 @@ mod tests {
             .counterexamples(false)
             .early_termination(false)
             .wait_removal(false)
-            .threads(4)
             .checkpoint_budget(0)
             .carry_forward(false);
         assert_eq!(options.backend, Backend::Batch);
@@ -245,13 +211,30 @@ mod tests {
         assert!(!options.use_counterexamples);
         assert!(!options.early_termination);
         assert!(!options.remove_waits);
-        assert_eq!(options.threads, 4);
         assert_eq!(options.checkpoint_budget, 0);
         assert!(!options.carry_forward);
     }
 
+    /// The option surface is closed: a tenth field or a third strategy is a
+    /// second path through the search that tests and benchmarks must cover
+    /// (a thread count and a portfolio strategy were measured and deleted,
+    /// EXPERIMENTS.md "PR 21"). Adding one means editing this test on purpose.
     #[test]
-    fn zero_threads_is_clamped_to_one() {
-        assert_eq!(SynthesisOptions::default().threads(0).threads, 1);
+    fn the_option_surface_is_nine_fields_and_two_strategies() {
+        let SynthesisOptions {
+            backend: _,
+            strategy,
+            granularity: _,
+            use_counterexamples: _,
+            early_termination: _,
+            remove_waits: _,
+            max_checks: _,
+            checkpoint_budget: _,
+            carry_forward: _,
+        } = SynthesisOptions::default();
+        match strategy {
+            SearchStrategy::Dfs | SearchStrategy::SatGuided => {}
+        }
+        assert_eq!(SearchStrategy::ALL.len(), 2);
     }
 }

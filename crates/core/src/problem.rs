@@ -12,10 +12,9 @@ use netupd_topo::UpdateScenario;
 /// throughout the update.
 ///
 /// The topology is held behind an [`Arc`]: a request stream over one fixed
-/// topology (the [`UpdateEngine`](crate::UpdateEngine) workload), the
-/// per-worker checking contexts of the parallel search, and the probe
-/// experiments of the execution layer all share a single allocation instead
-/// of deep-cloning the graph per problem, worker, and experiment.
+/// topology (the [`UpdateEngine`](crate::UpdateEngine) workload) and the
+/// probe experiments of the execution layer share a single allocation instead
+/// of deep-cloning the graph per problem and experiment.
 #[derive(Debug, Clone)]
 pub struct UpdateProblem {
     /// The network topology (does not change during the update).

@@ -14,68 +14,19 @@ use crate::problem::UpdateProblem;
 use crate::units::UpdateUnit;
 use crate::wait_removal;
 
-/// The execution mode a synthesis run effectively used.
-///
-/// `SynthesisOptions::threads` requests parallelism; this records what
-/// actually ran. In particular, the speculation cap derived from the host's
-/// core count can silently put a `threads > 1` DFS run into inline
-/// single-flight mode on a 1-core container — this field makes scaling
-/// numbers interpretable (see the `search_mode` axis in the bench reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchMode {
-    /// The plain single-threaded search loop (`threads == 1`).
-    #[default]
-    Sequential,
-    /// The parallel scheduler ran, but with zero speculation slots (no usable
-    /// hardware concurrency): one in-flight check at a time on the calling
-    /// thread.
-    Inline,
-    /// The parallel scheduler ran with worker threads answering speculative
-    /// prefix checks.
-    Speculative,
-    /// The SAT-guided strategy with candidate sequences verified across
-    /// worker threads.
-    ParallelVerify,
-    /// The DFS/SAT portfolio race.
-    Portfolio,
-}
-
-impl SearchMode {
-    /// A short, stable name used in benchmark output and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SearchMode::Sequential => "sequential",
-            SearchMode::Inline => "inline",
-            SearchMode::Speculative => "speculative",
-            SearchMode::ParallelVerify => "parallel-verify",
-            SearchMode::Portfolio => "portfolio",
-        }
-    }
-}
-
-impl fmt::Display for SearchMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Counters describing the work a synthesis run performed.
 ///
-/// In single-threaded mode every counter describes the one search loop. In
-/// parallel mode (`threads > 1`) the *search-schedule* counters
-/// (`charged_calls`, `configurations_pruned`, `counterexamples_learnt`,
-/// `backtracks`, `sat_constraints`, `waits_*`) are deterministic and
-/// identical to the sequential run, while the *work* counters
-/// (`model_checker_calls`, `states_relabeled`, `checks_per_worker`, and the
-/// scheduler observability counters) aggregate the real checks the workers
-/// performed — including speculative checks that were later discarded — so
-/// they vary with thread count and timing. [`SynthStats::schedule_view`]
+/// The *search-schedule* counters (`charged_calls`, `configurations_pruned`,
+/// `counterexamples_learnt`, `backtracks`, `sat_*`, `waits_*`) are a pure
+/// function of the problem and options. The *work* counters
+/// (`model_checker_calls`, `states_relabeled`, `checkpoint_*`) also depend on
+/// what the engine's context and checkpoint cache held when the request
+/// arrived — reuse exists to shrink them. [`SynthStats::schedule_view`]
 /// projects out exactly the deterministic portion.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SynthStats {
-    /// Model-checker queries issued (including the queries needed to restore
-    /// labels when the search backtracks and, in parallel mode, speculative
-    /// queries).
+    /// Model-checker queries physically issued (checks the checkpoint cache
+    /// answered are not counted; see `charged_calls`).
     pub model_checker_calls: usize,
     /// Total states (re)labeled across all queries — the measure of
     /// incrementality.
@@ -93,13 +44,6 @@ pub struct SynthStats {
     pub waits_before_removal: usize,
     /// Waits remaining after wait removal.
     pub waits_after_removal: usize,
-    /// Model-checker calls attributed to each active worker, in worker-index
-    /// order. Empty for single-threaded runs; one entry in the parallel
-    /// scheduler's inline single-flight mode; one entry per worker thread
-    /// otherwise. The entries sum to `model_checker_calls`, so per-backend
-    /// attribution (Figure 7) stays honest about the total checking work
-    /// performed.
-    pub checks_per_worker: Vec<usize>,
     /// Conflicts the ordering SAT solver worked through — across the
     /// early-termination queries of the DFS strategy, or across the CEGIS
     /// iterations of the SAT-guided strategy.
@@ -131,30 +75,15 @@ pub struct SynthStats {
     /// Propose→verify→learn iterations of the SAT-guided strategy's CEGIS
     /// loop. Zero for the DFS strategy.
     pub cegis_iterations: usize,
-    /// Model-checker calls of the deterministic *sequential-equivalent
-    /// schedule* — the checks the single-threaded search would issue for the
-    /// same result. Identical at every thread count (unlike
-    /// `model_checker_calls`, which counts real work including discarded
-    /// speculation), and the budget the portfolio's winner rule compares.
+    /// Model-checker calls of the deterministic *schedule* — the checks the
+    /// search asks for, whether the checkpoint cache or the checker answers
+    /// them. Identical with the cache on or off and engine-vs-fresh (unlike
+    /// `model_checker_calls`), and what
+    /// [`SynthesisOptions::max_checks`] bounds.
     pub charged_calls: usize,
-    /// Work items one worker stole from another worker's deque. Zero in
-    /// sequential and inline modes.
-    pub tasks_stolen: usize,
-    /// Speculative prefix checks handed to workers ahead of the replay.
-    pub speculative_issued: usize,
-    /// Speculative checks whose result the replay actually consumed.
-    pub speculative_hits: usize,
-    /// Speculative checks completed but never consumed (wasted work).
-    pub speculative_wasted: usize,
-    /// Entries (counterexample formulas and refuted dead prefixes) published
-    /// to the shared prune-set.
-    pub prune_publishes: usize,
-    /// Times a worker refreshed its prune-set cursor against newly published
-    /// entries.
-    pub prune_consults: usize,
     /// Verdicts served from the prefix-checkpoint cache without a
-    /// model-checker call. A work counter: varies with thread count and with
-    /// what earlier requests left in the cache (zeroed in
+    /// model-checker call. A work counter: varies with what earlier requests
+    /// left in the cache (zeroed in
     /// [`schedule_view`](SynthStats::schedule_view)).
     pub checkpoint_hits: usize,
     /// Checker-state snapshot restores performed on checkpoint hits.
@@ -165,38 +94,22 @@ pub struct SynthStats {
     /// Literals removed from learnt clauses by the ordering solver's
     /// self-subsumption minimization before install.
     pub sat_clause_lits_removed: u64,
-    /// Charged budget of the portfolio's DFS lane at the point the race was
-    /// decided. Zero outside portfolio mode.
-    pub portfolio_dfs_budget: usize,
-    /// Charged budget of the portfolio's SAT-guided lane at the point the
-    /// race was decided. Zero outside portfolio mode.
-    pub portfolio_sat_budget: usize,
-    /// The execution mode the run effectively used (see [`SearchMode`]).
-    pub search_mode: SearchMode,
 }
 
 impl SynthStats {
     /// Projects out the deterministic *schedule* portion of the statistics:
-    /// the counters that are byte-identical at every thread count for a fixed
-    /// problem and options. Work attribution (`model_checker_calls` is
-    /// replaced by `charged_calls`, relabel totals, per-worker breakdowns,
-    /// steal/speculation/prune counters, and the effective mode) is
-    /// normalized away. The determinism suites compare these views.
+    /// the counters that are byte-identical for a fixed problem and options,
+    /// with the checkpoint cache on or off. Work attribution
+    /// (`model_checker_calls` is replaced by `charged_calls`; relabel totals
+    /// and the checkpoint counters are zeroed) is normalized away. The
+    /// differential suites compare these views.
     pub fn schedule_view(&self) -> SynthStats {
         let mut view = self.clone();
         view.model_checker_calls = self.charged_calls;
         view.states_relabeled = 0;
-        view.checks_per_worker = Vec::new();
-        view.tasks_stolen = 0;
-        view.speculative_issued = 0;
-        view.speculative_hits = 0;
-        view.speculative_wasted = 0;
-        view.prune_publishes = 0;
-        view.prune_consults = 0;
         view.checkpoint_hits = 0;
         view.checkpoint_restores = 0;
         view.checkpoint_bytes = 0;
-        view.search_mode = SearchMode::Sequential;
         view
     }
 }
@@ -301,11 +214,6 @@ impl Synthesizer {
     /// a *stream* of related problems should hold an engine directly so that
     /// state amortizes across requests.
     ///
-    /// With [`SynthesisOptions::threads`] greater than one, candidate
-    /// orderings are fanned out across worker threads (see
-    /// [`crate::parallel`]); the committed result is identical to the
-    /// single-threaded search.
-    ///
     /// # Errors
     ///
     /// See [`SynthesisError`].
@@ -317,8 +225,7 @@ impl Synthesizer {
 
 /// Materializes a solved unit order into the final [`UpdateSequence`]: looks
 /// up the units, builds the careful command sequence, runs wait removal if
-/// enabled, and fills in the wait counters. Shared by the sequential and
-/// parallel searches so both commit byte-identical results.
+/// enabled, and fills in the wait counters. Shared by both strategies.
 pub(crate) fn finish_sequence(
     problem: &UpdateProblem,
     options: &SynthesisOptions,
@@ -344,8 +251,7 @@ pub(crate) fn finish_sequence(
 
 /// Switches considered "updated" once the units in `applied` have been
 /// applied: those for which every planned unit has been applied. Shared by
-/// the sequential search, the parallel scheduler, and the parallel workers so
-/// counterexample formulas mean the same thing everywhere.
+/// both strategies so counterexample formulas mean the same thing in each.
 pub(crate) fn updated_switches(
     units: &[UpdateUnit],
     applied: &BTreeSet<usize>,

@@ -22,40 +22,35 @@ use crate::problem::UpdateProblem;
 use crate::search::{updated_switches, SynthStats, SynthesisError};
 use crate::units::UpdateUnit;
 
-/// The ordering store a DFS run (this one, the parallel scheduler's replay,
-/// or the portfolio's DFS lane) stops early on: over every unit when the
+/// The ordering store the DFS stops early on: over every unit when the
 /// options make the run learn into it and consult it, empty — no pair
 /// variables allocated — when they do not.
-pub(crate) fn early_termination_store(
-    options: &SynthesisOptions,
-    units: &[UpdateUnit],
-) -> UnitOrdering {
+fn early_termination_store(options: &SynthesisOptions, units: &[UpdateUnit]) -> UnitOrdering {
     let consulted = options.use_counterexamples
         && options.early_termination
         && options.granularity == Granularity::Switch;
     UnitOrdering::new(if consulted { units.len() } else { 0 })
 }
 
-/// The mutable state of one sequential DFS run.
+/// The mutable state of one DFS run.
 ///
-/// The structure, checker, and configuration are *borrowed* from the caller
-/// — the one-shot path hands in freshly built state, while the long-lived
-/// [`UpdateEngine`](crate::UpdateEngine) hands in its persistent sequential
-/// context (whose labels carry over from the previous request). The DFS
-/// leaves `kripke`/`checker`/`config` mutually consistent at whatever
-/// configuration the search ended on — modulo the `carried` change set,
-/// which the owning context folds into its next recheck — which is what
+/// The structure, checker, and configuration are *borrowed* from the
+/// [`UpdateEngine`](crate::UpdateEngine)'s persistent context (whose labels
+/// carry over from the previous request; a one-shot run hands in a cold
+/// one). The DFS leaves `kripke`/`checker`/`config` mutually consistent at
+/// whatever configuration the search ended on — modulo the `carried` change
+/// set, which the owning context folds into its next recheck — which is what
 /// makes the context reusable for the next request's sync-by-diff.
 ///
 /// # Budget accounting
 ///
-/// `stats.charged_calls` is the deterministic sequential schedule: +1 per
+/// `stats.charged_calls` is the deterministic schedule: +1 per
 /// applied-prefix check, +1 per undo — exactly the calls the pre-checkpoint
-/// search used to issue, and exactly what the parallel scheduler's replay
-/// charges. `stats.model_checker_calls` counts the checks physically issued,
-/// which the checkpoint cache and the deferred-undo discipline reduce; the
-/// search budget and every committed verdict depend only on the charged
-/// schedule, so results are byte-identical with the cache on or off.
+/// search used to issue. `stats.model_checker_calls` counts the checks
+/// physically issued, which the checkpoint cache and the deferred-undo
+/// discipline reduce; the search budget and every committed verdict depend
+/// only on the charged schedule, so results are byte-identical with the
+/// cache on or off.
 pub(crate) struct DfsSearch<'a> {
     pub(crate) problem: &'a UpdateProblem,
     pub(crate) options: &'a SynthesisOptions,
@@ -234,9 +229,8 @@ impl<'a> DfsSearch<'a> {
             // back to a re-encode if the arena changed shape underneath it)
             // and *defer* the relabel: the undone states join the carried
             // change set consumed by the next physical recheck, so the undo
-            // issues no query. The sequential schedule still charges it —
-            // the pre-checkpoint search paid a restore recheck here, and the
-            // parallel replay mirrors that charge.
+            // issues no query. The schedule still charges it — the
+            // pre-checkpoint search paid a restore recheck here.
             self.applied.remove(&idx);
             self.config.set_table(switch, old_table.clone());
             self.stats.charged_calls += 1;

@@ -1,13 +1,13 @@
 //! The pluggable search strategies behind
 //! [`SearchStrategy`](crate::SearchStrategy).
 //!
-//! All strategies solve the same problem — order the update units so that
+//! Both strategies solve the same problem — order the update units so that
 //! every intermediate configuration satisfies the specification — over the
 //! same substrate: the visited/wrong sets and the one ordering store
 //! ([`UnitOrdering`](crate::constraints::UnitOrdering), learnt into through
 //! one counterexample→clause function) of [`crate::constraints`], prefix
-//! checking through the sync-by-diff [`WorkerContext`](crate::parallel)s the
-//! engine persists across requests, and the unified
+//! checking through the sync-by-diff `CheckContext` the engine persists
+//! across requests, and the unified
 //! [`SynthStats`](crate::SynthStats) / [`finish_sequence`](crate::search)
 //! commit path of [`crate::search`].
 //!
@@ -22,19 +22,16 @@
 //!   failure is learnt back as a new clause — until a proposal verifies
 //!   (success) or the clause set goes unsatisfiable (infeasible, strictly
 //!   subsuming the DFS's early termination).
-//! * `portfolio` races the two as resumable sequential lanes under a
-//!   deterministic budget-ordered winner rule: both lanes are charged by
-//!   their sequential-equivalent schedule, and the lane completing within
-//!   the smaller charged budget wins (ties break to DFS) — so the portfolio
-//!   never charges more than the cheaper parent and its result is
-//!   byte-identical at every thread count.
+//!
+//! Each is one propose / check / learn loop on the calling thread; the search
+//! is single-threaded because a step is a ~15 µs incremental recheck, cheaper
+//! than handing it to another thread (EXPERIMENTS.md, "PR 21").
 //!
 //! Each strategy is individually deterministic: for a fixed problem and
-//! options (including the thread count), commands, unit order, verdict, and
-//! statistics are byte-identical across runs. The strategies agree on the
+//! options, commands, unit order, verdict, and statistics are byte-identical
+//! across runs. The strategies agree on the
 //! verdict — an order exists or it does not — but may commit *different*
 //! correct orders.
 
 pub(crate) mod dfs;
-pub(crate) mod portfolio;
 pub(crate) mod sat_guided;

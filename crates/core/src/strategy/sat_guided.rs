@@ -17,9 +17,7 @@
 //!    ([`ModelChecker::check_sequence`](netupd_mc::ModelChecker)): walk the
 //!    order, recheck incrementally after every step, stop at the first
 //!    violating prefix and extract its counterexample trace — one call per
-//!    candidate. With `threads > 1` the walk is split into fine-grained
-//!    *grains* fed through a work-stealing pool over the engine's persistent
-//!    worker contexts ([`verify_order_with_contexts`](crate::parallel)).
+//!    candidate.
 //! 3. **Learn.** Refute the failure: at switch granularity with a
 //!    counterexample in hand, the §4.2 B clause "some not-yet-updated switch
 //!    on the trace must precede some updated one"; otherwise (rule
@@ -39,13 +37,11 @@
 //! # Determinism
 //!
 //! For a fixed problem and options the run is byte-identical: the proposal
-//! is a pure function of the learnt clauses (the lex-min rule), every prefix
-//! verdict is a pure function of the prefix (the invariant the parallel DFS
-//! already rests on, DESIGN.md §5), and the parallel verification pre-splits
-//! the steps into deterministic grain boundaries with no cross-grain abort —
-//! stealing moves a grain between workers, never changes its outcome. The
-//! *budget* is charged by the sequential-equivalent schedule (one check per
-//! walked prefix), so the verdict cannot depend on the thread count either.
+//! is a pure function of the learnt clauses (the lex-min rule) and every
+//! prefix verdict is a pure function of the prefix (DESIGN.md §5). The
+//! *budget* is charged by the walk's schedule (one check per walked prefix,
+//! whether the checkpoint cache answered it or the checker did), so the
+//! verdict cannot depend on what earlier requests left in the cache.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -55,12 +51,12 @@ use netupd_model::{CommandSeq, Configuration};
 
 use crate::checkpoint::CheckpointCache;
 use crate::constraints::{LearntConstraint, UnitOrdering};
+use crate::context::CheckContext;
 use crate::explain::InfeasibilityExplanation;
 use crate::options::{Granularity, SynthesisOptions};
-use crate::parallel::{self, WorkerContext};
 use crate::problem::UpdateProblem;
 use crate::search::{
-    finish_sequence, updated_switches, SearchMode, SynthStats, SynthesisError, UpdateSequence,
+    finish_sequence, updated_switches, SynthStats, SynthesisError, UpdateSequence,
 };
 use crate::units::UpdateUnit;
 
@@ -102,10 +98,7 @@ pub(crate) struct Artifacts {
     pub explanation: Option<InfeasibilityExplanation>,
 }
 
-/// Runs the SAT-guided strategy over the engine's persistent contexts:
-/// the sequential context for `threads == 1`, the per-worker context slots
-/// otherwise (slot 0 doubles as the initial/final-probe context, exactly as
-/// worker 0 does in the parallel DFS).
+/// Runs the SAT-guided strategy over the engine's persistent context.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve(
     problem: &UpdateProblem,
@@ -113,18 +106,14 @@ pub(crate) fn solve(
     units: &[UpdateUnit],
     encoder: &NetworkKripke,
     cache: &CheckpointCache,
-    seq_ctx: &mut Option<WorkerContext>,
-    worker_ctxs: &mut Vec<Option<WorkerContext>>,
+    ctx: &mut Option<CheckContext>,
     carry: Option<CarryIn>,
     mut artifacts: Option<&mut Artifacts>,
 ) -> Result<UpdateSequence, SynthesisError> {
-    let parallel = options.threads > 1 && !units.is_empty();
+    let ctx = ctx.get_or_insert_with(|| CheckContext::fresh(options.backend));
+    // `stats.charged_calls` is the deterministic budget: one charge per check
+    // the walk asks for, whether the cache or the checker answers it.
     let mut stats = SynthStats::default();
-    let mut checks_per_worker = if parallel {
-        vec![0usize; options.threads.min(units.len())]
-    } else {
-        Vec::new()
-    };
 
     // Check the initial configuration (line 7 of the paper's algorithm) —
     // through the checkpoint cache: across a churn stream the previous
@@ -132,14 +121,11 @@ pub(crate) fn solve(
     // cache usually knows the verdict (and the snapshot restores the
     // checker's labels wholesale).
     {
-        let ctx = lead_context(parallel, seq_ctx, worker_ctxs, options);
         let outcome = ctx.check_config_cached(encoder, &problem.initial, &problem.spec, cache);
+        stats.charged_calls += 1;
         if let Some(outcome) = &outcome {
             stats.model_checker_calls += 1;
             stats.states_relabeled += outcome.stats.states_labeled;
-            if let Some(first) = checks_per_worker.first_mut() {
-                *first += 1;
-            }
         }
         if !outcome.as_ref().is_none_or(|o| o.holds) {
             return Err(SynthesisError::InitialConfigurationViolates);
@@ -154,16 +140,13 @@ pub(crate) fn solve(
     }
 
     // Reject problems whose target configuration is itself incorrect (the
-    // same dedicated probe structure/checker the DFS paths use, so the
-    // search checker's incremental labels survive).
+    // same dedicated probe structure/checker the DFS uses, so the search
+    // checker's incremental labels survive).
     {
-        let ctx = lead_context(parallel, seq_ctx, worker_ctxs, options);
         let outcome = ctx.probe_config(encoder, &problem.final_config, &problem.spec);
         stats.model_checker_calls += 1;
+        stats.charged_calls += 1;
         stats.states_relabeled += outcome.stats.states_labeled;
-        if let Some(first) = checks_per_worker.first_mut() {
-            *first += 1;
-        }
         if !outcome.holds {
             return Err(SynthesisError::FinalConfigurationViolates);
         }
@@ -193,15 +176,10 @@ pub(crate) fn solve(
         stats.constraints_carried = carry.carried;
         stats.constraints_retired = carry.retired;
     }
-    // The deterministic, thread-count-independent budget mirror: the checks
-    // the sequential walk would issue (initial check + final probe so far).
-    let mut budget_calls = 2usize;
 
     loop {
         let Some(order) = store.propose() else {
-            fill_cegis_stats(&mut stats, &store, parallel);
-            stats.checks_per_worker = checks_per_worker;
-            stats.charged_calls = budget_calls;
+            fill_cegis_stats(&mut stats, &store);
             if let Some(artifacts) = artifacts.as_deref_mut() {
                 harvest(artifacts, &store, &verified);
                 artifacts.explanation =
@@ -225,9 +203,8 @@ pub(crate) fn solve(
         }
 
         // A verification pass may need one check per remaining unit; demand
-        // the budget up front so the verdict cannot depend on how far a
-        // thread-split walk happens to get.
-        if budget_calls + (n - start) > options.max_checks {
+        // the budget up front.
+        if stats.charged_calls + (n - start) > options.max_checks {
             return Err(SynthesisError::SearchBudgetExhausted);
         }
 
@@ -239,43 +216,16 @@ pub(crate) fn solve(
             // and the configuration the walk starts from (the initial one
             // with the skipped prefix applied).
             let (steps, base) = materialize(problem, units, &order, start);
-            if parallel {
-                let verification = parallel::verify_order_with_contexts(
-                    options,
-                    &problem.spec,
-                    encoder,
-                    cache,
-                    worker_ctxs,
-                    &base,
-                    &steps[start..],
-                );
-                stats.model_checker_calls += verification.checks_per_worker.iter().sum::<usize>();
-                stats.states_relabeled += verification.states_relabeled;
-                stats.tasks_stolen += verification.tasks_stolen;
-                for (worker, checks) in verification.checks_per_worker.iter().enumerate() {
-                    checks_per_worker[worker] += checks;
-                }
-                verification
-                    .first_failure
-                    .map(|(local, cex)| (start + local, cex))
-            } else {
-                let ctx = seq_ctx.as_mut().expect("initialized by the initial check");
-                let outcome = ctx.verify_sequence_cached(
-                    encoder,
-                    &base,
-                    &problem.spec,
-                    &steps[start..],
-                    cache,
-                );
-                stats.model_checker_calls += outcome.checks;
-                stats.states_relabeled += outcome.states_labeled;
-                outcome.first_failure.map(|local| {
-                    (
-                        start + local,
-                        outcome.counterexample.map(|cex| cex.switches),
-                    )
-                })
-            }
+            let outcome =
+                ctx.verify_sequence_cached(encoder, &base, &problem.spec, &steps[start..], cache);
+            stats.model_checker_calls += outcome.checks;
+            stats.states_relabeled += outcome.states_labeled;
+            outcome.first_failure.map(|local| {
+                (
+                    start + local,
+                    outcome.counterexample.map(|cex| cex.switches),
+                )
+            })
         };
 
         // Record the prefixes this iteration proved to hold.
@@ -291,19 +241,17 @@ pub(crate) fn solve(
 
         match first_failure {
             None => {
-                fill_cegis_stats(&mut stats, &store, parallel);
-                stats.checks_per_worker = checks_per_worker;
-                // The sequential-equivalent schedule cost: every failing pass
-                // charged `failing + 1 - start` as it was learnt, plus the
-                // `n - start` checks of this verifying pass.
-                stats.charged_calls = budget_calls + (n - start);
+                fill_cegis_stats(&mut stats, &store);
+                // Every failing pass charged `failing + 1 - start` as it was
+                // learnt; this verifying pass walked `n - start` prefixes.
+                stats.charged_calls += n - start;
                 if let Some(artifacts) = artifacts.as_deref_mut() {
                     harvest(artifacts, &store, &verified);
                 }
                 return Ok(finish_sequence(problem, options, units, &order, stats));
             }
             Some((failing, cex_switches)) => {
-                budget_calls += failing + 1 - start;
+                stats.charged_calls += failing + 1 - start;
                 stats.backtracks += 1;
                 let applied: BTreeSet<usize> = order[..=failing].iter().copied().collect();
                 let mut learnt = false;
@@ -331,17 +279,11 @@ pub(crate) fn solve(
     }
 }
 
-/// Copies the store's counters, the CEGIS iteration count and the effective
-/// mode into the run's statistics. Shared by the success and infeasibility
-/// exits.
-fn fill_cegis_stats(stats: &mut SynthStats, store: &UnitOrdering, parallel: bool) {
+/// Copies the store's counters and the CEGIS iteration count into the run's
+/// statistics. Shared by the success and infeasibility exits.
+fn fill_cegis_stats(stats: &mut SynthStats, store: &UnitOrdering) {
     store.fill_solver_stats(stats);
     stats.cegis_iterations = store.proposals();
-    stats.search_mode = if parallel {
-        SearchMode::ParallelVerify
-    } else {
-        SearchMode::Sequential
-    };
 }
 
 /// Records the store's constraint provenance and the verified prefix sets
@@ -354,32 +296,12 @@ fn harvest(artifacts: &mut Artifacts, store: &UnitOrdering, verified: &HashSet<B
     artifacts.verified = sets;
 }
 
-/// The context that performs the initial check and the final probe:
-/// the persistent sequential context for single-threaded runs, worker
-/// slot 0 otherwise.
-fn lead_context<'a>(
-    parallel: bool,
-    seq_ctx: &'a mut Option<WorkerContext>,
-    worker_ctxs: &'a mut Vec<Option<WorkerContext>>,
-    options: &SynthesisOptions,
-) -> &'a mut WorkerContext {
-    let slot = if parallel {
-        if worker_ctxs.is_empty() {
-            worker_ctxs.push(None);
-        }
-        &mut worker_ctxs[0]
-    } else {
-        seq_ctx
-    };
-    slot.get_or_insert_with(|| WorkerContext::fresh(options.backend))
-}
-
 /// Builds the candidate's step sequence — one table-install per unit — and
 /// the configuration before step `start`, with a single clone of the initial
 /// configuration: steps before `start` walk that clone, later ones walk an
 /// overlay holding only the switches they touch (a unit reads no table but
-/// its own switch's). Shared with the portfolio's SAT lane.
-pub(crate) fn materialize(
+/// its own switch's).
+fn materialize(
     problem: &UpdateProblem,
     units: &[UpdateUnit],
     order: &[usize],

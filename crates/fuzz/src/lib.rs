@@ -3,7 +3,7 @@
 //! The harness generates random update-synthesis cases — topologies,
 //! configuration changes, enriched LTL specifications, and failure-injected
 //! churn streams — and runs every case through the full behavior matrix
-//! (4 model-checking backends × 3 search strategies × 2 thread counts, both
+//! (4 model-checking backends × 2 search strategies, both
 //! fresh per request and through a reused [`UpdateEngine`]), cross-checking
 //! all results against each other and against two implementation-independent
 //! oracles: the finite-trace LTL semantics and the probe simulator.
@@ -36,7 +36,7 @@ pub mod shrink;
 use std::fmt::Write as _;
 
 pub use generator::{case_seed, generate_case, FuzzCase};
-pub use matrix::{check_stream, Cell, MatrixFailure, StreamStats, THREAD_COUNTS};
+pub use matrix::{check_stream, Cell, MatrixFailure, StreamStats};
 pub use shrink::{minimize, render_reproducer};
 
 use netupd_synth::Granularity;
@@ -125,12 +125,6 @@ impl FuzzReport {
     }
 }
 
-/// Forces the parallel search to speculate even on tiny problems, so the
-/// multi-threaded matrix cells exercise real cross-thread scheduling.
-fn force_speculation() {
-    std::env::set_var("NETUPD_SEARCH_SPECULATION", "6");
-}
-
 /// Reads the case budget from `NETUPD_FUZZ_BUDGET`, falling back to
 /// `default` when unset or unparsable.
 pub fn budget_from_env(default: usize) -> usize {
@@ -172,7 +166,6 @@ pub fn check_case(case: &FuzzCase, minimize_failures: bool) -> Result<StreamStat
 /// Never panics on a discrepancy — failures are collected in the report so a
 /// run surveys the whole seed range even when something is broken.
 pub fn run(options: &FuzzOptions) -> FuzzReport {
-    force_speculation();
     let mut report = FuzzReport {
         seed: options.seed,
         cases_run: 0,
@@ -209,7 +202,6 @@ pub fn run(options: &FuzzOptions) -> FuzzReport {
 /// Re-runs a single case by `(master_seed, index)` — the two numbers printed
 /// in a discrepancy report — and returns its outcome.
 pub fn reproduce(master_seed: u64, index: usize) -> Result<StreamStats, Discrepancy> {
-    force_speculation();
     let case = generate_case(master_seed, index);
     check_case(&case, true)
 }

@@ -1,6 +1,6 @@
-//! The behavior matrix: every case runs through 4 backends × 3 search
-//! strategies × 2 thread counts, each both as a fresh synthesis per request
-//! and through a long-lived [`UpdateEngine`] reused across the stream.
+//! The behavior matrix: every case runs through 4 backends × 2 search
+//! strategies, each both as a fresh synthesis per request and through a
+//! long-lived [`UpdateEngine`] reused across the stream.
 //!
 //! The matrix also carries a **checkpoint axis**: fresh synthesis runs with
 //! the prefix-checkpoint cache *disabled* (`checkpoint_budget(0)`) while the
@@ -16,17 +16,15 @@
 //! 2. **verdict agreement** — all cells must agree per request on the
 //!    normalized verdict (`NoOrderingExists` matches regardless of its
 //!    `proven_by_constraints` flag, as in `tests/strategy_differential.rs`);
-//! 3. **thread independence** — within one `(backend, strategy)` the
-//!    committed sequence must not depend on the thread count;
-//! 4. **trace oracle** — every distinct solved sequence is replayed prefix by
+//! 3. **trace oracle** — every distinct solved sequence is replayed prefix by
 //!    prefix through `netupd_ltl::semantics` (no model checker involved);
-//! 5. **probe simulator** — the sequence and its wait-minimized form are
+//! 4. **probe simulator** — the sequence and its wait-minimized form are
 //!    executed against the operational semantics with a probe stream; a
 //!    solved update must not drop a probe.
 //!
 //! Sequences are *not* required to agree across backends or strategies — the
 //! paper's search is free to commit any correct order — which is exactly why
-//! checks 4 and 5 verify each distinct sequence independently.
+//! checks 3 and 4 verify each distinct sequence independently.
 
 use netupd_ltl::semantics;
 use netupd_mc::Backend;
@@ -38,9 +36,6 @@ use netupd_synth::{
     UpdateProblem, UpdateSequence,
 };
 
-/// Thread counts exercised for every backend/strategy combination.
-pub const THREAD_COUNTS: [usize; 2] = [1, 4];
-
 /// One cell of the behavior matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
@@ -48,44 +43,29 @@ pub struct Cell {
     pub backend: Backend,
     /// Search strategy.
     pub strategy: SearchStrategy,
-    /// Worker threads for candidate verification.
-    pub threads: usize,
 }
 
 impl Cell {
-    /// Every cell, ordered so the two thread counts of one
-    /// `(backend, strategy)` pair are adjacent.
+    /// Every cell, backend-major.
     pub fn all() -> Vec<Cell> {
         let mut cells = Vec::new();
         for backend in Backend::ALL {
             for strategy in SearchStrategy::ALL {
-                for threads in THREAD_COUNTS {
-                    cells.push(Cell {
-                        backend,
-                        strategy,
-                        threads,
-                    });
-                }
+                cells.push(Cell { backend, strategy });
             }
         }
         cells
     }
 
-    /// Display label, e.g. `incremental/sat-guided/t4`.
+    /// Display label, e.g. `incremental/sat-guided`.
     pub fn label(&self) -> String {
-        format!(
-            "{}/{}/t{}",
-            self.backend,
-            self.strategy.name(),
-            self.threads
-        )
+        format!("{}/{}", self.backend, self.strategy.name())
     }
 
     fn options(&self, granularity: Granularity) -> SynthesisOptions {
         SynthesisOptions::with_backend(self.backend)
             .granularity(granularity)
             .strategy(self.strategy)
-            .threads(self.threads)
     }
 }
 
@@ -262,27 +242,6 @@ pub fn check_stream(
             _ => stats.endpoint_violations += 1,
         }
 
-        // Thread independence within each (backend, strategy): Cell::all()
-        // keeps the two thread counts adjacent.
-        for pair in (0..cells.len()).step_by(2) {
-            let (a, b) = (&outcomes[pair][request], &outcomes[pair + 1][request]);
-            let same = match (a, b) {
-                (Ok(x), Ok(y)) => x.commands == y.commands && x.order == y.order,
-                (Err(x), Err(y)) => x == y,
-                _ => false,
-            };
-            if !same {
-                return Err(fail(
-                    request,
-                    format!(
-                        "thread count changed the result between {} and {}",
-                        cells[pair].label(),
-                        cells[pair + 1].label()
-                    ),
-                ));
-            }
-        }
-
         // Oracle and probe verification of every distinct committed sequence.
         let mut seen: Vec<(&CommandSeq, String)> = Vec::new();
         for (c, cell) in cells.iter().enumerate() {
@@ -310,17 +269,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_matrix_has_twenty_four_cells_with_adjacent_thread_pairs() {
+    fn the_matrix_has_eight_uniquely_labelled_cells() {
         let cells = Cell::all();
-        assert_eq!(cells.len(), 24);
-        for pair in cells.chunks(2) {
-            assert_eq!(pair[0].backend, pair[1].backend);
-            assert_eq!(pair[0].strategy, pair[1].strategy);
-            assert_eq!(pair[0].threads, 1);
-            assert_eq!(pair[1].threads, 4);
-        }
-        // Labels are unique.
+        assert_eq!(cells.len(), 8);
         let labels: std::collections::BTreeSet<String> = cells.iter().map(Cell::label).collect();
-        assert_eq!(labels.len(), 24);
+        assert_eq!(labels.len(), 8);
     }
 }

@@ -165,9 +165,9 @@ pub struct SequenceOutcome {
 /// configuration and [`recheck`](ModelChecker::recheck) after each switch
 /// update, passing the set of states whose transitions changed.
 ///
-/// Checkers are `Send`: the parallel ordering search instantiates one checker
-/// per worker thread, so backend state must not contain thread-bound shared
-/// ownership (`Rc`/`RefCell`).
+/// Checkers are `Send`: `netupd-serve` moves engines, and the checkers they
+/// own, across its worker threads, so backend state must not contain
+/// thread-bound shared ownership (`Rc`/`RefCell`).
 pub trait ModelChecker: Send {
     /// Checks `kripke` against `phi` from scratch.
     fn check(&mut self, kripke: &Kripke, phi: &Ltl) -> CheckOutcome;
@@ -317,8 +317,7 @@ impl Backend {
     ///
     /// Instantiation is cheap (no per-structure state is allocated until the
     /// first check), and every checker is `Send` (a supertrait of
-    /// [`ModelChecker`]), so the parallel search gives every worker thread
-    /// its own instance.
+    /// [`ModelChecker`]).
     pub fn instantiate(self) -> Box<dyn ModelChecker> {
         match self {
             Backend::Incremental => Box::new(crate::IncrementalChecker::new()),

@@ -25,14 +25,13 @@ impl fmt::Display for TenantId {
 ///
 /// The defaults are sized for tests and examples; a serving deployment tunes
 /// the caps to its memory budget (each resident engine holds a Kripke
-/// skeleton plus warm checker contexts — the per-shard engine cap is the
+/// skeleton plus one warm checking context — the per-shard engine cap is the
 /// memory knob) and the queue limits to its latency target (queued work is
 /// future latency; shedding early is cheaper than timing out late).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Synthesis options every request is solved with. Per-engine intra-search
-    /// parallelism (`options.threads`) composes with the worker fleet; the
-    /// serving default keeps it at 1 and scales across tenants instead.
+    /// Synthesis options every request is solved with. A solve runs on the
+    /// one worker thread that picked it up; the server scales across tenants.
     pub options: SynthesisOptions,
     /// Number of worker threads draining the cross-tenant queue. Clamped to
     /// at least 1.
@@ -45,14 +44,6 @@ pub struct ServeConfig {
     /// exceeds it, the least-recently-used engine is evicted (its tenant's
     /// next request cold-starts, results unchanged). Clamped to at least 1.
     pub engines_per_shard: usize,
-    /// Maximum summed context weight per shard — the *memory-proportional*
-    /// cap. Engines are weighed by
-    /// [`UpdateEngine::resident_contexts`](netupd_synth::UpdateEngine::resident_contexts)
-    /// (min 1 each): an engine that ran 8-way parallel synthesis holds eight
-    /// warm checker contexts and costs eight times the pool budget of a
-    /// sequential one, so eviction tracks retained memory instead of engine
-    /// count. `0` disables the weight cap (the count cap still applies).
-    pub max_resident_contexts: usize,
     /// Maximum *queued* (not yet started) requests per tenant. A submit that
     /// would exceed it is shed with
     /// [`AdmissionError::TenantQueueFull`](crate::AdmissionError).
@@ -74,7 +65,6 @@ impl Default for ServeConfig {
             worker_threads: 4,
             shards: 8,
             engines_per_shard: 64,
-            max_resident_contexts: 0,
             tenant_queue_limit: 64,
             global_queue_limit: 4096,
             start_paused: false,
@@ -108,14 +98,6 @@ impl ServeConfig {
     #[must_use]
     pub fn engines_per_shard(mut self, cap: usize) -> Self {
         self.engines_per_shard = cap.max(1);
-        self
-    }
-
-    /// Builder-style setter for the per-shard context-weight cap (`0`
-    /// disables it — see [`ServeConfig::max_resident_contexts`]).
-    #[must_use]
-    pub fn max_resident_contexts(mut self, cap: usize) -> Self {
-        self.max_resident_contexts = cap;
         self
     }
 
@@ -154,11 +136,6 @@ impl ServeConfig {
     /// The per-shard engine cap after clamping.
     pub(crate) fn effective_engines_per_shard(&self) -> usize {
         self.engines_per_shard.max(1)
-    }
-
-    /// The per-shard context-weight cap (`0` = disabled, no clamping).
-    pub(crate) fn effective_max_resident_contexts(&self) -> usize {
-        self.max_resident_contexts
     }
 }
 

@@ -4,12 +4,10 @@
 //! how long synthesis took, whether a warm engine was found in the pool, and
 //! the full [`SynthStats`] passthrough from the synthesis core. The server
 //! additionally aggregates every completed request into a
-//! [`MetricsSnapshot`] — counters plus p50/p99 [`LatencySummary`]s — which
-//! is what the `serve_stream` bench emits into `BENCH_serve.json`.
+//! [`MetricsSnapshot`] — counters plus p50/p99 [`LatencySummary`]s.
 //!
 //! Percentiles use the nearest-rank definition over the full recorded sample
-//! set (no histogram bucketing), so `p50 ≤ p99 ≤ max` holds exactly and CI
-//! can validate the emitted reports against it.
+//! set (no histogram bucketing), so `p50 ≤ p99 ≤ max` holds exactly.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -123,12 +121,6 @@ pub struct MetricsSnapshot {
     /// [`UpdateEngine::repin`](netupd_synth::UpdateEngine::repin) instead of
     /// being rebuilt from scratch.
     pub engines_recycled: usize,
-    /// Point-in-time gauge: summed context weight
-    /// ([`UpdateEngine::resident_contexts`](netupd_synth::UpdateEngine::resident_contexts),
-    /// min 1 per engine) of all engines resident in the pool — what the
-    /// [`ServeConfig::max_resident_contexts`](crate::ServeConfig) eviction
-    /// cap is enforced against.
-    pub resident_contexts: usize,
     /// Queue-wait summary over all completed requests.
     pub queue_wait: LatencySummary,
     /// Service-time summary over all completed requests.
@@ -205,9 +197,6 @@ impl Metrics {
             engine_misses: inner.engine_misses,
             engines_evicted: inner.engines_evicted,
             engines_recycled: inner.engines_recycled,
-            // A gauge, not a counter: the server overlays the pool's live
-            // context weight after taking this snapshot.
-            resident_contexts: 0,
             queue_wait: LatencySummary::from_samples(&inner.queue_waits),
             service_time: LatencySummary::from_samples(&inner.service_times),
         }

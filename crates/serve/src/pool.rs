@@ -13,7 +13,7 @@
 //! have. Eviction costs work (the amortization is lost), never correctness.
 //! Evicted engines are kept on a small per-shard spare list and recycled for
 //! the next missing tenant via [`UpdateEngine::repin`], which re-pins the
-//! encoder but recycles the warm contexts' checker storage.
+//! encoder but recycles the warm context's checker storage.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -45,9 +45,6 @@ pub struct AcquiredEngine {
 pub struct EnginePool {
     shards: Vec<Mutex<Shard>>,
     per_shard_cap: usize,
-    /// Per-shard cap on the summed context weight of resident engines
-    /// (`0` = disabled). See [`EnginePool::new`].
-    context_cap: usize,
 }
 
 #[derive(Debug, Default)]
@@ -64,29 +61,18 @@ struct Shard {
 struct Entry {
     engine: UpdateEngine,
     last_used: u64,
-    /// The engine's context weight at release time
-    /// ([`UpdateEngine::resident_contexts`], min 1) — its share of the
-    /// shard's memory-proportional budget. Stable while pooled: contexts only
-    /// warm up during a solve, and pooled engines are not solving.
-    weight: usize,
 }
 
 impl EnginePool {
     /// Creates a pool with `shards` shards of at most `per_shard_cap`
-    /// resident engines each (both clamped to ≥ 1), additionally bounded by
-    /// `max_resident_contexts` summed context weight per shard (`0` disables
-    /// the weight cap). The weight of an engine is
-    /// [`UpdateEngine::resident_contexts`] clamped to ≥ 1, so eviction under
-    /// the weight cap tracks retained checker memory — a tenant served with
-    /// 8-way parallelism costs eight sequential tenants' budget — instead of
-    /// counting every engine as equal.
-    pub fn new(shards: usize, per_shard_cap: usize, max_resident_contexts: usize) -> Self {
+    /// resident engines each (both clamped to ≥ 1). Every engine holds at
+    /// most one checking context, so the engine count is the memory bound.
+    pub fn new(shards: usize, per_shard_cap: usize) -> Self {
         EnginePool {
             shards: (0..shards.max(1))
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             per_shard_cap: per_shard_cap.max(1),
-            context_cap: max_resident_contexts,
         }
     }
 
@@ -132,11 +118,9 @@ impl EnginePool {
 
     /// Returns a tenant's engine to the pool, stamping its recency and
     /// evicting least-recently-used engines while the shard is over its
-    /// engine-count cap or its summed context-weight cap. Returns the number
-    /// of engines evicted (they move to the shard's spare list, oldest spares
-    /// dropped).
+    /// engine-count cap. Returns the number of engines evicted (they move to
+    /// the shard's spare list, oldest spares dropped).
     pub fn release(&self, tenant: TenantId, engine: UpdateEngine) -> usize {
-        let weight = engine.resident_contexts().max(1);
         let mut shard = self.shard(tenant).lock().expect("pool shard lock");
         shard.tick += 1;
         let tick = shard.tick;
@@ -145,11 +129,10 @@ impl EnginePool {
             Entry {
                 engine,
                 last_used: tick,
-                weight,
             },
         );
         let mut evicted = 0;
-        while self.over_caps(&shard) {
+        while shard.engines.len() > self.per_shard_cap {
             let victim = shard
                 .engines
                 .iter()
@@ -166,42 +149,12 @@ impl EnginePool {
         evicted
     }
 
-    /// Whether a shard exceeds its engine-count cap or (when enabled) its
-    /// summed context-weight cap. A single over-weight engine is allowed to
-    /// remain — eviction must leave the just-released tenant's engine alone
-    /// when it is the only one, or the pool would never amortize anything.
-    fn over_caps(&self, shard: &Shard) -> bool {
-        if shard.engines.len() <= 1 {
-            return false;
-        }
-        shard.engines.len() > self.per_shard_cap
-            || (self.context_cap > 0
-                && shard.engines.values().map(|e| e.weight).sum::<usize>() > self.context_cap)
-    }
-
     /// Total resident engines across all shards (excluding engines currently
     /// taken out for in-flight requests and spares awaiting recycling).
     pub fn resident(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().expect("pool shard lock").engines.len())
-            .sum()
-    }
-
-    /// Summed context weight of all resident engines — the gauge the
-    /// weight-based eviction cap is enforced against, reported in
-    /// [`MetricsSnapshot::resident_contexts`](crate::MetricsSnapshot).
-    pub fn resident_context_weight(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("pool shard lock")
-                    .engines
-                    .values()
-                    .map(|e| e.weight)
-                    .sum::<usize>()
-            })
             .sum()
     }
 }
@@ -233,7 +186,7 @@ mod tests {
     #[test]
     fn acquire_misses_cold_and_hits_after_release() {
         let (problem, _) = two_problems();
-        let pool = EnginePool::new(2, 4, 0);
+        let pool = EnginePool::new(2, 4);
         let options = SynthesisOptions::default();
         let tenant = TenantId(3);
 
@@ -253,7 +206,7 @@ mod tests {
     fn over_cap_shard_evicts_lru_and_recycles_the_spare() {
         let (problem_a, problem_b) = two_problems();
         // One shard, cap 1: the second tenant's release evicts the first.
-        let pool = EnginePool::new(1, 1, 0);
+        let pool = EnginePool::new(1, 1);
         let options = SynthesisOptions::default();
         let (t1, t2) = (TenantId(1), TenantId(2));
 
@@ -273,39 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn context_weight_cap_evicts_by_retained_memory() {
-        let (problem_a, problem_b) = two_problems();
-        // Generous count cap: the weight cap (1 context) is the binding one —
-        // under a pure engine-count policy nothing below would ever evict.
-        let pool = EnginePool::new(1, 16, 1);
-        let options = SynthesisOptions::default();
-        let (t1, t2) = (TenantId(1), TenantId(2));
-
-        // Warm t1's engine so its weight reflects a resident context.
-        let mut a = pool.acquire(t1, &problem_a, &options).engine;
-        a.solve(&problem_a).expect("scenario is solvable");
-        assert!(a.resident_contexts() >= 1, "solve warms a context");
-        let weight_a = a.resident_contexts().max(1);
-        assert_eq!(pool.release(t1, a), 0, "a lone engine is never evicted");
-        assert_eq!(pool.resident_context_weight(), weight_a);
-
-        // A second engine pushes the summed weight over the cap: the LRU
-        // (t1's engine) is evicted despite the count cap's headroom.
-        let b = pool.acquire(t2, &problem_b, &options).engine;
-        let evicted = pool.release(t2, b);
-        assert!(evicted >= 1, "weight cap evicted despite count headroom");
-        assert_eq!(pool.resident(), 1, "only t2's engine remains");
-        assert_eq!(
-            pool.acquire(t2, &problem_b, &options).engine_use,
-            EngineUse::Hit,
-            "the most recently used tenant survived the weight eviction"
-        );
-    }
-
-    #[test]
     fn recency_is_updated_on_release() {
         let (problem_a, problem_b) = two_problems();
-        let pool = EnginePool::new(1, 2, 0);
+        let pool = EnginePool::new(1, 2);
         let options = SynthesisOptions::default();
         let (t1, t2, t3) = (TenantId(1), TenantId(2), TenantId(3));
 

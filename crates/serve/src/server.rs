@@ -194,7 +194,6 @@ impl UpdateServer {
         let pool = EnginePool::new(
             config.effective_shards(),
             config.effective_engines_per_shard(),
-            config.effective_max_resident_contexts(),
         );
         let paused = config.start_paused;
         let inner = Arc::new(Inner {
@@ -308,18 +307,14 @@ impl UpdateServer {
 
     /// A snapshot of the server's aggregated metrics so far.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snapshot = self.inner.metrics.snapshot();
-        snapshot.resident_contexts = self.inner.pool.resident_context_weight();
-        snapshot
+        self.inner.metrics.snapshot()
     }
 
     /// Shuts down: stops admitting, drains every already-admitted request,
     /// joins the workers, and returns the final metrics snapshot.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shutdown_in_place();
-        let mut snapshot = self.inner.metrics.snapshot();
-        snapshot.resident_contexts = self.inner.pool.resident_context_weight();
-        snapshot
+        self.inner.metrics.snapshot()
     }
 
     fn shutdown_in_place(&mut self) {

@@ -1,7 +1,7 @@
 //! Differential test for the prefix-checkpoint cache: the cache changes
-//! *work*, never *answers*. For every backend, search strategy, and thread
-//! count, a run with the cache enabled must produce byte-identical results —
-//! commands, unit order, verdict, and every schedule-determined counter under
+//! *work*, never *answers*. For every backend and search strategy, a run
+//! with the cache enabled must produce byte-identical results — commands,
+//! unit order, verdict, and every schedule-determined counter under
 //! `schedule_view()` — to a run with the cache disabled
 //! (`checkpoint_budget(0)`).
 //!
@@ -9,10 +9,6 @@
 //! the cache persists checkpoints across requests (previous final config =
 //! next initial config), and must still match the cache-off engine step for
 //! step.
-//!
-//! Speculation is forced on (as in `tests/parallel_determinism.rs`) so the
-//! threaded runs exercise the speculative machinery even on single-core CI
-//! runners, and CI additionally runs this suite under `RUST_TEST_THREADS=1`.
 
 use std::sync::Arc;
 
@@ -26,11 +22,6 @@ use netupd::synth::{
 };
 use netupd::topo::generators;
 use netupd::topo::scenario::{churn_scenarios, diamond_scenario, PropertyKind};
-
-/// Forces the speculative fan-out on regardless of the host's core count.
-fn force_speculation() {
-    std::env::set_var("NETUPD_SEARCH_SPECULATION", "6");
-}
 
 /// A feasible service-chaining diamond on a fat tree — enough units that the
 /// search backtracks and the SAT-guided loop iterates, so the cache sees
@@ -68,36 +59,30 @@ fn assert_identical(
     }
 }
 
-/// The full matrix: cache on/off × 4 backends × 3 strategies × threads
-/// {1, 4}, all byte-identical.
+/// The full matrix: cache on/off × 4 backends × 2 strategies, all
+/// byte-identical.
 #[test]
 fn cache_on_off_is_byte_identical_across_the_matrix() {
-    force_speculation();
     let problem = chain_problem();
     for backend in Backend::ALL {
         for strategy in SearchStrategy::ALL {
-            for threads in [1usize, 4] {
-                let base = SynthesisOptions::with_backend(backend)
-                    .strategy(strategy)
-                    .threads(threads);
-                let on = Synthesizer::new(problem.clone())
-                    .with_options(base.clone())
-                    .synthesize();
-                let off = Synthesizer::new(problem.clone())
-                    .with_options(base.checkpoint_budget(0))
-                    .synthesize();
-                assert_identical(&on, &off, &format!("{backend}/{strategy:?}/t{threads}"));
-            }
+            let base = SynthesisOptions::with_backend(backend).strategy(strategy);
+            let on = Synthesizer::new(problem.clone())
+                .with_options(base.clone())
+                .synthesize();
+            let off = Synthesizer::new(problem.clone())
+                .with_options(base.checkpoint_budget(0))
+                .synthesize();
+            assert_identical(&on, &off, &format!("{backend}/{strategy:?}"));
         }
     }
 }
 
-/// Cache-off runs must report no cache activity, and the cache-on sequential
-/// DFS on a backtracking instance must actually hit (re-visited prefix sets
+/// Cache-off runs must report no cache activity, and the cache-on DFS on a
+/// backtracking instance must actually hit (re-visited prefix sets
 /// are the point of the cache).
 #[test]
 fn cache_counters_reflect_the_budget_switch() {
-    force_speculation();
     let problem = chain_problem();
     let off = Synthesizer::new(problem.clone())
         .with_options(SynthesisOptions::default().checkpoint_budget(0))
@@ -135,30 +120,24 @@ fn churn_problems(kind: PropertyKind, steps: usize, seed: u64) -> Vec<UpdateProb
 /// (the previous final configuration is the next initial one).
 #[test]
 fn churn_stream_cache_on_off_is_byte_identical() {
-    force_speculation();
     for strategy in SearchStrategy::ALL {
-        for threads in [1usize, 4] {
-            let problems = churn_problems(PropertyKind::Reachability, 5, 101);
-            let base = SynthesisOptions::default()
-                .strategy(strategy)
-                .threads(threads);
-            let mut on = UpdateEngine::for_problem(&problems[0], base.clone());
-            let mut off =
-                UpdateEngine::for_problem(&problems[0], base.clone().checkpoint_budget(0));
-            let mut total_hits = 0usize;
-            for (step, problem) in problems.iter().enumerate() {
-                let a = on.solve(problem);
-                let b = off.solve(problem);
-                if let Ok(update) = &a {
-                    total_hits += update.stats.checkpoint_hits;
-                }
-                assert_identical(&a, &b, &format!("{strategy:?}/t{threads} step {step}"));
+        let problems = churn_problems(PropertyKind::Reachability, 5, 101);
+        let base = SynthesisOptions::default().strategy(strategy);
+        let mut on = UpdateEngine::for_problem(&problems[0], base.clone());
+        let mut off = UpdateEngine::for_problem(&problems[0], base.clone().checkpoint_budget(0));
+        let mut total_hits = 0usize;
+        for (step, problem) in problems.iter().enumerate() {
+            let a = on.solve(problem);
+            let b = off.solve(problem);
+            if let Ok(update) = &a {
+                total_hits += update.stats.checkpoint_hits;
             }
-            assert!(
-                total_hits > 0,
-                "{strategy:?}/t{threads}: a churn stream must hit the persisted cache"
-            );
+            assert_identical(&a, &b, &format!("{strategy:?} step {step}"));
         }
+        assert!(
+            total_hits > 0,
+            "{strategy:?}: a churn stream must hit the persisted cache"
+        );
     }
 }
 
@@ -168,7 +147,6 @@ fn churn_stream_cache_on_off_is_byte_identical() {
 /// invisible in results.
 #[test]
 fn churn_stream_cache_on_off_per_backend() {
-    force_speculation();
     for backend in Backend::ALL {
         let problems = churn_problems(PropertyKind::Waypoint, 4, 7);
         let base = SynthesisOptions::with_backend(backend);

@@ -1,11 +1,7 @@
-//! Differential test for the long-lived `UpdateEngine`: for every backend,
-//! search strategy, and thread count, an engine fed a churn stream must
-//! produce byte-identical `UpdateSequence`s — commands, unit order, and
-//! verdict — to a fresh `Synthesizer` per request.
-//!
-//! Speculation is forced on (as in `tests/parallel_determinism.rs`) so the
-//! threaded runs exercise the speculative machinery even on single-core CI
-//! runners, and CI additionally runs this suite under `RUST_TEST_THREADS=1`.
+//! Differential test for the long-lived `UpdateEngine`: for every backend
+//! and search strategy, an engine fed a churn stream must produce
+//! byte-identical `UpdateSequence`s — commands, unit order, and verdict — to
+//! a fresh `Synthesizer` per request.
 
 use std::sync::Arc;
 
@@ -21,11 +17,6 @@ use netupd::synth::{
 };
 use netupd::topo::generators;
 use netupd::topo::scenario::{churn_scenarios, PropertyKind};
-
-/// Forces the speculative fan-out on regardless of the host's core count.
-fn force_speculation() {
-    std::env::set_var("NETUPD_SEARCH_SPECULATION", "6");
-}
 
 /// A seeded churn stream as a vector of problems sharing one topology `Arc`.
 fn churn_problems(kind: PropertyKind, steps: usize, seed: u64) -> Vec<UpdateProblem> {
@@ -68,7 +59,6 @@ fn assert_engine_matches_fresh(problems: &[UpdateProblem], options: SynthesisOpt
 
 #[test]
 fn engine_matches_fresh_for_all_backends_at_one_thread() {
-    force_speculation();
     let problems = churn_problems(PropertyKind::Reachability, 5, 101);
     for backend in Backend::ALL {
         assert_engine_matches_fresh(&problems, SynthesisOptions::with_backend(backend));
@@ -76,47 +66,24 @@ fn engine_matches_fresh_for_all_backends_at_one_thread() {
 }
 
 #[test]
-fn engine_matches_fresh_for_all_backends_at_four_threads() {
-    force_speculation();
-    let problems = churn_problems(PropertyKind::Reachability, 5, 101);
-    for backend in Backend::ALL {
-        assert_engine_matches_fresh(
-            &problems,
-            SynthesisOptions::with_backend(backend).threads(4),
-        );
-    }
-}
-
-#[test]
 fn engine_matches_fresh_on_waypoint_churn() {
-    force_speculation();
     let problems = churn_problems(PropertyKind::Waypoint, 4, 7);
-    for threads in [1, 4] {
-        assert_engine_matches_fresh(&problems, SynthesisOptions::default().threads(threads));
-    }
+    assert_engine_matches_fresh(&problems, SynthesisOptions::default());
 }
 
 #[test]
 fn engine_matches_fresh_on_service_chain_churn() {
-    force_speculation();
     let problems = churn_problems(PropertyKind::ServiceChain { length: 2 }, 4, 13);
-    for threads in [1, 4] {
-        assert_engine_matches_fresh(&problems, SynthesisOptions::default().threads(threads));
-    }
+    assert_engine_matches_fresh(&problems, SynthesisOptions::default());
 }
 
 #[test]
 fn engine_matches_fresh_at_rule_granularity() {
-    force_speculation();
     let problems = churn_problems(PropertyKind::Reachability, 3, 29);
-    for threads in [1, 4] {
-        assert_engine_matches_fresh(
-            &problems,
-            SynthesisOptions::default()
-                .granularity(Granularity::Rule)
-                .threads(threads),
-        );
-    }
+    assert_engine_matches_fresh(
+        &problems,
+        SynthesisOptions::default().granularity(Granularity::Rule),
+    );
 }
 
 /// Replays a synthesized command sequence through the trace semantics — an
@@ -150,72 +117,31 @@ fn assert_sequence_correct(problem: &UpdateProblem, commands: &netupd::model::Co
 
 #[test]
 fn sat_guided_engine_matches_fresh_for_all_backends() {
-    force_speculation();
     let problems = churn_problems(PropertyKind::Reachability, 4, 101);
     for backend in Backend::ALL {
-        for threads in [1, 4] {
-            assert_engine_matches_fresh(
-                &problems,
-                SynthesisOptions::with_backend(backend)
-                    .strategy(SearchStrategy::SatGuided)
-                    .threads(threads),
-            );
-        }
+        assert_engine_matches_fresh(
+            &problems,
+            SynthesisOptions::with_backend(backend).strategy(SearchStrategy::SatGuided),
+        );
     }
 }
 
 #[test]
 fn sat_guided_engine_matches_fresh_at_rule_granularity() {
-    force_speculation();
     let problems = churn_problems(PropertyKind::Reachability, 3, 29);
-    for threads in [1, 4] {
-        assert_engine_matches_fresh(
-            &problems,
-            SynthesisOptions::default()
-                .strategy(SearchStrategy::SatGuided)
-                .granularity(Granularity::Rule)
-                .threads(threads),
-        );
-    }
+    assert_engine_matches_fresh(
+        &problems,
+        SynthesisOptions::default()
+            .strategy(SearchStrategy::SatGuided)
+            .granularity(Granularity::Rule),
+    );
 }
 
-#[test]
-fn portfolio_engine_matches_fresh_for_all_backends() {
-    force_speculation();
-    let problems = churn_problems(PropertyKind::Reachability, 4, 101);
-    for backend in Backend::ALL {
-        for threads in [1, 4] {
-            assert_engine_matches_fresh(
-                &problems,
-                SynthesisOptions::with_backend(backend)
-                    .strategy(SearchStrategy::Portfolio)
-                    .threads(threads),
-            );
-        }
-    }
-}
-
-#[test]
-fn portfolio_engine_matches_fresh_at_rule_granularity() {
-    force_speculation();
-    let problems = churn_problems(PropertyKind::Reachability, 3, 29);
-    for threads in [1, 4] {
-        assert_engine_matches_fresh(
-            &problems,
-            SynthesisOptions::default()
-                .strategy(SearchStrategy::Portfolio)
-                .granularity(Granularity::Rule)
-                .threads(threads),
-        );
-    }
-}
-
-/// All three strategies agree on the verdict for every step of every stream,
-/// and every SatGuided- or portfolio-produced sequence passes an independent
-/// full-sequence check through the trace semantics.
+/// Both strategies agree on the verdict for every step of every stream, and
+/// every SatGuided-produced sequence passes an independent full-sequence
+/// check through the trace semantics.
 #[test]
 fn strategies_agree_on_churn_stream_verdicts() {
-    force_speculation();
     for (kind, steps, seed) in [
         (PropertyKind::Reachability, 4, 101),
         (PropertyKind::Waypoint, 3, 7),
@@ -226,15 +152,11 @@ fn strategies_agree_on_churn_stream_verdicts() {
             let dfs_options = SynthesisOptions::with_backend(backend);
             let sat_options =
                 SynthesisOptions::with_backend(backend).strategy(SearchStrategy::SatGuided);
-            let portfolio_options =
-                SynthesisOptions::with_backend(backend).strategy(SearchStrategy::Portfolio);
             let mut dfs_engine = UpdateEngine::for_problem(&problems[0], dfs_options);
             let mut sat_engine = UpdateEngine::for_problem(&problems[0], sat_options);
-            let mut portfolio_engine = UpdateEngine::for_problem(&problems[0], portfolio_options);
             for (step, problem) in problems.iter().enumerate() {
                 let dfs = dfs_engine.solve(problem);
                 let sat = sat_engine.solve(problem);
-                let portfolio = portfolio_engine.solve(problem);
                 match (&dfs, &sat) {
                     (Ok(_), Ok(sat_result)) => {
                         assert_sequence_correct(problem, &sat_result.commands);
@@ -245,18 +167,6 @@ fn strategies_agree_on_churn_stream_verdicts() {
                     ) => {}
                     (d, s) => panic!(
                         "{backend} step {step}: strategies disagree: dfs {d:?}, sat-guided {s:?}"
-                    ),
-                }
-                match (&dfs, &portfolio) {
-                    (Ok(_), Ok(portfolio_result)) => {
-                        assert_sequence_correct(problem, &portfolio_result.commands);
-                    }
-                    (
-                        Err(SynthesisError::NoOrderingExists { .. }),
-                        Err(SynthesisError::NoOrderingExists { .. }),
-                    ) => {}
-                    (d, p) => panic!(
-                        "{backend} step {step}: strategies disagree: dfs {d:?}, portfolio {p:?}"
                     ),
                 }
             }
@@ -276,7 +186,6 @@ fn strategies_agree_on_churn_stream_verdicts() {
 /// invalidates them).
 #[test]
 fn sat_guided_carry_forward_is_result_preserving_and_engages() {
-    force_speculation();
     let mut carried_total = 0usize;
     let mut retired_total = 0usize;
     for (kind, steps, seed) in [
@@ -286,33 +195,29 @@ fn sat_guided_carry_forward_is_result_preserving_and_engages() {
     ] {
         let problems = churn_problems(kind, steps, seed);
         for backend in Backend::ALL {
-            for threads in [1, 4] {
-                let base = SynthesisOptions::with_backend(backend)
-                    .strategy(SearchStrategy::SatGuided)
-                    .threads(threads);
-                let mut carry_engine = UpdateEngine::for_problem(&problems[0], base.clone());
-                let mut bare_engine =
-                    UpdateEngine::for_problem(&problems[0], base.carry_forward(false));
-                for (step, problem) in problems.iter().enumerate() {
-                    let label = format!("{kind:?} {backend} t{threads} step {step}");
-                    match (carry_engine.solve(problem), bare_engine.solve(problem)) {
-                        (Ok(carried), Ok(bare)) => {
-                            assert_eq!(carried.commands, bare.commands, "{label}: commands");
-                            assert_eq!(carried.order, bare.order, "{label}: unit order");
-                            assert!(
-                                carried.stats.cegis_iterations <= bare.stats.cegis_iterations,
-                                "{label}: carry must not add iterations: {} vs {}",
-                                carried.stats.cegis_iterations,
-                                bare.stats.cegis_iterations
-                            );
-                            carried_total += carried.stats.constraints_carried;
-                            retired_total += carried.stats.constraints_retired;
-                        }
-                        (Err(carried), Err(bare)) => {
-                            assert_eq!(carried, bare, "{label}: error verdicts diverged");
-                        }
-                        (c, b) => panic!("{label}: verdicts diverged: carry {c:?}, bare {b:?}"),
+            let base = SynthesisOptions::with_backend(backend).strategy(SearchStrategy::SatGuided);
+            let mut carry_engine = UpdateEngine::for_problem(&problems[0], base.clone());
+            let mut bare_engine =
+                UpdateEngine::for_problem(&problems[0], base.carry_forward(false));
+            for (step, problem) in problems.iter().enumerate() {
+                let label = format!("{kind:?} {backend} step {step}");
+                match (carry_engine.solve(problem), bare_engine.solve(problem)) {
+                    (Ok(carried), Ok(bare)) => {
+                        assert_eq!(carried.commands, bare.commands, "{label}: commands");
+                        assert_eq!(carried.order, bare.order, "{label}: unit order");
+                        assert!(
+                            carried.stats.cegis_iterations <= bare.stats.cegis_iterations,
+                            "{label}: carry must not add iterations: {} vs {}",
+                            carried.stats.cegis_iterations,
+                            bare.stats.cegis_iterations
+                        );
+                        carried_total += carried.stats.constraints_carried;
+                        retired_total += carried.stats.constraints_retired;
                     }
+                    (Err(carried), Err(bare)) => {
+                        assert_eq!(carried, bare, "{label}: error verdicts diverged");
+                    }
+                    (c, b) => panic!("{label}: verdicts diverged: carry {c:?}, bare {b:?}"),
                 }
             }
         }
@@ -329,7 +234,6 @@ fn sat_guided_carry_forward_is_result_preserving_and_engages() {
 
 #[test]
 fn engine_amortization_shows_in_the_work_counters() {
-    force_speculation();
     let problems = churn_problems(PropertyKind::Reachability, 4, 101);
     let mut engine = UpdateEngine::for_problem(&problems[0], SynthesisOptions::default());
     let mut fresh_relabeled = 0usize;

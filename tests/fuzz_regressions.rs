@@ -101,8 +101,6 @@ fn digest_of(index: usize) -> String {
 
 #[test]
 fn pinned_corpus_replays_exactly() {
-    // NETUPD_SEARCH_SPECULATION is set by check_case via the library; the
-    // digests were recorded under the same forced-speculation conditions.
     let mut mismatches = Vec::new();
     for (index, expected) in CORPUS {
         let expected: String = expected.split_whitespace().collect::<Vec<_>>().join(" ");

@@ -115,22 +115,6 @@ fn serve_matches_fresh_for_every_backend_and_strategy() {
 }
 
 #[test]
-fn serve_matches_fresh_when_engines_parallelize_internally() {
-    // Intra-engine parallel search (options.threads) composing with the
-    // cross-tenant worker fleet must not change results either.
-    let streams = tenant_streams(2, 2, 73);
-    for backend in Backend::ALL {
-        let options = SynthesisOptions::with_backend(backend).threads(2);
-        assert_serve_matches_fresh(
-            &streams,
-            options,
-            ServeConfig::default().worker_threads(3),
-            &format!("{backend}/dfs-t2"),
-        );
-    }
-}
-
-#[test]
 fn serve_matches_fresh_under_constant_eviction() {
     // A one-engine pool under four tenants: every request cold-starts on a
     // recycled engine. Eviction must be invisible in results.

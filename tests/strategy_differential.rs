@@ -1,21 +1,16 @@
 //! Differential tests for the pluggable search strategies.
 //!
-//! `SearchStrategy::SatGuided` and `SearchStrategy::Portfolio` must, on
-//! every example scenario shipped with the repository, for every backend and
-//! thread count:
+//! `SearchStrategy::SatGuided` must, on every example scenario shipped with
+//! the repository, for every backend:
 //!
 //! * produce a *verified* update sequence — independently re-checked here by
 //!   replaying every prefix through the trace semantics, with no model
 //!   checker involved;
 //! * be *deterministic* — a second run returns byte-identical commands,
-//!   order, verdict, and the schedule-determined statistics (the portfolio's
-//!   full stats block, per-worker attribution included, since its lockstep
-//!   race runs entirely on the calling thread);
+//!   order, verdict, and statistics;
 //! * *agree with DFS on the verdict* — both find an order or both report
 //!   that none exists (the orders themselves may differ: each is verified
-//!   independently);
-//! * commit the same sequence at every thread count (the parallel candidate
-//!   verification is a performance knob, not a semantics knob).
+//!   independently).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,19 +19,13 @@ use netupd::ltl::{builders, semantics, Ltl, Prop};
 use netupd::mc::Backend;
 use netupd::model::{Configuration, Network, Priority};
 use netupd::synth::{
-    Granularity, SearchStrategy, SynthesisError, SynthesisOptions, Synthesizer, UpdateProblem,
-    UpdateSequence,
+    Granularity, SearchStrategy, SynthesisError, SynthesisOptions, Synthesizer, UpdateEngine,
+    UpdateProblem, UpdateSequence,
 };
 use netupd::topo::scenario::{
     diamond_scenario, double_diamond_scenario, multi_diamond_scenario, PropertyKind,
 };
 use netupd::topo::{generators, NetworkGraph};
-
-/// Forces the speculative fan-out on regardless of the host's core count
-/// (matches `tests/parallel_determinism.rs`).
-fn force_speculation() {
-    std::env::set_var("NETUPD_SEARCH_SPECULATION", "6");
-}
 
 /// Replays a command sequence and asserts that every intermediate
 /// configuration satisfies the problem's specification on all traces — an
@@ -82,19 +71,10 @@ fn synthesize(
         .synthesize()
 }
 
-/// Runs SatGuided at the given thread count twice (byte-identical including
-/// stats), verifies the sequence independently, and checks verdict agreement
-/// with DFS. Returns the SatGuided result for cross-thread comparison.
-fn assert_sat_guided_verified(
-    problem: &UpdateProblem,
-    options: SynthesisOptions,
-    threads: usize,
-    context: &str,
-) -> Result<UpdateSequence, SynthesisError> {
-    let sat_options = options
-        .clone()
-        .strategy(SearchStrategy::SatGuided)
-        .threads(threads);
+/// Runs SatGuided twice (byte-identical including stats), verifies the
+/// sequence independently, and checks verdict agreement with DFS.
+fn assert_sat_guided_verified(problem: &UpdateProblem, options: SynthesisOptions, context: &str) {
+    let sat_options = options.clone().strategy(SearchStrategy::SatGuided);
     let first = synthesize(problem, &sat_options);
     let second = synthesize(problem, &sat_options);
     match (&first, &second) {
@@ -104,20 +84,7 @@ fn assert_sat_guided_verified(
                 "{context}: commands not deterministic"
             );
             assert_eq!(a.order, b.order, "{context}: order not deterministic");
-            // The schedule-determined counters are byte-identical between
-            // runs; the execution-dependent ones (per-worker attribution,
-            // steal tallies) may differ under work stealing, but the real
-            // call total is pinned by the grain split's no-cross-grain-abort
-            // rule.
-            assert_eq!(
-                a.stats.schedule_view(),
-                b.stats.schedule_view(),
-                "{context}: schedule counters not deterministic"
-            );
-            assert_eq!(
-                a.stats.model_checker_calls, b.stats.model_checker_calls,
-                "{context}: real call total not deterministic"
-            );
+            assert_eq!(a.stats, b.stats, "{context}: stats not deterministic");
             assert!(
                 a.stats.cegis_iterations >= 1,
                 "{context}: no CEGIS iteration"
@@ -127,11 +94,8 @@ fn assert_sat_guided_verified(
         (Err(a), Err(b)) => assert_eq!(a, b, "{context}: error verdict not deterministic"),
         other => panic!("{context}: verdicts diverged between identical runs: {other:?}"),
     }
-    // Verdict agreement with DFS at the same thread count.
-    let dfs = synthesize(
-        problem,
-        &options.strategy(SearchStrategy::Dfs).threads(threads),
-    );
+    // Verdict agreement with DFS.
+    let dfs = synthesize(problem, &options.strategy(SearchStrategy::Dfs));
     match (&dfs, &first) {
         (Ok(_), Ok(_)) => {}
         (
@@ -143,130 +107,20 @@ fn assert_sat_guided_verified(
         }
         other => panic!("{context}: DFS and SatGuided verdicts diverged: {other:?}"),
     }
-    first
 }
 
-/// The full matrix for one problem: all backends × threads {1, 4}, plus the
-/// cross-thread-count sequence comparison.
+/// The full matrix for one problem: all backends.
 fn assert_strategies_agree_everywhere(problem: &UpdateProblem, base: SynthesisOptions) {
-    force_speculation();
     for backend in Backend::ALL {
         let options = SynthesisOptions {
             backend,
             ..base.clone()
         };
-        let mut results = Vec::new();
-        for threads in [1, 4] {
-            let context = format!("{backend} t{threads}");
-            results.push(assert_sat_guided_verified(
-                problem,
-                options.clone(),
-                threads,
-                &context,
-            ));
-        }
-        // The committed sequence must not depend on the thread count.
-        match (&results[0], &results[1]) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(
-                    a.commands, b.commands,
-                    "{backend}: threads changed the commands"
-                );
-                assert_eq!(a.order, b.order, "{backend}: threads changed the order");
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "{backend}: threads changed the verdict"),
-            other => panic!("{backend}: threads changed the verdict: {other:?}"),
-        }
+        assert_sat_guided_verified(problem, options, &backend.to_string());
     }
 }
 
-/// Runs the portfolio at the given thread count twice (byte-identical
-/// including the *full* stats block — the lockstep race runs on the calling
-/// thread and never consults the thread count), verifies the sequence
-/// independently, and checks verdict agreement with DFS.
-fn assert_portfolio_verified(
-    problem: &UpdateProblem,
-    options: SynthesisOptions,
-    threads: usize,
-    context: &str,
-) -> Result<UpdateSequence, SynthesisError> {
-    let portfolio_options = options
-        .clone()
-        .strategy(SearchStrategy::Portfolio)
-        .threads(threads);
-    let first = synthesize(problem, &portfolio_options);
-    let second = synthesize(problem, &portfolio_options);
-    match (&first, &second) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(
-                a.commands, b.commands,
-                "{context}: commands not deterministic"
-            );
-            assert_eq!(a.order, b.order, "{context}: order not deterministic");
-            assert_eq!(a.stats, b.stats, "{context}: stats not deterministic");
-            assert_sequence_correct(problem, &a.commands);
-        }
-        (Err(a), Err(b)) => assert_eq!(a, b, "{context}: error verdict not deterministic"),
-        other => panic!("{context}: verdicts diverged between identical runs: {other:?}"),
-    }
-    // Verdict agreement with DFS at the same thread count.
-    let dfs = synthesize(
-        problem,
-        &options.strategy(SearchStrategy::Dfs).threads(threads),
-    );
-    match (&dfs, &first) {
-        (Ok(_), Ok(_)) => {}
-        (
-            Err(SynthesisError::NoOrderingExists { .. }),
-            Err(SynthesisError::NoOrderingExists { .. }),
-        ) => {}
-        (Err(a), Err(b)) => {
-            assert_eq!(a, b, "{context}: DFS and portfolio error verdicts diverged")
-        }
-        other => panic!("{context}: DFS and portfolio verdicts diverged: {other:?}"),
-    }
-    first
-}
-
-/// The portfolio matrix for one problem: all backends × threads {1, 4}, with
-/// the stronger cross-thread guarantee that the *entire* result (stats
-/// included) is byte-identical.
-fn assert_portfolio_agrees_everywhere(problem: &UpdateProblem, base: SynthesisOptions) {
-    force_speculation();
-    for backend in Backend::ALL {
-        let options = SynthesisOptions {
-            backend,
-            ..base.clone()
-        };
-        let mut results = Vec::new();
-        for threads in [1, 4] {
-            let context = format!("portfolio {backend} t{threads}");
-            results.push(assert_portfolio_verified(
-                problem,
-                options.clone(),
-                threads,
-                &context,
-            ));
-        }
-        match (&results[0], &results[1]) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(
-                    a.commands, b.commands,
-                    "{backend}: threads changed the portfolio commands"
-                );
-                assert_eq!(a.order, b.order, "{backend}: threads changed the order");
-                assert_eq!(
-                    a.stats, b.stats,
-                    "{backend}: the portfolio never consults the thread count"
-                );
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "{backend}: threads changed the verdict"),
-            other => panic!("{backend}: threads changed the verdict: {other:?}"),
-        }
-    }
-}
-
-// ---- the example scenarios (as in tests/parallel_determinism.rs) -----------
+// ---- the example scenarios --------------------------------------------------
 
 /// `examples/quickstart.rs`: Figure 1, red path to green path under
 /// reachability.
@@ -365,85 +219,7 @@ fn double_diamond_sat_guided_verdicts() {
 }
 
 #[test]
-fn quickstart_scenario_portfolio() {
-    assert_portfolio_agrees_everywhere(&quickstart_problem(), SynthesisOptions::default());
-}
-
-#[test]
-fn waypoint_scenario_portfolio() {
-    assert_portfolio_agrees_everywhere(&waypoint_problem(), SynthesisOptions::default());
-}
-
-#[test]
-fn firewall_chain_scenario_portfolio() {
-    assert_portfolio_agrees_everywhere(&firewall_chain_problem(), SynthesisOptions::default());
-}
-
-#[test]
-fn double_diamond_portfolio_verdicts() {
-    let problem = double_diamond_problem();
-    assert_portfolio_agrees_everywhere(&problem, SynthesisOptions::default());
-    assert_portfolio_agrees_everywhere(
-        &problem,
-        SynthesisOptions::default().granularity(Granularity::Rule),
-    );
-}
-
-#[test]
-fn portfolio_rejects_violating_configurations() {
-    force_speculation();
-    let options = SynthesisOptions::default().strategy(SearchStrategy::Portfolio);
-    for threads in [1, 4] {
-        let mut problem = quickstart_problem();
-        problem.initial = Configuration::new();
-        assert_eq!(
-            synthesize(&problem, &options.clone().threads(threads)).unwrap_err(),
-            SynthesisError::InitialConfigurationViolates,
-            "t{threads}"
-        );
-        let mut problem = quickstart_problem();
-        problem.final_config = Configuration::new();
-        assert!(!problem.switches_to_update().is_empty());
-        assert_eq!(
-            synthesize(&problem, &options.clone().threads(threads)).unwrap_err(),
-            SynthesisError::FinalConfigurationViolates,
-            "t{threads}"
-        );
-    }
-}
-
-#[test]
-fn portfolio_stats_are_coherent() {
-    force_speculation();
-    let problem = firewall_chain_problem();
-    let result = synthesize(
-        &problem,
-        &SynthesisOptions::default().strategy(SearchStrategy::Portfolio),
-    )
-    .expect("solvable");
-    // Both lanes' real checker work is attributed: slot 0 is the DFS lane,
-    // slot 1 the SAT lane, and they cover every check performed.
-    assert_eq!(result.stats.checks_per_worker.len(), 2);
-    assert_eq!(
-        result.stats.checks_per_worker.iter().sum::<usize>(),
-        result.stats.model_checker_calls,
-    );
-    // Both charged budgets are recorded, and the winner's is the charge.
-    assert!(result.stats.portfolio_dfs_budget > 0);
-    assert!(result.stats.portfolio_sat_budget > 0);
-    assert_eq!(
-        result.stats.charged_calls,
-        result
-            .stats
-            .portfolio_dfs_budget
-            .min(result.stats.portfolio_sat_budget),
-    );
-    assert_eq!(result.stats.search_mode.name(), "portfolio");
-}
-
-#[test]
 fn sat_guided_infeasibility_is_proven_by_constraints() {
-    force_speculation();
     let problem = double_diamond_problem();
     let result = Synthesizer::new(problem)
         .with_options(SynthesisOptions::default().strategy(SearchStrategy::SatGuided))
@@ -461,54 +237,34 @@ fn sat_guided_infeasibility_is_proven_by_constraints() {
 
 #[test]
 fn sat_guided_rejects_violating_configurations() {
-    force_speculation();
     let options = SynthesisOptions::default().strategy(SearchStrategy::SatGuided);
-    for threads in [1, 4] {
-        let mut problem = quickstart_problem();
-        problem.initial = Configuration::new();
-        assert_eq!(
-            synthesize(&problem, &options.clone().threads(threads)).unwrap_err(),
-            SynthesisError::InitialConfigurationViolates,
-            "t{threads}"
-        );
-        let mut problem = quickstart_problem();
-        problem.final_config = Configuration::new();
-        assert!(!problem.switches_to_update().is_empty());
-        assert_eq!(
-            synthesize(&problem, &options.clone().threads(threads)).unwrap_err(),
-            SynthesisError::FinalConfigurationViolates,
-            "t{threads}"
-        );
-    }
+    let mut problem = quickstart_problem();
+    problem.initial = Configuration::new();
+    assert_eq!(
+        synthesize(&problem, &options).unwrap_err(),
+        SynthesisError::InitialConfigurationViolates
+    );
+    let mut problem = quickstart_problem();
+    problem.final_config = Configuration::new();
+    assert!(!problem.switches_to_update().is_empty());
+    assert_eq!(
+        synthesize(&problem, &options).unwrap_err(),
+        SynthesisError::FinalConfigurationViolates
+    );
 }
 
 #[test]
 fn sat_guided_stats_are_coherent() {
-    force_speculation();
     let problem = firewall_chain_problem();
-    for threads in [1, 4] {
-        let result = synthesize(
-            &problem,
-            &SynthesisOptions::default()
-                .strategy(SearchStrategy::SatGuided)
-                .threads(threads),
-        )
-        .expect("solvable");
-        // The store's size is surfaced. Transitivity is lazy, so its clauses
-        // are the constraints learnt from this run's failed proposals.
-        assert!(result.stats.sat_clauses > 0, "t{threads}");
-        assert!(result.stats.cegis_iterations >= 1, "t{threads}");
-        // Per-worker attribution covers every check performed.
-        if threads > 1 {
-            assert_eq!(
-                result.stats.checks_per_worker.iter().sum::<usize>(),
-                result.stats.model_checker_calls,
-                "t{threads}"
-            );
-        } else {
-            assert!(result.stats.checks_per_worker.is_empty());
-        }
-    }
+    let result = synthesize(
+        &problem,
+        &SynthesisOptions::default().strategy(SearchStrategy::SatGuided),
+    )
+    .expect("solvable");
+    // The store's size is surfaced. Transitivity is lazy, so its clauses are
+    // the constraints learnt from this run's failed proposals.
+    assert!(result.stats.sat_clauses > 0);
+    assert!(result.stats.cegis_iterations >= 1);
     // The DFS consults the same store but takes no proposal from it.
     let dfs = synthesize(&problem, &SynthesisOptions::default()).expect("solvable");
     assert_eq!(dfs.stats.cegis_iterations, 0);
@@ -553,26 +309,48 @@ fn dfs_early_termination_stays_out_of_the_solver() {
     // its own that encoded transitivity eagerly (the commit before the two
     // stores became one) it held 16 283 clauses and spent 2 707 decisions on
     // this instance; the ceilings are a quarter of those. The search itself
-    // must not move, at either thread count (the scheduler replays the
-    // sequential schedule).
-    force_speculation();
+    // must not move.
     let problem = small_world_two_diamonds_problem();
-    for threads in [1, 4] {
-        let stats = synthesize(&problem, &SynthesisOptions::default().threads(threads))
-            .expect("solvable")
-            .stats;
-        assert!(
-            stats.sat_clauses <= 4_070,
-            "t{threads}: {} clauses",
-            stats.sat_clauses
-        );
-        assert!(
-            stats.sat_decisions <= 676,
-            "t{threads}: {} decisions",
-            stats.sat_decisions
-        );
-        assert_eq!(stats.charged_calls, 76, "t{threads}");
-        assert_eq!(stats.configurations_pruned, 132, "t{threads}");
-        assert_eq!(stats.cegis_iterations, 0, "t{threads}");
+    let stats = synthesize(&problem, &SynthesisOptions::default())
+        .expect("solvable")
+        .stats;
+    assert!(stats.sat_clauses <= 4_070, "{} clauses", stats.sat_clauses);
+    assert!(
+        stats.sat_decisions <= 676,
+        "{} decisions",
+        stats.sat_decisions
+    );
+    assert_eq!(stats.charged_calls, 76);
+    assert_eq!(stats.configurations_pruned, 132);
+    assert_eq!(stats.cegis_iterations, 0);
+}
+
+#[test]
+fn a_trivial_update_charges_its_one_check_under_both_strategies() {
+    // No switch changes: one initial check, no probe, no search. Both
+    // strategies issue that one check and must charge it — SAT-guided used
+    // to report `charged_calls = 0` here because it wrote the charge only at
+    // the end of its loop.
+    let base = quickstart_problem();
+    let trivial = UpdateProblem::new(
+        base.topology.clone(),
+        base.initial.clone(),
+        base.initial.clone(),
+        base.classes.clone(),
+        base.ingress_hosts.clone(),
+        base.spec.clone(),
+    );
+    for strategy in SearchStrategy::ALL {
+        let options = SynthesisOptions::default().strategy(strategy);
+        let fresh = synthesize(&trivial, &options).expect("no-op update");
+        assert!(fresh.commands.is_empty(), "{strategy}");
+        assert_eq!(fresh.stats.charged_calls, 1, "{strategy} fresh");
+        assert_eq!(fresh.stats.model_checker_calls, 1, "{strategy} fresh");
+        // Through a warm engine the checkpoint cache may answer the check;
+        // the charge is the schedule's and stays.
+        let mut engine = UpdateEngine::for_problem(&base, options);
+        engine.solve(&base).expect("warm-up solve");
+        let served = engine.solve(&trivial).expect("no-op update");
+        assert_eq!(served.stats.charged_calls, 1, "{strategy} engine");
     }
 }
