@@ -3,8 +3,8 @@
 //! Every strategy asks the same question — "does this configuration satisfy
 //! the specification?" — about configurations that differ from the last one
 //! asked about in a handful of switches. A [`CheckContext`] answers it by
-//! rewiring its structure one differing switch at a time (`diff_sync`) and
-//! rechecking over exactly the rewired states, so the cost of a question
+//! rewiring its structure one differing switch at a time (`sync_deferred`)
+//! and rechecking over exactly the rewired states, so the cost of a question
 //! follows the size of the diff, not of the network (the paper's Figure 7).
 //! The [`UpdateEngine`](crate::UpdateEngine) keeps its context across
 //! requests, which is what makes a churn stream cheap.
@@ -18,16 +18,21 @@
 //! rechecks that led to a configuration. Engine reuse, the checkpoint cache
 //! and the deferred-undo discipline of the DFS all rest on this.
 
+use std::ops::ControlFlow;
+
 use netupd_kripke::{Kripke, NetworkKripke, StateId};
 use netupd_ltl::Ltl;
 use netupd_mc::{Backend, CheckOutcome, ModelChecker, SequenceOutcome, SequenceStep};
-use netupd_model::Configuration;
+use netupd_model::{CommandSeq, Configuration, Table};
 
 use crate::checkpoint::CheckpointCache;
+use crate::problem::UpdateProblem;
+use crate::search::{SynthStats, SynthesisError, UpdateSequence};
+use crate::units::UpdateUnit;
 
 /// The persistent checking state of an engine: a Kripke structure pinned to
-/// a known configuration, a checker whose cached labels describe that
-/// structure, and the analogous pair for the final-configuration probe.
+/// a known configuration and a checker whose cached labels describe that
+/// structure.
 ///
 /// A context outlives a single request: the [`UpdateEngine`] keeps it and
 /// hands it back in for the next request, which syncs *by diff* from wherever
@@ -44,14 +49,6 @@ pub(crate) struct CheckContext {
     config: Configuration,
     /// The search checker; its cached labels always describe `kripke`.
     checker: Box<dyn ModelChecker>,
-    /// The final-configuration probe structure, encoded lazily.
-    probe_kripke: Option<Kripke>,
-    /// The configuration `probe_kripke` currently encodes.
-    probe_config: Configuration,
-    /// The probe checker (kept separate so probing never disturbs the search
-    /// checker's incremental labels — the same isolation the one-shot path's
-    /// fresh probe instance provided).
-    probe_checker: Box<dyn ModelChecker>,
     /// States of the search structure rewired without an intervening recheck
     /// — checkpoint verdict-hits and deferred undos leave the checker's
     /// labels behind the structure by exactly this set, which is folded into
@@ -67,83 +64,60 @@ impl CheckContext {
             kripke: None,
             config: Configuration::new(),
             checker: backend.instantiate(),
-            probe_kripke: None,
-            probe_config: Configuration::new(),
-            probe_checker: backend.instantiate(),
             pending: Vec::new(),
         }
     }
 
-    /// Ensures the search structure encodes `config`, syncing by per-switch
-    /// diff when one already exists. Returns the states whose wiring changed
-    /// (empty after a fresh encode, where the checker holds no labels yet and
-    /// the next recheck falls back to a full check anyway).
-    fn sync_main(&mut self, encoder: &NetworkKripke, config: &Configuration) -> Vec<StateId> {
-        let changed = match &mut self.kripke {
-            None => {
-                self.kripke = Some(encoder.encode(config));
-                Vec::new()
+    /// Moves the search structure to `config` without checking it — by
+    /// per-switch diff when a structure exists, by a cold encode otherwise
+    /// (the checker then holds no labels and the next recheck is a full
+    /// check anyway). The rewired states join the pending set and are
+    /// relabeled by the next physical recheck: the deferred-undo discipline.
+    pub(crate) fn sync_deferred(&mut self, encoder: &NetworkKripke, config: &Configuration) {
+        match &mut self.kripke {
+            None => self.kripke = Some(encoder.encode(config)),
+            Some(kripke) => {
+                let empty = Table::empty();
+                for sw in self.config.differing_switches(config) {
+                    let table = config.table_ref(sw).unwrap_or(&empty);
+                    self.pending
+                        .extend(encoder.apply_switch_update(kripke, sw, table));
+                }
             }
-            Some(kripke) => diff_sync(encoder, kripke, &self.config, config),
-        };
+        }
         self.config = config.clone();
-        changed
     }
 
-    /// Syncs the search structure to `config` and (re)checks `spec` over it,
-    /// through the checkpoint cache: returns `None` when the configuration is
-    /// checkpointed as passing (no model-checker call — the sync's rewired
-    /// states either vanish under a snapshot restore or stay pending for the
-    /// next physical recheck), and `Some(outcome)` when a physical check ran:
-    /// a full check on a cold context, an incremental recheck over the diff
-    /// on a warm one. The outcome is a pure function of `(config, spec)`
-    /// either way (see the module docs on purity). A passing physical check
-    /// is published back to the cache.
-    pub(crate) fn check_config_cached(
-        &mut self,
-        encoder: &NetworkKripke,
-        config: &Configuration,
-        spec: &Ltl,
-        cache: &CheckpointCache,
-    ) -> Option<CheckOutcome> {
+    /// Physically rechecks `spec` over the structure as it stands, relabeling
+    /// from the pending set: a full check on a cold context, an incremental
+    /// one on a warm context. The outcome is a pure function of the encoded
+    /// configuration and `spec` either way (see the module docs on purity).
+    fn recheck(&mut self, spec: &Ltl) -> CheckOutcome {
         let mut changed = std::mem::take(&mut self.pending);
-        changed.extend(self.sync_main(encoder, config));
-        if let Some(snapshot) = cache.lookup(spec, config) {
+        changed.sort_unstable();
+        changed.dedup();
+        let kripke = self.kripke.as_ref().expect("structure encoded");
+        self.checker.recheck(kripke, spec, &changed)
+    }
+
+    /// [`CheckContext::recheck`] through the checkpoint cache: `None` when
+    /// the encoded configuration is checkpointed as passing (no model-checker
+    /// call — the pending states either vanish under a snapshot restore or
+    /// wait for the next physical recheck), `Some(outcome)` when a physical
+    /// check ran. A passing physical check is published back to the cache.
+    fn recheck_cached(&mut self, spec: &Ltl, cache: &CheckpointCache) -> Option<CheckOutcome> {
+        if let Some(snapshot) = cache.lookup(spec, &self.config) {
             if snapshot.as_ref().is_some_and(|s| self.checker.restore(s)) {
                 cache.note_restore();
-            } else {
-                self.pending = changed;
+                self.pending.clear();
             }
             return None;
         }
-        changed.sort_unstable();
-        changed.dedup();
-        let kripke = self.kripke.as_ref().expect("synced above");
-        let outcome = self.checker.recheck(kripke, spec, &changed);
+        let outcome = self.recheck(spec);
         if outcome.holds {
-            cache.publish(spec, config, || self.checker.snapshot());
+            cache.publish(spec, &self.config, || self.checker.snapshot());
         }
         Some(outcome)
-    }
-
-    /// The probe-side, uncached analogue of
-    /// [`CheckContext::check_config_cached`].
-    pub(crate) fn probe_config(
-        &mut self,
-        encoder: &NetworkKripke,
-        config: &Configuration,
-        spec: &Ltl,
-    ) -> CheckOutcome {
-        let changed = match &mut self.probe_kripke {
-            None => {
-                self.probe_kripke = Some(encoder.encode(config));
-                Vec::new()
-            }
-            Some(kripke) => diff_sync(encoder, kripke, &self.probe_config, config),
-        };
-        self.probe_config = config.clone();
-        let kripke = self.probe_kripke.as_ref().expect("synced above");
-        self.probe_checker.recheck(kripke, spec, &changed)
     }
 
     /// The mutable search structure, checker, and pending change set, for
@@ -154,8 +128,7 @@ impl CheckContext {
     ///
     /// # Panics
     ///
-    /// Panics if nothing has been encoded yet (call
-    /// [`CheckContext::check_config_cached`] first).
+    /// Panics if nothing has been encoded yet.
     pub(crate) fn checking_parts_mut(
         &mut self,
     ) -> (&mut Kripke, &mut dyn ModelChecker, &mut Vec<StateId>) {
@@ -187,13 +160,13 @@ impl CheckContext {
         spec: &Ltl,
         steps: &[SequenceStep],
     ) -> SequenceOutcome {
-        let mut carried = std::mem::take(&mut self.pending);
-        carried.extend(self.sync_main(encoder, base));
+        self.sync_deferred(encoder, base);
+        let carried = std::mem::take(&mut self.pending);
         let kripke = self.kripke.as_mut().expect("synced above");
         let outcome = self
             .checker
             .check_sequence(encoder, kripke, spec, &carried, steps);
-        // `sync_main` left `self.config` at `base`; advance it by the steps
+        // The sync left `self.config` at `base`; advance it by the steps
         // the walk actually applied.
         for step in &steps[..outcome.steps_applied] {
             self.config.set_table(step.switch, step.table.clone());
@@ -220,81 +193,144 @@ impl CheckContext {
         if !cache.enabled() {
             return self.verify_sequence(encoder, base, spec, steps);
         }
-        let mut carried = std::mem::take(&mut self.pending);
-        carried.extend(self.sync_main(encoder, base));
-        let kripke = self.kripke.as_mut().expect("synced above");
-        let mut checks = 0;
-        let mut states_labeled = 0;
-        for (index, step) in steps.iter().enumerate() {
-            let changed = encoder.apply_switch_update(kripke, step.switch, &step.table);
-            self.config.set_table(step.switch, step.table.clone());
-            if let Some(snapshot) = cache.lookup(spec, &self.config) {
-                if snapshot.as_ref().is_some_and(|s| self.checker.restore(s)) {
-                    cache.note_restore();
-                    carried.clear();
-                } else {
-                    carried.extend(changed);
-                }
-                continue;
-            }
-            let mut change_set = std::mem::take(&mut carried);
-            change_set.extend(changed);
-            change_set.sort_unstable();
-            change_set.dedup();
-            let outcome = self.checker.recheck(kripke, spec, &change_set);
-            checks += 1;
-            states_labeled += outcome.stats.states_labeled;
-            if !outcome.holds {
-                self.pending = carried;
-                return SequenceOutcome {
-                    first_failure: Some(index),
-                    counterexample: outcome.counterexample,
-                    steps_applied: index + 1,
-                    checks,
-                    states_labeled,
-                };
-            }
-            cache.publish(spec, &self.config, || self.checker.snapshot());
-        }
-        self.pending = carried;
-        SequenceOutcome {
+        self.sync_deferred(encoder, base);
+        let mut outcome = SequenceOutcome {
             first_failure: None,
             counterexample: None,
             steps_applied: steps.len(),
-            checks,
-            states_labeled,
+            checks: 0,
+            states_labeled: 0,
+        };
+        for (index, step) in steps.iter().enumerate() {
+            let kripke = self.kripke.as_mut().expect("synced above");
+            let rewired = encoder.apply_switch_update(kripke, step.switch, &step.table);
+            self.pending.extend(rewired);
+            self.config.set_table(step.switch, step.table.clone());
+            let Some(check) = self.recheck_cached(spec, cache) else {
+                continue;
+            };
+            outcome.checks += 1;
+            outcome.states_labeled += check.stats.states_labeled;
+            if !check.holds {
+                outcome.first_failure = Some(index);
+                outcome.counterexample = check.counterexample;
+                outcome.steps_applied = index + 1;
+                break;
+            }
         }
+        outcome
     }
 
     /// Resets the context for a new `(topology, classes)` series: the
-    /// structures are dropped (their state space no longer applies) while the
-    /// checkers are kept and told to forget their cached results
-    /// ([`ModelChecker::begin_query`]), recycling their backing storage.
+    /// structure is dropped (its state space no longer applies) while the
+    /// checker is kept and told to forget its cached results
+    /// ([`ModelChecker::begin_query`]), recycling its backing storage.
     pub(crate) fn begin_new_series(&mut self) {
         self.kripke = None;
-        self.probe_kripke = None;
         self.config = Configuration::new();
-        self.probe_config = Configuration::new();
         self.pending.clear();
         self.checker.begin_query();
-        self.probe_checker.begin_query();
     }
 }
 
-/// Rewires `kripke` (currently encoding `from`) to encode `to`, one differing
-/// switch at a time, returning the sorted, deduplicated set of states whose
-/// wiring changed.
-fn diff_sync(
+/// The checks every request opens with, and their bookkeeping: the initial
+/// configuration through the checkpoint cache (line 7 of the paper's
+/// algorithm; across a churn stream it is the previous request's accepted
+/// final configuration, so the cache usually knows the verdict), the
+/// trivial-update return, then the final configuration — physically, by diff
+/// on the same structure, which is left *at* `final_config`. The charged
+/// schedule pays both checks whoever answered.
+///
+/// Returns `Break` with the empty sequence when there is nothing to update,
+/// `Continue` with the statistics so far otherwise.
+pub(crate) fn check_endpoints(
+    ctx: &mut CheckContext,
     encoder: &NetworkKripke,
-    kripke: &mut Kripke,
-    from: &Configuration,
-    to: &Configuration,
-) -> Vec<StateId> {
-    let mut changed = Vec::new();
-    for sw in from.differing_switches(to) {
-        changed.extend(encoder.apply_switch_update(kripke, sw, &to.table(sw)));
+    problem: &UpdateProblem,
+    units: &[UpdateUnit],
+    cache: &CheckpointCache,
+) -> Result<ControlFlow<UpdateSequence, SynthStats>, SynthesisError> {
+    let mut stats = SynthStats::default();
+    // `None` is the cache answering "holds" without a model-checker call.
+    let mut charge = |outcome: Option<CheckOutcome>| {
+        stats.charged_calls += 1;
+        outcome.is_none_or(|outcome| {
+            stats.model_checker_calls += 1;
+            stats.states_relabeled += outcome.stats.states_labeled;
+            outcome.holds
+        })
+    };
+
+    ctx.sync_deferred(encoder, &problem.initial);
+    if !charge(ctx.recheck_cached(&problem.spec, cache)) {
+        return Err(SynthesisError::InitialConfigurationViolates);
     }
-    changed.sort_unstable();
-    changed.dedup();
-    changed
+    if units.is_empty() {
+        return Ok(ControlFlow::Break(UpdateSequence {
+            commands: CommandSeq::new(),
+            order: Vec::new(),
+            stats,
+        }));
+    }
+    // Every complete sequence of a problem whose target violates the
+    // specification would end in a violating state.
+    ctx.sync_deferred(encoder, &problem.final_config);
+    if !charge(Some(ctx.recheck(&problem.spec))) {
+        return Err(SynthesisError::FinalConfigurationViolates);
+    }
+    Ok(ControlFlow::Continue(stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netupd_topo::generators;
+    use netupd_topo::scenario::{diamond_scenario, PropertyKind};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The final-configuration check goes to `final` by diff on the one
+    /// structure; wherever the context is taken next — straight on, or back
+    /// to `initial` by deferred sync as the DFS does — the next recheck must
+    /// report what a cold full check of that configuration reports, verdict
+    /// and counterexample state for state.
+    #[test]
+    fn the_final_check_leaves_the_context_agreeing_with_a_cold_one() {
+        let mut rng = StdRng::seed_from_u64(2024);
+        let graph = generators::fat_tree(4);
+        let scenario = diamond_scenario(&graph, PropertyKind::ServiceChain { length: 2 }, &mut rng)
+            .expect("fat-trees admit diamond scenarios");
+        let problem = UpdateProblem::from_scenario(&scenario);
+        let encoder = NetworkKripke::new(problem.topology.clone(), problem.classes.clone())
+            .with_ingress_hosts(problem.ingress_hosts.iter().copied());
+        let cache = CheckpointCache::new(0);
+        let units = crate::units::plan_units(&problem, crate::options::Granularity::Switch);
+
+        let mut violations = 0;
+        for backend in Backend::ALL {
+            for &sw in &problem.switches_to_update() {
+                let next = problem.initial.updated(sw, problem.final_config.table(sw));
+                let mut cold = CheckContext::fresh(backend);
+                cold.sync_deferred(&encoder, &next);
+                let cold = cold.recheck(&problem.spec);
+                violations += usize::from(cold.counterexample.is_some());
+                for via_initial in [false, true] {
+                    let mut ctx = CheckContext::fresh(backend);
+                    let entry = check_endpoints(&mut ctx, &encoder, &problem, &units, &cache);
+                    assert!(matches!(entry, Ok(ControlFlow::Continue(_))));
+                    assert_eq!(ctx.config, problem.final_config);
+                    assert!(ctx.pending.is_empty());
+                    if via_initial {
+                        ctx.sync_deferred(&encoder, &problem.initial);
+                        assert!(!ctx.pending.is_empty());
+                    }
+                    ctx.sync_deferred(&encoder, &next);
+                    let warm = ctx.recheck(&problem.spec);
+                    assert_eq!(warm.holds, cold.holds, "{backend} {sw}");
+                    assert_eq!(warm.counterexample, cold.counterexample, "{backend} {sw}");
+                }
+            }
+        }
+        assert!(violations > 0, "no intermediate configuration violated");
+    }
 }

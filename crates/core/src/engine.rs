@@ -11,9 +11,9 @@
 //!
 //! * the **encoder** ([`NetworkKripke`]) with its cached per-`(topology,
 //!   classes)` skeleton is built once;
-//! * the **checking context** (Kripke structure + checker + probe pair)
-//!   persists, so each request syncs the structures *by per-switch diff*
-//!   from wherever the previous request left them and rechecks
+//! * the **checking context** (one Kripke structure + one checker)
+//!   persists, so each request syncs the structure *by per-switch diff*
+//!   from wherever the previous request left it and rechecks
 //!   incrementally, instead of encoding and labeling from scratch;
 //! * closures and proposition resolutions are shared per `(spec, table)`
 //!   via `netupd_ltl::cache`, so a repeated spec across the stream resolves
@@ -57,15 +57,16 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use netupd_kripke::NetworkKripke;
 use netupd_ltl::semantics;
-use netupd_model::{CommandSeq, Configuration, HostId, Network, SwitchId, Topology, TrafficClass};
+use netupd_model::{Configuration, HostId, Network, SwitchId, Topology, TrafficClass};
 
 use crate::checkpoint::CheckpointCache;
 use crate::constraints::LearntConstraint;
-use crate::context::CheckContext;
+use crate::context::{check_endpoints, CheckContext};
 use crate::explain::InfeasibilityExplanation;
 use crate::options::{Granularity, SearchStrategy, SynthesisOptions};
 use crate::problem::UpdateProblem;
@@ -79,7 +80,7 @@ use crate::units::{plan_units, UpdateUnit};
 ///
 /// Feeding the engine a problem over a *different* topology, class set, or
 /// ingress set is allowed but forfeits the amortization: the engine rebuilds
-/// its encoder and resets its contexts (recycling checker storage via
+/// its encoder and resets its context (recycling checker storage via
 /// [`begin_query`](netupd_mc::ModelChecker::begin_query)) and serves the
 /// request cold.
 pub struct UpdateEngine {
@@ -191,7 +192,7 @@ impl UpdateEngine {
     }
 
     /// Number of times an incompatible problem forced the engine to rebuild
-    /// its encoder and reset its contexts. Zero for a well-behaved stream.
+    /// its encoder and reset its context. Zero for a well-behaved stream.
     pub fn rebuilds(&self) -> usize {
         self.rebuilds
     }
@@ -199,7 +200,7 @@ impl UpdateEngine {
     /// Re-pins the engine to a (possibly different) problem triple without
     /// serving a request: if the problem is incompatible with the engine's
     /// current `(topology, classes, ingress)`, the encoder is rebuilt and the
-    /// contexts reset exactly as an incompatible [`solve`](Self::solve) would
+    /// context reset exactly as an incompatible [`solve`](Self::solve) would
     /// do; a compatible problem is a no-op.
     ///
     /// This is the recycling hook for serving-layer pools: an engine evicted
@@ -239,39 +240,44 @@ impl UpdateEngine {
         let hits_before = self.cache.hits();
         let restores_before = self.cache.restores();
         let units = plan_units(problem, self.options.granularity);
-        let result = match self.options.strategy {
-            SearchStrategy::SatGuided => {
-                // Carry is scoped to switch granularity: there one unit is
-                // one switch, so the switch-level harvest translates
-                // one-to-one into the next request's unit indices.
-                let carry_enabled =
-                    self.options.carry_forward && self.options.granularity == Granularity::Switch;
-                let carry_in = if carry_enabled {
-                    self.sat_carry
-                        .take()
-                        .map(|carry| revalidate_carry(&carry, problem, &units, &self.cache))
-                } else {
-                    self.sat_carry = None;
-                    None
-                };
-                let mut artifacts = sat_guided::Artifacts::default();
-                let result = sat_guided::solve(
-                    problem,
-                    &self.options,
-                    &units,
-                    &self.encoder,
-                    &self.cache,
-                    &mut self.ctx,
-                    carry_in,
-                    Some(&mut artifacts),
-                );
-                self.last_explanation = artifacts.explanation.take();
-                if carry_enabled && result.is_ok() {
-                    self.sat_carry = Some(harvest_carry(&artifacts, &units));
+        // Carry is the SAT-guided strategy's, scoped to switch granularity:
+        // there one unit is one switch, so the switch-level harvest translates
+        // one-to-one into the next request's unit indices.
+        let carry_enabled = self.options.strategy == SearchStrategy::SatGuided
+            && self.options.carry_forward
+            && self.options.granularity == Granularity::Switch;
+        let carry_in = self
+            .sat_carry
+            .take()
+            .filter(|_| carry_enabled)
+            .map(|carry| revalidate_carry(&carry, problem, &units, &self.cache));
+        let backend = self.options.backend;
+        let ctx = self.ctx.get_or_insert_with(|| CheckContext::fresh(backend));
+        let result = match check_endpoints(ctx, &self.encoder, problem, &units, &self.cache) {
+            Err(error) => Err(error),
+            Ok(ControlFlow::Break(trivial)) => Ok(trivial),
+            Ok(ControlFlow::Continue(stats)) => match self.options.strategy {
+                SearchStrategy::SatGuided => {
+                    let mut artifacts = sat_guided::Artifacts::default();
+                    let result = sat_guided::solve(
+                        problem,
+                        &self.options,
+                        &units,
+                        &self.encoder,
+                        &self.cache,
+                        ctx,
+                        stats,
+                        carry_in,
+                        Some(&mut artifacts),
+                    );
+                    self.last_explanation = artifacts.explanation.take();
+                    if carry_enabled && result.is_ok() {
+                        self.sat_carry = Some(harvest_carry(&artifacts, &units));
+                    }
+                    result
                 }
-                result
-            }
-            SearchStrategy::Dfs => self.solve_dfs(problem, &units),
+                SearchStrategy::Dfs => self.solve_dfs(problem, &units, stats),
+            },
         };
         result.map(|mut update| {
             update.stats.checkpoint_hits = self.cache.hits() - hits_before;
@@ -290,8 +296,8 @@ impl UpdateEngine {
     }
 
     /// Re-pins the engine to the problem's triple: a new encoder (new
-    /// skeleton), structures dropped, checkers kept but reset via
-    /// `begin_query` so their backing storage is recycled.
+    /// skeleton), structure dropped, checker kept but reset via
+    /// `begin_query` so its backing storage is recycled.
     fn rebuild(&mut self, problem: &UpdateProblem) {
         self.topology = Arc::clone(&problem.topology);
         self.classes = problem.classes.clone();
@@ -315,56 +321,21 @@ impl UpdateEngine {
         self.last_explanation.as_ref()
     }
 
-    /// The `OrderUpdate` DFS over the persistent context. Mirrors the paper's
-    /// algorithm exactly; the only difference from a one-shot run is that the
-    /// initial check and final probe sync existing structures by diff instead
-    /// of encoding fresh ones.
+    /// The `OrderUpdate` DFS over the persistent context, after the entry
+    /// checks. Mirrors the paper's algorithm exactly; the only difference from
+    /// a one-shot run is that the structure is synced by diff, not encoded
+    /// afresh.
     fn solve_dfs(
         &mut self,
         problem: &UpdateProblem,
-        units: &[crate::units::UpdateUnit],
+        units: &[UpdateUnit],
+        stats: SynthStats,
     ) -> Result<UpdateSequence, SynthesisError> {
-        let backend = self.options.backend;
-        let ctx = self.ctx.get_or_insert_with(|| CheckContext::fresh(backend));
-        let mut stats = SynthStats::default();
-
-        // Check the initial configuration (line 7 of the paper's algorithm).
-        // Across a churn stream the previous request's accepted final
-        // configuration — this request's initial — is usually checkpointed,
-        // so the physical check is often skipped; either way the charged
-        // schedule pays it.
-        let initial_outcome =
-            ctx.check_config_cached(&self.encoder, &problem.initial, &problem.spec, &self.cache);
-        stats.charged_calls += 1;
-        if let Some(outcome) = &initial_outcome {
-            stats.model_checker_calls += 1;
-            stats.states_relabeled += outcome.stats.states_labeled;
-        }
-        if !initial_outcome.as_ref().is_none_or(|o| o.holds) {
-            return Err(SynthesisError::InitialConfigurationViolates);
-        }
-        if units.is_empty() {
-            return Ok(UpdateSequence {
-                commands: CommandSeq::new(),
-                order: Vec::new(),
-                stats,
-            });
-        }
-
-        // Reject problems whose target configuration is itself incorrect:
-        // every complete sequence would end in a violating state. The probe
-        // runs on the context's dedicated probe structure and checker, so the
-        // search checker's incremental labels survive — the same isolation
-        // the one-shot path's fresh probe instance provided.
-        {
-            let outcome = ctx.probe_config(&self.encoder, &problem.final_config, &problem.spec);
-            stats.model_checker_calls += 1;
-            stats.charged_calls += 1;
-            stats.states_relabeled += outcome.stats.states_labeled;
-            if !outcome.holds {
-                return Err(SynthesisError::FinalConfigurationViolates);
-            }
-        }
+        // The final check left the structure at the final configuration; the
+        // search starts from the initial one. The way back is a deferred
+        // undo: rewired now, relabeled by the DFS's first physical recheck.
+        let ctx = self.ctx.as_mut().expect("the entry checks ran on it");
+        ctx.sync_deferred(&self.encoder, &problem.initial);
 
         // The DFS drives the persistent structure and checker directly; it
         // leaves them consistent at whatever configuration it ends on (modulo
@@ -421,8 +392,7 @@ impl UpdateEngine {
     }
 }
 
-/// Harvests the switch-level carry of a successful SAT-guided run (empty
-/// after a trivial request with no units, so nothing stale is left behind).
+/// Harvests the switch-level carry of a successful SAT-guided run.
 fn harvest_carry(artifacts: &sat_guided::Artifacts, units: &[UpdateUnit]) -> SatCarry {
     let switches = |indices: &[usize]| -> BTreeSet<SwitchId> {
         indices.iter().map(|&i| units[i].switch()).collect()
@@ -471,7 +441,7 @@ fn harvest_carry(artifacts: &sat_guided::Artifacts, units: &[UpdateUnit]) -> Sat
 ///   clause pre-loaded.
 /// * **PrefixSet(P)** survives iff `P ⊆ U`, `P ≠ U` (blocking the full set
 ///   would yield the empty clause — and a violating full set is the final
-///   probe's job), and the configuration with exactly `P` updated violates
+///   check's job), and the configuration with exactly `P` updated violates
 ///   the specification. That *is* the clause's premise, re-derived.
 /// * **Order** clauses never survive: an exact order over the old unit set
 ///   has no sound reading over the new one. They count as retired.
@@ -700,7 +670,7 @@ mod tests {
             engine.solve(&broken).unwrap_err(),
             SynthesisError::InitialConfigurationViolates
         );
-        // And a violating final configuration (warm probe context).
+        // And a violating final configuration (warm context).
         let mut broken = problems[0].clone();
         broken.final_config = Configuration::new();
         assert!(!broken.switches_to_update().is_empty());

@@ -47,7 +47,7 @@ use std::collections::{BTreeSet, HashSet};
 
 use netupd_kripke::NetworkKripke;
 use netupd_mc::SequenceStep;
-use netupd_model::{CommandSeq, Configuration};
+use netupd_model::Configuration;
 
 use crate::checkpoint::CheckpointCache;
 use crate::constraints::{LearntConstraint, UnitOrdering};
@@ -98,7 +98,10 @@ pub(crate) struct Artifacts {
     pub explanation: Option<InfeasibilityExplanation>,
 }
 
-/// Runs the SAT-guided strategy over the engine's persistent context.
+/// Runs the SAT-guided strategy over the engine's persistent context, after
+/// the entry checks (`stats` is what they charged). They leave the structure
+/// at the final configuration; every verification walk below starts by
+/// syncing to its own base.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve(
     problem: &UpdateProblem,
@@ -106,52 +109,13 @@ pub(crate) fn solve(
     units: &[UpdateUnit],
     encoder: &NetworkKripke,
     cache: &CheckpointCache,
-    ctx: &mut Option<CheckContext>,
+    ctx: &mut CheckContext,
+    // `stats.charged_calls` is the deterministic budget: one charge per check
+    // the walk asks for, whether the cache or the checker answers it.
+    mut stats: SynthStats,
     carry: Option<CarryIn>,
     mut artifacts: Option<&mut Artifacts>,
 ) -> Result<UpdateSequence, SynthesisError> {
-    let ctx = ctx.get_or_insert_with(|| CheckContext::fresh(options.backend));
-    // `stats.charged_calls` is the deterministic budget: one charge per check
-    // the walk asks for, whether the cache or the checker answers it.
-    let mut stats = SynthStats::default();
-
-    // Check the initial configuration (line 7 of the paper's algorithm) —
-    // through the checkpoint cache: across a churn stream the previous
-    // request's final configuration is this request's initial one, so the
-    // cache usually knows the verdict (and the snapshot restores the
-    // checker's labels wholesale).
-    {
-        let outcome = ctx.check_config_cached(encoder, &problem.initial, &problem.spec, cache);
-        stats.charged_calls += 1;
-        if let Some(outcome) = &outcome {
-            stats.model_checker_calls += 1;
-            stats.states_relabeled += outcome.stats.states_labeled;
-        }
-        if !outcome.as_ref().is_none_or(|o| o.holds) {
-            return Err(SynthesisError::InitialConfigurationViolates);
-        }
-    }
-    if units.is_empty() {
-        return Ok(UpdateSequence {
-            commands: CommandSeq::new(),
-            order: Vec::new(),
-            stats,
-        });
-    }
-
-    // Reject problems whose target configuration is itself incorrect (the
-    // same dedicated probe structure/checker the DFS uses, so the search
-    // checker's incremental labels survive).
-    {
-        let outcome = ctx.probe_config(encoder, &problem.final_config, &problem.spec);
-        stats.model_checker_calls += 1;
-        stats.charged_calls += 1;
-        stats.states_relabeled += outcome.stats.states_labeled;
-        if !outcome.holds {
-            return Err(SynthesisError::FinalConfigurationViolates);
-        }
-    }
-
     let n = units.len();
     let mut store = UnitOrdering::new(n);
     // Prefix *sets* already verified to hold. A prefix verdict is a pure

@@ -464,6 +464,51 @@ mod tests {
         }
     }
 
+    /// `states_of_switch` against the linear scan it replaced, for every
+    /// switch with a state and one without.
+    fn assert_switch_index_matches_scan(kripke: &Kripke, context: &str) {
+        let mut switches: Vec<SwitchId> = kripke.states().map(|s| kripke.key(s).switch).collect();
+        switches.push(SwitchId(9_999));
+        for sw in switches {
+            let scanned: Vec<StateId> = kripke
+                .states()
+                .filter(|s| kripke.key(*s).switch == sw)
+                .collect();
+            assert_eq!(kripke.states_of_switch(sw), scanned, "{context}: {sw}");
+        }
+    }
+
+    #[test]
+    fn switch_index_matches_a_scan_through_every_rewiring() {
+        let (topo, config, s0, s1) = line();
+        let other_class = TrafficClass::new().with_field(Field::Dst, 2);
+        let encoder = NetworkKripke::new(topo, vec![class(), other_class]);
+        assert_switch_index_matches_scan(encoder.skeleton(), "skeleton");
+
+        let mut kripke = encoder.encode(&config);
+        assert_switch_index_matches_scan(&kripke, "encoded clone");
+        for sw in [s0, s1] {
+            assert_eq!(
+                kripke.states_of_switch(sw),
+                encoder.skeleton().states_of_switch(sw),
+                "a clone sees its skeleton's index"
+            );
+            assert!(!kripke.states_of_switch(sw).is_empty());
+        }
+
+        let delta = kripke.capture_delta(&kripke.states_of_switch(s0));
+        assert!(!encoder
+            .apply_switch_update(&mut kripke, s0, &Table::empty())
+            .is_empty());
+        assert_switch_index_matches_scan(&kripke, "after apply_switch_update");
+        assert!(!kripke.restore_delta(&delta).expect("same arena").is_empty());
+        assert_switch_index_matches_scan(&kripke, "after restore_delta");
+        assert!(!encoder
+            .reset_to(&mut kripke, &Configuration::new())
+            .is_empty());
+        assert_switch_index_matches_scan(&kripke, "after reset_to");
+    }
+
     #[test]
     fn per_class_components_are_disjoint() {
         let (topo, config, ..) = line();

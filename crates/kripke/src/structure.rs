@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use netupd_ltl::{Prop, PropId, PropSet, PropSetRef, PropTable};
 use netupd_model::{PortId, SwitchId};
@@ -139,6 +140,10 @@ pub struct Kripke {
     props: PropTable,
     keys: Vec<StateKey>,
     index: HashMap<u128, StateId>,
+    /// The states of each switch in id order, filled by `add_state`. Shared
+    /// rather than deep-copied by `clone` — the encoder's skeleton fixes the
+    /// state space, so its per-`encode` clones never write to it.
+    by_switch: Arc<HashMap<SwitchId, Vec<StateId>>>,
     /// Arena stride: number of `u64` words each state's label row occupies.
     /// Grows (rarely — at 64-proposition boundaries) via `ensure_stride`.
     label_words: usize,
@@ -155,6 +160,7 @@ impl Default for Kripke {
             props: PropTable::new(),
             keys: Vec::new(),
             index: HashMap::new(),
+            by_switch: Arc::default(),
             label_words: 1,
             labels: Vec::new(),
             successors: Vec::new(),
@@ -261,6 +267,10 @@ impl Kripke {
         let id = StateId(self.keys.len());
         self.keys.push(key);
         self.index.insert(key.packed(), id);
+        Arc::make_mut(&mut self.by_switch)
+            .entry(key.switch)
+            .or_default()
+            .push(id);
         let row_start = self.labels.len();
         self.labels.resize(row_start + self.label_words, 0);
         self.labels[row_start..row_start + set.words().len()].copy_from_slice(set.words());
@@ -480,11 +490,9 @@ impl Kripke {
         self.states().filter(|s| self.is_sink(*s)).collect()
     }
 
-    /// The states whose key refers to the given switch.
+    /// The states whose key refers to the given switch, in id order.
     pub fn states_of_switch(&self, switch: SwitchId) -> Vec<StateId> {
-        self.states()
-            .filter(|s| self.keys[s.0].switch == switch)
-            .collect()
+        self.by_switch.get(&switch).cloned().unwrap_or_default()
     }
 }
 
@@ -688,5 +696,15 @@ mod tests {
         let (k, [a, ..]) = diamond();
         assert_eq!(k.states_of_switch(SwitchId(0)), vec![a]);
         assert!(k.states_of_switch(SwitchId(9)).is_empty());
+    }
+
+    #[test]
+    fn a_clone_shares_the_switch_index_until_it_adds_a_state() {
+        let (k, [a, ..]) = diamond();
+        let mut clone = k.clone();
+        assert!(Arc::ptr_eq(&k.by_switch, &clone.by_switch));
+        let extra = clone.add_state(key(0, 2), label(0));
+        assert_eq!(clone.states_of_switch(SwitchId(0)), vec![a, extra]);
+        assert_eq!(k.states_of_switch(SwitchId(0)), vec![a]);
     }
 }

@@ -97,9 +97,13 @@ impl Configuration {
             .collect();
         switches.sort_unstable();
         switches.dedup();
+        // An unset switch compares as the empty table, by reference.
+        let empty = Table::default();
         switches
             .into_iter()
-            .filter(|sw| self.table(*sw) != other.table(*sw))
+            .filter(|sw| {
+                self.table_ref(*sw).unwrap_or(&empty) != other.table_ref(*sw).unwrap_or(&empty)
+            })
             .collect()
     }
 
@@ -183,6 +187,14 @@ mod tests {
         let a = Configuration::new();
         let b = Configuration::new().with_table(SwitchId(3), simple_table(1));
         assert_eq!(a.differing_switches(&b), vec![SwitchId(3)]);
+    }
+
+    #[test]
+    fn differing_switches_treats_unset_as_the_empty_table() {
+        let unset = Configuration::new().with_table(SwitchId(1), simple_table(2));
+        let explicit = unset.clone().with_table(SwitchId(3), Table::empty());
+        assert!(unset.differing_switches(&explicit).is_empty());
+        assert!(explicit.differing_switches(&unset).is_empty());
     }
 
     #[test]

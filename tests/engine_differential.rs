@@ -251,3 +251,66 @@ fn engine_amortization_shows_in_the_work_counters() {
         "engine reuse must relabel fewer states across the stream: {reused_relabeled} vs {fresh_relabeled}"
     );
 }
+
+/// A request whose *final* configuration violates the specification is
+/// answered on the engine's one search structure (the final-configuration
+/// check goes there by diff) and must leave no trace: the rejection matches
+/// the one-shot path, and every later request of the stream commits the
+/// commands and order a fresh `Synthesizer` would — with the same
+/// deterministic schedule wherever the cross-request carry (which
+/// legitimately shortens a SAT-guided schedule) cannot engage.
+#[test]
+fn a_rejected_final_configuration_leaves_no_trace_on_a_warm_engine() {
+    let problems = churn_problems(PropertyKind::Reachability, 4, 101);
+    let mut broken = problems[1].clone();
+    broken.final_config = netupd::model::Configuration::new();
+    assert!(!broken.switches_to_update().is_empty());
+    for backend in Backend::ALL {
+        for (options, schedule_is_fresh) in [
+            (SynthesisOptions::with_backend(backend), true),
+            (
+                SynthesisOptions::with_backend(backend).strategy(SearchStrategy::SatGuided),
+                false,
+            ),
+            (
+                SynthesisOptions::with_backend(backend)
+                    .strategy(SearchStrategy::SatGuided)
+                    .carry_forward(false),
+                true,
+            ),
+        ] {
+            let label = format!("{backend} {}", options.strategy);
+            let fresh = |problem: &UpdateProblem| {
+                Synthesizer::new(problem.clone())
+                    .with_options(options.clone())
+                    .synthesize()
+            };
+            let mut engine = UpdateEngine::for_problem(&problems[0], options.clone());
+            engine.solve(&problems[0]).expect("warm-up solve");
+            assert_eq!(
+                fresh(&broken).unwrap_err(),
+                SynthesisError::FinalConfigurationViolates,
+                "{label}: fresh"
+            );
+            assert_eq!(
+                engine.solve(&broken).unwrap_err(),
+                SynthesisError::FinalConfigurationViolates,
+                "{label}: engine"
+            );
+            for (step, problem) in problems.iter().enumerate() {
+                let f = fresh(problem).expect("fresh solves");
+                let r = engine.solve(problem).expect("engine solves");
+                assert_eq!(f.commands, r.commands, "{label} step {step}: commands");
+                assert_eq!(f.order, r.order, "{label} step {step}: unit order");
+                if schedule_is_fresh {
+                    assert_eq!(
+                        f.stats.schedule_view(),
+                        r.stats.schedule_view(),
+                        "{label} step {step}: schedule"
+                    );
+                }
+            }
+            assert_eq!(engine.rebuilds(), 0, "{label}");
+        }
+    }
+}

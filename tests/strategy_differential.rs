@@ -327,7 +327,7 @@ fn dfs_early_termination_stays_out_of_the_solver() {
 
 #[test]
 fn a_trivial_update_charges_its_one_check_under_both_strategies() {
-    // No switch changes: one initial check, no probe, no search. Both
+    // No switch changes: one initial check, no final check, no search. Both
     // strategies issue that one check and must charge it — SAT-guided used
     // to report `charged_calls = 0` here because it wrote the charge only at
     // the end of its loop.
@@ -352,5 +352,30 @@ fn a_trivial_update_charges_its_one_check_under_both_strategies() {
         engine.solve(&base).expect("warm-up solve");
         let served = engine.solve(&trivial).expect("no-op update");
         assert_eq!(served.stats.charged_calls, 1, "{strategy} engine");
+    }
+}
+
+#[test]
+fn a_fresh_request_labels_the_network_once() {
+    // A fresh request asks two whole-configuration questions — does the
+    // initial configuration satisfy the specification, does the final one —
+    // and only the first is a full labelling: the second goes to the final
+    // configuration by diff on the same structure and relabels the rewired
+    // states' ancestors. With the search on top the request must stay under
+    // two full labellings (a second structure and checker for the final
+    // question cost exactly that much on their own).
+    let problem = small_world_two_diamonds_problem();
+    let encoder =
+        netupd::kripke::NetworkKripke::new(problem.topology.clone(), problem.classes.clone())
+            .with_ingress_hosts(problem.ingress_hosts.iter().copied());
+    let states = encoder.encode(&problem.initial).len();
+    for strategy in SearchStrategy::ALL {
+        let options = SynthesisOptions::with_backend(Backend::Incremental).strategy(strategy);
+        let stats = synthesize(&problem, &options).expect("solvable").stats;
+        assert!(
+            (states..2 * states).contains(&stats.states_relabeled),
+            "{strategy}: {} states relabeled on a {states}-state structure",
+            stats.states_relabeled
+        );
     }
 }
