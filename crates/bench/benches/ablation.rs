@@ -54,7 +54,6 @@ fn bench_ablation(c: &mut Criterion) {
             "sat conflicts/clauses/learnt/deleted",
             "sat restarts/decisions",
             "unsat core",
-            "carried/retired",
             "cegis iters",
         ],
     );
@@ -84,7 +83,7 @@ fn bench_ablation(c: &mut Criterion) {
                 Ok(stats) => Some(stats.clone()),
                 Err(_) => infeasible_stats(&workload.problem, &options),
             };
-            let (calls, charged, relabeled, sat, restarts, core, carry, iters) = match &row_stats {
+            let (calls, charged, relabeled, sat, restarts, core, iters) = match &row_stats {
                 Some(stats) => (
                     stats.model_checker_calls.to_string(),
                     stats.charged_calls.to_string(),
@@ -98,17 +97,12 @@ fn bench_ablation(c: &mut Criterion) {
                     ),
                     format!("{}/{}", stats.sat_restarts, stats.sat_decisions),
                     stats.unsat_core_size.to_string(),
-                    format!(
-                        "{}/{}",
-                        stats.constraints_carried, stats.constraints_retired
-                    ),
                     stats.cegis_iterations.to_string(),
                 ),
                 None => (
                     "0".to_string(),
                     "0".to_string(),
                     "0".to_string(),
-                    "-".to_string(),
                     "-".to_string(),
                     "-".to_string(),
                     "-".to_string(),
@@ -125,7 +119,6 @@ fn bench_ablation(c: &mut Criterion) {
                 sat,
                 restarts,
                 core,
-                carry,
                 iters,
             ]);
             group.bench_function(format!("{workload_name}/{name}"), |b| {

@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use netupd_bench::{
-    criterion_budget, diamond_workload, fmt_min_mean_max, print_header, print_row, probe_run,
-    report_samples, sample_synthesis_with, BenchReport, TopologyFamily,
+    criterion_budget, diamond_workload, fmt_min_mean_max, print_header, print_row, report_samples,
+    sample_synthesis_with, BenchReport, TopologyFamily,
 };
 use netupd_mc::Backend;
 use netupd_synth::{SearchStrategy, SynthesisOptions};
@@ -49,7 +49,6 @@ fn bench_backends(c: &mut Criterion) {
                 }
                 for strategy in SearchStrategy::ALL {
                     let options = SynthesisOptions::with_backend(backend).strategy(strategy);
-                    let checkpoint = probe_run(&workload.problem, &options);
                     let samples =
                         sample_synthesis_with(&workload.problem, &options, samples_per_series);
                     print_row(&[
@@ -78,9 +77,6 @@ fn bench_backends(c: &mut Criterion) {
                             ("strategy", strategy.name()),
                             ("switches", &workload.switches.to_string()),
                             ("rules", &workload.rules.to_string()),
-                            ("checkpoint_hits", &checkpoint.hits.to_string()),
-                            ("checkpoint_restores", &checkpoint.restores.to_string()),
-                            ("checkpoint_bytes", &checkpoint.bytes.to_string()),
                         ],
                         &samples,
                     );

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use netupd_bench::{
-    criterion_budget, fmt_min_mean_max, multi_diamond_workload, print_header, print_row, probe_run,
+    criterion_budget, fmt_min_mean_max, multi_diamond_workload, print_header, print_row,
     report_samples, sample_synthesis_with, time_synthesis_with, BenchReport, TopologyFamily,
 };
 use netupd_mc::Backend;
@@ -47,7 +47,6 @@ fn bench_scalability(c: &mut Criterion) {
             for strategy in SearchStrategy::ALL {
                 let options =
                     SynthesisOptions::with_backend(Backend::Incremental).strategy(strategy);
-                let checkpoint = probe_run(&workload.problem, &options);
                 let samples =
                     sample_synthesis_with(&workload.problem, &options, samples_per_series);
                 print_row(&[
@@ -76,9 +75,6 @@ fn bench_scalability(c: &mut Criterion) {
                             "updating_switches",
                             &workload.scenario.updating_switches().to_string(),
                         ),
-                        ("checkpoint_hits", &checkpoint.hits.to_string()),
-                        ("checkpoint_restores", &checkpoint.restores.to_string()),
-                        ("checkpoint_bytes", &checkpoint.bytes.to_string()),
                     ],
                     &samples,
                 );

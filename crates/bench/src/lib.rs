@@ -198,30 +198,6 @@ pub fn double_diamond_workload(
     }
 }
 
-/// Prefix-checkpoint cache counters of a run — attached to every bench
-/// record so the cache's effect on synthesis work stays diffable across PRs
-/// alongside the wall-clock numbers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CheckpointCounters {
-    /// Checkpoint-cache hits (verdicts reused without a checker call).
-    pub hits: usize,
-    /// Hits that also restored a checker snapshot instead of replaying the
-    /// configuration change set.
-    pub restores: usize,
-    /// Resident cache bytes.
-    pub bytes: usize,
-}
-
-impl CheckpointCounters {
-    /// Folds one request's [`SynthStats`] into the aggregate: hits and
-    /// restores accumulate, bytes keeps the high-water mark.
-    pub fn absorb(&mut self, stats: &SynthStats) {
-        self.hits += stats.checkpoint_hits;
-        self.restores += stats.checkpoint_restores;
-        self.bytes = self.bytes.max(stats.checkpoint_bytes);
-    }
-}
-
 /// Statistics of a constraint-proven infeasible run, recovered from the
 /// engine's explanation side channel — the error path returns no
 /// `UpdateSequence`, so [`UpdateEngine::last_explanation`] is the only place
@@ -274,17 +250,6 @@ pub fn time_synthesis_with(
         elapsed,
         outcome: result.map(|r| r.stats),
     }
-}
-
-/// Runs one synthesis and returns the run's deterministic checkpoint-cache
-/// counters (zero when it fails) — the figure benches attach them to their
-/// JSON records.
-pub fn probe_run(problem: &UpdateProblem, options: &SynthesisOptions) -> CheckpointCounters {
-    let mut checkpoint = CheckpointCounters::default();
-    if let Ok(stats) = time_synthesis_with(problem, options.clone()).outcome {
-        checkpoint.absorb(&stats);
-    }
-    checkpoint
 }
 
 /// Runs the synthesizer `runs` times and returns the wall-clock samples

@@ -134,10 +134,9 @@ impl WrongSet {
 
 /// Provenance of one learnt [`UnitOrdering`] clause, in unit indices.
 ///
-/// Kept alongside the selector variable guarding the clause, so that (a) an
+/// Kept alongside the selector variable guarding the clause, so that an
 /// infeasibility verdict can be explained as the minimal conflicting set of
-/// counterexample-level facts, and (b) the engine's cross-request carry can
-/// re-derive whether a clause is still entailed after a churn step.
+/// counterexample-level facts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LearntConstraint {
     /// Some unit of `before` must be applied before some unit of `after`
@@ -235,10 +234,7 @@ fn positions(order: &[usize]) -> Vec<usize> {
 /// Because every clause the CEGIS loop learns is *entailed* — it never
 /// excludes a correct order — the order the loop finally commits is the
 /// lex-min **correct** order, independent of which entailed clauses happen
-/// to be in the store. That invariance is what makes cross-request clause
-/// carry-forward result-preserving: pre-loading entailed clauses from a
-/// previous request changes how much work the loop does, never what it
-/// returns.
+/// to be in the store.
 ///
 /// ## Answering fixing questions on concrete orders
 ///
@@ -659,11 +655,6 @@ impl UnitOrdering {
         self.core.as_deref()
     }
 
-    /// The provenance of every learnt constraint, in learn order.
-    pub fn learnt_constraints(&self) -> impl Iterator<Item = &LearntConstraint> + '_ {
-        self.selectors.iter().map(|(_, c)| c)
-    }
-
     /// Decodes the solver's current model into the total order it describes:
     /// unit `i`'s rank is the number of units the model places before it.
     /// Called only after [`UnitOrdering::solve_acyclic`] answered `Sat`, so
@@ -929,7 +920,7 @@ mod tests {
         let mut store = UnitOrdering::new(units.len());
         assert!(store.learn_counterexample(&[sw(9), sw(5), sw(6)], &updated, &units));
         assert_eq!(
-            store.learnt_constraints().collect::<Vec<_>>(),
+            store.selectors.iter().map(|(_, c)| c).collect::<Vec<_>>(),
             vec![&LearntConstraint::SomeBefore {
                 before: vec![2],
                 after: vec![1],
@@ -967,8 +958,8 @@ mod tests {
 
     #[test]
     fn entailed_clauses_do_not_change_the_proposal() {
-        // Pre-loading clauses entailed by the existing ones (the carry-forward
-        // situation) must leave the lex-min proposal untouched.
+        // Adding clauses entailed by the existing ones must leave the lex-min
+        // proposal untouched.
         let mut plain = UnitOrdering::new(4);
         assert!(plain.require_some_before(&[3], &[0]));
         let mut preloaded = UnitOrdering::new(4);
@@ -1002,26 +993,6 @@ mod tests {
                 other => panic!("unexpected core member {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn learnt_constraints_expose_provenance_in_learn_order() {
-        let mut store = UnitOrdering::new(3);
-        assert!(store.require_some_before(&[2], &[0]));
-        assert!(store.block_prefix_set(&[1].into_iter().collect()));
-        let learnt: Vec<&LearntConstraint> = store.learnt_constraints().collect();
-        assert_eq!(
-            learnt,
-            vec![
-                &LearntConstraint::SomeBefore {
-                    before: vec![2],
-                    after: vec![0],
-                },
-                &LearntConstraint::PrefixSet {
-                    applied: [1].into_iter().collect(),
-                },
-            ]
-        );
     }
 
     /// Brute-force reference for [`UnitOrdering::propose`]: the
@@ -1289,7 +1260,7 @@ mod tests {
     }
 
     /// A session: the unit count, constraints pre-loaded before the first
-    /// proposal (the engine's carry), and the interleaving that follows.
+    /// proposal, and the interleaving that follows.
     fn arb_session() -> BoxedStrategy<(usize, Vec<LearntConstraint>, Vec<Op>)> {
         (2usize..7).prop_flat_map(|n| {
             (

@@ -15,8 +15,8 @@
 //! fixes the state space up front (updates only rewire transitions, ids are
 //! stable) and the labeling engines keep labels in canonical sorted form, so
 //! `holds` and the extracted counterexample do not depend on the history of
-//! rechecks that led to a configuration. Engine reuse, the checkpoint cache
-//! and the deferred-undo discipline of the DFS all rest on this.
+//! rechecks that led to a configuration. Engine reuse and the deferred-undo
+//! discipline of the DFS both rest on this.
 
 use std::ops::ControlFlow;
 
@@ -25,7 +25,6 @@ use netupd_ltl::Ltl;
 use netupd_mc::{Backend, CheckOutcome, ModelChecker, SequenceOutcome, SequenceStep};
 use netupd_model::{CommandSeq, Configuration, Table};
 
-use crate::checkpoint::CheckpointCache;
 use crate::problem::UpdateProblem;
 use crate::search::{SynthStats, SynthesisError, UpdateSequence};
 use crate::units::UpdateUnit;
@@ -50,10 +49,10 @@ pub(crate) struct CheckContext {
     /// The search checker; its cached labels always describe `kripke`.
     checker: Box<dyn ModelChecker>,
     /// States of the search structure rewired without an intervening recheck
-    /// — checkpoint verdict-hits and deferred undos leave the checker's
-    /// labels behind the structure by exactly this set, which is folded into
-    /// the next recheck's change set (the same recheck-from-diff discipline
-    /// the cross-request sync uses).
+    /// — deferred syncs and undos leave the checker's labels behind the
+    /// structure by exactly this set, which is folded into the next recheck's
+    /// change set (the same recheck-from-diff discipline the cross-request
+    /// sync uses).
     pending: Vec<StateId>,
 }
 
@@ -98,26 +97,6 @@ impl CheckContext {
         changed.dedup();
         let kripke = self.kripke.as_ref().expect("structure encoded");
         self.checker.recheck(kripke, spec, &changed)
-    }
-
-    /// [`CheckContext::recheck`] through the checkpoint cache: `None` when
-    /// the encoded configuration is checkpointed as passing (no model-checker
-    /// call — the pending states either vanish under a snapshot restore or
-    /// wait for the next physical recheck), `Some(outcome)` when a physical
-    /// check ran. A passing physical check is published back to the cache.
-    fn recheck_cached(&mut self, spec: &Ltl, cache: &CheckpointCache) -> Option<CheckOutcome> {
-        if let Some(snapshot) = cache.lookup(spec, &self.config) {
-            if snapshot.as_ref().is_some_and(|s| self.checker.restore(s)) {
-                cache.note_restore();
-                self.pending.clear();
-            }
-            return None;
-        }
-        let outcome = self.recheck(spec);
-        if outcome.holds {
-            cache.publish(spec, &self.config, || self.checker.snapshot());
-        }
-        Some(outcome)
     }
 
     /// The mutable search structure, checker, and pending change set, for
@@ -174,53 +153,6 @@ impl CheckContext {
         outcome
     }
 
-    /// [`CheckContext::verify_sequence`] through the checkpoint cache: each
-    /// step's configuration is looked up first, and a known-passing one is
-    /// skipped — its rewired states join the pending set consumed by the next
-    /// physical recheck (or are discharged entirely when the checkpoint's
-    /// snapshot restores). Verdicts are pure functions of `(config, spec)`,
-    /// so the outcome — first failure, counterexample, steps applied — is
-    /// byte-identical to the uncached walk; only `checks`/`states_labeled`
-    /// (work counters) shrink.
-    pub(crate) fn verify_sequence_cached(
-        &mut self,
-        encoder: &NetworkKripke,
-        base: &Configuration,
-        spec: &Ltl,
-        steps: &[SequenceStep],
-        cache: &CheckpointCache,
-    ) -> SequenceOutcome {
-        if !cache.enabled() {
-            return self.verify_sequence(encoder, base, spec, steps);
-        }
-        self.sync_deferred(encoder, base);
-        let mut outcome = SequenceOutcome {
-            first_failure: None,
-            counterexample: None,
-            steps_applied: steps.len(),
-            checks: 0,
-            states_labeled: 0,
-        };
-        for (index, step) in steps.iter().enumerate() {
-            let kripke = self.kripke.as_mut().expect("synced above");
-            let rewired = encoder.apply_switch_update(kripke, step.switch, &step.table);
-            self.pending.extend(rewired);
-            self.config.set_table(step.switch, step.table.clone());
-            let Some(check) = self.recheck_cached(spec, cache) else {
-                continue;
-            };
-            outcome.checks += 1;
-            outcome.states_labeled += check.stats.states_labeled;
-            if !check.holds {
-                outcome.first_failure = Some(index);
-                outcome.counterexample = check.counterexample;
-                outcome.steps_applied = index + 1;
-                break;
-            }
-        }
-        outcome
-    }
-
     /// Resets the context for a new `(topology, classes)` series: the
     /// structure is dropped (its state space no longer applies) while the
     /// checker is kept and told to forget its cached results
@@ -234,12 +166,10 @@ impl CheckContext {
 }
 
 /// The checks every request opens with, and their bookkeeping: the initial
-/// configuration through the checkpoint cache (line 7 of the paper's
-/// algorithm; across a churn stream it is the previous request's accepted
-/// final configuration, so the cache usually knows the verdict), the
-/// trivial-update return, then the final configuration — physically, by diff
-/// on the same structure, which is left *at* `final_config`. The charged
-/// schedule pays both checks whoever answered.
+/// configuration (line 7 of the paper's algorithm; across a churn stream it
+/// is usually where the previous request left the structure, so the sync is
+/// an empty diff), the trivial-update return, then the final configuration —
+/// by diff on the same structure, which is left *at* `final_config`.
 ///
 /// Returns `Break` with the empty sequence when there is nothing to update,
 /// `Continue` with the statistics so far otherwise.
@@ -248,21 +178,18 @@ pub(crate) fn check_endpoints(
     encoder: &NetworkKripke,
     problem: &UpdateProblem,
     units: &[UpdateUnit],
-    cache: &CheckpointCache,
 ) -> Result<ControlFlow<UpdateSequence, SynthStats>, SynthesisError> {
     let mut stats = SynthStats::default();
-    // `None` is the cache answering "holds" without a model-checker call.
-    let mut charge = |outcome: Option<CheckOutcome>| {
+    let mut holds_at = |config: &Configuration| {
+        ctx.sync_deferred(encoder, config);
+        let outcome = ctx.recheck(&problem.spec);
         stats.charged_calls += 1;
-        outcome.is_none_or(|outcome| {
-            stats.model_checker_calls += 1;
-            stats.states_relabeled += outcome.stats.states_labeled;
-            outcome.holds
-        })
+        stats.model_checker_calls += 1;
+        stats.states_relabeled += outcome.stats.states_labeled;
+        outcome.holds
     };
 
-    ctx.sync_deferred(encoder, &problem.initial);
-    if !charge(ctx.recheck_cached(&problem.spec, cache)) {
+    if !holds_at(&problem.initial) {
         return Err(SynthesisError::InitialConfigurationViolates);
     }
     if units.is_empty() {
@@ -274,8 +201,7 @@ pub(crate) fn check_endpoints(
     }
     // Every complete sequence of a problem whose target violates the
     // specification would end in a violating state.
-    ctx.sync_deferred(encoder, &problem.final_config);
-    if !charge(Some(ctx.recheck(&problem.spec))) {
+    if !holds_at(&problem.final_config) {
         return Err(SynthesisError::FinalConfigurationViolates);
     }
     Ok(ControlFlow::Continue(stats))
@@ -303,7 +229,6 @@ mod tests {
         let problem = UpdateProblem::from_scenario(&scenario);
         let encoder = NetworkKripke::new(problem.topology.clone(), problem.classes.clone())
             .with_ingress_hosts(problem.ingress_hosts.iter().copied());
-        let cache = CheckpointCache::new(0);
         let units = crate::units::plan_units(&problem, crate::options::Granularity::Switch);
 
         let mut violations = 0;
@@ -316,7 +241,7 @@ mod tests {
                 violations += usize::from(cold.counterexample.is_some());
                 for via_initial in [false, true] {
                     let mut ctx = CheckContext::fresh(backend);
-                    let entry = check_endpoints(&mut ctx, &encoder, &problem, &units, &cache);
+                    let entry = check_endpoints(&mut ctx, &encoder, &problem, &units);
                     assert!(matches!(entry, Ok(ControlFlow::Continue(_))));
                     assert_eq!(ctx.config, problem.final_config);
                     assert!(ctx.pending.is_empty());

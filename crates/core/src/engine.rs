@@ -26,11 +26,12 @@
 //! fixes the state space up front, updates only rewire transitions, and the
 //! labeling engines keep labels in canonical form — so a recheck over an
 //! accurate diff returns exactly what a cold full check would (DESIGN.md
-//! §5). The committed commands, unit order, and verdict are therefore
-//! byte-identical to a fresh [`Synthesizer`](crate::Synthesizer) per
-//! request; `tests/engine_differential.rs` enforces this for every backend
-//! and strategy over churn streams. Work counters
-//! ([`SynthStats::states_relabeled`](crate::SynthStats)) do shrink with
+//! §5). The committed commands, unit order, verdict, and every statistic but
+//! one are therefore byte-identical to a fresh
+//! [`Synthesizer`](crate::Synthesizer) per request;
+//! `tests/engine_differential.rs` enforces this for every backend and
+//! strategy over churn streams. The one work counter,
+//! [`SynthStats::states_relabeled`](crate::SynthStats), does shrink with
 //! reuse — that is the point.
 //!
 //! # Example
@@ -56,19 +57,15 @@
 //! assert_eq!(engine.requests_served(), 3);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use netupd_kripke::NetworkKripke;
-use netupd_ltl::semantics;
-use netupd_model::{Configuration, HostId, Network, SwitchId, Topology, TrafficClass};
+use netupd_model::{HostId, Topology, TrafficClass};
 
-use crate::checkpoint::CheckpointCache;
-use crate::constraints::LearntConstraint;
 use crate::context::{check_endpoints, CheckContext};
 use crate::explain::InfeasibilityExplanation;
-use crate::options::{Granularity, SearchStrategy, SynthesisOptions};
+use crate::options::{SearchStrategy, SynthesisOptions};
 use crate::problem::UpdateProblem;
 use crate::search::{finish_sequence, SynthStats, SynthesisError, UpdateSequence};
 use crate::strategy::{dfs::DfsSearch, sat_guided};
@@ -91,35 +88,10 @@ pub struct UpdateEngine {
     encoder: NetworkKripke,
     /// The persistent checking context (`None` until the first request).
     ctx: Option<CheckContext>,
-    /// The SAT-guided strategy's cross-request harvest (the switch-level
-    /// constraints of the previous successful request), revalidated against
-    /// each new request before pre-loading.
-    sat_carry: Option<SatCarry>,
-    /// The prefix-checkpoint cache (see `checkpoint`): shared by the DFS and
-    /// the SAT-guided verification walks, and persisted across churn requests
-    /// (invalidated down to the new request's mixture space per request).
-    cache: CheckpointCache,
     /// The most recent request's infeasibility explanation, if any.
     last_explanation: Option<InfeasibilityExplanation>,
     requests_served: usize,
     rebuilds: usize,
-}
-
-/// The switch-level harvest of a successful SAT-guided request, kept for the
-/// next request of the stream. Everything here is in *switch* terms — unit
-/// indices are request-local, so the harvest is translated back into the next
-/// request's indices after revalidation.
-struct SatCarry {
-    /// §4.2 B constraints, as `(before, after)` switch sets.
-    some_before: Vec<(BTreeSet<SwitchId>, BTreeSet<SwitchId>)>,
-    /// Violating prefix sets.
-    prefix_sets: Vec<BTreeSet<SwitchId>>,
-    /// Prefix sets verified to satisfy the specification.
-    verified: Vec<BTreeSet<SwitchId>>,
-    /// Exact-order blocking clauses learnt by the previous request. They are
-    /// never carried (an order over the old unit set has no sound reading
-    /// over the new one), only counted as retired.
-    orders_learnt: usize,
 }
 
 impl std::fmt::Debug for UpdateEngine {
@@ -148,7 +120,6 @@ impl UpdateEngine {
     ) -> Self {
         let topology = topology.into();
         let encoder = build_encoder(&topology, &classes, &ingress_hosts);
-        let cache = CheckpointCache::new(options.checkpoint_budget);
         UpdateEngine {
             topology,
             classes,
@@ -156,8 +127,6 @@ impl UpdateEngine {
             options,
             encoder,
             ctx: None,
-            sat_carry: None,
-            cache,
             last_explanation: None,
             requests_served: 0,
             rebuilds: 0,
@@ -217,7 +186,8 @@ impl UpdateEngine {
     ///
     /// The committed commands, unit order, and verdict are identical to what
     /// a fresh `Synthesizer::new(problem.clone()).with_options(...)` would
-    /// return; only the work counters differ (reuse relabels fewer states).
+    /// return; of the statistics only `states_relabeled` differs (reuse
+    /// relabels fewer states).
     ///
     /// # Errors
     ///
@@ -228,63 +198,24 @@ impl UpdateEngine {
         }
         self.requests_served += 1;
         self.last_explanation = None;
-        // Keep only checkpoints inside the new request's `{initial, final}`
-        // mixture space — entries over unchanged switches survive and keep
-        // paying across the churn stream. Only the final configuration's
-        // checkpoint carries a checker snapshot: it is the next churn
-        // request's initial configuration, the one place a restore beats
-        // resyncing by diff.
-        self.cache
-            .retain_for(&problem.initial, &problem.final_config);
-        self.cache.set_snapshot_target(&problem.final_config);
-        let hits_before = self.cache.hits();
-        let restores_before = self.cache.restores();
         let units = plan_units(problem, self.options.granularity);
-        // Carry is the SAT-guided strategy's, scoped to switch granularity:
-        // there one unit is one switch, so the switch-level harvest translates
-        // one-to-one into the next request's unit indices.
-        let carry_enabled = self.options.strategy == SearchStrategy::SatGuided
-            && self.options.carry_forward
-            && self.options.granularity == Granularity::Switch;
-        let carry_in = self
-            .sat_carry
-            .take()
-            .filter(|_| carry_enabled)
-            .map(|carry| revalidate_carry(&carry, problem, &units, &self.cache));
         let backend = self.options.backend;
         let ctx = self.ctx.get_or_insert_with(|| CheckContext::fresh(backend));
-        let result = match check_endpoints(ctx, &self.encoder, problem, &units, &self.cache) {
-            Err(error) => Err(error),
-            Ok(ControlFlow::Break(trivial)) => Ok(trivial),
-            Ok(ControlFlow::Continue(stats)) => match self.options.strategy {
-                SearchStrategy::SatGuided => {
-                    let mut artifacts = sat_guided::Artifacts::default();
-                    let result = sat_guided::solve(
-                        problem,
-                        &self.options,
-                        &units,
-                        &self.encoder,
-                        &self.cache,
-                        ctx,
-                        stats,
-                        carry_in,
-                        Some(&mut artifacts),
-                    );
-                    self.last_explanation = artifacts.explanation.take();
-                    if carry_enabled && result.is_ok() {
-                        self.sat_carry = Some(harvest_carry(&artifacts, &units));
-                    }
-                    result
-                }
+        match check_endpoints(ctx, &self.encoder, problem, &units)? {
+            ControlFlow::Break(trivial) => Ok(trivial),
+            ControlFlow::Continue(stats) => match self.options.strategy {
+                SearchStrategy::SatGuided => sat_guided::solve(
+                    problem,
+                    &self.options,
+                    &units,
+                    &self.encoder,
+                    ctx,
+                    stats,
+                    &mut self.last_explanation,
+                ),
                 SearchStrategy::Dfs => self.solve_dfs(problem, &units, stats),
             },
-        };
-        result.map(|mut update| {
-            update.stats.checkpoint_hits = self.cache.hits() - hits_before;
-            update.stats.checkpoint_restores = self.cache.restores() - restores_before;
-            update.stats.checkpoint_bytes = self.cache.resident_bytes();
-            update
-        })
+        }
     }
 
     /// Whether the problem matches the engine's fixed triple. The topology
@@ -306,8 +237,6 @@ impl UpdateEngine {
         if let Some(ctx) = &mut self.ctx {
             ctx.begin_new_series();
         }
-        self.sat_carry = None;
-        self.cache.clear();
         self.last_explanation = None;
         self.rebuilds += 1;
     }
@@ -349,7 +278,6 @@ impl UpdateEngine {
             &self.encoder,
             kripke,
             checker,
-            &self.cache,
             pending,
             stats,
         );
@@ -390,202 +318,6 @@ impl UpdateEngine {
             }
         }
     }
-}
-
-/// Harvests the switch-level carry of a successful SAT-guided run.
-fn harvest_carry(artifacts: &sat_guided::Artifacts, units: &[UpdateUnit]) -> SatCarry {
-    let switches = |indices: &[usize]| -> BTreeSet<SwitchId> {
-        indices.iter().map(|&i| units[i].switch()).collect()
-    };
-    let mut carry = SatCarry {
-        some_before: Vec::new(),
-        prefix_sets: Vec::new(),
-        verified: artifacts
-            .verified
-            .iter()
-            .map(|set| set.iter().map(|&i| units[i].switch()).collect())
-            .collect(),
-        orders_learnt: 0,
-    };
-    for constraint in &artifacts.learnt {
-        match constraint {
-            LearntConstraint::SomeBefore { before, after } => {
-                carry.some_before.push((switches(before), switches(after)));
-            }
-            LearntConstraint::PrefixSet { applied } => {
-                carry
-                    .prefix_sets
-                    .push(applied.iter().map(|&i| units[i].switch()).collect());
-            }
-            LearntConstraint::Order { .. } => carry.orders_learnt += 1,
-        }
-    }
-    carry
-}
-
-/// Revalidates a previous request's harvest against a new request by direct
-/// trace replay — no model-checker calls — and translates the survivors into
-/// the new request's unit indices.
-///
-/// Each clause form has an exact survival condition re-establishing, on the
-/// *new* request, the premise it was originally learnt from:
-///
-/// * **SomeBefore(B, A)** survives iff `A ⊆ U` (where `U` is the new update
-///   set), `B' = B ∩ U` is non-empty, and the configuration with exactly `A`
-///   updated has a violating trace whose support inside `U` stays within
-///   `A ∪ B'`. Then in any intermediate configuration where all of `A` is
-///   updated and none of `B'` is, that trace reproduces verbatim: switches
-///   of `A` hold final tables, switches of `B'` hold initial tables, and
-///   every other support switch is outside `U`, so its table never changes.
-///   Hence some unit of `B'` must precede some unit of `A` — exactly the
-///   clause pre-loaded.
-/// * **PrefixSet(P)** survives iff `P ⊆ U`, `P ≠ U` (blocking the full set
-///   would yield the empty clause — and a violating full set is the final
-///   check's job), and the configuration with exactly `P` updated violates
-///   the specification. That *is* the clause's premise, re-derived.
-/// * **Order** clauses never survive: an exact order over the old unit set
-///   has no sound reading over the new one. They count as retired.
-/// * A **verified** set `S` pre-seeds the prefix-skip iff `S ⊆ U` and the
-///   configuration with exactly `S` updated satisfies the specification on
-///   every replayed trace — the same verdict the checker would return (the
-///   differential fuzzer's trace oracle enforces that equivalence), so the
-///   skipped check could only ever have said "holds".
-///
-/// Because every surviving clause is entailed by the new request and the
-/// store's proposal rule is lexicographically minimal among consistent
-/// orders, pre-loading changes how much work the CEGIS loop performs, never
-/// which order it commits.
-///
-/// The checkpoint cache short-circuits the trace replay: a configuration
-/// checkpointed as passing has no violating trace by construction, so a
-/// cache hit settles the survival question — "verified" sets carry over and
-/// violation-premised clauses retire — without replaying a single trace.
-/// The cache verdict and the replay verdict agree (both equal the checker's,
-/// which the differential fuzzer's trace oracle enforces), so the surviving
-/// clause set is identical with the cache on or off.
-fn revalidate_carry(
-    carry: &SatCarry,
-    problem: &UpdateProblem,
-    units: &[UpdateUnit],
-    cache: &CheckpointCache,
-) -> sat_guided::CarryIn {
-    let unit_of: BTreeMap<SwitchId, usize> = units
-        .iter()
-        .enumerate()
-        .map(|(i, u)| (u.switch(), i))
-        .collect();
-    let update_set: BTreeSet<SwitchId> = problem.switches_to_update().into_iter().collect();
-    let to_units = |set: &BTreeSet<SwitchId>| -> Vec<usize> {
-        set.iter()
-            .filter_map(|sw| unit_of.get(sw).copied())
-            .collect()
-    };
-
-    let mut carry_in = sat_guided::CarryIn {
-        retired: carry.orders_learnt,
-        ..sat_guided::CarryIn::default()
-    };
-
-    for (before, after) in &carry.some_before {
-        let surviving_before: BTreeSet<SwitchId> =
-            before.intersection(&update_set).copied().collect();
-        let survives =
-            !after.is_empty() && after.is_subset(&update_set) && !surviving_before.is_empty() && {
-                let config = config_with_final(problem, after);
-                // Checkpointed-as-passing configurations have no violating
-                // trace: the clause's premise is gone, no replay needed.
-                cache.lookup(&problem.spec, &config).is_none()
-                    && violating_trace_supports(problem, &config)
-                        .iter()
-                        .any(|support| {
-                            support
-                                .intersection(&update_set)
-                                .all(|sw| after.contains(sw) || surviving_before.contains(sw))
-                        })
-            };
-        if survives {
-            carry_in
-                .some_before
-                .push((to_units(&surviving_before), to_units(after)));
-            carry_in.carried += 1;
-        } else {
-            carry_in.retired += 1;
-        }
-    }
-
-    for prefix in &carry.prefix_sets {
-        let survives =
-            !prefix.is_empty() && prefix.is_subset(&update_set) && *prefix != update_set && {
-                let config = config_with_final(problem, prefix);
-                cache.lookup(&problem.spec, &config).is_none()
-                    && !violating_trace_supports(problem, &config).is_empty()
-            };
-        if survives {
-            carry_in
-                .prefix_sets
-                .push(to_units(prefix).into_iter().collect());
-            carry_in.carried += 1;
-        } else {
-            carry_in.retired += 1;
-        }
-    }
-
-    for set in &carry.verified {
-        if !set.is_empty() && set.is_subset(&update_set) {
-            let config = config_with_final(problem, set);
-            // A checkpoint hit *is* the "holds" verdict the replay would
-            // re-derive — the carried prefix set is revalidated without
-            // walking a single trace.
-            if cache.lookup(&problem.spec, &config).is_some()
-                || violating_trace_supports(problem, &config).is_empty()
-            {
-                carry_in.verified.push(to_units(set).into_iter().collect());
-            }
-        }
-    }
-
-    carry_in
-}
-
-/// The initial configuration with exactly `switches` moved to their final
-/// tables — the configuration a carried clause's premise talks about.
-fn config_with_final(problem: &UpdateProblem, switches: &BTreeSet<SwitchId>) -> Configuration {
-    let mut config = problem.initial.clone();
-    for &sw in switches {
-        config.set_table(sw, problem.final_config.table(sw));
-    }
-    config
-}
-
-/// Switch supports of every spec-violating trace of `config`, by direct
-/// operational-semantics replay from each ingress.
-fn violating_trace_supports(
-    problem: &UpdateProblem,
-    config: &Configuration,
-) -> Vec<BTreeSet<SwitchId>> {
-    let network = Network::new(Arc::clone(&problem.topology), config.clone());
-    // Empty `ingress_hosts` means *every* host is an ingress (the
-    // `UpdateProblem` convention); replaying only the empty list would
-    // vacuously validate everything, which is exactly the unsound direction.
-    let hosts: &[HostId] = if problem.ingress_hosts.is_empty() {
-        problem.topology.hosts()
-    } else {
-        &problem.ingress_hosts
-    };
-    let mut supports = Vec::new();
-    for class in &problem.classes {
-        for &host in hosts {
-            let Some((sw, pt)) = problem.topology.switch_of_host(host) else {
-                continue;
-            };
-            for trace in network.traces_from(sw, pt, class) {
-                if !semantics::satisfies(&trace, &problem.spec) {
-                    supports.push(trace.switch_path().into_iter().collect());
-                }
-            }
-        }
-    }
-    supports
 }
 
 /// Builds the encoder for a `(topology, classes, ingress)` triple.

@@ -62,7 +62,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod baselines;
-pub(crate) mod checkpoint;
 pub mod constraints;
 pub(crate) mod context;
 pub mod engine;

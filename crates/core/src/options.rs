@@ -74,27 +74,10 @@ pub struct SynthesisOptions {
     pub remove_waits: bool,
     /// Hard bound on the number of model-checker calls before the search
     /// gives up (guards against pathological instances). The bound is
-    /// applied to the deterministic schedule
-    /// ([`SynthStats::charged_calls`](crate::SynthStats)), so the verdict
-    /// does not depend on what the checkpoint cache happened to answer.
+    /// applied to the schedule
+    /// ([`SynthStats::charged_calls`](crate::SynthStats)), which depends on
+    /// nothing but the problem and these options.
     pub max_checks: usize,
-    /// Byte budget of the prefix-checkpoint cache (see DESIGN.md §13): every
-    /// verified intermediate configuration is checkpointed (verdict plus a
-    /// restorable checker snapshot) and revisits — permuted DFS prefixes,
-    /// SAT proposals sharing a prefix set, churn requests — take the cached
-    /// verdict instead of re-checking.
-    /// Results are byte-identical with the cache on or off; the budget only
-    /// bounds memory. `0` disables the cache (ablation / tight-memory
-    /// deployments).
-    pub checkpoint_budget: usize,
-    /// Carry still-valid ordering constraints forward across the requests of
-    /// an [`UpdateEngine`](crate::UpdateEngine) stream (SAT-guided strategy at
-    /// switch granularity only). Sound by construction — carried clauses are
-    /// revalidated against the new request by trace replay, and the lex-min
-    /// proposal rule makes entailed pre-loaded clauses result-invariant — so
-    /// disabling this is only useful for ablation studies. Single-request
-    /// entry points are unaffected.
-    pub carry_forward: bool,
 }
 
 impl Default for SynthesisOptions {
@@ -107,8 +90,6 @@ impl Default for SynthesisOptions {
             early_termination: true,
             remove_waits: true,
             max_checks: 1_000_000,
-            checkpoint_budget: 32 << 20,
-            carry_forward: true,
         }
     }
 }
@@ -157,22 +138,6 @@ impl SynthesisOptions {
         self.remove_waits = enabled;
         self
     }
-
-    /// Builder-style setter for the prefix-checkpoint cache's byte budget
-    /// (`0` disables the cache). The committed result is identical at every
-    /// budget; only the checking work performed changes.
-    #[must_use]
-    pub fn checkpoint_budget(mut self, bytes: usize) -> Self {
-        self.checkpoint_budget = bytes;
-        self
-    }
-
-    /// Builder-style setter for cross-request constraint carry-forward.
-    #[must_use]
-    pub fn carry_forward(mut self, enabled: bool) -> Self {
-        self.carry_forward = enabled;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -188,11 +153,6 @@ mod tests {
         assert!(options.use_counterexamples);
         assert!(options.early_termination);
         assert!(options.remove_waits);
-        assert!(
-            options.checkpoint_budget > 0,
-            "checkpointing is on by default"
-        );
-        assert!(options.carry_forward);
     }
 
     #[test]
@@ -202,25 +162,22 @@ mod tests {
             .granularity(Granularity::Rule)
             .counterexamples(false)
             .early_termination(false)
-            .wait_removal(false)
-            .checkpoint_budget(0)
-            .carry_forward(false);
+            .wait_removal(false);
         assert_eq!(options.backend, Backend::Batch);
         assert_eq!(options.strategy, SearchStrategy::SatGuided);
         assert_eq!(options.granularity, Granularity::Rule);
         assert!(!options.use_counterexamples);
         assert!(!options.early_termination);
         assert!(!options.remove_waits);
-        assert_eq!(options.checkpoint_budget, 0);
-        assert!(!options.carry_forward);
     }
 
-    /// The option surface is closed: a tenth field or a third strategy is a
+    /// The option surface is closed: an eighth field or a third strategy is a
     /// second path through the search that tests and benchmarks must cover
-    /// (a thread count and a portfolio strategy were measured and deleted,
-    /// EXPERIMENTS.md "PR 21"). Adding one means editing this test on purpose.
+    /// (a thread count, a portfolio strategy, a checkpoint budget and a
+    /// carry-forward switch were measured and deleted, EXPERIMENTS.md "PR 21"
+    /// and "PR 23"). Adding one means editing this test on purpose.
     #[test]
-    fn the_option_surface_is_nine_fields_and_two_strategies() {
+    fn the_option_surface_is_seven_fields_and_two_strategies() {
         let SynthesisOptions {
             backend: _,
             strategy,
@@ -229,8 +186,6 @@ mod tests {
             early_termination: _,
             remove_waits: _,
             max_checks: _,
-            checkpoint_budget: _,
-            carry_forward: _,
         } = SynthesisOptions::default();
         match strategy {
             SearchStrategy::Dfs | SearchStrategy::SatGuided => {}

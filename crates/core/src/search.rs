@@ -16,17 +16,14 @@ use crate::wait_removal;
 
 /// Counters describing the work a synthesis run performed.
 ///
-/// The *search-schedule* counters (`charged_calls`, `configurations_pruned`,
-/// `counterexamples_learnt`, `backtracks`, `sat_*`, `waits_*`) are a pure
-/// function of the problem and options. The *work* counters
-/// (`model_checker_calls`, `states_relabeled`, `checkpoint_*`) also depend on
-/// what the engine's context and checkpoint cache held when the request
-/// arrived — reuse exists to shrink them. [`SynthStats::schedule_view`]
-/// projects out exactly the deterministic portion.
+/// Every counter but one is a pure function of the problem and options. The
+/// one *work* counter, `states_relabeled`, also depends on where the engine's
+/// context stood when the request arrived — reuse exists to shrink it.
+/// [`SynthStats::schedule_view`] projects it out.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SynthStats {
-    /// Model-checker queries physically issued (checks the checkpoint cache
-    /// answered are not counted; see `charged_calls`).
+    /// Model-checker queries physically issued (the DFS's deferred undos are
+    /// charged but not issued; see `charged_calls`).
     pub model_checker_calls: usize,
     /// Total states (re)labeled across all queries — the measure of
     /// incrementality.
@@ -65,52 +62,28 @@ pub struct SynthStats {
     /// [`UpdateEngine::last_explanation`](crate::UpdateEngine::last_explanation)).
     /// Zero when the run did not end in a constraint-proven infeasibility.
     pub unsat_core_size: usize,
-    /// Ordering constraints carried over from the previous request of an
-    /// engine stream and revalidated against this one. Zero for fresh runs
-    /// and with carry-forward disabled.
-    pub constraints_carried: usize,
-    /// Ordering constraints from the previous request that revalidation
-    /// retired instead of carrying.
-    pub constraints_retired: usize,
     /// Propose→verify→learn iterations of the SAT-guided strategy's CEGIS
     /// loop. Zero for the DFS strategy.
     pub cegis_iterations: usize,
-    /// Model-checker calls of the deterministic *schedule* — the checks the
-    /// search asks for, whether the checkpoint cache or the checker answers
-    /// them. Identical with the cache on or off and engine-vs-fresh (unlike
-    /// `model_checker_calls`), and what
+    /// Model-checker calls of the budgeted *schedule* — the checks the
+    /// paper's search issues, including the restore recheck after every DFS
+    /// undo that the deferred-undo discipline folds into the next check. What
     /// [`SynthesisOptions::max_checks`] bounds.
     pub charged_calls: usize,
-    /// Verdicts served from the prefix-checkpoint cache without a
-    /// model-checker call. A work counter: varies with what earlier requests
-    /// left in the cache (zeroed in
-    /// [`schedule_view`](SynthStats::schedule_view)).
-    pub checkpoint_hits: usize,
-    /// Checker-state snapshot restores performed on checkpoint hits.
-    pub checkpoint_restores: usize,
-    /// Estimated resident bytes of the checkpoint cache at the end of the
-    /// run (bounded by [`SynthesisOptions::checkpoint_budget`]).
-    pub checkpoint_bytes: usize,
     /// Literals removed from learnt clauses by the ordering solver's
     /// self-subsumption minimization before install.
     pub sat_clause_lits_removed: u64,
 }
 
 impl SynthStats {
-    /// Projects out the deterministic *schedule* portion of the statistics:
-    /// the counters that are byte-identical for a fixed problem and options,
-    /// with the checkpoint cache on or off. Work attribution
-    /// (`model_checker_calls` is replaced by `charged_calls`; relabel totals
-    /// and the checkpoint counters are zeroed) is normalized away. The
+    /// The statistics with `states_relabeled` zeroed: everything that is
+    /// byte-identical for a fixed problem and options, engine-vs-fresh. The
     /// differential suites compare these views.
     pub fn schedule_view(&self) -> SynthStats {
-        let mut view = self.clone();
-        view.model_checker_calls = self.charged_calls;
-        view.states_relabeled = 0;
-        view.checkpoint_hits = 0;
-        view.checkpoint_restores = 0;
-        view.checkpoint_bytes = 0;
-        view
+        SynthStats {
+            states_relabeled: 0,
+            ..self.clone()
+        }
     }
 }
 

@@ -12,10 +12,9 @@
 use std::collections::BTreeSet;
 
 use netupd_kripke::{Kripke, NetworkKripke, StateId};
-use netupd_mc::ModelChecker;
+use netupd_mc::{CheckOutcome, ModelChecker};
 use netupd_model::{Configuration, SwitchId};
 
-use crate::checkpoint::CheckpointCache;
 use crate::constraints::{UnitOrdering, VisitedSet, WrongSet};
 use crate::options::{Granularity, SynthesisOptions};
 use crate::problem::UpdateProblem;
@@ -44,13 +43,11 @@ fn early_termination_store(options: &SynthesisOptions, units: &[UpdateUnit]) -> 
 ///
 /// # Budget accounting
 ///
-/// `stats.charged_calls` is the deterministic schedule: +1 per
-/// applied-prefix check, +1 per undo — exactly the calls the pre-checkpoint
-/// search used to issue. `stats.model_checker_calls` counts the checks
-/// physically issued, which the checkpoint cache and the deferred-undo
-/// discipline reduce; the search budget and every committed verdict depend
-/// only on the charged schedule, so results are byte-identical with the
-/// cache on or off.
+/// `stats.charged_calls` is the budgeted schedule: +1 per applied-prefix
+/// check, +1 per undo — the calls the paper's algorithm issues.
+/// `stats.model_checker_calls` counts the checks physically issued, one per
+/// applied prefix: the deferred-undo discipline folds each undo's relabel
+/// into the next check instead of issuing it.
 pub(crate) struct DfsSearch<'a> {
     pub(crate) problem: &'a UpdateProblem,
     pub(crate) options: &'a SynthesisOptions,
@@ -58,9 +55,8 @@ pub(crate) struct DfsSearch<'a> {
     pub(crate) encoder: &'a NetworkKripke,
     pub(crate) kripke: &'a mut Kripke,
     pub(crate) checker: &'a mut dyn ModelChecker,
-    pub(crate) cache: &'a CheckpointCache,
-    /// States rewired without an intervening recheck (deferred undos and
-    /// checkpoint verdict-hits), folded into the next recheck's change set.
+    /// States rewired without an intervening recheck (the engine's deferred
+    /// sync, then deferred undos), folded into the next recheck's change set.
     /// Borrowed from the owning context so unconsumed states survive the run.
     pub(crate) carried: &'a mut Vec<StateId>,
     pub(crate) config: Configuration,
@@ -82,7 +78,6 @@ impl<'a> DfsSearch<'a> {
         encoder: &'a NetworkKripke,
         kripke: &'a mut Kripke,
         checker: &'a mut dyn ModelChecker,
-        cache: &'a CheckpointCache,
         carried: &'a mut Vec<StateId>,
         stats: SynthStats,
     ) -> Self {
@@ -93,7 +88,6 @@ impl<'a> DfsSearch<'a> {
             encoder,
             kripke,
             checker,
-            cache,
             carried,
             config: problem.initial.clone(),
             applied: BTreeSet::new(),
@@ -110,28 +104,9 @@ impl<'a> DfsSearch<'a> {
         updated_switches(self.units, &self.applied)
     }
 
-    /// Checks the current configuration after `changed` states were rewired:
-    /// through the checkpoint cache when it knows the verdict, physically
-    /// otherwise. Returns `(holds, counterexample)`.
-    fn check_current(
-        &mut self,
-        changed: Vec<StateId>,
-    ) -> (bool, Option<netupd_mc::Counterexample>) {
-        if let Some(snapshot) = self.cache.lookup(&self.problem.spec, &self.config) {
-            self.stats.checkpoint_hits += 1;
-            // The verdict is known; keep the checker usable for the next
-            // physical recheck either by restoring the checkpoint's snapshot
-            // (full consistency, nothing pending) or by deferring the change
-            // set into the carried pool (recheck-from-diff).
-            if snapshot.as_ref().is_some_and(|s| self.checker.restore(s)) {
-                self.cache.note_restore();
-                self.stats.checkpoint_restores += 1;
-                self.carried.clear();
-            } else {
-                self.carried.extend(changed);
-            }
-            return (true, None);
-        }
+    /// Rechecks the current configuration after `changed` states were
+    /// rewired, folding in the deferred undos.
+    fn check_current(&mut self, changed: Vec<StateId>) -> CheckOutcome {
         let mut change_set = std::mem::take(self.carried);
         change_set.extend(changed);
         change_set.sort_unstable();
@@ -141,11 +116,7 @@ impl<'a> DfsSearch<'a> {
             .checker
             .recheck(self.kripke, &self.problem.spec, &change_set);
         self.stats.states_relabeled += outcome.stats.states_labeled;
-        if outcome.holds {
-            self.cache
-                .publish(&self.problem.spec, &self.config, || self.checker.snapshot());
-        }
-        (outcome.holds, outcome.counterexample)
+        outcome
     }
 
     pub(crate) fn dfs(&mut self) -> Result<Option<Vec<usize>>, SynthesisError> {
@@ -193,9 +164,9 @@ impl<'a> DfsSearch<'a> {
                 .encoder
                 .apply_switch_update(self.kripke, switch, &new_table);
             self.stats.charged_calls += 1;
-            let (holds, counterexample) = self.check_current(changed);
+            let outcome = self.check_current(changed);
 
-            if holds {
+            if outcome.holds {
                 if let Some(mut rest) = self.dfs()? {
                     rest.insert(0, idx);
                     return Ok(Some(rest));
@@ -205,7 +176,7 @@ impl<'a> DfsSearch<'a> {
                 if self.options.use_counterexamples
                     && self.options.granularity == Granularity::Switch
                 {
-                    if let Some(cex) = &counterexample {
+                    if let Some(cex) = &outcome.counterexample {
                         let updated = self.updated_switches();
                         self.wrong.learn(&cex.switches, &updated);
                         self.stats.counterexamples_learnt += 1;
@@ -229,8 +200,8 @@ impl<'a> DfsSearch<'a> {
             // back to a re-encode if the arena changed shape underneath it)
             // and *defer* the relabel: the undone states join the carried
             // change set consumed by the next physical recheck, so the undo
-            // issues no query. The schedule still charges it — the
-            // pre-checkpoint search paid a restore recheck here.
+            // issues no query. The schedule still charges it — the paper's
+            // search pays a restore recheck here.
             self.applied.remove(&idx);
             self.config.set_table(switch, old_table.clone());
             self.stats.charged_calls += 1;

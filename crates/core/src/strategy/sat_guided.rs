@@ -38,10 +38,9 @@
 //!
 //! For a fixed problem and options the run is byte-identical: the proposal
 //! is a pure function of the learnt clauses (the lex-min rule) and every
-//! prefix verdict is a pure function of the prefix (DESIGN.md §5). The
-//! *budget* is charged by the walk's schedule (one check per walked prefix,
-//! whether the checkpoint cache answered it or the checker did), so the
-//! verdict cannot depend on what earlier requests left in the cache.
+//! prefix verdict is a pure function of the prefix (DESIGN.md §5). Every
+//! walked prefix is one charged check and one checker call, so
+//! `charged_calls == model_checker_calls` on every request, warm or cold.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -49,8 +48,7 @@ use netupd_kripke::NetworkKripke;
 use netupd_mc::SequenceStep;
 use netupd_model::Configuration;
 
-use crate::checkpoint::CheckpointCache;
-use crate::constraints::{LearntConstraint, UnitOrdering};
+use crate::constraints::UnitOrdering;
 use crate::context::CheckContext;
 use crate::explain::InfeasibilityExplanation;
 use crate::options::{Granularity, SynthesisOptions};
@@ -60,61 +58,19 @@ use crate::search::{
 };
 use crate::units::UpdateUnit;
 
-/// Cross-request constraints revalidated by the engine, translated into this
-/// request's unit indices and ready to pre-load into the store. Every entry
-/// is *entailed* by the new request (the engine's trace-replay revalidation
-/// establishes the premise the clause was originally learnt from), so
-/// pre-loading changes how much work the CEGIS loop performs, never which
-/// order it commits — see the lex-min proposal rule in
-/// [`UnitOrdering`](crate::constraints::UnitOrdering).
-#[derive(Debug, Default)]
-pub(crate) struct CarryIn {
-    /// Revalidated §4.2 B constraints, as `(before, after)` unit-index sets.
-    pub some_before: Vec<(Vec<usize>, Vec<usize>)>,
-    /// Revalidated violating prefix sets.
-    pub prefix_sets: Vec<BTreeSet<usize>>,
-    /// Prefix sets re-proven to satisfy the specification, pre-seeding the
-    /// verified-prefix skip.
-    pub verified: Vec<BTreeSet<usize>>,
-    /// Constraints carried (reported as
-    /// [`SynthStats::constraints_carried`](crate::SynthStats)).
-    pub carried: usize,
-    /// Constraints retired by revalidation (reported as
-    /// [`SynthStats::constraints_retired`](crate::SynthStats)).
-    pub retired: usize,
-}
-
-/// Run artifacts that outlive the call: the harvest the engine carries to the
-/// next request, and the infeasibility explanation. Orders and sets are in
-/// this request's unit indices; the engine maps them to switches.
-#[derive(Debug, Default)]
-pub(crate) struct Artifacts {
-    /// Provenance of every constraint in the store at exit (carried ones
-    /// included), in learn order.
-    pub learnt: Vec<LearntConstraint>,
-    /// Prefix sets verified to hold, sorted for determinism.
-    pub verified: Vec<BTreeSet<usize>>,
-    /// The minimal-core explanation when the constraints went unsatisfiable.
-    pub explanation: Option<InfeasibilityExplanation>,
-}
-
 /// Runs the SAT-guided strategy over the engine's persistent context, after
 /// the entry checks (`stats` is what they charged). They leave the structure
 /// at the final configuration; every verification walk below starts by
-/// syncing to its own base.
-#[allow(clippy::too_many_arguments)]
+/// syncing to its own base. When the constraints go unsatisfiable the
+/// minimal-core explanation is left in `explanation`.
 pub(crate) fn solve(
     problem: &UpdateProblem,
     options: &SynthesisOptions,
     units: &[UpdateUnit],
     encoder: &NetworkKripke,
-    cache: &CheckpointCache,
     ctx: &mut CheckContext,
-    // `stats.charged_calls` is the deterministic budget: one charge per check
-    // the walk asks for, whether the cache or the checker answers it.
     mut stats: SynthStats,
-    carry: Option<CarryIn>,
-    mut artifacts: Option<&mut Artifacts>,
+    explanation: &mut Option<InfeasibilityExplanation>,
 ) -> Result<UpdateSequence, SynthesisError> {
     let n = units.len();
     let mut store = UnitOrdering::new(n);
@@ -125,30 +81,10 @@ pub(crate) fn solve(
     // successive proposals share long prefixes, because each learnt clause
     // only perturbs the tail it refuted.
     let mut verified: HashSet<BTreeSet<usize>> = HashSet::new();
-    // Pre-load the revalidated cross-request carry: entailed clauses and
-    // proven prefix sets.
-    if let Some(carry) = &carry {
-        for (before, after) in &carry.some_before {
-            store.require_some_before(before, after);
-        }
-        for prefix in &carry.prefix_sets {
-            store.block_prefix_set(prefix);
-        }
-        for set in &carry.verified {
-            verified.insert(set.clone());
-        }
-        stats.constraints_carried = carry.carried;
-        stats.constraints_retired = carry.retired;
-    }
-
     loop {
         let Some(order) = store.propose() else {
             fill_cegis_stats(&mut stats, &store);
-            if let Some(artifacts) = artifacts.as_deref_mut() {
-                harvest(artifacts, &store, &verified);
-                artifacts.explanation =
-                    Some(InfeasibilityExplanation::from_store(&store, units, stats));
-            }
+            *explanation = Some(InfeasibilityExplanation::from_store(&store, units, stats));
             return Err(SynthesisError::NoOrderingExists {
                 proven_by_constraints: true,
             });
@@ -180,8 +116,7 @@ pub(crate) fn solve(
             // and the configuration the walk starts from (the initial one
             // with the skipped prefix applied).
             let (steps, base) = materialize(problem, units, &order, start);
-            let outcome =
-                ctx.verify_sequence_cached(encoder, &base, &problem.spec, &steps[start..], cache);
+            let outcome = ctx.verify_sequence(encoder, &base, &problem.spec, &steps[start..]);
             stats.model_checker_calls += outcome.checks;
             stats.states_relabeled += outcome.states_labeled;
             outcome.first_failure.map(|local| {
@@ -209,9 +144,6 @@ pub(crate) fn solve(
                 // Every failing pass charged `failing + 1 - start` as it was
                 // learnt; this verifying pass walked `n - start` prefixes.
                 stats.charged_calls += n - start;
-                if let Some(artifacts) = artifacts.as_deref_mut() {
-                    harvest(artifacts, &store, &verified);
-                }
                 return Ok(finish_sequence(problem, options, units, &order, stats));
             }
             Some((failing, cex_switches)) => {
@@ -229,8 +161,7 @@ pub(crate) fn solve(
                 // Dual-clause learning: the prefix-set block is learnt
                 // alongside the counterexample clause — both are entailed,
                 // each prunes differently (the §4.2 B clause generalizes
-                // across prefix sets, the block pins this exact set), and
-                // carrying both forward costs nothing under the lex-min rule.
+                // across prefix sets, the block pins this exact set).
                 // `block_order` stays the safety net keeping the loop
                 // strictly progressing: each clause form excludes the model
                 // it was learnt from, so at least one of the three is new.
@@ -248,16 +179,6 @@ pub(crate) fn solve(
 fn fill_cegis_stats(stats: &mut SynthStats, store: &UnitOrdering) {
     store.fill_solver_stats(stats);
     stats.cegis_iterations = store.proposals();
-}
-
-/// Records the store's constraint provenance and the verified prefix sets
-/// into the artifacts. The verified sets are sorted: the `HashSet` iteration
-/// order must not leak into anything the engine later iterates over.
-fn harvest(artifacts: &mut Artifacts, store: &UnitOrdering, verified: &HashSet<BTreeSet<usize>>) {
-    artifacts.learnt = store.learnt_constraints().cloned().collect();
-    let mut sets: Vec<BTreeSet<usize>> = verified.iter().cloned().collect();
-    sets.sort();
-    artifacts.verified = sets;
 }
 
 /// Builds the candidate's step sequence — one table-install per unit — and

@@ -2,17 +2,11 @@
 //! strategies, each both as a fresh synthesis per request and through a
 //! long-lived [`UpdateEngine`] reused across the stream.
 //!
-//! The matrix also carries a **checkpoint axis**: fresh synthesis runs with
-//! the prefix-checkpoint cache *disabled* (`checkpoint_budget(0)`) while the
-//! engine runs with it enabled (and persisted across the stream), so the
-//! engine-vs-fresh comparison below doubles as the cache-on/off
-//! differential — any answer the cache changes is a matrix failure.
-//!
 //! Cross-checks, in order:
 //!
-//! 1. **engine vs fresh** — per cell and request, the reused engine (cache
-//!    on) must return byte-identical commands/order (or the identical
-//!    error) to the fresh cache-off synthesis;
+//! 1. **engine vs fresh** — per cell and request, the reused engine must
+//!    return byte-identical commands/order (or the identical error) to the
+//!    fresh synthesis under the same options;
 //! 2. **verdict agreement** — all cells must agree per request on the
 //!    normalized verdict (`NoOrderingExists` matches regardless of its
 //!    `proven_by_constraints` flag, as in `tests/strategy_differential.rs`);
@@ -185,11 +179,9 @@ pub fn check_stream(
         let options = cell.options(granularity);
         let mut fresh = Vec::with_capacity(problems.len());
         for problem in problems {
-            // The checkpoint axis: fresh runs are cache-off, the engine
-            // below is cache-on, and the two must agree byte for byte.
             fresh.push(
                 Synthesizer::new(problem.clone())
-                    .with_options(options.clone().checkpoint_budget(0))
+                    .with_options(options.clone())
                     .synthesize(),
             );
         }

@@ -131,11 +131,12 @@ impl NetworkKripke {
     /// [`apply_switch_update`]: NetworkKripke::apply_switch_update
     pub fn reset_to(&self, kripke: &mut Kripke, config: &Configuration) -> Vec<StateId> {
         let dropped = kripke.intern_prop(Prop::Dropped);
+        let empty = Table::empty();
         let mut changed = Vec::new();
         for state in kripke.states() {
-            let key = kripke.key(state);
-            let table = config.table(key.switch);
-            if self.encode_state(kripke, state, &table, dropped) {
+            let switch = kripke.key(state).switch;
+            let table = config.table_ref(switch).unwrap_or(&empty);
+            if self.encode_state(kripke, state, table, dropped) {
                 changed.push(state);
             }
         }
@@ -445,8 +446,17 @@ mod tests {
             assert_eq!(a, b, "successors of {key}");
         }
         // Resetting to the configuration the structure already encodes
-        // changes nothing.
+        // changes nothing — and a switch with no table set at all is that
+        // same configuration (unset ≡ empty).
         assert!(encoder.reset_to(&mut reused, &new_config).is_empty());
+        let mut unset = Configuration::new();
+        for (sw, table) in config.iter().filter(|(sw, _)| *sw != s0) {
+            unset.set_table(sw, table.clone());
+        }
+        assert!(unset.table_ref(s0).is_none());
+        assert!(encoder.reset_to(&mut reused, &unset).is_empty());
+        assert!(!encoder.reset_to(&mut reused, &config).is_empty());
+        assert_eq!(encoder.reset_to(&mut reused, &unset), changed);
     }
 
     #[test]

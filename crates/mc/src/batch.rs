@@ -3,13 +3,8 @@
 use netupd_kripke::{Kripke, StateId};
 use netupd_ltl::Ltl;
 
-use crate::checker::{CheckOutcome, CheckStats, CheckerSnapshot, Counterexample, ModelChecker};
+use crate::checker::{CheckOutcome, CheckStats, Counterexample, ModelChecker};
 use crate::labeling::Labeling;
-
-/// Marker payload of the batch checker's trivial snapshots: every query
-/// recomputes all labels, so there is no result state to capture.
-#[derive(Debug)]
-struct BatchSnapshot;
 
 /// Non-incremental labeling checker (the paper's "Batch" baseline).
 ///
@@ -97,17 +92,6 @@ impl ModelChecker for BatchChecker {
             checks,
             states_labeled,
         }
-    }
-
-    /// The batch checker carries no result state between queries (the scratch
-    /// labeling is storage only), so its snapshots are empty and restoring
-    /// one is trivially correct.
-    fn snapshot(&self) -> Option<CheckerSnapshot> {
-        Some(CheckerSnapshot::new(BatchSnapshot, 0))
-    }
-
-    fn restore(&mut self, snapshot: &CheckerSnapshot) -> bool {
-        snapshot.downcast::<BatchSnapshot>().is_some()
     }
 
     fn name(&self) -> &'static str {

@@ -1,52 +1,10 @@
 //! The common interface implemented by every model-checking backend.
 
-use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
 
 use netupd_kripke::{Kripke, NetworkKripke, StateId};
 use netupd_ltl::Ltl;
 use netupd_model::{SwitchId, Table};
-
-/// An opaque, restorable snapshot of a backend's checker-visible state,
-/// produced by [`ModelChecker::snapshot`] and consumed by
-/// [`ModelChecker::restore`].
-///
-/// Snapshots are the currency of the synthesis core's prefix-checkpoint
-/// cache: a node of the cache pairs a passing configuration with the
-/// snapshot the checker took right after verifying it, so a later walk that
-/// reaches the same configuration can restore the checker instead of
-/// replaying rechecks. The payload is backend-private (`Any`-erased) and
-/// shared by [`Arc`], so cloning a snapshot — the cache hands out clones on
-/// every hit — is a pointer copy. `bytes` is the backend's estimate of the
-/// payload's resident size, which the cache's LRU budget accounting uses;
-/// it only needs to be proportional, not exact.
-#[derive(Debug, Clone)]
-pub struct CheckerSnapshot {
-    data: Arc<dyn Any + Send + Sync>,
-    bytes: usize,
-}
-
-impl CheckerSnapshot {
-    /// Wraps a backend-private payload with its estimated resident size.
-    pub fn new<T: Any + Send + Sync>(data: T, bytes: usize) -> Self {
-        CheckerSnapshot {
-            data: Arc::new(data),
-            bytes,
-        }
-    }
-
-    /// Borrows the payload as `T`, or `None` when the snapshot came from a
-    /// different backend.
-    pub fn downcast<T: Any + Send + Sync>(&self) -> Option<&T> {
-        self.data.downcast_ref::<T>()
-    }
-
-    /// The estimated resident size of the payload.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
 
 /// A counterexample trace: a path through the Kripke structure from an
 /// initial state that violates the specification.
@@ -252,33 +210,6 @@ pub trait ModelChecker: Send {
     /// rechecks with accurate change sets never needs to call this; it exists
     /// for resets where no change set is available.
     fn begin_query(&mut self) {}
-
-    /// Captures the checker's result state for the structure/spec it last
-    /// checked, to be [`restore`](ModelChecker::restore)d later when the same
-    /// configuration is revisited.
-    ///
-    /// The conservative default returns `None`: a backend that opts out
-    /// simply never restores, and callers fall back to recheck-from-diff
-    /// (fold the skipped change sets into the next recheck's change set —
-    /// the same mechanism cross-request diff sync already relies on).
-    /// Stateless backends return a trivial snapshot; stateful ones capture
-    /// whatever their next `recheck` would otherwise have to rebuild.
-    fn snapshot(&self) -> Option<CheckerSnapshot> {
-        None
-    }
-
-    /// Restores a snapshot previously taken by this backend on a structure
-    /// encoding the same configuration, returning `true` on success.
-    ///
-    /// After a successful restore the checker behaves exactly as it did when
-    /// the snapshot was taken: its next `recheck` with an accurate change set
-    /// is fully incremental, with no pending staleness. Returning `false`
-    /// (the conservative default, and the required answer for a foreign
-    /// backend's snapshot) leaves the checker untouched.
-    fn restore(&mut self, snapshot: &CheckerSnapshot) -> bool {
-        let _ = snapshot;
-        false
-    }
 
     /// A short, stable backend name used in benchmark output.
     fn name(&self) -> &'static str;

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use netupd_kripke::{Kripke, StateId, StateSet};
 use netupd_ltl::{cache as ltl_cache, Closure, Ltl, ResolvedProps};
 
-use crate::checker::{CheckOutcome, CheckStats, CheckerSnapshot, ModelChecker};
+use crate::checker::{CheckOutcome, CheckStats, ModelChecker};
 
 /// Maximum number of distinct paths tracked per initial state. Network
 /// configurations synthesized from the diamond workloads are far below this;
@@ -45,25 +45,12 @@ pub struct HeaderSpaceChecker {
     stale: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PathCache {
     /// Cached paths per initial state.
     paths: HashMap<StateId, Vec<Vec<StateId>>>,
     /// Number of states in the structure when the cache was built.
     states: usize,
-}
-
-impl PathCache {
-    /// Estimated resident size of the cached paths, for snapshot budget
-    /// accounting.
-    fn approx_bytes(&self) -> usize {
-        let states: usize = self
-            .paths
-            .values()
-            .flat_map(|paths| paths.iter().map(Vec::len))
-            .sum();
-        states * std::mem::size_of::<StateId>() + self.paths.len() * 64
-    }
 }
 
 #[derive(Debug)]
@@ -234,27 +221,6 @@ impl ModelChecker for HeaderSpaceChecker {
 
     fn begin_query(&mut self) {
         self.stale = true;
-    }
-
-    /// Captures the per-ingress path cache. The spec cache is not part of the
-    /// snapshot: it is keyed by `(spec, table)` and revalidated on every
-    /// evaluate, so it composes with any restored path set.
-    fn snapshot(&self) -> Option<CheckerSnapshot> {
-        if self.stale {
-            return None;
-        }
-        let cache = self.cache.as_ref()?;
-        let bytes = cache.approx_bytes();
-        Some(CheckerSnapshot::new(cache.clone(), bytes))
-    }
-
-    fn restore(&mut self, snapshot: &CheckerSnapshot) -> bool {
-        let Some(cache) = snapshot.downcast::<PathCache>() else {
-            return false;
-        };
-        self.cache = Some(cache.clone());
-        self.stale = false;
-        true
     }
 
     fn name(&self) -> &'static str {

@@ -3,7 +3,7 @@
 use netupd_kripke::{Kripke, StateId};
 use netupd_ltl::Ltl;
 
-use crate::checker::{CheckOutcome, CheckStats, CheckerSnapshot, Counterexample, ModelChecker};
+use crate::checker::{CheckOutcome, CheckStats, Counterexample, ModelChecker};
 use crate::labeling::Labeling;
 
 /// Incremental LTL checker for DAG-like Kripke structures.
@@ -30,7 +30,7 @@ pub struct IncrementalChecker {
     stale: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CheckerState {
     phi: Ltl,
     labeling: Labeling,
@@ -107,28 +107,6 @@ impl ModelChecker for IncrementalChecker {
 
     fn begin_query(&mut self) {
         self.stale = true;
-    }
-
-    /// Captures the current labeling (and the spec it was computed for).
-    /// A restore puts the checker exactly where this check series left it,
-    /// so the next recheck is fully incremental from the snapshot's
-    /// configuration.
-    fn snapshot(&self) -> Option<CheckerSnapshot> {
-        if self.stale {
-            return None;
-        }
-        let state = self.state.as_ref()?;
-        let bytes = state.labeling.approx_bytes();
-        Some(CheckerSnapshot::new(state.clone(), bytes))
-    }
-
-    fn restore(&mut self, snapshot: &CheckerSnapshot) -> bool {
-        let Some(state) = snapshot.downcast::<CheckerState>() else {
-            return false;
-        };
-        self.state = Some(state.clone());
-        self.stale = false;
-        true
     }
 
     fn name(&self) -> &'static str {

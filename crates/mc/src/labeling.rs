@@ -128,15 +128,6 @@ impl Labeling {
         kripke.len()
     }
 
-    /// Estimated resident size of the labeling's owned storage, for snapshot
-    /// budget accounting (the shared `Arc` closure/resolution are not
-    /// counted — every clone shares them).
-    pub fn approx_bytes(&self) -> usize {
-        self.spans.len() * std::mem::size_of::<(u32, u32)>()
-            + self.backing.len() * std::mem::size_of::<Assignment>()
-            + self.scratch_remaining.len() * std::mem::size_of::<u32>()
-    }
-
     /// The specification closure this labeling was computed for.
     pub fn closure(&self) -> &Closure {
         &self.closure

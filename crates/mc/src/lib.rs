@@ -66,8 +66,7 @@ pub mod product;
 
 pub use batch::BatchChecker;
 pub use checker::{
-    Backend, CheckOutcome, CheckStats, CheckerSnapshot, Counterexample, ModelChecker,
-    SequenceOutcome, SequenceStep,
+    Backend, CheckOutcome, CheckStats, Counterexample, ModelChecker, SequenceOutcome, SequenceStep,
 };
 pub use headerspace::HeaderSpaceChecker;
 pub use incremental::IncrementalChecker;

@@ -22,12 +22,7 @@ use netupd_ltl::{
     cache as ltl_cache, Assignment, Closure, Ltl, PropSet, PropSetRef, ResolvedProps,
 };
 
-use crate::checker::{CheckOutcome, CheckStats, CheckerSnapshot, Counterexample, ModelChecker};
-
-/// Marker payload of the product checker's trivial snapshots: the product is
-/// rebuilt from scratch every query, so there is no result state to capture.
-#[derive(Debug)]
-struct ProductSnapshot;
+use crate::checker::{CheckOutcome, CheckStats, Counterexample, ModelChecker};
 
 /// Monolithic tableau-product model checker.
 ///
@@ -68,17 +63,6 @@ impl ModelChecker for ProductChecker {
                 CheckOutcome::failure(Some(Counterexample::from_states(kripke, path)), stats)
             }
         }
-    }
-
-    /// The product checker rebuilds its tableau product every query (the atom
-    /// cache is reset per check), so its snapshots are empty and restoring
-    /// one is trivially correct.
-    fn snapshot(&self) -> Option<CheckerSnapshot> {
-        Some(CheckerSnapshot::new(ProductSnapshot, 0))
-    }
-
-    fn restore(&mut self, snapshot: &CheckerSnapshot) -> bool {
-        snapshot.downcast::<ProductSnapshot>().is_some()
     }
 
     fn name(&self) -> &'static str {

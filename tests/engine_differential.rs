@@ -1,7 +1,8 @@
 //! Differential test for the long-lived `UpdateEngine`: for every backend
 //! and search strategy, an engine fed a churn stream must produce
-//! byte-identical `UpdateSequence`s — commands, unit order, and verdict — to
-//! a fresh `Synthesizer` per request.
+//! byte-identical `UpdateSequence`s — commands, unit order, verdict, and
+//! every statistic but `states_relabeled` — to a fresh `Synthesizer` per
+//! request.
 
 use std::sync::Arc;
 
@@ -31,7 +32,9 @@ fn churn_problems(kind: PropertyKind, steps: usize, seed: u64) -> Vec<UpdateProb
 }
 
 /// Feeds the stream to one engine and, per request, to a fresh synthesizer;
-/// commands, order, and verdict must agree on every step.
+/// commands, order, verdict, and the statistics — field for field, except
+/// `states_relabeled`, the one counter reuse exists to shrink — must agree on
+/// every step. A SAT-guided walk issues exactly the checks it charges.
 fn assert_engine_matches_fresh(problems: &[UpdateProblem], options: SynthesisOptions) {
     let mut engine = UpdateEngine::for_problem(&problems[0], options.clone());
     for (step, problem) in problems.iter().enumerate() {
@@ -43,6 +46,17 @@ fn assert_engine_matches_fresh(problems: &[UpdateProblem], options: SynthesisOpt
             (Ok(f), Ok(r)) => {
                 assert_eq!(f.commands, r.commands, "step {step}: commands diverged");
                 assert_eq!(f.order, r.order, "step {step}: unit order diverged");
+                assert_eq!(
+                    f.stats.schedule_view(),
+                    r.stats.schedule_view(),
+                    "step {step}: statistics diverged"
+                );
+                if options.strategy == SearchStrategy::SatGuided {
+                    assert_eq!(
+                        r.stats.model_checker_calls, r.stats.charged_calls,
+                        "step {step}: a charged check was not issued"
+                    );
+                }
             }
             (Err(f), Err(r)) => match (&f, &r) {
                 (
@@ -174,20 +188,11 @@ fn strategies_agree_on_churn_stream_verdicts() {
     }
 }
 
-/// Cross-request constraint carry (on by default for the SAT-guided strategy
-/// at switch granularity) must never change results: an engine with carry
-/// disabled commits byte-identical commands, orders, and verdicts on every
-/// step. Carry may only reduce effort — per request, the carrying engine's
-/// CEGIS iteration count is bounded by the bare engine's, because carried
-/// clauses are entailed and the lex-min proposal rule makes the carrying
-/// run's proposal sequence a subsequence of the bare run's. Across the
-/// streams the carry must also demonstrably *engage* (constraints carried)
-/// and survive revalidation churn (constraints retired when a step
-/// invalidates them).
+/// What an earlier request left on the engine reaches nothing a caller can
+/// read but `states_relabeled`: every stream kind, backend, strategy and
+/// granularity, warm against fresh.
 #[test]
-fn sat_guided_carry_forward_is_result_preserving_and_engages() {
-    let mut carried_total = 0usize;
-    let mut retired_total = 0usize;
+fn a_warm_engine_reports_the_statistics_of_a_fresh_one() {
     for (kind, steps, seed) in [
         (PropertyKind::Reachability, 4, 101),
         (PropertyKind::Waypoint, 4, 7),
@@ -195,41 +200,18 @@ fn sat_guided_carry_forward_is_result_preserving_and_engages() {
     ] {
         let problems = churn_problems(kind, steps, seed);
         for backend in Backend::ALL {
-            let base = SynthesisOptions::with_backend(backend).strategy(SearchStrategy::SatGuided);
-            let mut carry_engine = UpdateEngine::for_problem(&problems[0], base.clone());
-            let mut bare_engine =
-                UpdateEngine::for_problem(&problems[0], base.carry_forward(false));
-            for (step, problem) in problems.iter().enumerate() {
-                let label = format!("{kind:?} {backend} step {step}");
-                match (carry_engine.solve(problem), bare_engine.solve(problem)) {
-                    (Ok(carried), Ok(bare)) => {
-                        assert_eq!(carried.commands, bare.commands, "{label}: commands");
-                        assert_eq!(carried.order, bare.order, "{label}: unit order");
-                        assert!(
-                            carried.stats.cegis_iterations <= bare.stats.cegis_iterations,
-                            "{label}: carry must not add iterations: {} vs {}",
-                            carried.stats.cegis_iterations,
-                            bare.stats.cegis_iterations
-                        );
-                        carried_total += carried.stats.constraints_carried;
-                        retired_total += carried.stats.constraints_retired;
-                    }
-                    (Err(carried), Err(bare)) => {
-                        assert_eq!(carried, bare, "{label}: error verdicts diverged");
-                    }
-                    (c, b) => panic!("{label}: verdicts diverged: carry {c:?}, bare {b:?}"),
+            for strategy in SearchStrategy::ALL {
+                for granularity in [Granularity::Switch, Granularity::Rule] {
+                    assert_engine_matches_fresh(
+                        &problems,
+                        SynthesisOptions::with_backend(backend)
+                            .strategy(strategy)
+                            .granularity(granularity),
+                    );
                 }
             }
         }
     }
-    assert!(
-        carried_total > 0,
-        "the carry never engaged across any stream"
-    );
-    assert!(
-        retired_total > 0,
-        "revalidation never retired a constraint across any stream"
-    );
 }
 
 #[test]
@@ -256,9 +238,7 @@ fn engine_amortization_shows_in_the_work_counters() {
 /// answered on the engine's one search structure (the final-configuration
 /// check goes there by diff) and must leave no trace: the rejection matches
 /// the one-shot path, and every later request of the stream commits the
-/// commands and order a fresh `Synthesizer` would — with the same
-/// deterministic schedule wherever the cross-request carry (which
-/// legitimately shortens a SAT-guided schedule) cannot engage.
+/// commands and order a fresh `Synthesizer` would, with the same statistics.
 #[test]
 fn a_rejected_final_configuration_leaves_no_trace_on_a_warm_engine() {
     let problems = churn_problems(PropertyKind::Reachability, 4, 101);
@@ -266,19 +246,8 @@ fn a_rejected_final_configuration_leaves_no_trace_on_a_warm_engine() {
     broken.final_config = netupd::model::Configuration::new();
     assert!(!broken.switches_to_update().is_empty());
     for backend in Backend::ALL {
-        for (options, schedule_is_fresh) in [
-            (SynthesisOptions::with_backend(backend), true),
-            (
-                SynthesisOptions::with_backend(backend).strategy(SearchStrategy::SatGuided),
-                false,
-            ),
-            (
-                SynthesisOptions::with_backend(backend)
-                    .strategy(SearchStrategy::SatGuided)
-                    .carry_forward(false),
-                true,
-            ),
-        ] {
+        for strategy in SearchStrategy::ALL {
+            let options = SynthesisOptions::with_backend(backend).strategy(strategy);
             let label = format!("{backend} {}", options.strategy);
             let fresh = |problem: &UpdateProblem| {
                 Synthesizer::new(problem.clone())
@@ -302,13 +271,11 @@ fn a_rejected_final_configuration_leaves_no_trace_on_a_warm_engine() {
                 let r = engine.solve(problem).expect("engine solves");
                 assert_eq!(f.commands, r.commands, "{label} step {step}: commands");
                 assert_eq!(f.order, r.order, "{label} step {step}: unit order");
-                if schedule_is_fresh {
-                    assert_eq!(
-                        f.stats.schedule_view(),
-                        r.stats.schedule_view(),
-                        "{label} step {step}: schedule"
-                    );
-                }
+                assert_eq!(
+                    f.stats.schedule_view(),
+                    r.stats.schedule_view(),
+                    "{label} step {step}: schedule"
+                );
             }
             assert_eq!(engine.rebuilds(), 0, "{label}");
         }

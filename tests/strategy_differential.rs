@@ -346,12 +346,12 @@ fn a_trivial_update_charges_its_one_check_under_both_strategies() {
         assert!(fresh.commands.is_empty(), "{strategy}");
         assert_eq!(fresh.stats.charged_calls, 1, "{strategy} fresh");
         assert_eq!(fresh.stats.model_checker_calls, 1, "{strategy} fresh");
-        // Through a warm engine the checkpoint cache may answer the check;
-        // the charge is the schedule's and stays.
+        // A warm engine issues and charges the same one check.
         let mut engine = UpdateEngine::for_problem(&base, options);
         engine.solve(&base).expect("warm-up solve");
         let served = engine.solve(&trivial).expect("no-op update");
         assert_eq!(served.stats.charged_calls, 1, "{strategy} engine");
+        assert_eq!(served.stats.model_checker_calls, 1, "{strategy} engine");
     }
 }
 
