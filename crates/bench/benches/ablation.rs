@@ -51,8 +51,7 @@ fn bench_ablation(c: &mut Criterion) {
             "mc calls",
             "charged",
             "states relabeled",
-            "sat conflicts/clauses/learnt/deleted",
-            "sat restarts/decisions",
+            "sat conflicts/clauses/decisions",
             "unsat core",
             "cegis iters",
         ],
@@ -83,19 +82,15 @@ fn bench_ablation(c: &mut Criterion) {
                 Ok(stats) => Some(stats.clone()),
                 Err(_) => infeasible_stats(&workload.problem, &options),
             };
-            let (calls, charged, relabeled, sat, restarts, core, iters) = match &row_stats {
+            let (calls, charged, relabeled, sat, core, iters) = match &row_stats {
                 Some(stats) => (
                     stats.model_checker_calls.to_string(),
                     stats.charged_calls.to_string(),
                     stats.states_relabeled.to_string(),
                     format!(
-                        "{}/{}/{}/{}",
-                        stats.sat_conflicts,
-                        stats.sat_clauses,
-                        stats.sat_learnt,
-                        stats.sat_learnt_deleted
+                        "{}/{}/{}",
+                        stats.sat_conflicts, stats.sat_clauses, stats.sat_decisions
                     ),
-                    format!("{}/{}", stats.sat_restarts, stats.sat_decisions),
                     stats.unsat_core_size.to_string(),
                     stats.cegis_iterations.to_string(),
                 ),
@@ -103,7 +98,6 @@ fn bench_ablation(c: &mut Criterion) {
                     "0".to_string(),
                     "0".to_string(),
                     "0".to_string(),
-                    "-".to_string(),
                     "-".to_string(),
                     "-".to_string(),
                     "0".to_string(),
@@ -117,7 +111,6 @@ fn bench_ablation(c: &mut Criterion) {
                 charged,
                 relabeled,
                 sat,
-                restarts,
                 core,
                 iters,
             ]);

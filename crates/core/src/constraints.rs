@@ -1,136 +1,34 @@
-//! The shared constraint layer of the search: the visited-set `V` and
-//! wrong-set `W` (§4.1), and the counterexample→precedence-constraint
-//! learning of §4.2 B that every [`SearchStrategy`](crate::SearchStrategy)
-//! builds on.
+//! The one store of learnt facts every [`SearchStrategy`](crate::SearchStrategy)
+//! builds on: the counterexample→precedence-constraint learning of §4.2 B,
+//! which is also the wrong-set `W` of §4.1.
 //!
-//! `V` and `W` are predicates over configurations, where a configuration is
-//! abstracted by the set of update units already applied. `V` records exact
-//! unit sets already explored; `W` records counterexample formulas: a
-//! counterexample observed at some configuration rules out *every*
-//! configuration that agrees with it on which of the counterexample's
-//! switches are updated and which are not.
+//! A configuration is abstracted by the set of update units already applied
+//! (a [`UnitSet`]). A counterexample observed at some configuration says
+//! "some not-yet-updated switch on the trace must be updated before some
+//! updated one"; every strategy learns that clause into a [`UnitOrdering`]
+//! through one function (`UnitOrdering::learn_counterexample`) and the store
+//! answers all three questions the paper asks of it:
 //!
-//! The same counterexamples also induce *ordering* constraints ("some
-//! not-yet-updated switch on the trace must be updated before some updated
-//! one"). Every strategy keeps them in one store, [`UnitOrdering`], and
-//! learns them through one function (`UnitOrdering::learn_counterexample`).
-//! The DFS strategy asks the store only whether any total order is left
-//! ([`propose`](UnitOrdering::propose) returning `None` ends the search
-//! early); the SAT-guided strategy takes the proposed order itself, hands it
-//! to the model checker, and learns the failure back as a new clause.
+//! * **`W`** — [`excludes`](UnitOrdering::excludes): the clause rules out
+//!   *every* configuration that agrees with the counterexample on which of
+//!   its switches are updated and which are not, so the DFS skips those
+//!   without a check;
+//! * **early termination** — [`propose`](UnitOrdering::propose) returning
+//!   `None`: no total order is left, the DFS stops;
+//! * **the next candidate** — the order `propose` does return, which the
+//!   SAT-guided strategy hands to the model checker, learning the failure
+//!   back as a new clause.
+//!
+//! The visited set `V` needs no type of its own: it is a
+//! `HashSet<UnitSet>` in the DFS.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use netupd_model::SwitchId;
 use netupd_sat::{Lit, SolveResult, Solver, SolverStats, Var};
 
 use crate::search::SynthStats;
-use crate::units::UpdateUnit;
-
-/// The set `V` of visited configurations, keyed by the set of applied units.
-#[derive(Debug, Default, Clone)]
-pub struct VisitedSet {
-    seen: HashSet<BTreeSet<usize>>,
-}
-
-impl VisitedSet {
-    /// Creates an empty visited set.
-    pub fn new() -> Self {
-        VisitedSet::default()
-    }
-
-    /// Records a configuration. Returns `true` if it was new.
-    pub fn insert(&mut self, applied: &BTreeSet<usize>) -> bool {
-        self.seen.insert(applied.clone())
-    }
-
-    /// Returns `true` if the configuration was already explored.
-    pub fn contains(&self, applied: &BTreeSet<usize>) -> bool {
-        self.seen.contains(applied)
-    }
-
-    /// Number of configurations recorded.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Returns `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-}
-
-/// One learnt "wrong configuration" formula: configurations in which all of
-/// `updated` are updated and none of `not_updated` are updated violate the
-/// specification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WrongFormula {
-    /// Counterexample switches that were updated in the violating
-    /// configuration.
-    pub updated: BTreeSet<SwitchId>,
-    /// Counterexample switches that were not yet updated.
-    pub not_updated: BTreeSet<SwitchId>,
-}
-
-/// The set `W` of configurations excluded by counterexamples.
-#[derive(Debug, Default, Clone)]
-pub struct WrongSet {
-    formulas: Vec<WrongFormula>,
-}
-
-impl WrongSet {
-    /// Creates an empty wrong set.
-    pub fn new() -> Self {
-        WrongSet::default()
-    }
-
-    /// Learns a counterexample formula (`makeFormula(cex)` in the paper).
-    ///
-    /// `cex_switches` are the switches appearing in the counterexample trace;
-    /// `updated` is the set of switches updated in the configuration where
-    /// the counterexample was observed.
-    pub fn learn(&mut self, cex_switches: &[SwitchId], updated: &BTreeSet<SwitchId>) {
-        let formula = WrongFormula {
-            updated: cex_switches
-                .iter()
-                .copied()
-                .filter(|sw| updated.contains(sw))
-                .collect(),
-            not_updated: cex_switches
-                .iter()
-                .copied()
-                .filter(|sw| !updated.contains(sw))
-                .collect(),
-        };
-        if !self.formulas.contains(&formula) {
-            self.formulas.push(formula);
-        }
-    }
-
-    /// Returns `true` if a configuration with the given updated-switch set is
-    /// excluded by some learnt formula.
-    pub fn excludes(&self, updated: &BTreeSet<SwitchId>) -> bool {
-        self.formulas.iter().any(|f| {
-            f.updated.iter().all(|sw| updated.contains(sw))
-                && f.not_updated.iter().all(|sw| !updated.contains(sw))
-        })
-    }
-
-    /// The learnt formulas.
-    pub fn formulas(&self) -> &[WrongFormula] {
-        &self.formulas
-    }
-
-    /// Number of learnt formulas.
-    pub fn len(&self) -> usize {
-        self.formulas.len()
-    }
-
-    /// Returns `true` if nothing has been learnt.
-    pub fn is_empty(&self) -> bool {
-        self.formulas.is_empty()
-    }
-}
+use crate::units::UnitSet;
 
 /// Provenance of one learnt [`UnitOrdering`] clause, in unit indices.
 ///
@@ -151,7 +49,7 @@ pub enum LearntConstraint {
     /// the order.
     PrefixSet {
         /// The violating prefix set.
-        applied: BTreeSet<usize>,
+        applied: UnitSet,
     },
     /// This exact total order is excluded.
     Order {
@@ -177,8 +75,8 @@ impl LearntConstraint {
             // Some outside unit may precede the latest inside unit unless the
             // inside units fill exactly the first `applied.len()` positions.
             LearntConstraint::PrefixSet { applied } => {
-                applied.len() < position.len()
-                    && applied.iter().any(|&u| position[u] >= applied.len())
+                let inside = applied.len();
+                inside < position.len() && applied.iter().any(|u| position[u] >= inside)
             }
             LearntConstraint::Order { order } => {
                 order.windows(2).any(|pair| may_precede(pair[1], pair[0]))
@@ -305,6 +203,9 @@ pub struct UnitOrdering {
     seen: HashSet<Vec<Lit>>,
     /// Selector variable and provenance per learnt clause, in learn order.
     selectors: Vec<(Var, LearntConstraint)>,
+    /// The `(after, before)` unit masks of every distinct `SomeBefore`
+    /// clause: what [`UnitOrdering::excludes`] reads.
+    wrong: Vec<(UnitSet, UnitSet)>,
     /// Minimal conflicting constraint set, populated when
     /// [`UnitOrdering::propose`] proves infeasibility.
     core: Option<Vec<LearntConstraint>>,
@@ -337,17 +238,13 @@ impl UnitOrdering {
             pair_vars,
             seen: HashSet::new(),
             selectors: Vec::new(),
+            wrong: Vec::new(),
             core: None,
             axiom_triples: HashSet::new(),
             last_proposal: (0..n).collect(),
             constraints: 0,
             proposals: 0,
         }
-    }
-
-    /// Number of units the store orders.
-    pub fn num_units(&self) -> usize {
-        self.n
     }
 
     /// Number of *distinct* learnt constraint clauses.
@@ -685,10 +582,10 @@ impl UnitOrdering {
     /// it. Sound whenever the configuration produced by applying `applied`
     /// (in any order — unit applications commute) violates the
     /// specification. Returns `false` if the clause was already known.
-    pub fn block_prefix_set(&mut self, applied: &BTreeSet<usize>) -> bool {
+    pub fn block_prefix_set(&mut self, applied: &UnitSet) -> bool {
         let mut clause = Vec::new();
-        for outside in (0..self.n).filter(|u| !applied.contains(u)) {
-            for &inside in applied {
+        for outside in (0..self.n).filter(|&u| !applied.contains(u)) {
+            for inside in applied.iter() {
                 clause.push(self.before_lit(outside, inside));
             }
         }
@@ -713,39 +610,55 @@ impl UnitOrdering {
                 clause.push(self.before_lit(c, a));
             }
         }
-        self.learn(
+        let fresh = self.learn(
             clause,
             LearntConstraint::SomeBefore {
                 before: before_units.to_vec(),
                 after: after_units.to_vec(),
             },
-        )
+        );
+        if fresh {
+            let mask = |units: &[usize]| UnitSet::of(self.n, units.iter().copied());
+            self.wrong.push((mask(after_units), mask(before_units)));
+        }
+        fresh
     }
 
-    /// Learns the §4.2 B constraint of a counterexample `trace` observed in a
-    /// configuration where exactly the switches of `updated` were updated:
-    /// some unit of a not-yet-updated trace switch must precede some unit of
-    /// an updated one. Trace switches without a unit never update, so they
-    /// can be "updated before" nothing and are left out. Returns `false`,
-    /// learning nothing, when either side comes out empty (the trace does
-    /// not depend on the order) or the clause was already known.
+    /// The wrong-set `W` of §4.1, read off the learnt `SomeBefore` clauses:
+    /// `true` when the configuration with exactly the units of `applied`
+    /// applied is ruled out by some counterexample already seen — every
+    /// `after` unit of the clause applied and no `before` unit, which is the
+    /// updated / not-updated split of the trace the clause was learnt from,
+    /// so the same trace exists in this configuration too.
+    pub fn excludes(&self, applied: &UnitSet) -> bool {
+        (self.wrong.iter())
+            .any(|(after, before)| after.is_subset(applied) && before.is_disjoint(applied))
+    }
+
+    /// Learns the §4.2 B constraint of a counterexample `trace` observed in
+    /// the configuration with exactly the units of `applied` applied: some
+    /// unit of a not-yet-updated trace switch must precede some unit of an
+    /// updated one. `unit_of` is the plan's switch → unit index (one unit per
+    /// switch); trace switches without a unit never update, so they can be
+    /// "updated before" nothing and are left out. Returns `false`, learning
+    /// nothing, when either side comes out empty (the trace does not depend
+    /// on the order) or the clause was already known.
     ///
     /// Every strategy's learn site goes through here, so a trace means the
     /// same clause to all of them.
     pub(crate) fn learn_counterexample(
         &mut self,
         trace: &[SwitchId],
-        updated: &BTreeSet<SwitchId>,
-        units: &[UpdateUnit],
+        applied: &UnitSet,
+        unit_of: &HashMap<SwitchId, usize>,
     ) -> bool {
         let (mut before, mut after) = (Vec::new(), Vec::new());
-        for switch in trace {
-            let side = if updated.contains(switch) {
-                &mut after
+        for &unit in trace.iter().filter_map(|switch| unit_of.get(switch)) {
+            if applied.contains(unit) {
+                after.push(unit);
             } else {
-                &mut before
-            };
-            side.extend((0..units.len()).filter(|&i| units[i].switch() == *switch));
+                before.push(unit);
+            }
         }
         !before.is_empty() && !after.is_empty() && self.require_some_before(&before, &after)
     }
@@ -757,11 +670,7 @@ impl UnitOrdering {
         let solver = self.solver.stats();
         stats.sat_conflicts = solver.conflicts;
         stats.sat_clauses = solver.clauses;
-        stats.sat_learnt = solver.learnt;
-        stats.sat_restarts = solver.restarts;
         stats.sat_decisions = solver.decisions;
-        stats.sat_learnt_deleted = solver.learnt_deleted;
-        stats.sat_clause_lits_removed = solver.clause_lits_removed;
     }
 
     /// Learns that exactly this total order must never be proposed again:
@@ -806,44 +715,113 @@ impl UnitOrdering {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn sw(n: u32) -> SwitchId {
         SwitchId(n)
     }
 
-    #[test]
-    fn visited_set_detects_repeats() {
-        let mut visited = VisitedSet::new();
-        let a: BTreeSet<usize> = [0, 2].into_iter().collect();
-        assert!(visited.insert(&a));
-        assert!(!visited.insert(&a));
-        assert!(visited.contains(&a));
-        assert!(!visited.contains(&[1].into_iter().collect()));
-        assert_eq!(visited.len(), 1);
+    // ---- the wrong-set W, read off the store (§4.1) ---------------------------
+
+    /// The wrong-set as it was kept before the store answered for it: one
+    /// formula per counterexample, over switches. The reference `excludes`
+    /// is compared against.
+    #[derive(Default)]
+    struct FormulaListReference {
+        /// `(updated, not_updated)` trace switches per distinct formula.
+        formulas: Vec<(BTreeSet<SwitchId>, BTreeSet<SwitchId>)>,
+    }
+
+    impl FormulaListReference {
+        fn learn(&mut self, cex_switches: &[SwitchId], updated: &BTreeSet<SwitchId>) {
+            let formula = (cex_switches.iter().copied()).partition(|sw| updated.contains(sw));
+            if !self.formulas.contains(&formula) {
+                self.formulas.push(formula);
+            }
+        }
+
+        fn excludes(&self, updated: &BTreeSet<SwitchId>) -> bool {
+            self.formulas.iter().any(|(on, off)| {
+                on.iter().all(|sw| updated.contains(sw))
+                    && off.iter().all(|sw| !updated.contains(sw))
+            })
+        }
+    }
+
+    /// Units `0..n` update switches `1..=n`: unit `i` is switch `i + 1`.
+    fn one_unit_per_switch(n: usize) -> HashMap<SwitchId, usize> {
+        (0..n).map(|i| (sw(i as u32 + 1), i)).collect()
     }
 
     #[test]
-    fn wrong_set_excludes_matching_configurations() {
-        let mut wrong = WrongSet::new();
+    fn excludes_matches_configurations_that_agree_with_the_counterexample() {
+        let unit_of = one_unit_per_switch(8);
+        let mut store = UnitOrdering::new(8);
         // Counterexample visited A1 (updated) and C2 (not updated), as in the
         // paper's red/green example.
-        let updated: BTreeSet<SwitchId> = [sw(1)].into_iter().collect();
-        wrong.learn(&[sw(1), sw(2)], &updated);
+        assert!(store.learn_counterexample(&[sw(1), sw(2)], &UnitSet::of(8, [0]), &unit_of));
         // Any configuration with s1 updated and s2 not updated is excluded...
-        assert!(wrong.excludes(&[sw(1)].into_iter().collect()));
-        assert!(wrong.excludes(&[sw(1), sw(7)].into_iter().collect()));
+        assert!(store.excludes(&UnitSet::of(8, [0])));
+        assert!(store.excludes(&UnitSet::of(8, [0, 6])));
         // ...but once s2 is updated (or s1 is not), it no longer matches.
-        assert!(!wrong.excludes(&[sw(1), sw(2)].into_iter().collect()));
-        assert!(!wrong.excludes(&BTreeSet::new()));
+        assert!(!store.excludes(&UnitSet::of(8, [0, 1])));
+        assert!(!store.excludes(&UnitSet::new(8)));
     }
 
     #[test]
-    fn duplicate_formulas_are_not_stored_twice() {
-        let mut wrong = WrongSet::new();
-        let updated: BTreeSet<SwitchId> = [sw(1)].into_iter().collect();
-        wrong.learn(&[sw(1), sw(2)], &updated);
-        wrong.learn(&[sw(2), sw(1)], &updated);
-        assert_eq!(wrong.len(), 1);
+    fn a_repeated_counterexample_is_one_wrong_set_entry() {
+        let unit_of = one_unit_per_switch(4);
+        let mut store = UnitOrdering::new(4);
+        let applied = UnitSet::of(4, [0]);
+        assert!(store.learn_counterexample(&[sw(1), sw(2)], &applied, &unit_of));
+        assert!(!store.learn_counterexample(&[sw(2), sw(1)], &applied, &unit_of));
+        assert_eq!(store.wrong.len(), 1);
+        assert_eq!(store.num_constraints(), 1);
+    }
+
+    proptest! {
+        /// `excludes` is `W`: over every unit set of a small universe, the
+        /// store answers what the per-counterexample formula list answered,
+        /// for counterexamples whose traces also cross switches that never
+        /// update (switch 0 here).
+        #[test]
+        fn excludes_is_the_wrong_set_of_the_learnt_counterexamples(
+            (n, cexes) in (2usize..=8).prop_flat_map(|n| (
+                Just(n),
+                proptest::collection::vec(
+                    (proptest::collection::vec(0..=n as u32, 1..6), 0u32..1 << n),
+                    0..6,
+                ),
+            ))
+        ) {
+            let unit_of = one_unit_per_switch(n);
+            let set_of = |bits: u32| UnitSet::of(n, (0..n).filter(|u| bits >> u & 1 == 1));
+            let switches_of = |bits: u32| -> BTreeSet<SwitchId> {
+                set_of(bits).iter().map(|u| sw(u as u32 + 1)).collect()
+            };
+            let mut store = UnitOrdering::new(n);
+            let mut reference = FormulaListReference::default();
+            for (trace, observed_at) in &cexes {
+                let trace: Vec<SwitchId> = trace.iter().map(|&s| sw(s)).collect();
+                // A trace all of whose updating switches are on one side
+                // exists in the initial or final configuration, which the
+                // entry checks accepted: the search never sees one.
+                let on = trace.iter().filter_map(|s| unit_of.get(s));
+                let (updated, pending): (Vec<usize>, Vec<usize>) =
+                    on.partition(|&&u| observed_at >> u & 1 == 1);
+                if updated.is_empty() || pending.is_empty() {
+                    continue;
+                }
+                store.learn_counterexample(&trace, &set_of(*observed_at), &unit_of);
+                reference.learn(&trace, &switches_of(*observed_at));
+            }
+            for bits in 0u32..1 << n {
+                prop_assert!(
+                    store.excludes(&set_of(bits)) == reference.excludes(&switches_of(bits)),
+                    "unit set {bits:#b}"
+                );
+            }
+        }
     }
 
     // ---- unit ordering (§4.2 B) -----------------------------------------------
@@ -884,14 +862,14 @@ mod tests {
     fn block_prefix_set_excludes_the_prefix() {
         let mut store = UnitOrdering::new(3);
         // Forbid {0} as a prefix set: unit 0 must not come first.
-        assert!(store.block_prefix_set(&[0].into_iter().collect()));
+        assert!(store.block_prefix_set(&UnitSet::of(3, [0])));
         // Blocking each proposed first element in turn must never re-propose
         // a blocked one, and exhausts the three alternatives.
         let mut blocked = 1;
         while let Some(order) = store.propose() {
             assert_ne!(order[0], 0);
             assert!(
-                store.block_prefix_set(&[order[0]].into_iter().collect()),
+                store.block_prefix_set(&UnitSet::of(3, [order[0]])),
                 "re-proposed an already blocked prefix"
             );
             blocked += 1;
@@ -903,22 +881,18 @@ mod tests {
     #[test]
     fn blocking_all_prefixes_proves_infeasibility() {
         let mut store = UnitOrdering::new(2);
-        assert!(store.block_prefix_set(&[0].into_iter().collect()));
-        assert!(store.block_prefix_set(&[1].into_iter().collect()));
+        assert!(store.block_prefix_set(&UnitSet::of(2, [0])));
+        assert!(store.block_prefix_set(&UnitSet::of(2, [1])));
         assert!(store.propose().is_none());
     }
 
     #[test]
     fn counterexample_traces_become_clauses_over_updating_switches() {
-        let unit = |n: u32| UpdateUnit::ReplaceTable {
-            switch: sw(n),
-            table: netupd_model::Table::default(),
-        };
         // Units 0, 1, 2 update switches 4, 5, 6; switch 9 never updates.
-        let units = [unit(4), unit(5), unit(6)];
-        let updated: BTreeSet<SwitchId> = [sw(5)].into_iter().collect();
-        let mut store = UnitOrdering::new(units.len());
-        assert!(store.learn_counterexample(&[sw(9), sw(5), sw(6)], &updated, &units));
+        let unit_of: HashMap<SwitchId, usize> = [(sw(4), 0), (sw(5), 1), (sw(6), 2)].into();
+        let updated = UnitSet::of(3, [1]);
+        let mut store = UnitOrdering::new(3);
+        assert!(store.learn_counterexample(&[sw(9), sw(5), sw(6)], &updated, &unit_of));
         assert_eq!(
             store.selectors.iter().map(|(_, c)| c).collect::<Vec<_>>(),
             vec![&LearntConstraint::SomeBefore {
@@ -927,13 +901,13 @@ mod tests {
             }]
         );
         // The same trace again is the same clause.
-        assert!(!store.learn_counterexample(&[sw(6), sw(5)], &updated, &units));
+        assert!(!store.learn_counterexample(&[sw(6), sw(5)], &updated, &unit_of));
         // A side left empty by the mapping carries no ordering information:
         // nothing updated on the trace, nothing left to update on it, or the
         // only other switch on it has no unit.
-        assert!(!store.learn_counterexample(&[sw(4), sw(6)], &updated, &units));
-        assert!(!store.learn_counterexample(&[sw(5)], &updated, &units));
-        assert!(!store.learn_counterexample(&[sw(9), sw(5)], &updated, &units));
+        assert!(!store.learn_counterexample(&[sw(4), sw(6)], &updated, &unit_of));
+        assert!(!store.learn_counterexample(&[sw(5)], &updated, &unit_of));
+        assert!(!store.learn_counterexample(&[sw(9), sw(5)], &updated, &unit_of));
         assert_eq!(store.num_constraints(), 1);
         assert_eq!(store.propose(), Some(vec![0, 2, 1]));
     }
@@ -967,7 +941,7 @@ mod tests {
         // Entailed: weaker disjunction of the same constraint, and a prefix
         // block already excluded by `before(3, 0)`.
         assert!(preloaded.require_some_before(&[3], &[0, 1]));
-        assert!(preloaded.block_prefix_set(&[0].into_iter().collect()));
+        assert!(preloaded.block_prefix_set(&UnitSet::of(4, [0])));
         assert_eq!(plain.propose(), preloaded.propose());
         assert_eq!(plain.propose(), Some(vec![1, 2, 3, 0]));
     }
@@ -1022,8 +996,7 @@ mod tests {
                     .iter()
                     .any(|&b| after.iter().any(|&a| b != a && pos(b) < pos(a))),
                 LearntConstraint::PrefixSet { applied } => {
-                    let prefix: BTreeSet<usize> = order[..applied.len()].iter().copied().collect();
-                    prefix != *applied
+                    UnitSet::of(n, order[..applied.len()].iter().copied()) != *applied
                 }
                 LearntConstraint::Order { order: blocked } => order != blocked,
             })
@@ -1059,7 +1032,7 @@ mod tests {
                     after: vec![0, 1],
                 },
                 LearntConstraint::PrefixSet {
-                    applied: [1, 2].into_iter().collect(),
+                    applied: UnitSet::of(5, [1, 2]),
                 },
                 LearntConstraint::SomeBefore {
                     before: vec![2],
@@ -1080,7 +1053,7 @@ mod tests {
                     after: vec![2],
                 },
                 LearntConstraint::PrefixSet {
-                    applied: [3, 4].into_iter().collect(),
+                    applied: UnitSet::of(5, [3, 4]),
                 },
             ],
             // "2 or 3 before 1" and "1 before 2": satisfiable via 3 before 1.
@@ -1177,7 +1150,7 @@ mod tests {
             // Refute the exact order: block its first two prefix sets and the
             // full set minus the last element... blocking the 2-element
             // prefix alone kills 2 of the 6 orders per round.
-            store.block_prefix_set(&order[..2].iter().copied().collect());
+            store.block_prefix_set(&UnitSet::of(3, order[..2].iter().copied()));
         }
         assert!(rounds >= 3, "blocked too aggressively: {rounds}");
     }
@@ -1235,9 +1208,9 @@ mod tests {
         prop_oneof![
             (units(), units())
                 .prop_map(|(before, after)| LearntConstraint::SomeBefore { before, after }),
-            proptest::collection::vec(0..n, 1..n).prop_map(|applied| {
+            proptest::collection::vec(0..n, 1..n).prop_map(move |applied| {
                 LearntConstraint::PrefixSet {
-                    applied: applied.into_iter().collect(),
+                    applied: UnitSet::of(n, applied),
                 }
             }),
             arb_permutation(n).prop_map(|order| LearntConstraint::Order { order }),
@@ -1321,7 +1294,7 @@ mod tests {
                     }
                     Op::Refute(len) => {
                         if let Some(order) = &last {
-                            let applied = order[..len].iter().copied().collect();
+                            let applied = UnitSet::of(n, order[..len].iter().copied());
                             let refutation = LearntConstraint::PrefixSet { applied };
                             issue(&mut store, &mut learnt, refutation);
                         }

@@ -3,9 +3,10 @@
 //! Every strategy asks the same question — "does this configuration satisfy
 //! the specification?" — about configurations that differ from the last one
 //! asked about in a handful of switches. A [`CheckContext`] answers it by
-//! rewiring its structure one differing switch at a time (`sync_deferred`)
-//! and rechecking over exactly the rewired states, so the cost of a question
-//! follows the size of the diff, not of the network (the paper's Figure 7).
+//! rewiring its structure one differing switch at a time (`step`; a sync is
+//! a loop over it) and rechecking over exactly the rewired states, so the
+//! cost of a question follows the size of the diff, not of the network (the
+//! paper's Figure 7).
 //! The [`UpdateEngine`](crate::UpdateEngine) keeps its context across
 //! requests, which is what makes a churn stream cheap.
 //!
@@ -23,7 +24,7 @@ use std::ops::ControlFlow;
 use netupd_kripke::{Kripke, NetworkKripke, StateId};
 use netupd_ltl::Ltl;
 use netupd_mc::{Backend, CheckOutcome, ModelChecker, SequenceOutcome, SequenceStep};
-use netupd_model::{CommandSeq, Configuration, Table};
+use netupd_model::{CommandSeq, Configuration, SwitchId, Table};
 
 use crate::problem::UpdateProblem;
 use crate::search::{SynthStats, SynthesisError, UpdateSequence};
@@ -67,60 +68,52 @@ impl CheckContext {
         }
     }
 
-    /// Moves the search structure to `config` without checking it — by
-    /// per-switch diff when a structure exists, by a cold encode otherwise
-    /// (the checker then holds no labels and the next recheck is a full
-    /// check anyway). The rewired states join the pending set and are
-    /// relabeled by the next physical recheck: the deferred-undo discipline.
+    /// The configuration the search structure encodes.
+    pub(crate) fn config(&self) -> &Configuration {
+        &self.config
+    }
+
+    /// Rewires one switch of the search structure to `table` without
+    /// checking: the one move every walk over configurations is made of —
+    /// a DFS apply, a DFS undo, each switch of a sync. The rewired states
+    /// join the pending set and are relabeled by the next physical recheck
+    /// (the deferred-undo discipline), so a there-and-back costs no query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing has been encoded yet.
+    pub(crate) fn step(&mut self, encoder: &NetworkKripke, switch: SwitchId, table: Table) {
+        let kripke = self.kripke.as_mut().expect("structure encoded");
+        self.pending
+            .extend(encoder.apply_switch_update(kripke, switch, &table));
+        self.config.set_table(switch, table);
+    }
+
+    /// Moves the search structure to `config` without checking it — one
+    /// [`step`](Self::step) per differing switch when a structure exists, a
+    /// cold encode otherwise (the checker then holds no labels and the next
+    /// recheck is a full check anyway).
     pub(crate) fn sync_deferred(&mut self, encoder: &NetworkKripke, config: &Configuration) {
-        match &mut self.kripke {
-            None => self.kripke = Some(encoder.encode(config)),
-            Some(kripke) => {
-                let empty = Table::empty();
-                for sw in self.config.differing_switches(config) {
-                    let table = config.table_ref(sw).unwrap_or(&empty);
-                    self.pending
-                        .extend(encoder.apply_switch_update(kripke, sw, table));
-                }
-            }
+        if self.kripke.is_none() {
+            self.kripke = Some(encoder.encode(config));
+            self.config = config.clone();
+            return;
         }
-        self.config = config.clone();
+        for switch in self.config.differing_switches(config) {
+            self.step(encoder, switch, config.table(switch));
+        }
     }
 
     /// Physically rechecks `spec` over the structure as it stands, relabeling
     /// from the pending set: a full check on a cold context, an incremental
     /// one on a warm context. The outcome is a pure function of the encoded
     /// configuration and `spec` either way (see the module docs on purity).
-    fn recheck(&mut self, spec: &Ltl) -> CheckOutcome {
+    pub(crate) fn recheck(&mut self, spec: &Ltl) -> CheckOutcome {
         let mut changed = std::mem::take(&mut self.pending);
         changed.sort_unstable();
         changed.dedup();
         let kripke = self.kripke.as_ref().expect("structure encoded");
         self.checker.recheck(kripke, spec, &changed)
-    }
-
-    /// The mutable search structure, checker, and pending change set, for
-    /// callers (the sequential DFS) that drive them directly. The caller must
-    /// record the configuration it leaves the structure at via
-    /// [`CheckContext::set_config`], and leave any states it rewired without
-    /// rechecking in the pending set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing has been encoded yet.
-    pub(crate) fn checking_parts_mut(
-        &mut self,
-    ) -> (&mut Kripke, &mut dyn ModelChecker, &mut Vec<StateId>) {
-        (
-            self.kripke.as_mut().expect("structure encoded"),
-            self.checker.as_mut(),
-            &mut self.pending,
-        )
-    }
-
-    /// Records the configuration the search structure was left at.
-    pub(crate) fn set_config(&mut self, config: Configuration) {
-        self.config = config;
     }
 
     /// Verifies an update-step sequence starting from `base` on the search
@@ -217,7 +210,8 @@ mod tests {
 
     /// The final-configuration check goes to `final` by diff on the one
     /// structure; wherever the context is taken next — straight on, or back
-    /// to `initial` by deferred sync as the DFS does — the next recheck must
+    /// to `initial` by deferred sync as the DFS does, and then through the
+    /// DFS's apply / check / undo of another switch — the next recheck must
     /// report what a cold full check of that configuration reports, verdict
     /// and counterexample state for state.
     #[test]
@@ -232,8 +226,9 @@ mod tests {
         let units = crate::units::plan_units(&problem, crate::options::Granularity::Switch);
 
         let mut violations = 0;
+        let switches = problem.switches_to_update();
         for backend in Backend::ALL {
-            for &sw in &problem.switches_to_update() {
+            for (i, &sw) in switches.iter().enumerate() {
                 let next = problem.initial.updated(sw, problem.final_config.table(sw));
                 let mut cold = CheckContext::fresh(backend);
                 cold.sync_deferred(&encoder, &next);
@@ -253,6 +248,18 @@ mod tests {
                     let warm = ctx.recheck(&problem.spec);
                     assert_eq!(warm.holds, cold.holds, "{backend} {sw}");
                     assert_eq!(warm.counterexample, cold.counterexample, "{backend} {sw}");
+
+                    // One more switch there (checked) and back (the undo: a
+                    // step with no recheck of its own).
+                    let other = switches[(i + 1) % switches.len()];
+                    ctx.step(&encoder, other, problem.final_config.table(other));
+                    ctx.recheck(&problem.spec);
+                    ctx.step(&encoder, other, problem.initial.table(other));
+                    assert!(ctx.config().differing_switches(&next).is_empty());
+                    assert!(!ctx.pending.is_empty());
+                    let undone = ctx.recheck(&problem.spec);
+                    assert_eq!(undone.holds, cold.holds, "{backend} {sw}");
+                    assert_eq!(undone.counterexample, cold.counterexample, "{backend} {sw}");
                 }
             }
         }

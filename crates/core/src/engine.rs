@@ -67,9 +67,9 @@ use crate::context::{check_endpoints, CheckContext};
 use crate::explain::InfeasibilityExplanation;
 use crate::options::{SearchStrategy, SynthesisOptions};
 use crate::problem::UpdateProblem;
-use crate::search::{finish_sequence, SynthStats, SynthesisError, UpdateSequence};
-use crate::strategy::{dfs::DfsSearch, sat_guided};
-use crate::units::{plan_units, UpdateUnit};
+use crate::search::{SynthesisError, UpdateSequence};
+use crate::strategy::{dfs, sat_guided};
+use crate::units::plan_units;
 
 /// A long-lived synthesis engine serving a stream of [`UpdateProblem`]s over
 /// a fixed `(topology, classes, ingress)` triple, amortizing everything that
@@ -203,8 +203,12 @@ impl UpdateEngine {
         let ctx = self.ctx.get_or_insert_with(|| CheckContext::fresh(backend));
         match check_endpoints(ctx, &self.encoder, problem, &units)? {
             ControlFlow::Break(trivial) => Ok(trivial),
-            ControlFlow::Continue(stats) => match self.options.strategy {
-                SearchStrategy::SatGuided => sat_guided::solve(
+            ControlFlow::Continue(stats) => {
+                let strategy = match self.options.strategy {
+                    SearchStrategy::Dfs => dfs::solve,
+                    SearchStrategy::SatGuided => sat_guided::solve,
+                };
+                strategy(
                     problem,
                     &self.options,
                     &units,
@@ -212,9 +216,8 @@ impl UpdateEngine {
                     ctx,
                     stats,
                     &mut self.last_explanation,
-                ),
-                SearchStrategy::Dfs => self.solve_dfs(problem, &units, stats),
-            },
+                )
+            }
         }
     }
 
@@ -248,75 +251,6 @@ impl UpdateEngine {
     /// other failures.
     pub fn last_explanation(&self) -> Option<&InfeasibilityExplanation> {
         self.last_explanation.as_ref()
-    }
-
-    /// The `OrderUpdate` DFS over the persistent context, after the entry
-    /// checks. Mirrors the paper's algorithm exactly; the only difference from
-    /// a one-shot run is that the structure is synced by diff, not encoded
-    /// afresh.
-    fn solve_dfs(
-        &mut self,
-        problem: &UpdateProblem,
-        units: &[UpdateUnit],
-        stats: SynthStats,
-    ) -> Result<UpdateSequence, SynthesisError> {
-        // The final check left the structure at the final configuration; the
-        // search starts from the initial one. The way back is a deferred
-        // undo: rewired now, relabeled by the DFS's first physical recheck.
-        let ctx = self.ctx.as_mut().expect("the entry checks ran on it");
-        ctx.sync_deferred(&self.encoder, &problem.initial);
-
-        // The DFS drives the persistent structure and checker directly; it
-        // leaves them consistent at whatever configuration it ends on (modulo
-        // the pending change set, which stays on the context), which the
-        // context records for the next request's diff-sync.
-        let (kripke, checker, pending) = ctx.checking_parts_mut();
-        let mut search = DfsSearch::new(
-            problem,
-            &self.options,
-            units,
-            &self.encoder,
-            kripke,
-            checker,
-            pending,
-            stats,
-        );
-        let outcome = search.dfs();
-        // The store outlives the search: when the DFS aborted because the
-        // constraints went unsatisfiable, it holds the minimal core.
-        let DfsSearch {
-            ordering,
-            mut stats,
-            config: end_config,
-            ..
-        } = search;
-        ctx.set_config(end_config);
-        ordering.fill_solver_stats(&mut stats);
-
-        match outcome {
-            Ok(Some(order_indices)) => Ok(finish_sequence(
-                problem,
-                &self.options,
-                units,
-                &order_indices,
-                stats,
-            )),
-            Ok(None) => Err(SynthesisError::NoOrderingExists {
-                proven_by_constraints: false,
-            }),
-            Err(error) => {
-                if error
-                    == (SynthesisError::NoOrderingExists {
-                        proven_by_constraints: true,
-                    })
-                {
-                    self.last_explanation = Some(InfeasibilityExplanation::from_store(
-                        &ordering, units, stats,
-                    ));
-                }
-                Err(error)
-            }
-        }
     }
 }
 

@@ -62,7 +62,7 @@ impl ConflictConstraint {
                 after: switches(after),
             },
             LearntConstraint::PrefixSet { applied } => ConflictConstraint::PrefixSet {
-                applied: applied.iter().map(|&i| units[i].switch()).collect(),
+                applied: applied.iter().map(|i| units[i].switch()).collect(),
             },
             LearntConstraint::Order { order } => ConflictConstraint::Order {
                 order: order.iter().map(|&i| units[i].switch()).collect(),

@@ -14,11 +14,12 @@
 //!   algorithm: a depth-first search over simple, careful command sequences
 //!   that checks every candidate configuration with an incremental model
 //!   checker (labels are reused between the closely-related queries), learns
-//!   from counterexamples, pruning every future configuration that agrees
-//!   with a counterexample on its updated/not-updated switches, and
-//!   terminates early when the accumulated ordering constraints admit no
-//!   total order (decided by [`constraints::UnitOrdering`]: on concrete
-//!   orders while one survives, by an incremental SAT solver otherwise).
+//!   each counterexample once into [`constraints::UnitOrdering`], which then
+//!   prunes every future configuration that agrees with the counterexample
+//!   on its updated/not-updated switches and terminates the search early
+//!   when the accumulated ordering constraints admit no total order (decided
+//!   on concrete orders while one survives, by an incremental SAT solver
+//!   otherwise).
 //! * [`SearchStrategy::SatGuided`] runs the same §4.2 B store as a CEGIS
 //!   loop: the store *proposes* a constraint-consistent total order, the
 //!   backend verifies it prefix by prefix in one first-failing-prefix call,

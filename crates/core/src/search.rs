@@ -4,10 +4,9 @@
 //! [`SearchStrategy`](crate::SearchStrategy) commits its result through. The
 //! strategy implementations themselves live in [`crate::strategy`].
 
-use std::collections::BTreeSet;
 use std::fmt;
 
-use netupd_model::{CommandSeq, Configuration, SwitchId};
+use netupd_model::{CommandSeq, Configuration};
 
 use crate::options::SynthesisOptions;
 use crate::problem::UpdateProblem;
@@ -28,10 +27,11 @@ pub struct SynthStats {
     /// Total states (re)labeled across all queries — the measure of
     /// incrementality.
     pub states_relabeled: usize,
-    /// Counterexamples learnt into the wrong-set.
+    /// Counterexamples learnt into the ordering store (as pruning facts and
+    /// ordering constraints at once).
     pub counterexamples_learnt: usize,
-    /// Candidate configurations pruned by the visited/wrong sets without a
-    /// model-checker call.
+    /// Candidate configurations pruned without a model-checker call: already
+    /// visited, or excluded by a learnt counterexample.
     pub configurations_pruned: usize,
     /// Number of times the search backtracked after a failed check.
     pub backtracks: usize,
@@ -48,15 +48,8 @@ pub struct SynthStats {
     /// Clauses in the ordering solver: order axioms, learnt constraints, and
     /// CDCL-learnt clauses (live, after learnt-database reduction).
     pub sat_clauses: usize,
-    /// CDCL-learnt clauses live in the ordering solver.
-    pub sat_learnt: usize,
-    /// Restarts the ordering solver performed (Luby schedule, deterministic
-    /// in the conflict count).
-    pub sat_restarts: u64,
     /// Branching decisions the ordering solver made.
     pub sat_decisions: u64,
-    /// CDCL-learnt clauses deleted by the solver's learnt-database reduction.
-    pub sat_learnt_deleted: u64,
     /// Size of the minimal conflicting constraint set when infeasibility was
     /// proven by constraint unsatisfiability (see
     /// [`UpdateEngine::last_explanation`](crate::UpdateEngine::last_explanation)).
@@ -70,9 +63,6 @@ pub struct SynthStats {
     /// undo that the deferred-undo discipline folds into the next check. What
     /// [`SynthesisOptions::max_checks`] bounds.
     pub charged_calls: usize,
-    /// Literals removed from learnt clauses by the ordering solver's
-    /// self-subsumption minimization before install.
-    pub sat_clause_lits_removed: u64,
 }
 
 impl SynthStats {
@@ -222,29 +212,6 @@ pub(crate) fn finish_sequence(
     }
 }
 
-/// Switches considered "updated" once the units in `applied` have been
-/// applied: those for which every planned unit has been applied. Shared by
-/// both strategies so counterexample formulas mean the same thing in each.
-pub(crate) fn updated_switches(
-    units: &[UpdateUnit],
-    applied: &BTreeSet<usize>,
-) -> BTreeSet<SwitchId> {
-    let mut per_switch: std::collections::BTreeMap<SwitchId, (usize, usize)> =
-        std::collections::BTreeMap::new();
-    for (i, unit) in units.iter().enumerate() {
-        let entry = per_switch.entry(unit.switch()).or_insert((0, 0));
-        entry.1 += 1;
-        if applied.contains(&i) {
-            entry.0 += 1;
-        }
-    }
-    per_switch
-        .into_iter()
-        .filter(|(_, (done, total))| done == total)
-        .map(|(sw, _)| sw)
-        .collect()
-}
-
 /// Builds the careful command sequence for a unit order: one table-replacement
 /// command per unit, separated by waits (Definition 5), with trailing waits
 /// trimmed.
@@ -270,7 +237,9 @@ mod tests {
     use netupd_mc::Backend;
     use netupd_model::Network;
     use netupd_topo::generators;
-    use netupd_topo::scenario::{diamond_scenario, double_diamond_scenario, PropertyKind};
+    use netupd_topo::scenario::{
+        diamond_scenario, double_diamond_scenario, multi_diamond_scenario, PropertyKind,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -445,5 +414,27 @@ mod tests {
         let result = Synthesizer::new(problem).synthesize().expect("solution");
         assert!(result.stats.model_checker_calls >= result.commands.num_updates());
         assert!(result.stats.states_relabeled > 0);
+    }
+
+    #[test]
+    fn rule_granularity_beyond_one_word_of_units() {
+        // Five diamonds at rule granularity plan 71 units: applied sets,
+        // visited rows and blocked prefix sets all span two words.
+        let mut rng = StdRng::seed_from_u64(3);
+        let graph = generators::small_world(200, 4, 0.1, &mut rng);
+        let scenario = multi_diamond_scenario(&graph, PropertyKind::Reachability, 5, &mut rng)
+            .expect("five disjoint diamonds fit");
+        let problem = UpdateProblem::from_scenario(&scenario);
+        assert!(crate::units::plan_units(&problem, Granularity::Rule).len() > 64);
+        for strategy in crate::options::SearchStrategy::ALL {
+            let options = SynthesisOptions::default()
+                .granularity(Granularity::Rule)
+                .strategy(strategy);
+            let result = Synthesizer::new(problem.clone())
+                .with_options(options)
+                .synthesize()
+                .unwrap_or_else(|e| panic!("{strategy}: {e}"));
+            assert_sequence_correct(&problem, &result.commands);
+        }
     }
 }

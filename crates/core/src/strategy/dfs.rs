@@ -1,45 +1,101 @@
 //! The `OrderUpdate` depth-first search strategy (§4 of the paper).
 //!
-//! Early termination (§4.2 B) runs on the ordering store every strategy
-//! shares: each counterexample is learnt into a
-//! [`UnitOrdering`](crate::constraints::UnitOrdering) as "some not-yet-updated
-//! switch on the trace before some updated one", and the search stops as soon
-//! as the store has no total order left to propose. While the order it last
+//! A request's search state is three things: the [`CheckContext`] it steps
+//! and rechecks, the [`UnitSet`] of applied units (with the path that built
+//! it and the visited rows `V`), and the one store of learnt facts, a
+//! [`UnitOrdering`]. Each counterexample is learnt into the store once, as
+//! "some not-yet-updated switch on the trace before some updated one", and
+//! the store answers for it twice: as the wrong-set `W`
+//! ([`excludes`](UnitOrdering::excludes)) it prunes candidates before they
+//! are checked, and as the ordering constraints of §4.2 B it ends the search
+//! as soon as it has no total order left to propose. While the order it last
 //! found survives the new clause that answer costs one pass over the learnt
 //! clauses; the CDCL solver is the fallback and the source of the minimal
 //! core behind [`UpdateEngine::last_explanation`](crate::UpdateEngine).
 
-use std::collections::BTreeSet;
+use std::collections::{HashMap, HashSet};
 
-use netupd_kripke::{Kripke, NetworkKripke, StateId};
-use netupd_mc::{CheckOutcome, ModelChecker};
-use netupd_model::{Configuration, SwitchId};
+use netupd_kripke::NetworkKripke;
+use netupd_model::SwitchId;
 
-use crate::constraints::{UnitOrdering, VisitedSet, WrongSet};
-use crate::options::{Granularity, SynthesisOptions};
+use crate::constraints::UnitOrdering;
+use crate::context::CheckContext;
+use crate::explain::InfeasibilityExplanation;
+use crate::options::SynthesisOptions;
 use crate::problem::UpdateProblem;
-use crate::search::{updated_switches, SynthStats, SynthesisError};
-use crate::units::UpdateUnit;
+use crate::search::{finish_sequence, SynthStats, SynthesisError, UpdateSequence};
+use crate::strategy::counterexample_units;
+use crate::units::{UnitSet, UpdateUnit};
 
-/// The ordering store the DFS stops early on: over every unit when the
-/// options make the run learn into it and consult it, empty — no pair
-/// variables allocated — when they do not.
-fn early_termination_store(options: &SynthesisOptions, units: &[UpdateUnit]) -> UnitOrdering {
-    let consulted = options.use_counterexamples
-        && options.early_termination
-        && options.granularity == Granularity::Switch;
-    UnitOrdering::new(if consulted { units.len() } else { 0 })
+/// Runs the DFS over the engine's persistent context, after the entry checks
+/// (`stats` is what they charged). They leave the structure at the final
+/// configuration and the search starts from the initial one; the way back is
+/// a deferred sync, relabeled by the first physical recheck. The context is
+/// left wherever the search ended, which the next request syncs from by
+/// diff. When the constraints go unsatisfiable the minimal-core explanation
+/// is left in `explanation`.
+pub(crate) fn solve(
+    problem: &UpdateProblem,
+    options: &SynthesisOptions,
+    units: &[UpdateUnit],
+    encoder: &NetworkKripke,
+    ctx: &mut CheckContext,
+    stats: SynthStats,
+    explanation: &mut Option<InfeasibilityExplanation>,
+) -> Result<UpdateSequence, SynthesisError> {
+    ctx.sync_deferred(encoder, &problem.initial);
+    let unit_of = counterexample_units(options, units);
+    let mut search = DfsSearch {
+        problem,
+        options,
+        units,
+        encoder,
+        ctx,
+        applied: UnitSet::new(units.len()),
+        path: Vec::with_capacity(units.len()),
+        visited: HashSet::new(),
+        // A run that never learns keeps an empty store.
+        ordering: UnitOrdering::new(if unit_of.is_some() { units.len() } else { 0 }),
+        unit_of,
+        stats,
+    };
+    let outcome = search.dfs();
+    // The store outlives the search: when the DFS aborted because the
+    // constraints went unsatisfiable, it holds the minimal core.
+    let DfsSearch {
+        ordering,
+        mut stats,
+        path,
+        ..
+    } = search;
+    ordering.fill_solver_stats(&mut stats);
+    match outcome {
+        Ok(true) => Ok(finish_sequence(problem, options, units, &path, stats)),
+        Ok(false) => Err(SynthesisError::NoOrderingExists {
+            proven_by_constraints: false,
+        }),
+        Err(error) => {
+            if error
+                == (SynthesisError::NoOrderingExists {
+                    proven_by_constraints: true,
+                })
+            {
+                *explanation = Some(InfeasibilityExplanation::from_store(
+                    &ordering, units, stats,
+                ));
+            }
+            Err(error)
+        }
+    }
 }
 
 /// The mutable state of one DFS run.
 ///
-/// The structure, checker, and configuration are *borrowed* from the
-/// [`UpdateEngine`](crate::UpdateEngine)'s persistent context (whose labels
-/// carry over from the previous request; a one-shot run hands in a cold
-/// one). The DFS leaves `kripke`/`checker`/`config` mutually consistent at
-/// whatever configuration the search ended on — modulo the `carried` change
-/// set, which the owning context folds into its next recheck — which is what
-/// makes the context reusable for the next request's sync-by-diff.
+/// The context belongs to the [`UpdateEngine`](crate::UpdateEngine) (its
+/// labels carry over from the previous request; a one-shot run hands in a
+/// cold one). The DFS moves it only by [`CheckContext::step`] and asks it
+/// only [`CheckContext::recheck`], so structure, checker and recorded
+/// configuration stay consistent wherever the search stops.
 ///
 /// # Budget accounting
 ///
@@ -48,171 +104,96 @@ fn early_termination_store(options: &SynthesisOptions, units: &[UpdateUnit]) -> 
 /// `stats.model_checker_calls` counts the checks physically issued, one per
 /// applied prefix: the deferred-undo discipline folds each undo's relabel
 /// into the next check instead of issuing it.
-pub(crate) struct DfsSearch<'a> {
-    pub(crate) problem: &'a UpdateProblem,
-    pub(crate) options: &'a SynthesisOptions,
-    pub(crate) units: &'a [UpdateUnit],
-    pub(crate) encoder: &'a NetworkKripke,
-    pub(crate) kripke: &'a mut Kripke,
-    pub(crate) checker: &'a mut dyn ModelChecker,
-    /// States rewired without an intervening recheck (the engine's deferred
-    /// sync, then deferred undos), folded into the next recheck's change set.
-    /// Borrowed from the owning context so unconsumed states survive the run.
-    pub(crate) carried: &'a mut Vec<StateId>,
-    pub(crate) config: Configuration,
-    pub(crate) applied: BTreeSet<usize>,
-    pub(crate) visited: VisitedSet,
-    pub(crate) wrong: WrongSet,
-    pub(crate) ordering: UnitOrdering,
-    pub(crate) stats: SynthStats,
+struct DfsSearch<'a> {
+    problem: &'a UpdateProblem,
+    options: &'a SynthesisOptions,
+    units: &'a [UpdateUnit],
+    encoder: &'a NetworkKripke,
+    ctx: &'a mut CheckContext,
+    /// The unit of each updating switch; `None` when counterexamples are not
+    /// learnt.
+    unit_of: Option<HashMap<SwitchId, usize>>,
+    /// The units applied in the context's current configuration.
+    applied: UnitSet,
+    /// The same units in the order they were applied: the committed order
+    /// once it holds them all.
+    path: Vec<usize>,
+    /// The set `V` of §4.1: every applied set a check was spent on.
+    visited: HashSet<UnitSet>,
+    ordering: UnitOrdering,
+    stats: SynthStats,
 }
 
-impl<'a> DfsSearch<'a> {
-    /// Sets up a DFS run over borrowed checking state, starting from the
-    /// problem's initial configuration with empty visited/wrong sets.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        problem: &'a UpdateProblem,
-        options: &'a SynthesisOptions,
-        units: &'a [UpdateUnit],
-        encoder: &'a NetworkKripke,
-        kripke: &'a mut Kripke,
-        checker: &'a mut dyn ModelChecker,
-        carried: &'a mut Vec<StateId>,
-        stats: SynthStats,
-    ) -> Self {
-        DfsSearch {
-            problem,
-            options,
-            units,
-            encoder,
-            kripke,
-            checker,
-            carried,
-            config: problem.initial.clone(),
-            applied: BTreeSet::new(),
-            visited: VisitedSet::new(),
-            wrong: WrongSet::new(),
-            ordering: early_termination_store(options, units),
-            stats,
-        }
-    }
-
-    /// Switches considered "updated" in the current configuration: those for
-    /// which every planned unit has been applied.
-    fn updated_switches(&self) -> BTreeSet<SwitchId> {
-        updated_switches(self.units, &self.applied)
-    }
-
-    /// Rechecks the current configuration after `changed` states were
-    /// rewired, folding in the deferred undos.
-    fn check_current(&mut self, changed: Vec<StateId>) -> CheckOutcome {
-        let mut change_set = std::mem::take(self.carried);
-        change_set.extend(changed);
-        change_set.sort_unstable();
-        change_set.dedup();
-        self.stats.model_checker_calls += 1;
-        let outcome = self
-            .checker
-            .recheck(self.kripke, &self.problem.spec, &change_set);
-        self.stats.states_relabeled += outcome.stats.states_labeled;
-        outcome
-    }
-
-    pub(crate) fn dfs(&mut self) -> Result<Option<Vec<usize>>, SynthesisError> {
-        if self.applied.len() == self.units.len() {
-            return Ok(Some(Vec::new()));
+impl DfsSearch<'_> {
+    /// Extends the current prefix to a full order, leaving it in `path`;
+    /// `false` when every extension fails.
+    fn dfs(&mut self) -> Result<bool, SynthesisError> {
+        if self.path.len() == self.units.len() {
+            return Ok(true);
         }
         for idx in 0..self.units.len() {
-            if self.applied.contains(&idx) {
+            if self.applied.contains(idx) {
                 continue;
             }
             if self.stats.charged_calls >= self.options.max_checks {
                 return Err(SynthesisError::SearchBudgetExhausted);
             }
-            let unit = &self.units[idx];
-            let switch = unit.switch();
 
-            // Pre-checks against V and W (line 6 of the paper's algorithm).
-            let mut candidate = self.applied.clone();
-            candidate.insert(idx);
-            if self.visited.contains(&candidate) {
+            // Pre-checks against V and W (line 6 of the paper's algorithm),
+            // on the candidate set built in place.
+            self.applied.insert(idx);
+            let seen = self.visited.contains(&self.applied);
+            if !seen {
+                self.visited.insert(self.applied.clone());
+            }
+            if seen || self.ordering.excludes(&self.applied) {
+                self.applied.remove(idx);
                 self.stats.configurations_pruned += 1;
                 continue;
             }
-            self.visited.insert(&candidate);
-            if self.options.use_counterexamples && self.options.granularity == Granularity::Switch {
-                let mut updated = self.updated_switches();
-                updated.insert(switch);
-                if self.wrong.excludes(&updated) {
-                    self.stats.configurations_pruned += 1;
-                    continue;
-                }
-            }
 
-            // Apply the unit (swUpdate) and re-check. The switch's arena
-            // rows are captured first so the undo is a plain delta restore
-            // instead of a re-encode.
-            let old_table = self.config.table(switch);
-            let new_table = unit.apply(&self.config);
-            let delta = self
-                .kripke
-                .capture_delta(&self.kripke.states_of_switch(switch));
-            self.config.set_table(switch, new_table.clone());
-            self.applied.insert(idx);
-            let changed = self
-                .encoder
-                .apply_switch_update(self.kripke, switch, &new_table);
+            // Apply the unit (swUpdate) and re-check.
+            let unit = &self.units[idx];
+            let switch = unit.switch();
+            let old_table = self.ctx.config().table(switch);
+            let new_table = unit.apply(self.ctx.config());
+            self.ctx.step(self.encoder, switch, new_table);
+            self.path.push(idx);
             self.stats.charged_calls += 1;
-            let outcome = self.check_current(changed);
+            self.stats.model_checker_calls += 1;
+            let outcome = self.ctx.recheck(&self.problem.spec);
+            self.stats.states_relabeled += outcome.stats.states_labeled;
 
             if outcome.holds {
-                if let Some(mut rest) = self.dfs()? {
-                    rest.insert(0, idx);
-                    return Ok(Some(rest));
+                if self.dfs()? {
+                    return Ok(true);
                 }
             } else {
                 self.stats.backtracks += 1;
-                if self.options.use_counterexamples
-                    && self.options.granularity == Granularity::Switch
-                {
-                    if let Some(cex) = &outcome.counterexample {
-                        let updated = self.updated_switches();
-                        self.wrong.learn(&cex.switches, &updated);
-                        self.stats.counterexamples_learnt += 1;
-                        if self.options.early_termination
-                            && self.ordering.learn_counterexample(
-                                &cex.switches,
-                                &updated,
-                                self.units,
-                            )
-                            && self.ordering.propose().is_none()
-                        {
-                            return Err(SynthesisError::NoOrderingExists {
-                                proven_by_constraints: true,
-                            });
-                        }
+                if let (Some(unit_of), Some(cex)) = (&self.unit_of, &outcome.counterexample) {
+                    self.stats.counterexamples_learnt += 1;
+                    let fresh =
+                        self.ordering
+                            .learn_counterexample(&cex.switches, &self.applied, unit_of);
+                    if fresh && self.options.early_termination && self.ordering.propose().is_none()
+                    {
+                        return Err(SynthesisError::NoOrderingExists {
+                            proven_by_constraints: true,
+                        });
                     }
                 }
             }
 
-            // Undo the unit by restoring the captured arena delta (falling
-            // back to a re-encode if the arena changed shape underneath it)
-            // and *defer* the relabel: the undone states join the carried
-            // change set consumed by the next physical recheck, so the undo
-            // issues no query. The schedule still charges it — the paper's
-            // search pays a restore recheck here.
-            self.applied.remove(&idx);
-            self.config.set_table(switch, old_table.clone());
+            // Undo the unit — the same step, back to the old table — and
+            // *defer* the relabel: the undone states stay in the context's
+            // pending set, consumed by the next physical recheck, so the
+            // undo issues no query. The schedule still charges it — the
+            // paper's search pays a restore recheck here.
+            self.applied.remove(idx);
+            self.path.pop();
+            self.ctx.step(self.encoder, switch, old_table);
             self.stats.charged_calls += 1;
-            let restored = match self.kripke.restore_delta(&delta) {
-                Some(changed) => changed,
-                None => self
-                    .encoder
-                    .apply_switch_update(self.kripke, switch, &old_table),
-            };
-            self.carried.extend(restored);
         }
-        Ok(None)
+        Ok(false)
     }
 }

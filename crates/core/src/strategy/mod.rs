@@ -3,18 +3,21 @@
 //!
 //! Both strategies solve the same problem — order the update units so that
 //! every intermediate configuration satisfies the specification — over the
-//! same substrate: the visited/wrong sets and the one ordering store
+//! same substrate: applied-unit sets as [`UnitSet`](crate::units::UnitSet)
+//! rows, the one store of learnt facts
 //! ([`UnitOrdering`](crate::constraints::UnitOrdering), learnt into through
-//! one counterexample→clause function) of [`crate::constraints`], prefix
-//! checking through the sync-by-diff `CheckContext` the engine persists
-//! across requests, and the unified
+//! one counterexample→clause function, read as the wrong-set `W` and as the
+//! ordering constraints), prefix checking through the sync-by-diff
+//! `CheckContext` the engine persists across requests, and the unified
 //! [`SynthStats`](crate::SynthStats) / [`finish_sequence`](crate::search)
-//! commit path of [`crate::search`].
+//! commit path of [`crate::search`]. Each is a `solve` function of the same
+//! signature over `(CheckContext, UnitSet, UnitOrdering)`.
 //!
 //! * `dfs` is the paper's `OrderUpdate` depth-first search (§4): it
-//!   explores prefixes one candidate unit at a time, prunes with the
-//!   visited- and wrong-sets, and asks the ordering store only whether any
-//!   total order is left — when none is, the search terminates early.
+//!   explores prefixes one candidate unit at a time, prunes with the visited
+//!   rows and the store's [`excludes`](crate::constraints::UnitOrdering::excludes),
+//!   and otherwise asks the store only whether any total order is left —
+//!   when none is, the search terminates early.
 //! * `sat_guided` runs the same store forward as a CEGIS loop (§4.2 B):
 //!   the store *proposes* the lex-min total order consistent with every
 //!   learnt precedence clause, the configured backend verifies the candidate
@@ -33,5 +36,28 @@
 //! verdict — an order exists or it does not — but may commit *different*
 //! correct orders.
 
+use std::collections::HashMap;
+
+use netupd_model::SwitchId;
+
+use crate::options::{Granularity, SynthesisOptions};
+use crate::units::UpdateUnit;
+
 pub(crate) mod dfs;
 pub(crate) mod sat_guided;
+
+/// The switch → unit index a run learns counterexamples through
+/// ([`UnitOrdering::learn_counterexample`](crate::constraints::UnitOrdering)),
+/// built once per request — or `None` when the run learns none: a
+/// counterexample is a statement about switches, so it needs every unit to be
+/// a switch, and the ablation can turn learning off.
+pub(crate) fn counterexample_units(
+    options: &SynthesisOptions,
+    units: &[UpdateUnit],
+) -> Option<HashMap<SwitchId, usize>> {
+    (options.use_counterexamples && options.granularity == Granularity::Switch).then(|| {
+        (units.iter().enumerate())
+            .map(|(i, unit)| (unit.switch(), i))
+            .collect()
+    })
+}

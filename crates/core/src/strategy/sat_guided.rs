@@ -42,7 +42,7 @@
 //! walked prefix is one charged check and one checker call, so
 //! `charged_calls == model_checker_calls` on every request, warm or cold.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 use netupd_kripke::NetworkKripke;
 use netupd_mc::SequenceStep;
@@ -51,12 +51,11 @@ use netupd_model::Configuration;
 use crate::constraints::UnitOrdering;
 use crate::context::CheckContext;
 use crate::explain::InfeasibilityExplanation;
-use crate::options::{Granularity, SynthesisOptions};
+use crate::options::SynthesisOptions;
 use crate::problem::UpdateProblem;
-use crate::search::{
-    finish_sequence, updated_switches, SynthStats, SynthesisError, UpdateSequence,
-};
-use crate::units::UpdateUnit;
+use crate::search::{finish_sequence, SynthStats, SynthesisError, UpdateSequence};
+use crate::strategy::counterexample_units;
+use crate::units::{UnitSet, UpdateUnit};
 
 /// Runs the SAT-guided strategy over the engine's persistent context, after
 /// the entry checks (`stats` is what they charged). They leave the structure
@@ -74,13 +73,14 @@ pub(crate) fn solve(
 ) -> Result<UpdateSequence, SynthesisError> {
     let n = units.len();
     let mut store = UnitOrdering::new(n);
+    let unit_of = counterexample_units(options, units);
     // Prefix *sets* already verified to hold. A prefix verdict is a pure
     // function of the applied unit set (unit applications commute and check
     // outcomes are pure functions of the configuration), so a prefix a
     // previous iteration walked through never needs re-checking — and
     // successive proposals share long prefixes, because each learnt clause
     // only perturbs the tail it refuted.
-    let mut verified: HashSet<BTreeSet<usize>> = HashSet::new();
+    let mut verified: HashSet<UnitSet> = HashSet::new();
     loop {
         let Some(order) = store.propose() else {
             fill_cegis_stats(&mut stats, &store);
@@ -91,12 +91,14 @@ pub(crate) fn solve(
         };
 
         // Skip the longest already-verified prefix: the walk starts at the
-        // first prefix whose unit set has not been checked before.
+        // first prefix whose unit set has not been checked before. `applied`
+        // holds the units of `order[..start]`.
         let mut start = 0;
-        let mut prefix_set = BTreeSet::new();
+        let mut applied = UnitSet::new(n);
         while start < n {
-            prefix_set.insert(order[start]);
-            if !verified.contains(&prefix_set) {
+            applied.insert(order[start]);
+            if !verified.contains(&applied) {
+                applied.remove(order[start]);
                 break;
             }
             start += 1;
@@ -132,10 +134,9 @@ pub(crate) fn solve(
             Some((failing, _)) => *failing,
             None => n,
         };
-        let mut held_set: BTreeSet<usize> = order[..start].iter().copied().collect();
         for &index in &order[start..held_through] {
-            held_set.insert(index);
-            verified.insert(held_set.clone());
+            applied.insert(index);
+            verified.insert(applied.clone());
         }
 
         match first_failure {
@@ -149,14 +150,11 @@ pub(crate) fn solve(
             Some((failing, cex_switches)) => {
                 stats.charged_calls += failing + 1 - start;
                 stats.backtracks += 1;
-                let applied: BTreeSet<usize> = order[..=failing].iter().copied().collect();
+                applied.insert(order[failing]);
                 let mut learnt = false;
-                if options.use_counterexamples && options.granularity == Granularity::Switch {
-                    if let Some(cex) = &cex_switches {
-                        stats.counterexamples_learnt += 1;
-                        let updated = updated_switches(units, &applied);
-                        learnt = store.learn_counterexample(cex, &updated, units);
-                    }
+                if let (Some(unit_of), Some(cex)) = (&unit_of, &cex_switches) {
+                    stats.counterexamples_learnt += 1;
+                    learnt = store.learn_counterexample(cex, &applied, unit_of);
                 }
                 // Dual-clause learning: the prefix-set block is learnt
                 // alongside the counterexample clause — both are entailed,

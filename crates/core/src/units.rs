@@ -1,4 +1,5 @@
-//! Atomic update units: the steps the search orders.
+//! Atomic update units: the steps the search orders, and [`UnitSet`], the one
+//! representation of "which of them are applied".
 
 use netupd_model::{Configuration, Rule, SwitchId, Table};
 
@@ -103,6 +104,94 @@ pub fn plan_units(problem: &UpdateProblem, granularity: Granularity) -> Vec<Upda
     units
 }
 
+/// A set of unit indices: one fixed-width row of `u64` words, sized once
+/// from the request's unit count and never grown.
+///
+/// Every "which units are applied" in the search is one of these — the DFS's
+/// current prefix, the rows of the visited set `V`, the SAT-guided strategy's
+/// verified prefixes, a blocked prefix set — so `V` is a plain
+/// `HashSet<UnitSet>` and the wrong-set test
+/// ([`UnitOrdering::excludes`](crate::constraints::UnitOrdering::excludes))
+/// is two word-wise passes per clause. Sets compared with each other must
+/// come from the same unit count.
+///
+/// A small type of its own rather than a generic over
+/// [`PropSet`](netupd_ltl::intern::PropSet) / `StateSet`: those are typed
+/// over their own ids, and `StateSet` grows on insert and has no `Hash`;
+/// sharing one bitset would make ltl, kripke and mc branch on their caller
+/// for forty lines.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct UnitSet {
+    words: Box<[u64]>,
+}
+
+impl UnitSet {
+    /// The empty set over units `0..n`.
+    pub fn new(n: usize) -> Self {
+        UnitSet {
+            words: vec![0; n.div_ceil(64)].into(),
+        }
+    }
+
+    /// The set over units `0..n` holding `units`.
+    pub fn of(n: usize, units: impl IntoIterator<Item = usize>) -> Self {
+        let mut set = UnitSet::new(n);
+        for unit in units {
+            set.insert(unit);
+        }
+        set
+    }
+
+    /// Adds `unit`.
+    pub fn insert(&mut self, unit: usize) {
+        self.words[unit / 64] |= 1 << (unit % 64);
+    }
+
+    /// Removes `unit`.
+    pub fn remove(&mut self, unit: usize) {
+        self.words[unit / 64] &= !(1 << (unit % 64));
+    }
+
+    /// Membership test.
+    pub fn contains(&self, unit: usize) -> bool {
+        self.words[unit / 64] & (1 << (unit % 64)) != 0
+    }
+
+    /// Returns `true` if `self ⊆ other`.
+    pub fn is_subset(&self, other: &UnitSet) -> bool {
+        (self.words.iter().zip(other.words.iter())).all(|(a, b)| a & !b == 0)
+    }
+
+    /// Returns `true` if the sets share no unit.
+    pub fn is_disjoint(&self, other: &UnitSet) -> bool {
+        (self.words.iter().zip(other.words.iter())).all(|(a, b)| a & b == 0)
+    }
+
+    /// Number of units in the set.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Returns `true` if no unit is in the set.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|w| *w == 0)
+    }
+
+    /// Iterates over the units present, in increasing order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i * 64 + bit
+                })
+            })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,5 +262,60 @@ mod tests {
         for unit in plan_units(&problem, Granularity::Rule) {
             assert!(!unit.describe().is_empty());
         }
+    }
+
+    #[test]
+    fn unit_sets_work_across_the_word_boundary() {
+        for n in [64, 65, 130] {
+            let mut set = UnitSet::new(n);
+            assert!(set.is_empty());
+            for unit in [0, 63, n - 1] {
+                set.insert(unit);
+                assert!(set.contains(unit), "{n}: {unit}");
+            }
+            let mut expected = vec![0, 63, n - 1];
+            expected.dedup();
+            assert_eq!(set.iter().collect::<Vec<_>>(), expected, "{n}");
+            assert_eq!(set.len(), expected.len(), "{n}");
+            assert_eq!(set, UnitSet::of(n, expected.iter().copied()), "{n}");
+
+            // Subset and disjointness see the last word too.
+            let last = UnitSet::of(n, [n - 1]);
+            assert!(last.is_subset(&set) && !set.is_subset(&last), "{n}");
+            assert!(!last.is_disjoint(&set), "{n}");
+            set.remove(n - 1);
+            assert!(!set.contains(n - 1) && !last.is_subset(&set), "{n}");
+            assert!(last.is_disjoint(&set), "{n}");
+        }
+    }
+
+    #[test]
+    fn visited_rows_and_the_wrong_set_at_130_units() {
+        use crate::constraints::UnitOrdering;
+        use std::collections::HashSet;
+
+        let n = 130;
+        // `V`: sets that differ only beyond the first (or second) word are
+        // different rows, and a probe built in place finds its row.
+        let mut visited: HashSet<UnitSet> = HashSet::new();
+        assert!(visited.insert(UnitSet::of(n, [3, 64])));
+        assert!(visited.insert(UnitSet::of(n, [3, 129])));
+        assert!(!visited.insert(UnitSet::of(n, [129, 3])));
+        let mut probe = UnitSet::of(n, [3]);
+        assert!(!visited.contains(&probe));
+        probe.insert(64);
+        assert!(visited.contains(&probe));
+        probe.remove(64);
+        probe.insert(65);
+        assert!(!visited.contains(&probe));
+
+        // `W`: a clause whose sides sit in different words.
+        let mut store = UnitOrdering::new(n);
+        assert!(store.require_some_before(&[70, 129], &[2, 64]));
+        assert!(store.excludes(&UnitSet::of(n, [2, 64])));
+        assert!(store.excludes(&UnitSet::of(n, [2, 64, 128])));
+        assert!(!store.excludes(&UnitSet::of(n, [2])));
+        assert!(!store.excludes(&UnitSet::of(n, [2, 64, 129])));
+        assert!(!store.excludes(&UnitSet::of(n, [2, 64, 70])));
     }
 }

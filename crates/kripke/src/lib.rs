@@ -62,4 +62,4 @@ pub mod structure;
 
 pub use builder::NetworkKripke;
 pub use stateset::StateSet;
-pub use structure::{ArenaDelta, Kripke, StateId, StateKey, StateRole};
+pub use structure::{Kripke, StateId, StateKey, StateRole};

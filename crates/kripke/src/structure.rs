@@ -104,26 +104,6 @@ impl fmt::Display for StateKey {
     }
 }
 
-/// A restorable delta of a set of states' label-arena rows and successor
-/// lists, captured with [`Kripke::capture_delta`] before an update rewires
-/// them and put back with [`Kripke::restore_delta`] when the caller
-/// backtracks.
-///
-/// A switch update ([`NetworkKripke::apply_switch_update`](crate::NetworkKripke))
-/// only mutates the updated switch's own states — their `Dropped` label bit
-/// and their successor lists (predecessor lists of other states are
-/// maintained symmetrically by [`Kripke::set_successors`], which the restore
-/// goes back through) — so a delta over `states_of_switch` fully covers the
-/// undo without re-running the encoder's packet processing.
-#[derive(Debug, Clone)]
-pub struct ArenaDelta {
-    /// Arena stride at capture time; restore refuses on mismatch (the prop
-    /// universe grew since capture, so the saved rows no longer line up).
-    label_words: usize,
-    /// Per captured state: its label row and successor list.
-    rows: Vec<(StateId, Vec<u64>, Vec<StateId>)>,
-}
-
 /// A finite Kripke structure `(Q, Q0, δ, λ)` with proposition labels.
 ///
 /// The structures produced by the network encoding are *complete* (every
@@ -187,54 +167,6 @@ impl Kripke {
         let id = self.props.intern(prop);
         self.ensure_stride();
         id
-    }
-
-    /// Captures the label rows and successor lists of `states` for a later
-    /// [`restore_delta`](Kripke::restore_delta).
-    pub fn capture_delta(&self, states: &[StateId]) -> ArenaDelta {
-        ArenaDelta {
-            label_words: self.label_words,
-            rows: states
-                .iter()
-                .map(|&state| {
-                    let start = state.0 * self.label_words;
-                    (
-                        state,
-                        self.labels[start..start + self.label_words].to_vec(),
-                        self.successors[state.0].clone(),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Restores a previously captured delta, returning the states whose
-    /// labels or successors actually changed (for the caller's change-set
-    /// bookkeeping), or `None` when the arena stride or state count changed
-    /// since capture — the caller re-encodes through the encoder instead.
-    pub fn restore_delta(&mut self, delta: &ArenaDelta) -> Option<Vec<StateId>> {
-        if delta.label_words != self.label_words {
-            return None;
-        }
-        if delta.rows.iter().any(|(s, _, _)| s.0 >= self.keys.len()) {
-            return None;
-        }
-        let mut changed = Vec::with_capacity(delta.rows.len());
-        for (state, row, successors) in &delta.rows {
-            let start = state.0 * self.label_words;
-            let mut touched = false;
-            if self.labels[start..start + self.label_words] != row[..] {
-                self.labels[start..start + self.label_words].copy_from_slice(row);
-                touched = true;
-            }
-            if self.set_successors(*state, successors.clone()) {
-                touched = true;
-            }
-            if touched {
-                changed.push(*state);
-            }
-        }
-        Some(changed)
     }
 
     /// Widens every arena row when the table needs more words per label.

@@ -58,42 +58,6 @@ impl ModelChecker for BatchChecker {
         self.check(kripke, phi)
     }
 
-    /// The batch walk ignores change sets entirely (every step is a full
-    /// check anyway), so the override skips collecting and sorting them.
-    fn check_sequence(
-        &mut self,
-        encoder: &netupd_kripke::NetworkKripke,
-        kripke: &mut Kripke,
-        phi: &Ltl,
-        _carried: &[StateId],
-        steps: &[crate::SequenceStep],
-    ) -> crate::SequenceOutcome {
-        let mut checks = 0;
-        let mut states_labeled = 0;
-        for (index, step) in steps.iter().enumerate() {
-            encoder.apply_switch_update(kripke, step.switch, &step.table);
-            let outcome = self.check(kripke, phi);
-            checks += 1;
-            states_labeled += outcome.stats.states_labeled;
-            if !outcome.holds {
-                return crate::SequenceOutcome {
-                    first_failure: Some(index),
-                    counterexample: outcome.counterexample,
-                    steps_applied: index + 1,
-                    checks,
-                    states_labeled,
-                };
-            }
-        }
-        crate::SequenceOutcome {
-            first_failure: None,
-            counterexample: None,
-            steps_applied: steps.len(),
-            checks,
-            states_labeled,
-        }
-    }
-
     fn name(&self) -> &'static str {
         "batch"
     }

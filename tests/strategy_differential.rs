@@ -326,6 +326,40 @@ fn dfs_early_termination_stays_out_of_the_solver() {
 }
 
 #[test]
+fn dfs_prunes_the_same_without_early_termination() {
+    // Early termination only stops the search; what the counterexamples
+    // prune (`W`) does not depend on it. On solvable problems the DFS walks
+    // the same path either way, and on the double diamond it runs out of
+    // candidates instead of out of orders.
+    let default = SynthesisOptions::default();
+    let exhaustive = SynthesisOptions::default().early_termination(false);
+    for (name, problem) in [
+        ("quickstart", quickstart_problem()),
+        ("waypoint", waypoint_problem()),
+        ("firewall chain", firewall_chain_problem()),
+    ] {
+        let with = synthesize(&problem, &default).expect("solvable");
+        let without = synthesize(&problem, &exhaustive).expect("solvable");
+        assert_eq!(with.commands, without.commands, "{name}");
+        assert_eq!(
+            with.stats.configurations_pruned, without.stats.configurations_pruned,
+            "{name}"
+        );
+        assert_eq!(
+            with.stats.charged_calls, without.stats.charged_calls,
+            "{name}"
+        );
+        assert!(without.stats.configurations_pruned > 0, "{name}");
+    }
+    assert_eq!(
+        synthesize(&double_diamond_problem(), &exhaustive).unwrap_err(),
+        SynthesisError::NoOrderingExists {
+            proven_by_constraints: false
+        }
+    );
+}
+
+#[test]
 fn a_trivial_update_charges_its_one_check_under_both_strategies() {
     // No switch changes: one initial check, no final check, no search. Both
     // strategies issue that one check and must charge it — SAT-guided used
