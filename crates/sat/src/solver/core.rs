@@ -136,14 +136,6 @@ impl Solver {
         self.db.num_learnt_live()
     }
 
-    /// Seeds the saved phase of `var`: the polarity the next decision on it
-    /// will try first. Warm-starting an incremental series from a previously
-    /// accepted model steers the search toward rediscovering it, without
-    /// affecting which verdicts are reachable.
-    pub fn set_phase(&mut self, var: Var, phase: bool) {
-        self.saved_phase[var.0 as usize] = phase;
-    }
-
     /// The subset of the assumptions that the last unsatisfiable
     /// [`solve_with_assumptions`](Solver::solve_with_assumptions) call proved
     /// jointly inconsistent with the clause set (an *unsat core*, in

@@ -405,19 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn set_phase_steers_the_first_decision() {
-        // A single free variable with no constraints: the decided polarity is
-        // exactly the seeded phase.
-        for phase in [false, true] {
-            let mut solver = Solver::new();
-            let v = solver.new_var();
-            solver.set_phase(v, phase);
-            assert!(solver.solve().is_sat());
-            assert_eq!(solver.value(v), Some(phase));
-        }
-    }
-
-    #[test]
     fn unsat_core_is_a_subset_of_the_assumptions() {
         // (a -> b), (b -> c): assuming a, !c, d is unsat and the core must
         // name a and !c but never the irrelevant d.

@@ -19,12 +19,11 @@
 //! | [`model`] | `netupd-model` | packets, rules, tables, topologies, command language, operational semantics |
 //! | [`ltl`] | `netupd-ltl` | LTL formulas in NNF, parser, closure construction, trace semantics |
 //! | [`topo`] | `netupd-topo` | topology generators and update-scenario builders |
-//! | [`kripke`] | `netupd-kripke` | Kripke structures over intermediate configurations |
+//! | [`kripke`] | `netupd-kripke` | Kripke structures over `(switch, port, class)` states, one component per traffic class |
 //! | [`mc`] | `netupd-mc` | incremental model checking + header-space baseline backend |
 //! | [`sat`] | `netupd-sat` | incremental CDCL SAT solver with assumptions |
 //! | [`synth`] | `netupd-synth` | counterexample-guided synthesis core |
 //! | [`serve`] | `netupd-serve` | multi-tenant serving layer: engine pool, worker fleet, admission control |
-//! | [`mod@bench`] | `netupd-bench` | paper-figure workloads and timing helpers |
 //!
 //! # Quickstart
 //!
@@ -51,7 +50,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use netupd_bench as bench;
 pub use netupd_kripke as kripke;
 pub use netupd_ltl as ltl;
 pub use netupd_mc as mc;
