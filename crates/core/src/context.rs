@@ -13,11 +13,12 @@
 //! # Purity
 //!
 //! A check outcome is a pure function of `(configuration, spec)`: the encoder
-//! fixes the state space up front (updates only rewire transitions, ids are
-//! stable) and the labeling engines keep labels in canonical sorted form, so
-//! `holds` and the extracted counterexample do not depend on the history of
-//! rechecks that led to a configuration. Engine reuse and the deferred-undo
-//! discipline of the DFS both rest on this.
+//! fixes the state space for a series (the footprint it covers only grows,
+//! and a growth starts a new series; updates only rewire transitions, ids
+//! are stable) and the labeling engines keep labels in canonical sorted
+//! form, so `holds` and the extracted counterexample do not depend on the
+//! history of rechecks that led to a configuration. Engine reuse and the
+//! deferred-undo discipline of the DFS both rest on this.
 
 use std::ops::ControlFlow;
 
@@ -146,7 +147,8 @@ impl CheckContext {
         outcome
     }
 
-    /// Resets the context for a new `(topology, classes)` series: the
+    /// Resets the context for a new series — a new `(topology, classes,
+    /// ingress)` triple, or a footprint the encoder had to grow: the
     /// structure is dropped (its state space no longer applies) while the
     /// checker is kept and told to forget its cached results
     /// ([`ModelChecker::begin_query`]), recycling its backing storage.

@@ -9,12 +9,16 @@
 //!
 //! [`UpdateEngine`] owns that state across requests:
 //!
-//! * the **encoder** ([`NetworkKripke`]) with its cached per-`(topology,
-//!   classes)` skeleton is built once;
+//! * the **encoder** ([`NetworkKripke`]) is built once; its skeleton holds
+//!   only the stream's *footprint* — the states reachable under any rule of
+//!   any request's initial or final configuration — and is rebuilt only when
+//!   a request's footprint is not yet covered (the footprint grows, never
+//!   shrinks, within a series);
 //! * the **checking context** (one Kripke structure + one checker)
 //!   persists, so each request syncs the structure *by per-switch diff*
 //!   from wherever the previous request left it and rechecks
-//!   incrementally, instead of encoding and labeling from scratch;
+//!   incrementally, instead of encoding and labeling from scratch — unless
+//!   the footprint grew, which starts a new series on the new slice;
 //! * closures and proposition resolutions are shared per `(spec, table)`
 //!   via `netupd_ltl::cache`, so a repeated spec across the stream resolves
 //!   once.
@@ -23,10 +27,13 @@
 //!
 //! Engine reuse never changes *results*, only work: a check outcome is a
 //! pure function of the checked `(configuration, spec)` pair — the encoder
-//! fixes the state space up front, updates only rewire transitions, and the
-//! labeling engines keep labels in canonical form — so a recheck over an
-//! accurate diff returns exactly what a cold full check would (DESIGN.md
-//! §5). The committed commands, unit order, verdict, and every statistic but
+//! fixes the state space for a series (a footprint growth re-encodes and
+//! starts a new one), updates only rewire transitions, and the labeling
+//! engines keep labels in canonical form — so a recheck over an accurate
+//! diff returns exactly what a cold full check would (DESIGN.md §5). States
+//! an earlier request left in the slice are unreachable under this
+//! request's configurations, so they change no initial state's label. The
+//! committed commands, unit order, verdict, and every statistic but
 //! one are therefore byte-identical to a fresh
 //! [`Synthesizer`](crate::Synthesizer) per request;
 //! `tests/engine_differential.rs` enforces this for every backend and
@@ -161,7 +168,8 @@ impl UpdateEngine {
     }
 
     /// Number of times an incompatible problem forced the engine to rebuild
-    /// its encoder and reset its context. Zero for a well-behaved stream.
+    /// its encoder and reset its context. Zero for a well-behaved stream; a
+    /// footprint growth re-encodes the slice but is not a rebuild.
     pub fn rebuilds(&self) -> usize {
         self.rebuilds
     }
@@ -198,6 +206,16 @@ impl UpdateEngine {
         }
         self.requests_served += 1;
         self.last_explanation = None;
+        // Every configuration the request can visit holds only initial and
+        // final rules; a footprint that grew re-encodes the slice.
+        if self
+            .encoder
+            .cover(&[&problem.initial, &problem.final_config])
+        {
+            if let Some(ctx) = &mut self.ctx {
+                ctx.begin_new_series();
+            }
+        }
         let units = plan_units(problem, self.options.granularity);
         let backend = self.options.backend;
         let ctx = self.ctx.get_or_insert_with(|| CheckContext::fresh(backend));
@@ -230,8 +248,8 @@ impl UpdateEngine {
     }
 
     /// Re-pins the engine to the problem's triple: a new encoder (new
-    /// skeleton), structure dropped, checker kept but reset via
-    /// `begin_query` so its backing storage is recycled.
+    /// skeleton, footprint started over), structure dropped, checker kept
+    /// but reset via `begin_query` so its backing storage is recycled.
     fn rebuild(&mut self, problem: &UpdateProblem) {
         self.topology = Arc::clone(&problem.topology);
         self.classes = problem.classes.clone();

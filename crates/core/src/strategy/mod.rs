@@ -32,9 +32,9 @@
 //!
 //! Each strategy is individually deterministic: for a fixed problem and
 //! options, commands, unit order, verdict, and statistics are byte-identical
-//! across runs. The strategies agree on the
-//! verdict — an order exists or it does not — but may commit *different*
-//! correct orders.
+//! across runs. The strategies agree on the verdict and commit the *same*
+//! order: the DFS's first success in index order is the lex-min correct
+//! order, which is what `propose` commits.
 
 use std::collections::HashMap;
 

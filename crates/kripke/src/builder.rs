@@ -1,9 +1,12 @@
 //! The network-to-Kripke encoding (Definition 9 of the paper).
 
+use std::collections::{BTreeSet, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use netupd_ltl::{Prop, PropId};
-use netupd_model::{Configuration, Endpoint, PortId, SwitchId, Table, Topology, TrafficClass};
+use netupd_model::{
+    Configuration, Endpoint, HostId, PortId, SwitchId, Table, Topology, TrafficClass,
+};
 
 use crate::structure::{Kripke, StateId, StateKey, StateRole};
 
@@ -18,30 +21,36 @@ use crate::structure::{Kripke, StateId, StateKey, StateRole};
 /// The encoding is split into an immutable *skeleton* and a per-request
 /// *rewiring* step. The skeleton — the state space, the interned base labels,
 /// and the initial-state marks — depends only on the `(topology, classes,
-/// ingress)` triple the encoder was built with and is computed once, lazily,
-/// then shared by every [`encode`] call; only the transitions and the
-/// `Dropped` label bits depend on the configuration. [`reset_to`] exposes the
-/// rewiring step directly so a long-lived engine can re-point an existing
-/// structure at a new configuration in place, reusing the label arena and
-/// state index instead of reallocating them.
+/// ingress)` triple the encoder was built with and on the footprint it was
+/// asked to [`cover`], and is computed once, lazily, then shared by every
+/// [`encode`] call; only the transitions and the `Dropped` label bits depend
+/// on the configuration. [`reset_to`] exposes the rewiring step directly so a
+/// long-lived engine can re-point an existing structure at a new
+/// configuration in place, reusing the label arena and state index instead
+/// of reallocating them.
 ///
 /// Encoding, following Definition 9 (with the `Dropped` / `AtHost`
-/// propositions made explicit so properties can refer to them):
+/// propositions made explicit so properties can refer to them), over the
+/// states of the covered footprint — of the whole topology if the encoder was
+/// never asked to cover anything:
 ///
 /// * one state per `(switch, ingress port, class)`, for every link whose
 ///   destination is that switch port;
 /// * one state per `(switch, egress port, class)`, for every link from that
 ///   switch port to a host — these states carry an `AtHost` label and a
 ///   self-loop;
-/// * a state is initial iff its port is reachable directly from a host;
+/// * a state is initial iff its port is reachable directly from an admitted
+///   ingress host (every initial state is in every footprint);
 /// * transitions follow the forwarding table of the state's switch for the
-///   class's representative packet;
-/// * states whose packet is dropped (no matching rule, a drop rule, or a
-///   dangling output port) get a `Dropped` label and a self-loop.
+///   class's representative packet, to the successor states in the
+///   structure;
+/// * states whose packet is dropped (no matching rule, a drop rule, or no
+///   successor in the structure) get a `Dropped` label and a self-loop.
 ///
 /// Packet modifications stay within the traffic class (the paper likewise
 /// keeps classes disjoint and leaves cross-class rewriting to future work).
 ///
+/// [`cover`]: NetworkKripke::cover
 /// [`encode`]: NetworkKripke::encode
 /// [`reset_to`]: NetworkKripke::reset_to
 /// [`apply_switch_update`]: NetworkKripke::apply_switch_update
@@ -49,7 +58,11 @@ use crate::structure::{Kripke, StateId, StateKey, StateRole};
 pub struct NetworkKripke {
     topology: Arc<Topology>,
     classes: Vec<TrafficClass>,
-    ingress_hosts: Option<std::collections::BTreeSet<netupd_model::HostId>>,
+    ingress_hosts: Option<BTreeSet<HostId>>,
+    /// The packed keys of the states the skeleton holds: `None` for every
+    /// state of the topology, else the union of the footprints covered so
+    /// far (see [`cover`](NetworkKripke::cover)).
+    footprint: Option<HashSet<u128>>,
     /// The lazily-built configuration-independent skeleton (see the type
     /// docs). Cloning the encoder clones the cached skeleton along with it.
     skeleton: OnceLock<Kripke>,
@@ -65,6 +78,7 @@ impl NetworkKripke {
             topology: topology.into(),
             classes,
             ingress_hosts: None,
+            footprint: None,
             skeleton: OnceLock::new(),
         }
     }
@@ -75,14 +89,43 @@ impl NetworkKripke {
     /// scenarios that move a single flow (e.g. the paper's diamond workloads)
     /// restrict attention to the flow's source host.
     #[must_use]
-    pub fn with_ingress_hosts<I: IntoIterator<Item = netupd_model::HostId>>(
-        mut self,
-        hosts: I,
-    ) -> Self {
+    pub fn with_ingress_hosts<I: IntoIterator<Item = HostId>>(mut self, hosts: I) -> Self {
         self.ingress_hosts = Some(hosts.into_iter().collect());
-        // The skeleton's initial-state marks depend on the ingress set.
+        // The skeleton's initial-state marks and the footprint's roots
+        // depend on the ingress set.
+        self.footprint = None;
         self.skeleton = OnceLock::new();
         self
+    }
+
+    /// Restricts the state space to the *footprint* of `configs`, unioned
+    /// with whatever earlier calls covered: the states reachable from an
+    /// initial state when each switch may forward by *any* matching rule of
+    /// its table in any of `configs`, not only by the winning one.
+    ///
+    /// A configuration whose every table holds only rules of the covered
+    /// configurations' tables — every configuration an update between them
+    /// passes through, at switch or at rule granularity, where a partial
+    /// table can expose a rule that both full tables shadow — reaches only
+    /// footprint states from an initial state. States outside are
+    /// unreachable and labels are computed bottom-up, so a check of such a
+    /// configuration on the slice answers what a whole-topology check would.
+    /// The slice keeps the whole-topology state order, so counterexamples
+    /// walk the same paths.
+    ///
+    /// Returns `true` when the state space changed — on the first call, and
+    /// whenever the footprint grew: structures encoded before are stale
+    /// then. An encoder never asked to cover anything encodes the whole
+    /// topology.
+    pub fn cover(&mut self, configs: &[&Configuration]) -> bool {
+        let footprint = self.footprint(configs);
+        match &mut self.footprint {
+            Some(covered) if footprint.is_subset(covered) => return false,
+            Some(covered) => covered.extend(footprint),
+            None => self.footprint = Some(footprint),
+        }
+        self.skeleton = OnceLock::new();
+        true
     }
 
     /// The topology the encoder was built with.
@@ -168,19 +211,61 @@ impl NetworkKripke {
 
     // ---- internals ---------------------------------------------------------
 
+    /// Whether packets entering at `host` start an initial state.
+    fn admits(&self, host: HostId) -> bool {
+        self.ingress_hosts
+            .as_ref()
+            .is_none_or(|hosts| hosts.contains(&host))
+    }
+
+    /// The footprint of `configs` (see [`cover`](Self::cover)): a worklist
+    /// closure from the admitted ingress states over every matching rule.
+    fn footprint(&self, configs: &[&Configuration]) -> HashSet<u128> {
+        let mut reached = HashSet::new();
+        let mut worklist = Vec::new();
+        for (class_idx, class) in self.classes.iter().enumerate() {
+            let packet = class.representative();
+            for (_, link) in self.topology.ingress_links() {
+                if let (Endpoint::Host(h), Endpoint::SwitchPort(sw, pt)) = (link.src, link.dst) {
+                    if self.admits(h) {
+                        worklist.push(StateKey::arrival(sw, pt, class_idx));
+                    }
+                }
+            }
+            while let Some(key) = worklist.pop() {
+                if !reached.insert(key.packed()) || key.role == StateRole::Egress {
+                    continue;
+                }
+                let tables = configs.iter().filter_map(|c| c.table_ref(key.switch));
+                for rule in tables.flat_map(Table::iter) {
+                    if rule.matches(&packet, key.port) {
+                        for (_, out_port) in rule.apply(&packet) {
+                            worklist.extend(self.successor_key(key, out_port));
+                        }
+                    }
+                }
+            }
+        }
+        reached
+    }
+
+    /// Adds the states of the footprint (of the whole topology without one)
+    /// in one fixed order, so a slice's ids keep the whole-topology order.
     fn add_states(&self, kripke: &mut Kripke) {
+        let in_slice = |key: &StateKey| {
+            (self.footprint.as_ref()).is_none_or(|footprint| footprint.contains(&key.packed()))
+        };
         for (class_idx, class) in self.classes.iter().enumerate() {
             // Arrival states: packets arriving at a switch port.
             for link in self.topology.links() {
                 if let Endpoint::SwitchPort(sw, pt) = link.dst {
                     let key = StateKey::arrival(sw, pt, class_idx);
+                    if !in_slice(&key) {
+                        continue;
+                    }
                     let id = kripke.add_state(key, self.base_label(sw, pt, class));
                     if let Endpoint::Host(h) = link.src {
-                        let admitted = self
-                            .ingress_hosts
-                            .as_ref()
-                            .is_none_or(|hosts| hosts.contains(&h));
-                        if admitted {
+                        if self.admits(h) {
                             kripke.mark_initial(id);
                         }
                     }
@@ -190,6 +275,9 @@ impl NetworkKripke {
             for (_, link) in self.topology.egress_links() {
                 if let (Endpoint::SwitchPort(sw, pt), Endpoint::Host(h)) = (link.src, link.dst) {
                     let key = StateKey::egress(sw, pt, class_idx);
+                    if !in_slice(&key) {
+                        continue;
+                    }
                     let label = self
                         .base_label(sw, pt, class)
                         .chain(std::iter::once(Prop::AtHost(h)));
@@ -197,6 +285,16 @@ impl NetworkKripke {
                 }
             }
         }
+    }
+
+    /// The state a packet at `key` moves to when forwarded out of
+    /// `out_port`, or `None` if no link leaves that port.
+    fn successor_key(&self, key: StateKey, out_port: PortId) -> Option<StateKey> {
+        let (_, link) = self.topology.link_from_port(key.switch, out_port)?;
+        Some(match link.dst {
+            Endpoint::SwitchPort(sw, pt) => StateKey::arrival(sw, pt, key.class),
+            Endpoint::Host(_) => StateKey::egress(key.switch, out_port, key.class),
+        })
     }
 
     fn base_label<'a>(
@@ -233,29 +331,14 @@ impl NetworkKripke {
         let packet = class.representative();
         let outputs = table.process(&packet, key.port);
 
-        let mut successors = Vec::new();
+        let mut successors: Vec<StateId> = (outputs.iter())
+            .filter_map(|(_, out_port)| self.successor_key(key, *out_port))
+            .filter_map(|succ| kripke.state_by_key(&succ))
+            .collect();
         let mut is_dropped = outputs.is_empty();
-        for (_, out_port) in &outputs {
-            match self.topology.link_from_port(key.switch, *out_port) {
-                None => {}
-                Some((_, link)) => match link.dst {
-                    Endpoint::SwitchPort(sw, pt) => {
-                        let succ_key = StateKey::arrival(sw, pt, key.class);
-                        if let Some(succ) = kripke.state_by_key(&succ_key) {
-                            successors.push(succ);
-                        }
-                    }
-                    Endpoint::Host(_) => {
-                        let succ_key = StateKey::egress(key.switch, *out_port, key.class);
-                        if let Some(succ) = kripke.state_by_key(&succ_key) {
-                            successors.push(succ);
-                        }
-                    }
-                },
-            }
-        }
         if successors.is_empty() {
-            // Every output dangled, or there were none: the packet is stuck
+            // Every output dangled (or left the slice — only on states no
+            // initial state reaches), or there were none: the packet is stuck
             // here. Definition 9 gives such states a self-loop; we also label
             // them as dropped so drop-freedom properties can see it.
             is_dropped = true;
@@ -472,6 +555,41 @@ mod tests {
             assert_eq!(a.key(state), b.key(state));
             assert_eq!(a.is_initial(state), b.is_initial(state));
         }
+    }
+
+    #[test]
+    fn a_covered_footprint_grows_only_and_keeps_the_skeleton_order() {
+        let (topo, config, ..) = line();
+        let other_class = TrafficClass::new().with_field(Field::Dst, 2);
+        let whole = NetworkKripke::new(topo, vec![class(), other_class]);
+        let keys = |encoder: &NetworkKripke| -> Vec<StateKey> {
+            let skeleton = encoder.skeleton();
+            skeleton.states().map(|s| skeleton.key(s)).collect()
+        };
+        let mut sliced = whole.clone();
+        // With nothing forwarding, the footprint is the ingress states.
+        assert!(sliced.cover(&[&Configuration::new()]));
+        assert_eq!(sliced.skeleton().len(), 4);
+        // Class 0 reaches s1 and h1; class 1 still matches nothing.
+        assert!(sliced.cover(&[&config]));
+        assert!(!sliced.cover(&[&config]));
+        assert!(!sliced.cover(&[&Configuration::new(), &config]));
+        let (all, slice) = (keys(&whole), keys(&sliced));
+        assert_eq!((all.len(), slice.len()), (12, 6));
+        let mut rest = all.iter();
+        assert!(
+            slice.iter().all(|key| rest.any(|k| k == key)),
+            "not a subsequence"
+        );
+        for key in &slice {
+            let is_initial = |e: &NetworkKripke| {
+                let skeleton = e.skeleton();
+                skeleton.is_initial(skeleton.state_by_key(key).expect("state"))
+            };
+            assert_eq!(is_initial(&whole), is_initial(&sliced), "{key}");
+        }
+        let kripke = sliced.encode(&config);
+        assert!(kripke.is_complete() && kripke.is_dag_like());
     }
 
     /// `states_of_switch` against the linear scan it replaced, for every

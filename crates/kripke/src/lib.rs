@@ -16,7 +16,9 @@
 //!   transition updates (the `swUpdate` operation of the synthesis
 //!   algorithm);
 //! * [`NetworkKripke`] — the encoder that builds a [`Kripke`] from a
-//!   topology, a configuration, and a set of traffic classes, and that can
+//!   topology, a configuration, and a set of traffic classes — restricted,
+//!   once asked to [`cover`](NetworkKripke::cover) an update's
+//!   configurations, to the states their rules can reach — and that can
 //!   incrementally re-encode a single switch after an update, reporting the
 //!   set of changed states;
 //! * [`StateSet`] — a dense bitmap over state ids, the representation the

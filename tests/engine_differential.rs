@@ -9,15 +9,16 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use netupd::ltl::semantics;
+use netupd::kripke::NetworkKripke;
+use netupd::ltl::{builders, semantics, Prop};
 use netupd::mc::Backend;
-use netupd::model::Network;
+use netupd::model::{Network, Priority};
 use netupd::synth::{
     Granularity, SearchStrategy, SynthesisError, SynthesisOptions, Synthesizer, UpdateEngine,
     UpdateProblem,
 };
-use netupd::topo::generators;
 use netupd::topo::scenario::{churn_scenarios, PropertyKind};
+use netupd::topo::{generators, NetworkGraph};
 
 /// A seeded churn stream as a vector of problems sharing one topology `Arc`.
 fn churn_problems(kind: PropertyKind, steps: usize, seed: u64) -> Vec<UpdateProblem> {
@@ -209,6 +210,72 @@ fn a_warm_engine_reports_the_statistics_of_a_fresh_one() {
                             .granularity(granularity),
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Whether each request of `problems`, in order, grows the footprint an
+/// engine's encoder covers — the moments the engine re-encodes its slice and
+/// starts a new series.
+fn footprint_growth(problems: &[UpdateProblem]) -> Vec<bool> {
+    let first = &problems[0];
+    let mut encoder = NetworkKripke::new(Arc::clone(&first.topology), first.classes.clone())
+        .with_ingress_hosts(first.ingress_hosts.iter().copied());
+    (problems.iter())
+        .map(|p| encoder.cover(&[&p.initial, &p.final_config]))
+        .collect()
+}
+
+/// Figure 1's flow from `h1` to `h3`, moved along `paths` in turn: request
+/// `k` takes it from `paths[k]` to `paths[k + 1]` under reachability.
+fn figure1_stream(paths: &[[usize; 3]]) -> Vec<UpdateProblem> {
+    let (graph, cores, aggs, tors, hosts) = generators::figure1();
+    let (h1, h3) = (hosts[0], hosts[2]);
+    let class = NetworkGraph::class_to_host(h3);
+    let spec = builders::reachability(Prop::AtHost(h3));
+    let topology = Arc::new(graph.topology().clone());
+    // `[first agg, core, second agg]` between `tors[0]` and `tors[2]`.
+    let compile = |[up, core, down]: [usize; 3]| {
+        let path = [tors[0], aggs[up], cores[core], aggs[down], tors[2]];
+        graph.compile_path(&path, h3, &class, Priority(10))
+    };
+    (paths.windows(2))
+        .map(|w| {
+            UpdateProblem::new(
+                Arc::clone(&topology),
+                compile(w[0]),
+                compile(w[1]),
+                vec![class.clone()],
+                vec![h1],
+                spec.clone(),
+            )
+        })
+        .collect()
+}
+
+/// A stream whose footprint grows mid-series (the engine re-encodes its
+/// slice and starts a new series, without a rebuild), and one that then
+/// routes back to its first path (covered already, so served warm on the
+/// grown slice): both answer like a fresh synthesizer per request.
+#[test]
+fn a_growing_footprint_and_a_route_back_match_fresh() {
+    // The paper's red, green and blue paths.
+    let (red, green, blue) = ([0, 0, 2], [0, 1, 2], [1, 0, 3]);
+    let growing = figure1_stream(&[red, green, blue]);
+    assert_eq!(footprint_growth(&growing), [true, true]);
+    let routed_back = figure1_stream(&[red, green, blue, red]);
+    assert_eq!(footprint_growth(&routed_back), [true, true, false]);
+    for problem in &routed_back {
+        assert!(Synthesizer::new(problem.clone()).synthesize().is_ok());
+    }
+    for problems in [&growing, &routed_back] {
+        for backend in Backend::ALL {
+            for strategy in SearchStrategy::ALL {
+                assert_engine_matches_fresh(
+                    problems,
+                    SynthesisOptions::with_backend(backend).strategy(strategy),
+                );
             }
         }
     }

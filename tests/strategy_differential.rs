@@ -391,25 +391,44 @@ fn a_trivial_update_charges_its_one_check_under_both_strategies() {
 
 #[test]
 fn a_fresh_request_labels_the_network_once() {
-    // A fresh request asks two whole-configuration questions — does the
-    // initial configuration satisfy the specification, does the final one —
-    // and only the first is a full labelling: the second goes to the final
-    // configuration by diff on the same structure and relabels the rewired
-    // states' ancestors. With the search on top the request must stay under
-    // two full labellings (a second structure and checker for the final
-    // question cost exactly that much on their own).
+    // A fresh request labels the structure in full once — the initial
+    // question — and asks everything else by diff on that same structure:
+    // it pays exactly one full labelling more than the same request on an
+    // engine whose structure already stands at `initial`. The structure is
+    // the update's footprint, not the topology (under a quarter of it here),
+    // so the whole request costs less than one whole-topology labelling.
     let problem = small_world_two_diamonds_problem();
-    let encoder =
+    let mut encoder =
         netupd::kripke::NetworkKripke::new(problem.topology.clone(), problem.classes.clone())
             .with_ingress_hosts(problem.ingress_hosts.iter().copied());
+    let whole = encoder.encode(&problem.initial).len();
+    assert!(encoder.cover(&[&problem.initial, &problem.final_config]));
     let states = encoder.encode(&problem.initial).len();
+    assert!(
+        4 * states < whole,
+        "the footprint holds {states} of the topology's {whole} states"
+    );
+    let at_initial = UpdateProblem {
+        final_config: problem.initial.clone(),
+        ..problem.clone()
+    };
     for strategy in SearchStrategy::ALL {
         let options = SynthesisOptions::with_backend(Backend::Incremental).strategy(strategy);
-        let stats = synthesize(&problem, &options).expect("solvable").stats;
+        let fresh = synthesize(&problem, &options).expect("solvable").stats;
         assert!(
-            (states..2 * states).contains(&stats.states_relabeled),
-            "{strategy}: {} states relabeled on a {states}-state structure",
-            stats.states_relabeled
+            (states..whole).contains(&fresh.states_relabeled),
+            "{strategy}: {} states relabeled on a {states}-state footprint of {whole}",
+            fresh.states_relabeled
+        );
+        // Cover the footprint, then park the structure at `initial`.
+        let mut engine = UpdateEngine::for_problem(&problem, options);
+        engine.solve(&problem).expect("solvable");
+        engine.solve(&at_initial).expect("no-op update");
+        let warm = engine.solve(&problem).expect("solvable").stats;
+        assert_eq!(
+            fresh.states_relabeled,
+            warm.states_relabeled + states,
+            "{strategy}: a fresh request pays other than one full labelling"
         );
     }
 }
