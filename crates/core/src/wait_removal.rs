@@ -8,47 +8,49 @@
 //! since the last kept wait, and keeps a wait only when the next switch is
 //! reachable from one of them in the (conservative) union of the forwarding
 //! graphs of the configurations seen in that window.
+//!
+//! The union is kept per switch rather than recomputed: the current
+//! configuration's edges are one entry per switch, computed once for the
+//! initial configuration, and a unit changes only its own switch's entry.
+//! So after each unit the pass recomputes that switch's edges under its new
+//! table, merges them into the window — every other switch's edges are
+//! already there — and replaces the switch's entry; a kept wait resets the
+//! window to the current entries. The cost is one switch's rules per unit,
+//! not the whole configuration's.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use netupd_model::{CommandSeq, Configuration, SwitchId};
+use netupd_model::{CommandSeq, SwitchId, Table};
 
 use crate::problem::UpdateProblem;
 use crate::units::UpdateUnit;
 
-/// Switch-level forwarding edges of a configuration, restricted to the
-/// problem's traffic classes: `a → b` if some rule on `a` that can match one
-/// of the classes forwards out a port whose link leads to `b`.
-fn forwarding_edges(
-    problem: &UpdateProblem,
-    config: &Configuration,
-) -> BTreeMap<SwitchId, BTreeSet<SwitchId>> {
-    let mut edges: BTreeMap<SwitchId, BTreeSet<SwitchId>> = BTreeMap::new();
-    for (sw, table) in config.iter() {
-        for rule in table.iter() {
-            let relevant = problem
-                .classes
-                .iter()
-                .any(|class| rule.overlaps_class(class, None));
-            if !relevant {
-                continue;
-            }
-            for action in rule.actions() {
-                let Some(port) = action.forward_port() else {
-                    continue;
-                };
-                if let Some((_, link)) = problem.topology.link_from_port(sw, port) {
-                    if let Some(next) = link.dst.switch() {
-                        edges.entry(sw).or_default().insert(next);
-                    }
-                }
+/// A switch-level forwarding graph: each switch's successors.
+type Edges = BTreeMap<SwitchId, BTreeSet<SwitchId>>;
+
+/// The switch-level forwarding edges out of `sw` under `table`, restricted
+/// to the problem's traffic classes: `sw → b` if some rule that can match
+/// one of the classes forwards out a port whose link leads to `b`.
+fn switch_edges(problem: &UpdateProblem, sw: SwitchId, table: &Table) -> BTreeSet<SwitchId> {
+    let mut nexts = BTreeSet::new();
+    for rule in table.iter() {
+        let relevant = problem
+            .classes
+            .iter()
+            .any(|class| rule.overlaps_class(class, None));
+        if !relevant {
+            continue;
+        }
+        for port in rule.actions().iter().filter_map(|a| a.forward_port()) {
+            if let Some((_, link)) = problem.topology.link_from_port(sw, port) {
+                nexts.extend(link.dst.switch());
             }
         }
     }
-    edges
+    nexts
 }
 
-fn reachable(edges: &BTreeMap<SwitchId, BTreeSet<SwitchId>>, from: SwitchId, to: SwitchId) -> bool {
+fn reachable(edges: &Edges, from: SwitchId, to: SwitchId) -> bool {
     if from == to {
         return true;
     }
@@ -69,24 +71,19 @@ fn reachable(edges: &BTreeMap<SwitchId, BTreeSet<SwitchId>>, from: SwitchId, to:
     false
 }
 
-fn merge_edges(
-    into: &mut BTreeMap<SwitchId, BTreeSet<SwitchId>>,
-    from: &BTreeMap<SwitchId, BTreeSet<SwitchId>>,
-) {
-    for (sw, nexts) in from {
-        into.entry(*sw).or_default().extend(nexts.iter().copied());
-    }
-}
-
 /// Rebuilds the command sequence for `order`, keeping only the waits that are
 /// needed for correctness according to the reachability heuristic.
 pub fn remove_unnecessary_waits(problem: &UpdateProblem, order: &[UpdateUnit]) -> CommandSeq {
     let mut commands = CommandSeq::new();
     let mut config = problem.initial.clone();
+    // The forwarding edges of `config`, switch by switch.
+    let mut current: Edges = (config.iter())
+        .map(|(sw, table)| (sw, switch_edges(problem, sw, table)))
+        .collect();
     // Switches updated since the last kept wait, and the union of forwarding
     // edges of every configuration seen in that window.
     let mut window_switches: BTreeSet<SwitchId> = BTreeSet::new();
-    let mut window_edges = forwarding_edges(problem, &config);
+    let mut window_edges = current.clone();
 
     for unit in order {
         let switch = unit.switch();
@@ -96,13 +93,18 @@ pub fn remove_unnecessary_waits(problem: &UpdateProblem, order: &[UpdateUnit]) -
         if needs_wait {
             commands.push_wait();
             window_switches.clear();
-            window_edges = forwarding_edges(problem, &config);
+            window_edges.clone_from(&current);
         }
         let table = unit.apply(&config);
+        let nexts = switch_edges(problem, switch, &table);
+        window_edges
+            .entry(switch)
+            .or_default()
+            .extend(nexts.iter().copied());
+        current.insert(switch, nexts);
         config.set_table(switch, table.clone());
         commands.push_update(switch, table);
         window_switches.insert(switch);
-        merge_edges(&mut window_edges, &forwarding_edges(problem, &config));
     }
     commands
 }
@@ -113,10 +115,194 @@ mod tests {
     use crate::options::Granularity;
     use crate::search::build_command_sequence;
     use crate::units::plan_units;
+    use netupd_ltl::Ltl;
+    use netupd_model::{
+        Action, Command, Configuration, Pattern, PortId, Priority, Rule, Topology, TrafficClass,
+    };
     use netupd_topo::generators;
     use netupd_topo::scenario::{diamond_scenario, PropertyKind};
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
+
+    /// The whole-configuration pass the per-switch one replaced, kept as its
+    /// reference: the forwarding edges of every configuration in the window
+    /// recomputed whole, and merged in, after every unit.
+    fn reference_remove_unnecessary_waits(
+        problem: &UpdateProblem,
+        order: &[UpdateUnit],
+    ) -> CommandSeq {
+        fn forwarding_edges(problem: &UpdateProblem, config: &Configuration) -> Edges {
+            let mut edges = Edges::new();
+            for (sw, table) in config.iter() {
+                for rule in table.iter() {
+                    let relevant =
+                        (problem.classes.iter()).any(|class| rule.overlaps_class(class, None));
+                    if !relevant {
+                        continue;
+                    }
+                    for action in rule.actions() {
+                        let Some(port) = action.forward_port() else {
+                            continue;
+                        };
+                        if let Some((_, link)) = problem.topology.link_from_port(sw, port) {
+                            if let Some(next) = link.dst.switch() {
+                                edges.entry(sw).or_default().insert(next);
+                            }
+                        }
+                    }
+                }
+            }
+            edges
+        }
+        fn merge_edges(into: &mut Edges, from: &Edges) {
+            for (sw, nexts) in from {
+                into.entry(*sw).or_default().extend(nexts.iter().copied());
+            }
+        }
+
+        let mut commands = CommandSeq::new();
+        let mut config = problem.initial.clone();
+        let mut window_switches: BTreeSet<SwitchId> = BTreeSet::new();
+        let mut window_edges = forwarding_edges(problem, &config);
+        for unit in order {
+            let switch = unit.switch();
+            let needs_wait =
+                (window_switches.iter()).any(|updated| reachable(&window_edges, *updated, switch));
+            if needs_wait {
+                commands.push_wait();
+                window_switches.clear();
+                window_edges = forwarding_edges(problem, &config);
+            }
+            let table = unit.apply(&config);
+            config.set_table(switch, table.clone());
+            commands.push_update(switch, table);
+            window_switches.insert(switch);
+            merge_edges(&mut window_edges, &forwarding_edges(problem, &config));
+        }
+        commands
+    }
+
+    /// The updates and waits of a sequence, as `s1 wait s0 …`.
+    fn shape(commands: &CommandSeq) -> String {
+        (commands.iter())
+            .filter_map(|command| match command {
+                Command::Update(sw, _) => Some(sw.to_string()),
+                Command::Flush => Some("wait".to_string()),
+                Command::Incr => None,
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// The per-switch pass builds the reference's command sequence on
+    /// fuzz-generated problems at both granularities, under random unit
+    /// orders — most of them orders no search would commit, and at rule
+    /// granularity many with one switch taking several tables in a row.
+    #[test]
+    fn per_switch_edges_give_the_whole_configuration_sequence_on_random_orders() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut compared = [0usize; 2];
+        for index in 0..24 {
+            for generated in netupd_fuzz::generate_case(0x3a175, index).problems {
+                // The generator links its own build of this crate; rebuild
+                // the problem from its parts.
+                let problem = UpdateProblem::new(
+                    generated.topology,
+                    generated.initial,
+                    generated.final_config,
+                    generated.classes,
+                    generated.ingress_hosts,
+                    generated.spec,
+                );
+                for (g, granularity) in [Granularity::Switch, Granularity::Rule]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let mut order = plan_units(&problem, granularity);
+                    for round in 0..4 {
+                        order.shuffle(&mut rng);
+                        let commands = remove_unnecessary_waits(&problem, &order);
+                        let reference = reference_remove_unnecessary_waits(&problem, &order);
+                        let context = format!("case {index} {granularity:?} round {round}");
+                        assert_eq!(shape(&commands), shape(&reference), "{context}");
+                        assert_eq!(commands, reference, "{context}");
+                        compared[g] += usize::from(order.len() > 1);
+                    }
+                }
+            }
+        }
+        assert!(compared.iter().all(|n| *n > 0), "{compared:?}");
+    }
+
+    /// At rule granularity `s1` takes three tables in a row, a kept wait
+    /// resetting the window between each. The window after the last reset
+    /// must hold `s1`'s current edges only: its removed rule toward `s2`
+    /// would make `s0 → s1 → s2` a path and keep a wait before `s2`.
+    #[test]
+    fn a_switch_taking_three_tables_in_a_row_resets_the_window_to_its_current_edges() {
+        let mut topo = Topology::new();
+        let hosts: Vec<_> = (0..3).map(|_| topo.add_host()).collect();
+        let s = topo.add_switches(4);
+        topo.attach_host(hosts[0], s[0], PortId(1));
+        topo.add_duplex_link(s[0], PortId(2), s[1], PortId(1));
+        topo.add_duplex_link(s[1], PortId(2), s[2], PortId(1));
+        topo.add_duplex_link(s[1], PortId(3), s[3], PortId(1));
+        topo.attach_host(hosts[1], s[2], PortId(2));
+        topo.attach_host(hosts[2], s[3], PortId(2));
+        let fwd = |priority: u32, port: u32| {
+            Rule::new(
+                Priority(priority),
+                Pattern::any(),
+                vec![Action::Forward(PortId(port))],
+            )
+        };
+        let initial = Configuration::new()
+            .with_table(s[0], Table::new(vec![fwd(1, 2)]))
+            .with_table(s[1], Table::new(vec![fwd(1, 2)]))
+            .with_table(s[2], Table::new(vec![fwd(1, 2)]))
+            .with_table(s[3], Table::new(vec![fwd(1, 2)]));
+        let final_config = Configuration::new()
+            .with_table(s[0], Table::new(vec![fwd(2, 2)]))
+            .with_table(s[1], Table::new(vec![fwd(2, 3), fwd(3, 3)]))
+            .with_table(s[2], Table::new(vec![fwd(2, 2)]))
+            .with_table(s[3], Table::new(vec![fwd(1, 2)]));
+        let problem = UpdateProblem::new(
+            topo,
+            initial,
+            final_config,
+            vec![TrafficClass::new()],
+            vec![hosts[0]],
+            Ltl::True,
+        );
+        let add = |sw: usize, priority: u32, port: u32| UpdateUnit::AddRule {
+            switch: s[sw],
+            rule: fwd(priority, port),
+        };
+        let remove = |sw: usize, priority: u32, port: u32| UpdateUnit::RemoveRule {
+            switch: s[sw],
+            rule: fwd(priority, port),
+        };
+        let order = vec![
+            add(1, 2, 3),
+            add(1, 3, 3),
+            remove(1, 1, 2),
+            add(0, 2, 2),
+            remove(0, 1, 2),
+            add(2, 2, 2),
+            remove(2, 1, 2),
+        ];
+        let planned = plan_units(&problem, Granularity::Rule);
+        assert_eq!(planned.len(), order.len());
+        assert!(order.iter().all(|unit| planned.contains(unit)));
+
+        let commands = remove_unnecessary_waits(&problem, &order);
+        assert_eq!(
+            commands,
+            reference_remove_unnecessary_waits(&problem, &order)
+        );
+        assert_eq!(shape(&commands), "s1 wait s1 wait s1 s0 wait s0 s2 wait s2");
+    }
 
     fn sample_problem() -> (UpdateProblem, Vec<UpdateUnit>) {
         let mut rng = StdRng::seed_from_u64(4);
@@ -157,10 +343,6 @@ mod tests {
         // Build a tiny chain problem where s0 forwards to s1 in both
         // configurations; updating s0 then s1 must keep a wait because s1 can
         // still receive packets forwarded by the old s0.
-        use netupd_ltl::Ltl;
-        use netupd_model::{
-            Action, Pattern, PortId, Priority, Rule, Table, Topology, TrafficClass,
-        };
         let mut topo = Topology::new();
         let h0 = topo.add_host();
         let h1 = topo.add_host();

@@ -1,14 +1,29 @@
 //! The network-to-Kripke encoding (Definition 9 of the paper).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use netupd_ltl::{Prop, PropId};
 use netupd_model::{
-    Configuration, Endpoint, HostId, PortId, SwitchId, Table, Topology, TrafficClass,
+    Configuration, Endpoint, HostId, LinkId, PortId, SwitchId, Table, Topology, TrafficClass,
 };
 
 use crate::structure::{Kripke, StateId, StateKey, StateRole};
+
+/// Where a state sits in the whole-topology enumeration: its class, its role
+/// (every arrival of a class before its egresses), and the link that places
+/// it — the first link into an arrival's port, the link out of an egress's.
+type Place = (usize, StateRole, LinkId);
+
+/// One state of the skeleton as the enumeration yields it: its key, and the
+/// host its links touch — for an arrival, an admitted host whose packets
+/// enter there (the state is then initial); for an egress, the host the
+/// packet leaves to (its `AtHost` label).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SkeletonState {
+    key: StateKey,
+    host: Option<HostId>,
+}
 
 /// Encoder from network configurations to Kripke structures.
 ///
@@ -59,10 +74,10 @@ pub struct NetworkKripke {
     topology: Arc<Topology>,
     classes: Vec<TrafficClass>,
     ingress_hosts: Option<BTreeSet<HostId>>,
-    /// The packed keys of the states the skeleton holds: `None` for every
+    /// The states the skeleton holds, in skeleton order: `None` for every
     /// state of the topology, else the union of the footprints covered so
     /// far (see [`cover`](NetworkKripke::cover)).
-    footprint: Option<HashSet<u128>>,
+    footprint: Option<BTreeMap<Place, SkeletonState>>,
     /// The lazily-built configuration-independent skeleton (see the type
     /// docs). Cloning the encoder clones the cached skeleton along with it.
     skeleton: OnceLock<Kripke>,
@@ -111,7 +126,9 @@ impl NetworkKripke {
     /// unreachable and labels are computed bottom-up, so a check of such a
     /// configuration on the slice answers what a whole-topology check would.
     /// The slice keeps the whole-topology state order, so counterexamples
-    /// walk the same paths.
+    /// walk the same paths; the closure places each state it reaches in that
+    /// order itself, so neither it nor the skeleton built from it scans the
+    /// topology.
     ///
     /// Returns `true` when the state space changed — on the first call, and
     /// whenever the footprint grew: structures encoded before are stale
@@ -120,7 +137,9 @@ impl NetworkKripke {
     pub fn cover(&mut self, configs: &[&Configuration]) -> bool {
         let footprint = self.footprint(configs);
         match &mut self.footprint {
-            Some(covered) if footprint.is_subset(covered) => return false,
+            Some(covered) if footprint.keys().all(|place| covered.contains_key(place)) => {
+                return false
+            }
             Some(covered) => covered.extend(footprint),
             None => self.footprint = Some(footprint),
         }
@@ -218,83 +237,140 @@ impl NetworkKripke {
             .is_none_or(|hosts| hosts.contains(&host))
     }
 
-    /// The footprint of `configs` (see [`cover`](Self::cover)): a worklist
+    /// The footprint of `configs` (see [`cover`](Self::cover)), keyed by
+    /// each state's place in the whole-topology enumeration: a worklist
     /// closure from the admitted ingress states over every matching rule.
-    fn footprint(&self, configs: &[&Configuration]) -> HashSet<u128> {
+    fn footprint(&self, configs: &[&Configuration]) -> BTreeMap<Place, SkeletonState> {
+        // The roots, once for every class: the ports admitted hosts' packets
+        // enter at, each with the link that enters there.
+        let roots: Vec<(LinkId, SwitchId, PortId)> = (self.topology.ingress_links())
+            .filter_map(|(id, link)| match (link.src, link.dst) {
+                (Endpoint::Host(h), Endpoint::SwitchPort(sw, pt)) if self.admits(h) => {
+                    Some((id, sw, pt))
+                }
+                _ => None,
+            })
+            .collect();
+        let mut slice = BTreeMap::new();
         let mut reached = HashSet::new();
-        let mut worklist = Vec::new();
         for (class_idx, class) in self.classes.iter().enumerate() {
             let packet = class.representative();
-            for (_, link) in self.topology.ingress_links() {
-                if let (Endpoint::Host(h), Endpoint::SwitchPort(sw, pt)) = (link.src, link.dst) {
-                    if self.admits(h) {
-                        worklist.push(StateKey::arrival(sw, pt, class_idx));
-                    }
+            // Each entry carries the link its packet took to get there.
+            let mut worklist: Vec<(LinkId, StateKey)> = (roots.iter())
+                .map(|&(id, sw, pt)| (id, StateKey::arrival(sw, pt, class_idx)))
+                .collect();
+            while let Some((via, key)) = worklist.pop() {
+                if !reached.insert(key.packed()) {
+                    continue;
                 }
-            }
-            while let Some(key) = worklist.pop() {
-                if !reached.insert(key.packed()) || key.role == StateRole::Egress {
+                let (place, state) = self.place(key, via);
+                slice.insert(place, state);
+                if key.role == StateRole::Egress {
                     continue;
                 }
                 let tables = configs.iter().filter_map(|c| c.table_ref(key.switch));
                 for rule in tables.flat_map(Table::iter) {
                     if rule.matches(&packet, key.port) {
                         for (_, out_port) in rule.apply(&packet) {
-                            worklist.extend(self.successor_key(key, out_port));
+                            worklist.extend(self.successor(key, out_port));
                         }
                     }
                 }
             }
         }
-        reached
+        slice
+    }
+
+    /// Where the enumeration of [`all_states`](Self::all_states) puts `key`,
+    /// which a packet reached over link `via`, and the state it yields
+    /// there. An arrival sits at the first link into its port and is initial
+    /// if any link into the port comes from an admitted host; an egress sits
+    /// at `via`, the link out of its port, and leaves to that link's host.
+    fn place(&self, key: StateKey, via: LinkId) -> (Place, SkeletonState) {
+        let (link, host) = match key.role {
+            StateRole::Arrival => {
+                let port = Endpoint::port(key.switch, key.port);
+                let into_port = || {
+                    (self.topology.links_to_switch(key.switch)).filter(move |(_, l)| l.dst == port)
+                };
+                let first = into_port().next().map_or(via, |(id, _)| id);
+                let admitted =
+                    into_port().find_map(|(_, l)| l.src.as_host().filter(|h| self.admits(*h)));
+                (first, admitted)
+            }
+            StateRole::Egress => (via, self.topology.link(via).dst.as_host()),
+        };
+        ((key.class, key.role, link), SkeletonState { key, host })
+    }
+
+    /// Every state of the topology in skeleton order, with repeats where
+    /// several links touch one port: for each class, an arrival per link
+    /// into a switch port, then an egress per link from a switch port to a
+    /// host. The first occurrence of a key fixes its place.
+    fn all_states(&self) -> impl Iterator<Item = SkeletonState> + '_ {
+        (0..self.classes.len()).flat_map(move |class| {
+            let arrivals = (self.topology.links().iter()).filter_map(move |link| {
+                let Endpoint::SwitchPort(sw, pt) = link.dst else {
+                    return None;
+                };
+                Some(SkeletonState {
+                    key: StateKey::arrival(sw, pt, class),
+                    host: link.src.as_host().filter(|h| self.admits(*h)),
+                })
+            });
+            let egresses = (self.topology.egress_links()).filter_map(move |(_, link)| {
+                let Endpoint::SwitchPort(sw, pt) = link.src else {
+                    return None;
+                };
+                Some(SkeletonState {
+                    key: StateKey::egress(sw, pt, class),
+                    host: link.dst.as_host(),
+                })
+            });
+            arrivals.chain(egresses)
+        })
     }
 
     /// Adds the states of the footprint (of the whole topology without one)
-    /// in one fixed order, so a slice's ids keep the whole-topology order.
+    /// in skeleton order, so a slice's ids keep the whole-topology order.
     fn add_states(&self, kripke: &mut Kripke) {
-        let in_slice = |key: &StateKey| {
-            (self.footprint.as_ref()).is_none_or(|footprint| footprint.contains(&key.packed()))
-        };
-        for (class_idx, class) in self.classes.iter().enumerate() {
-            // Arrival states: packets arriving at a switch port.
-            for link in self.topology.links() {
-                if let Endpoint::SwitchPort(sw, pt) = link.dst {
-                    let key = StateKey::arrival(sw, pt, class_idx);
-                    if !in_slice(&key) {
-                        continue;
-                    }
-                    let id = kripke.add_state(key, self.base_label(sw, pt, class));
-                    if let Endpoint::Host(h) = link.src {
-                        if self.admits(h) {
-                            kripke.mark_initial(id);
-                        }
-                    }
+        match &self.footprint {
+            Some(slice) => (slice.values()).for_each(|state| self.add_state(kripke, *state)),
+            None => self
+                .all_states()
+                .for_each(|state| self.add_state(kripke, state)),
+        }
+    }
+
+    /// Adds one state (a repeated key only adds its initial mark).
+    fn add_state(&self, kripke: &mut Kripke, SkeletonState { key, host }: SkeletonState) {
+        let class = &self.classes[key.class];
+        let label = self.base_label(key.switch, key.port, class);
+        match key.role {
+            StateRole::Arrival => {
+                let id = kripke.add_state(key, label);
+                if host.is_some() {
+                    kripke.mark_initial(id);
                 }
             }
-            // Egress states: switch ports attached to a host.
-            for (_, link) in self.topology.egress_links() {
-                if let (Endpoint::SwitchPort(sw, pt), Endpoint::Host(h)) = (link.src, link.dst) {
-                    let key = StateKey::egress(sw, pt, class_idx);
-                    if !in_slice(&key) {
-                        continue;
-                    }
-                    let label = self
-                        .base_label(sw, pt, class)
-                        .chain(std::iter::once(Prop::AtHost(h)));
-                    kripke.add_state(key, label);
-                }
+            StateRole::Egress => {
+                kripke.add_state(key, label.chain(host.map(Prop::AtHost)));
             }
         }
     }
 
     /// The state a packet at `key` moves to when forwarded out of
-    /// `out_port`, or `None` if no link leaves that port.
-    fn successor_key(&self, key: StateKey, out_port: PortId) -> Option<StateKey> {
-        let (_, link) = self.topology.link_from_port(key.switch, out_port)?;
-        Some(match link.dst {
-            Endpoint::SwitchPort(sw, pt) => StateKey::arrival(sw, pt, key.class),
-            Endpoint::Host(_) => StateKey::egress(key.switch, out_port, key.class),
-        })
+    /// `out_port`, with the link it takes there, or `None` if no link leaves
+    /// that port.
+    fn successor(&self, key: StateKey, out_port: PortId) -> Option<(LinkId, StateKey)> {
+        let (id, link) = self.topology.link_from_port(key.switch, out_port)?;
+        Some((
+            id,
+            match link.dst {
+                Endpoint::SwitchPort(sw, pt) => StateKey::arrival(sw, pt, key.class),
+                Endpoint::Host(_) => StateKey::egress(key.switch, out_port, key.class),
+            },
+        ))
     }
 
     fn base_label<'a>(
@@ -332,8 +408,8 @@ impl NetworkKripke {
         let outputs = table.process(&packet, key.port);
 
         let mut successors: Vec<StateId> = (outputs.iter())
-            .filter_map(|(_, out_port)| self.successor_key(key, *out_port))
-            .filter_map(|succ| kripke.state_by_key(&succ))
+            .filter_map(|(_, out_port)| self.successor(key, *out_port))
+            .filter_map(|(_, succ)| kripke.state_by_key(&succ))
             .collect();
         let mut is_dropped = outputs.is_empty();
         if successors.is_empty() {

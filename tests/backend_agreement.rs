@@ -131,11 +131,42 @@ fn shadowed_rule_problem() -> UpdateProblem {
     )
 }
 
+/// The slice's skeleton, which the footprint closure builds without looking
+/// at the rest of the topology, is the whole-topology skeleton restricted to
+/// the slice's states: the same keys in the same order, with the same
+/// initial marks and labels. Both are read off an encoding of the empty
+/// configuration, where every arrival drops and no egress does.
+fn assert_slice_is_the_restricted_skeleton(whole: &NetworkKripke, sliced: &NetworkKripke) {
+    let (full, slice) = (
+        whole.encode(&Configuration::new()),
+        sliced.encode(&Configuration::new()),
+    );
+    let restricted: Vec<StateId> = (full.states())
+        .filter(|s| slice.state_by_key(&full.key(*s)).is_some())
+        .collect();
+    let keys = |kripke: &Kripke, states: &[StateId]| -> Vec<_> {
+        states.iter().map(|s| kripke.key(*s)).collect()
+    };
+    let slice_states: Vec<StateId> = slice.states().collect();
+    assert_eq!(keys(&full, &restricted), keys(&slice, &slice_states));
+    for (a, b) in restricted.into_iter().zip(slice_states) {
+        let key = full.key(a);
+        assert_eq!(
+            full.is_initial(a),
+            slice.is_initial(b),
+            "initial mark of {key}"
+        );
+        let label = |kripke: &Kripke, s| kripke.label_props(s).collect::<BTreeSet<Prop>>();
+        assert_eq!(label(&full, a), label(&slice, b), "label of {key}");
+    }
+}
+
 /// The footprint slice is sound: on every configuration an update can pass
 /// through — every unit subset, at both granularities, of small generated
 /// problems and of the shadowed-rule one — every state reachable from an
 /// initial state of the whole-topology structure is in the slice, and every
 /// backend answers the same verdict and counterexample switches on both.
+/// The slice's skeleton is the whole one restricted to the footprint.
 #[test]
 fn the_footprint_slice_keeps_every_reachable_state_and_every_verdict() {
     let mut problems = vec![shadowed_rule_problem()];
@@ -148,6 +179,7 @@ fn the_footprint_slice_keeps_every_reachable_state_and_every_verdict() {
             .with_ingress_hosts(problem.ingress_hosts.iter().copied());
         let mut sliced = whole.clone();
         sliced.cover(&[&problem.initial, &problem.final_config]);
+        assert_slice_is_the_restricted_skeleton(&whole, &sliced);
         for granularity in [Granularity::Switch, Granularity::Rule] {
             let units = plan_units(problem, granularity);
             if units.len() > 8 {
