@@ -46,8 +46,8 @@ const CHARGED: Counter = ("charged", |s| s.charged_calls.to_string());
 const RELABELED: Counter = ("states relabeled", |s| s.states_relabeled.to_string());
 const CEGIS: Counter = ("cegis iters", |s| s.cegis_iterations.to_string());
 const CORE: Counter = ("unsat core", |s| s.unsat_core_size.to_string());
-const SAT: Counter = ("sat conflicts/clauses/decisions", |s| {
-    format!("{}/{}/{}", s.sat_conflicts, s.sat_clauses, s.sat_decisions)
+const STORE: Counter = ("store conflicts/decisions", |s| {
+    format!("{}/{}", s.sat_conflicts, s.sat_decisions)
 });
 const WAITS_BEFORE: Counter = ("waits before", |s| s.waits_before_removal.to_string());
 const WAITS_AFTER: Counter = ("waits after", |s| s.waits_after_removal.to_string());
@@ -313,7 +313,7 @@ fn ablation() -> Vec<Measured> {
     let mut table = Table::new(
         "Ablation: effect of each optimization",
         &["workload", "configuration"],
-        &[CALLS, CHARGED, RELABELED, SAT, CORE, CEGIS],
+        &[CALLS, CHARGED, RELABELED, STORE, CORE, CEGIS],
     );
     let feasible = diamond_workload(TopologyFamily::SmallWorld, 100, Waypoint, 13);
     let infeasible = double_diamond_workload(TopologyFamily::FatTree, 50, Reachability, 17);

@@ -4,8 +4,8 @@
 //! [`SynthesisError::NoOrderingExists`](crate::SynthesisError) and
 //! `proven_by_constraints` is `true`, the verdict came from the ordering
 //! store ([`UnitOrdering`]): the accumulated precedence constraints admit no
-//! total order. The solver's assumption-based unsat core, deletion-minimized,
-//! pins that verdict on a *minimal conflicting set* of learnt facts —
+//! total order. The store's deletion-minimized core pins that verdict on a
+//! *minimal conflicting set* of learnt facts —
 //! dropping any one member would make the remainder satisfiable — and this
 //! module renders that set in switch-level terms an operator can act on.
 //!
@@ -42,12 +42,6 @@ pub enum ConflictConstraint {
         /// The violating prefix set.
         applied: BTreeSet<SwitchId>,
     },
-    /// This exact switch order fails (the weakest clause form, learnt only
-    /// when the stronger forms were already known).
-    Order {
-        /// The excluded order.
-        order: Vec<SwitchId>,
-    },
 }
 
 impl ConflictConstraint {
@@ -63,9 +57,6 @@ impl ConflictConstraint {
             },
             LearntConstraint::PrefixSet { applied } => ConflictConstraint::PrefixSet {
                 applied: applied.iter().map(|i| units[i].switch()).collect(),
-            },
-            LearntConstraint::Order { order } => ConflictConstraint::Order {
-                order: order.iter().map(|&i| units[i].switch()).collect(),
             },
         }
     }
@@ -95,10 +86,6 @@ impl fmt::Display for ConflictConstraint {
                 write!(f, "updating exactly ")?;
                 write_switch_set(f, applied)?;
                 write!(f, " violates the specification")
-            }
-            ConflictConstraint::Order { order } => {
-                let names: Vec<String> = order.iter().map(|sw| sw.to_string()).collect();
-                write!(f, "the order {} fails", names.join(" -> "))
             }
         }
     }

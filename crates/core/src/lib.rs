@@ -18,8 +18,7 @@
 //!   prunes every future configuration that agrees with the counterexample
 //!   on its updated/not-updated switches and terminates the search early
 //!   when the accumulated ordering constraints admit no total order (decided
-//!   on concrete orders while one survives, by an incremental SAT solver
-//!   otherwise).
+//!   by one walk over the applied-unit sets they leave open).
 //! * [`SearchStrategy::SatGuided`] runs the same §4.2 B store as a CEGIS
 //!   loop: the store *proposes* a constraint-consistent total order, the
 //!   backend verifies it prefix by prefix in one first-failing-prefix call,

@@ -27,12 +27,12 @@ pub enum SearchStrategy {
     /// infeasibility early.
     #[default]
     Dfs,
-    /// The CEGIS completion of §4.2 B: ask the incremental SAT solver for a
-    /// total order consistent with every learnt precedence constraint,
-    /// verify the candidate sequence prefix by prefix with the configured
-    /// backend, learn the failure back as a new clause, and repeat until a
-    /// model verifies (success) or the constraints go unsatisfiable
-    /// (infeasible).
+    /// The CEGIS completion of §4.2 B: ask the ordering store for the
+    /// lex-min total order consistent with every learnt precedence
+    /// constraint, verify the candidate sequence prefix by prefix with the
+    /// configured backend, learn the failure back as a new clause, and repeat
+    /// until a proposal verifies (success) or the constraints go
+    /// unsatisfiable (infeasible).
     SatGuided,
 }
 

@@ -35,20 +35,18 @@ pub struct SynthStats {
     pub configurations_pruned: usize,
     /// Number of times the search backtracked after a failed check.
     pub backtracks: usize,
-    /// Ordering clauses handed to the SAT solver.
+    /// Distinct ordering clauses learnt into the ordering store.
     pub sat_constraints: usize,
     /// Waits in the sequence before wait removal.
     pub waits_before_removal: usize,
     /// Waits remaining after wait removal.
     pub waits_after_removal: usize,
-    /// Conflicts the ordering SAT solver worked through — across the
-    /// early-termination queries of the DFS strategy, or across the CEGIS
-    /// iterations of the SAT-guided strategy.
+    /// Walks of the ordering store that found no order: the proof of
+    /// infeasibility, and each core-minimization trial that stayed
+    /// infeasible.
     pub sat_conflicts: u64,
-    /// Clauses in the ordering solver: order axioms, learnt constraints, and
-    /// CDCL-learnt clauses (live, after learnt-database reduction).
-    pub sat_clauses: usize,
-    /// Branching decisions the ordering solver made.
+    /// Unit sets the ordering store's walks entered and then backed out of,
+    /// having found no completion through them.
     pub sat_decisions: u64,
     /// Size of the minimal conflicting constraint set when infeasibility was
     /// proven by constraint unsatisfiability (see

@@ -8,10 +8,10 @@
 //! the store answers for it twice: as the wrong-set `W`
 //! ([`excludes`](UnitOrdering::excludes)) it prunes candidates before they
 //! are checked, and as the ordering constraints of §4.2 B it ends the search
-//! as soon as it has no total order left to propose. While the order it last
-//! found survives the new clause that answer costs one pass over the learnt
-//! clauses; the CDCL solver is the fallback and the source of the minimal
-//! core behind [`UpdateEngine::last_explanation`](crate::UpdateEngine).
+//! as soon as it has no total order left to propose — one walk over the
+//! applied-unit sets the learnt clauses leave open, whose refutation is also
+//! the source of the minimal core behind
+//! [`UpdateEngine::last_explanation`](crate::UpdateEngine).
 
 use std::collections::{HashMap, HashSet};
 
@@ -68,7 +68,7 @@ pub(crate) fn solve(
         path,
         ..
     } = search;
-    ordering.fill_solver_stats(&mut stats);
+    ordering.fill_stats(&mut stats);
     match outcome {
         Ok(true) => Ok(finish_sequence(problem, options, units, &path, stats)),
         Ok(false) => Err(SynthesisError::NoOrderingExists {

@@ -7,11 +7,8 @@
 //!
 //! 1. **Propose.** Ask the store for the lex-min total order of the update
 //!    units consistent with every learnt precedence clause
-//!    ([`UnitOrdering::propose`]). Successive proposals are warm: each starts
-//!    from the previous one (the lex-min order can only move up as clauses
-//!    arrive), and the per-position questions are answered by evaluating the
-//!    learnt clauses against concrete orders; the incremental solver is the
-//!    fallback oracle and the source of the unsat core.
+//!    ([`UnitOrdering::propose`]): one lex-first walk over the applied-unit
+//!    sets no learnt clause excludes.
 //! 2. **Verify.** Check the candidate sequence with the configured backend
 //!    through the first-failing-prefix entry
 //!    ([`ModelChecker::check_sequence`](netupd_mc::ModelChecker)): walk the
@@ -27,12 +24,13 @@
 //!    commute, so the violating configuration is a function of the applied
 //!    *set*, not the order.
 //!
-//! The loop ends with a SAT-model-verified sequence (success) or an
-//! unsatisfiable clause set (infeasible — strictly subsuming the DFS's early
-//! termination, which proves infeasibility only from the counterexamples its
-//! own search path happens to produce). Every learnt clause excludes the
-//! model it was learnt from, so the loop visits each total order at most
-//! once and terminates.
+//! The loop ends with a verified proposal (success) or a store with no order
+//! left (infeasible — strictly subsuming the DFS's early termination, which
+//! proves infeasibility only from the counterexamples its own search path
+//! happens to produce). A proposal satisfies every learnt clause, so none of
+//! its prefix sets is blocked yet: the block of its failing prefix is always
+//! new and excludes the proposal, so the loop visits each total order at
+//! most once and terminates.
 //!
 //! # Determinism
 //!
@@ -159,14 +157,11 @@ pub(crate) fn solve(
                 // Dual-clause learning: the prefix-set block is learnt
                 // alongside the counterexample clause — both are entailed,
                 // each prunes differently (the §4.2 B clause generalizes
-                // across prefix sets, the block pins this exact set).
-                // `block_order` stays the safety net keeping the loop
-                // strictly progressing: each clause form excludes the model
-                // it was learnt from, so at least one of the three is new.
+                // across prefix sets, the block pins this exact set). Each
+                // excludes the proposal it was learnt from, so the loop
+                // strictly progresses.
                 let blocked = store.block_prefix_set(&applied);
-                if !learnt && !blocked {
-                    store.block_order(&order);
-                }
+                debug_assert!(learnt || blocked, "a proposal's failing prefix was blocked");
             }
         }
     }
@@ -175,7 +170,7 @@ pub(crate) fn solve(
 /// Copies the store's counters and the CEGIS iteration count into the run's
 /// statistics. Shared by the success and infeasibility exits.
 fn fill_cegis_stats(stats: &mut SynthStats, store: &UnitOrdering) {
-    store.fill_solver_stats(stats);
+    store.fill_stats(stats);
     stats.cegis_iterations = store.proposals();
 }
 

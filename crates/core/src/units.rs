@@ -109,8 +109,8 @@ pub fn plan_units(problem: &UpdateProblem, granularity: Granularity) -> Vec<Upda
 ///
 /// Every "which units are applied" in the search is one of these — the DFS's
 /// current prefix, the rows of the visited set `V`, the SAT-guided strategy's
-/// verified prefixes, a blocked prefix set — so `V` is a plain
-/// `HashSet<UnitSet>` and the wrong-set test
+/// verified prefixes, the ordering store's rows and the sets its walk
+/// visits — so `V` is a plain `HashSet<UnitSet>` and the wrong-set test
 /// ([`UnitOrdering::excludes`](crate::constraints::UnitOrdering::excludes))
 /// is two word-wise passes per clause. Sets compared with each other must
 /// come from the same unit count.
@@ -165,6 +165,20 @@ impl UnitSet {
     /// Returns `true` if the sets share no unit.
     pub fn is_disjoint(&self, other: &UnitSet) -> bool {
         (self.words.iter().zip(other.words.iter())).all(|(a, b)| a & b == 0)
+    }
+
+    /// Adds every unit of `other`.
+    pub fn union_with(&mut self, other: &UnitSet) {
+        (self.words.iter_mut().zip(other.words.iter())).for_each(|(a, b)| *a |= b);
+    }
+
+    /// The units in both sets.
+    pub fn intersection(&self, other: &UnitSet) -> UnitSet {
+        UnitSet {
+            words: (self.words.iter().zip(other.words.iter()))
+                .map(|(a, b)| a & b)
+                .collect(),
+        }
     }
 
     /// Number of units in the set.
@@ -283,9 +297,13 @@ mod tests {
             let last = UnitSet::of(n, [n - 1]);
             assert!(last.is_subset(&set) && !set.is_subset(&last), "{n}");
             assert!(!last.is_disjoint(&set), "{n}");
+            assert_eq!(set.intersection(&last), last, "{n}");
             set.remove(n - 1);
             assert!(!set.contains(n - 1) && !last.is_subset(&set), "{n}");
             assert!(last.is_disjoint(&set), "{n}");
+            assert!(set.intersection(&last).is_empty(), "{n}");
+            set.union_with(&last);
+            assert!(last.is_subset(&set), "{n}");
         }
     }
 

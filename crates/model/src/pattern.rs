@@ -1,6 +1,5 @@
 //! Match patterns for forwarding rules.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -17,7 +16,9 @@ use crate::types::PortId;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Pattern {
     in_port: Option<PortId>,
-    fields: BTreeMap<Field, u64>,
+    /// Sorted by field, one entry per field: the order, equality and hash of
+    /// a `BTreeMap<Field, u64>`, in one small allocation per rule.
+    fields: Vec<(Field, u64)>,
 }
 
 impl Pattern {
@@ -36,7 +37,10 @@ impl Pattern {
     /// Builder-style constraint on a header field.
     #[must_use]
     pub fn with_field(mut self, field: Field, value: u64) -> Self {
-        self.fields.insert(field, value);
+        match self.fields.binary_search_by_key(&field, |&(f, _)| f) {
+            Ok(i) => self.fields[i].1 = value,
+            Err(i) => self.fields.insert(i, (field, value)),
+        }
         self
     }
 
@@ -56,12 +60,15 @@ impl Pattern {
 
     /// The constrained value for `field`, if any.
     pub fn field(&self, field: Field) -> Option<u64> {
-        self.fields.get(&field).copied()
+        self.fields
+            .iter()
+            .find(|&&(f, _)| f == field)
+            .map(|&(_, v)| v)
     }
 
     /// Iterates over field constraints in a deterministic order.
     pub fn fields(&self) -> impl Iterator<Item = (Field, u64)> + '_ {
-        self.fields.iter().map(|(f, v)| (*f, *v))
+        self.fields.iter().copied()
     }
 
     /// Number of field constraints (the ingress port does not count).
@@ -81,9 +88,7 @@ impl Pattern {
                 return false;
             }
         }
-        self.fields
-            .iter()
-            .all(|(f, v)| packet.field(*f) == Some(*v))
+        self.fields.iter().all(|&(f, v)| packet.field(f) == Some(v))
     }
 
     /// Returns `true` if this pattern can match *some* packet of `class`
@@ -97,8 +102,8 @@ impl Pattern {
                 return false;
             }
         }
-        self.fields.iter().all(|(f, v)| match class.field(*f) {
-            Some(cv) => cv == *v,
+        self.fields.iter().all(|&(f, v)| match class.field(f) {
+            Some(cv) => cv == v,
             None => true,
         })
     }
@@ -182,6 +187,24 @@ mod tests {
         assert!(pat.overlaps_class(&class, Some(PortId(2))));
         assert!(!pat.overlaps_class(&class, Some(PortId(3))));
         assert!(pat.overlaps_class(&class, None));
+    }
+
+    #[test]
+    fn field_constraints_are_a_sorted_map() {
+        // Insertion order does not matter, and a field set twice keeps its
+        // last value.
+        let one = Pattern::any()
+            .with_field(Field::Typ, 1)
+            .with_field(Field::Src, 2)
+            .with_field(Field::Typ, 5);
+        let other = Pattern::any()
+            .with_field(Field::Src, 2)
+            .with_field(Field::Typ, 5);
+        assert_eq!(one, other);
+        assert_eq!(one.field(Field::Typ), Some(5));
+        assert_eq!(one.num_field_constraints(), 2);
+        let fields: Vec<_> = one.fields().collect();
+        assert_eq!(fields, vec![(Field::Src, 2), (Field::Typ, 5)]);
     }
 
     #[test]

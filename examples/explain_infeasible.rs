@@ -5,10 +5,10 @@
 //! switches updated before its ingress-side ones, and the two requirements
 //! collide — at switch granularity no total order works. The synthesizer
 //! reports `NoOrderingExists { proven_by_constraints: true }`, and the engine
-//! keeps the *evidence* behind that verdict: the solver's assumption-based
-//! unsat core, deletion-minimized to a conflicting constraint set in which
-//! every member is derived from a concrete counterexample trace or failing
-//! prefix, and dropping any single member would make the rest satisfiable.
+//! keeps the *evidence* behind that verdict: the ordering store's
+//! deletion-minimized core, a conflicting constraint set in which every
+//! member is derived from a concrete counterexample trace or failing prefix,
+//! and dropping any single member would make the rest satisfiable.
 //!
 //! Run with: `cargo run --release --example explain_infeasible`
 

@@ -21,7 +21,6 @@
 //! | [`topo`] | `netupd-topo` | topology generators and update-scenario builders |
 //! | [`kripke`] | `netupd-kripke` | Kripke structures over `(switch, port, class)` states, one component per traffic class |
 //! | [`mc`] | `netupd-mc` | incremental model checking + header-space baseline backend |
-//! | [`sat`] | `netupd-sat` | incremental CDCL SAT solver with assumptions |
 //! | [`synth`] | `netupd-synth` | counterexample-guided synthesis core |
 //! | [`serve`] | `netupd-serve` | multi-tenant serving layer: engine pool, worker fleet, admission control |
 //!
@@ -54,7 +53,6 @@ pub use netupd_kripke as kripke;
 pub use netupd_ltl as ltl;
 pub use netupd_mc as mc;
 pub use netupd_model as model;
-pub use netupd_sat as sat;
 pub use netupd_serve as serve;
 pub use netupd_synth as synth;
 pub use netupd_topo as topo;

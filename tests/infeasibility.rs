@@ -138,7 +138,6 @@ fn engine_explains_constraint_proven_infeasibility() {
                         before.iter().chain(after).collect()
                     }
                     ConflictConstraint::PrefixSet { applied } => applied.iter().collect(),
-                    ConflictConstraint::Order { order } => order.iter().collect(),
                 };
                 for switch in named {
                     assert!(
