@@ -120,11 +120,19 @@ impl Row {
 /// **correct** order, independent of which entailed clauses happen to be in
 /// the store.
 ///
-/// The memo is keyed on the set's *named* part — its intersection with the
-/// union of every row's masks. A unit no row names never changes a row's
-/// verdict and can always be appended last, so whether a set completes
-/// depends only on that projection: the walk is exponential in the named
-/// units at worst, and the free units add at most a quadratic factor.
+/// The dead-set memo splits the rows in two. A *clause*
+/// ([`require_some_before`](UnitOrdering::require_some_before)) names few
+/// units; a *block* names every unit but excludes one set, and a block some
+/// clause already excludes is left out of the walk — at switch granularity
+/// the SAT-guided strategy learns each block beside a clause that excludes
+/// it. Whether a set with no remaining block above it completes is then
+/// the clauses' verdict alone. A unit no clause names never changes that
+/// verdict and can always be appended last, so the memo keys such a set on
+/// its *named* part, its intersection with the union of the clauses' masks;
+/// a set below a block is keyed whole. A walk backs out of at most one
+/// chain of free units per dead named part, plus once per set below a
+/// block: exponential in the named units at worst, and each remaining block
+/// adds at most the subsets of its set.
 ///
 /// ## Unsat cores
 ///
@@ -235,12 +243,19 @@ impl UnitOrdering {
     }
 
     /// Learns the §4.2 B constraint: some unit of `before_units` must precede
-    /// some unit of `after_units`. The sides must be disjoint. Returns
-    /// `false` if the clause was already known.
+    /// some unit of `after_units`. Returns `false` if the clause was already
+    /// known.
+    ///
+    /// # Panics
+    ///
+    /// If the sides share a unit. The store holds only clauses that are one
+    /// prefix-set test, and a clause with a shared unit in general is not:
+    /// "1 or 2 before 0 or 1" holds in every order of three units but
+    /// `[0, 1, 2]`.
     pub fn require_some_before(&mut self, before_units: &[usize], after_units: &[usize]) -> bool {
         let mask = |units: &[usize]| UnitSet::of(self.n, units.iter().copied());
         let (after, before) = (mask(after_units), mask(before_units));
-        debug_assert!(after.is_disjoint(&before), "a clause's sides overlap");
+        assert!(after.is_disjoint(&before), "a clause's sides overlap");
         let learnt = LearntConstraint::SomeBefore {
             before: before_units.to_vec(),
             after: after_units.to_vec(),
@@ -313,14 +328,24 @@ impl UnitOrdering {
 /// `None` when there is none. Adds to `backed_out` every set the walk
 /// entered and then left without a completion.
 fn lex_first(n: usize, rows: &[&Row], backed_out: &mut u64) -> Option<Vec<usize>> {
-    let excluded = |applied: &UnitSet| rows.iter().any(|row| row.excludes(applied));
+    let (blocks, clauses): (Vec<&Row>, Vec<&Row>) =
+        (rows.iter()).partition(|row| matches!(row.learnt, LearntConstraint::PrefixSet { .. }));
+    // A block that a clause already excludes rules out nothing more.
+    let blocks: Vec<&Row> = (blocks.into_iter())
+        .filter(|block| !clauses.iter().any(|clause| clause.excludes(&block.after)))
+        .collect();
+    let excluded =
+        |applied: &UnitSet| (clauses.iter().chain(&blocks)).any(|row| row.excludes(applied));
     let mut named = UnitSet::new(n);
-    for row in rows {
-        named.union_with(&row.after);
-        named.union_with(&row.before);
+    for clause in &clauses {
+        named.union_with(&clause.after);
+        named.union_with(&clause.before);
     }
-    // The named part of every set found to have no completion.
+    // Sets found to have no completion. Whether a set with no block above
+    // it completes is the clauses' verdict alone, so its named part is the
+    // key; a set below a block is keyed whole.
     let mut dead: HashSet<UnitSet> = HashSet::new();
+    let mut dead_below_block: HashSet<UnitSet> = HashSet::new();
     let mut applied = UnitSet::new(n);
     let mut order = Vec::with_capacity(n);
     if excluded(&applied) {
@@ -335,7 +360,8 @@ fn lex_first(n: usize, rows: &[&Row], backed_out: &mut u64) -> Option<Vec<usize>
             }
             applied.insert(unit);
             let open = !excluded(&applied)
-                && (dead.is_empty() || !dead.contains(&applied.intersection(&named)));
+                && (dead.is_empty() || !dead.contains(&applied.intersection(&named)))
+                && !dead_below_block.contains(&applied);
             applied.remove(unit);
             open
         });
@@ -347,7 +373,11 @@ fn lex_first(n: usize, rows: &[&Row], backed_out: &mut u64) -> Option<Vec<usize>
             // `applied` has no completion: back out of it.
             let last = order.pop()?;
             *backed_out += 1;
-            dead.insert(applied.intersection(&named));
+            if blocks.iter().any(|block| applied.is_subset(&block.after)) {
+                dead_below_block.insert(applied.clone());
+            } else {
+                dead.insert(applied.intersection(&named));
+            }
             applied.remove(last);
             next = last + 1;
         }
@@ -811,6 +841,57 @@ mod tests {
             backed_out <= (n * n) as u64,
             "backed out of {backed_out} sets"
         );
+    }
+
+    #[test]
+    fn blocks_beside_the_two_cycle_do_not_make_every_unit_named() {
+        // The SAT-guided strategy learns a block beside each clause: here
+        // of {0}, and of every unit but 1 (the proposal `2, 3, …, 39, 0, 1`
+        // fails there). Each block names all forty units, and every set
+        // without units 0 and 1 lies below the second. But the clause
+        // ({0}, {1}) already excludes both blocks' sets: the walk leaves
+        // them out, keys its memo on units 0 and 1, and the core is the
+        // two-cycle.
+        let n = 40;
+        let mut store = UnitOrdering::new(n);
+        assert!(store.require_some_before(&[1], &[0]));
+        assert!(store.require_some_before(&[0], &[1]));
+        assert!(store.block_prefix_set(&UnitSet::of(n, [0])));
+        assert!(store.block_prefix_set(&UnitSet::of(n, (0..n).filter(|&u| u != 1))));
+        assert_eq!(store.propose(), None);
+        assert_eq!(store.infeasibility_core().map(<[_]>::len), Some(2));
+        let backed_out = store.solver_stats().decisions;
+        assert!(
+            backed_out <= (n * n) as u64,
+            "backed out of {backed_out} sets"
+        );
+    }
+
+    #[test]
+    fn a_dead_region_beside_a_block_is_cut_on_its_named_part() {
+        // Once unit 0 is applied, neither 1 nor 2 can follow it alone, so
+        // every set holding 0 but neither 1 nor 2 is dead. No clause
+        // excludes the block of {3}; only the empty set lies below it, so
+        // the sets of the dead region are still keyed on units 0..=2.
+        let n = 40;
+        let mut store = UnitOrdering::new(n);
+        assert!(store.require_some_before(&[2], &[0, 1]));
+        assert!(store.require_some_before(&[1], &[0, 2]));
+        assert!(store.block_prefix_set(&UnitSet::of(n, [3])));
+        let expected: Vec<usize> = [1, 2, 0].into_iter().chain(3..n).collect();
+        assert_eq!(store.propose(), Some(expected));
+        let backed_out = store.solver_stats().decisions;
+        assert!(
+            backed_out <= (n * n) as u64,
+            "backed out of {backed_out} sets"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a clause's sides overlap")]
+    fn a_clause_whose_sides_overlap_is_refused() {
+        // Meant as "0 before 1"; the store takes it only in that form.
+        UnitOrdering::new(2).require_some_before(&[0, 1], &[1]);
     }
 
     // ---- stateful lex-min property test ------------------------------------

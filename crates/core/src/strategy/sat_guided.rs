@@ -149,19 +149,18 @@ pub(crate) fn solve(
                 stats.charged_calls += failing + 1 - start;
                 stats.backtracks += 1;
                 applied.insert(order[failing]);
-                let mut learnt = false;
                 if let (Some(unit_of), Some(cex)) = (&unit_of, &cex_switches) {
                     stats.counterexamples_learnt += 1;
-                    learnt = store.learn_counterexample(cex, &applied, unit_of);
+                    store.learn_counterexample(cex, &applied, unit_of);
                 }
                 // Dual-clause learning: the prefix-set block is learnt
-                // alongside the counterexample clause — both are entailed,
-                // each prunes differently (the §4.2 B clause generalizes
-                // across prefix sets, the block pins this exact set). Each
-                // excludes the proposal it was learnt from, so the loop
-                // strictly progresses.
+                // alongside the counterexample clause. Both are entailed and
+                // exclude the proposal they were learnt from, so the loop
+                // strictly progresses. The clause excludes this set too, so
+                // the walk leaves the block out; without a clause the block
+                // is the whole refutation.
                 let blocked = store.block_prefix_set(&applied);
-                debug_assert!(learnt || blocked, "a proposal's failing prefix was blocked");
+                debug_assert!(blocked, "a proposal's failing prefix was blocked");
             }
         }
     }

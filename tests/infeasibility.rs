@@ -170,6 +170,65 @@ fn engine_explains_constraint_proven_infeasibility() {
     }
 }
 
+/// A double diamond beside updates no flow can observe: the 37 other
+/// switches of a `k = 6` fat tree gain a rule for a destination no host has.
+/// The conflict names only the diamond's switches, so refuting it must not
+/// enumerate subsets of the others — under the SAT-guided strategy too,
+/// whose prefix-set blocks name every unit.
+#[test]
+fn sat_guided_refutes_a_double_diamond_beside_thirty_free_switches() {
+    use netupd_model::{Field, Pattern, Priority, Rule};
+    use netupd_synth::{ConflictConstraint, UpdateEngine};
+
+    let mut rng = StdRng::seed_from_u64(17);
+    let graph = generators::fat_tree(6);
+    let scenario = double_diamond_scenario(&graph, PropertyKind::Reachability, &mut rng)
+        .expect("double diamond");
+    let mut problem = UpdateProblem::from_scenario(&scenario);
+    let diamond = problem.switches_to_update();
+    let unobserved = Rule::new(
+        Priority(1),
+        Pattern::any().with_field(Field::Dst, u64::from(u32::MAX)),
+        Vec::new(),
+    );
+    for &switch in problem.topology.switches() {
+        if !diamond.contains(&switch) {
+            let mut table = problem.final_config.table(switch);
+            table.add_rule(unobserved.clone());
+            problem.final_config.set_table(switch, table);
+        }
+    }
+    let units = problem.switches_to_update().len();
+    assert!(units >= diamond.len() + 30, "{units} units");
+
+    let options = SynthesisOptions::default().strategy(SearchStrategy::SatGuided);
+    let mut engine = UpdateEngine::for_problem(&problem, options);
+    match engine.solve(&problem) {
+        Err(SynthesisError::NoOrderingExists {
+            proven_by_constraints: true,
+        }) => {}
+        other => panic!("expected constraint-proven infeasibility, got {other:?}"),
+    }
+    let explanation = engine.last_explanation().expect("an explanation");
+    for constraint in &explanation.constraints {
+        let named: Vec<_> = match constraint {
+            ConflictConstraint::SomeBefore { before, after } => {
+                before.iter().chain(after).collect()
+            }
+            ConflictConstraint::PrefixSet { applied } => applied.iter().collect(),
+        };
+        assert!(
+            named.iter().all(|switch| diamond.contains(switch)),
+            "{constraint} names a switch outside the diamond"
+        );
+    }
+    let backed_out = explanation.stats.sat_decisions;
+    assert!(
+        backed_out <= (units * units) as u64,
+        "backed out of {backed_out} sets over {units} units"
+    );
+}
+
 #[test]
 fn infeasibility_report_comes_with_learning_statistics() {
     let problem = double_diamond_problem(17);
