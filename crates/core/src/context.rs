@@ -7,8 +7,9 @@
 //! a loop over it) and rechecking over exactly the rewired states, so the
 //! cost of a question follows the size of the diff, not of the network (the
 //! paper's Figure 7).
-//! The [`UpdateEngine`](crate::UpdateEngine) keeps its context across
-//! requests, which is what makes a churn stream cheap.
+//! The [`UpdateEngine`](crate::UpdateEngine) keeps its context across the
+//! requests of a series, which is what makes a churn stream cheap; a new
+//! series (a rebuild, or a grown footprint) gets a new context.
 //!
 //! # Purity
 //!
@@ -35,18 +36,18 @@ use crate::units::UpdateUnit;
 /// a known configuration and a checker whose cached labels describe that
 /// structure.
 ///
-/// A context outlives a single request: the [`UpdateEngine`] keeps it and
-/// hands it back in for the next request, which syncs *by diff* from wherever
-/// the previous request left the structure instead of re-encoding and
-/// re-labeling from scratch. A freshly created context (`kripke: None`)
-/// reproduces the cold-start behavior of a one-shot run exactly.
+/// A context lives for one series: the [`UpdateEngine`] keeps it and hands
+/// it back in for the next request, which syncs *by diff* from wherever the
+/// previous request left the structure instead of re-encoding and
+/// re-labeling from scratch. A new series gets a new context, whose first
+/// check labels the whole structure — exactly the cold start of a one-shot
+/// run.
 ///
 /// [`UpdateEngine`]: crate::UpdateEngine
 pub(crate) struct CheckContext {
-    /// The search structure, encoded lazily on first use.
-    kripke: Option<Kripke>,
-    /// The configuration `kripke` currently encodes (meaningful only while
-    /// `kripke` is `Some`).
+    /// The search structure.
+    kripke: Kripke,
+    /// The configuration `kripke` currently encodes.
     config: Configuration,
     /// The search checker; its cached labels always describe `kripke`.
     checker: Box<dyn ModelChecker>,
@@ -59,11 +60,12 @@ pub(crate) struct CheckContext {
 }
 
 impl CheckContext {
-    /// A cold context for `backend`: nothing encoded, nothing labeled.
-    pub(crate) fn fresh(backend: Backend) -> Self {
+    /// A context for `backend` whose structure encodes `config`, with
+    /// nothing labeled yet: its first recheck is a full check.
+    pub(crate) fn new(backend: Backend, encoder: &NetworkKripke, config: &Configuration) -> Self {
         CheckContext {
-            kripke: None,
-            config: Configuration::new(),
+            kripke: encoder.encode(config),
+            config: config.clone(),
             checker: backend.instantiate(),
             pending: Vec::new(),
         }
@@ -79,27 +81,15 @@ impl CheckContext {
     /// a DFS apply, a DFS undo, each switch of a sync. The rewired states
     /// join the pending set and are relabeled by the next physical recheck
     /// (the deferred-undo discipline), so a there-and-back costs no query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing has been encoded yet.
     pub(crate) fn step(&mut self, encoder: &NetworkKripke, switch: SwitchId, table: Table) {
-        let kripke = self.kripke.as_mut().expect("structure encoded");
         self.pending
-            .extend(encoder.apply_switch_update(kripke, switch, &table));
+            .extend(encoder.apply_switch_update(&mut self.kripke, switch, &table));
         self.config.set_table(switch, table);
     }
 
-    /// Moves the search structure to `config` without checking it — one
-    /// [`step`](Self::step) per differing switch when a structure exists, a
-    /// cold encode otherwise (the checker then holds no labels and the next
-    /// recheck is a full check anyway).
+    /// Moves the search structure to `config` without checking it: one
+    /// [`step`](Self::step) per differing switch.
     pub(crate) fn sync_deferred(&mut self, encoder: &NetworkKripke, config: &Configuration) {
-        if self.kripke.is_none() {
-            self.kripke = Some(encoder.encode(config));
-            self.config = config.clone();
-            return;
-        }
         for switch in self.config.differing_switches(config) {
             self.step(encoder, switch, config.table(switch));
         }
@@ -113,13 +103,12 @@ impl CheckContext {
         let mut changed = std::mem::take(&mut self.pending);
         changed.sort_unstable();
         changed.dedup();
-        let kripke = self.kripke.as_ref().expect("structure encoded");
-        self.checker.recheck(kripke, spec, &changed)
+        self.checker.recheck(&self.kripke, spec, &changed)
     }
 
     /// Verifies an update-step sequence starting from `base` on the search
-    /// structure: syncs to `base` by per-switch diff (or cold-encodes it),
-    /// then walks the steps through the checker's first-failing-prefix entry
+    /// structure: syncs to `base` by per-switch diff, then walks the steps
+    /// through the checker's first-failing-prefix entry
     /// ([`ModelChecker::check_sequence`]), folding the sync's rewired states
     /// into the first recheck so no separate baseline query is paid.
     ///
@@ -135,28 +124,15 @@ impl CheckContext {
     ) -> SequenceOutcome {
         self.sync_deferred(encoder, base);
         let carried = std::mem::take(&mut self.pending);
-        let kripke = self.kripke.as_mut().expect("synced above");
         let outcome = self
             .checker
-            .check_sequence(encoder, kripke, spec, &carried, steps);
+            .check_sequence(encoder, &mut self.kripke, spec, &carried, steps);
         // The sync left `self.config` at `base`; advance it by the steps
         // the walk actually applied.
         for step in &steps[..outcome.steps_applied] {
             self.config.set_table(step.switch, step.table.clone());
         }
         outcome
-    }
-
-    /// Resets the context for a new series — a new `(topology, classes,
-    /// ingress)` triple, or a footprint the encoder had to grow: the
-    /// structure is dropped (its state space no longer applies) while the
-    /// checker is kept and told to forget its cached results
-    /// ([`ModelChecker::begin_query`]), recycling its backing storage.
-    pub(crate) fn begin_new_series(&mut self) {
-        self.kripke = None;
-        self.config = Configuration::new();
-        self.pending.clear();
-        self.checker.begin_query();
     }
 }
 
@@ -232,12 +208,10 @@ mod tests {
         for backend in Backend::ALL {
             for (i, &sw) in switches.iter().enumerate() {
                 let next = problem.initial.updated(sw, problem.final_config.table(sw));
-                let mut cold = CheckContext::fresh(backend);
-                cold.sync_deferred(&encoder, &next);
-                let cold = cold.recheck(&problem.spec);
+                let cold = CheckContext::new(backend, &encoder, &next).recheck(&problem.spec);
                 violations += usize::from(cold.counterexample.is_some());
                 for via_initial in [false, true] {
-                    let mut ctx = CheckContext::fresh(backend);
+                    let mut ctx = CheckContext::new(backend, &encoder, &problem.initial);
                     let entry = check_endpoints(&mut ctx, &encoder, &problem, &units);
                     assert!(matches!(entry, Ok(ControlFlow::Continue(_))));
                     assert_eq!(ctx.config, problem.final_config);

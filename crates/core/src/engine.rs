@@ -18,10 +18,12 @@
 //!   persists, so each request syncs the structure *by per-switch diff*
 //!   from wherever the previous request left it and rechecks
 //!   incrementally, instead of encoding and labeling from scratch — unless
-//!   the footprint grew, which starts a new series on the new slice;
-//! * closures and proposition resolutions are shared per `(spec, table)`
-//!   via `netupd_ltl::cache`, so a repeated spec across the stream resolves
-//!   once.
+//!   the footprint grew, which starts a new series: the context is dropped
+//!   and the request builds a new one on the new slice.
+//!
+//! Beside the encoder, the context's structure, its checker's labels (with
+//! the spec's closure) and its pending diff are the engine's only memory
+//! between requests; nothing is shared with other engines.
 //!
 //! # Determinism
 //!
@@ -84,16 +86,15 @@ use crate::units::plan_units;
 ///
 /// Feeding the engine a problem over a *different* topology, class set, or
 /// ingress set is allowed but forfeits the amortization: the engine rebuilds
-/// its encoder and resets its context (recycling checker storage via
-/// [`begin_query`](netupd_mc::ModelChecker::begin_query)) and serves the
-/// request cold.
+/// its encoder, drops its context and serves the request cold.
 pub struct UpdateEngine {
     topology: Arc<Topology>,
     classes: Vec<TrafficClass>,
     ingress_hosts: Vec<HostId>,
     options: SynthesisOptions,
     encoder: NetworkKripke,
-    /// The persistent checking context (`None` until the first request).
+    /// The checking context of the current series (`None` until the
+    /// series' first request builds it).
     ctx: Option<CheckContext>,
     /// The most recent request's infeasibility explanation, if any.
     last_explanation: Option<InfeasibilityExplanation>,
@@ -174,22 +175,6 @@ impl UpdateEngine {
         self.rebuilds
     }
 
-    /// Re-pins the engine to a (possibly different) problem triple without
-    /// serving a request: if the problem is incompatible with the engine's
-    /// current `(topology, classes, ingress)`, the encoder is rebuilt and the
-    /// context reset exactly as an incompatible [`solve`](Self::solve) would
-    /// do; a compatible problem is a no-op.
-    ///
-    /// This is the recycling hook for serving-layer pools: an engine evicted
-    /// for tenant A can be re-pinned to tenant B's stream, keeping the warm
-    /// context's checker storage instead of reallocating it. Results are
-    /// unaffected either way — a re-pinned engine answers like a fresh one.
-    pub fn repin(&mut self, problem: &UpdateProblem) {
-        if !self.compatible(problem) {
-            self.rebuild(problem);
-        }
-    }
-
     /// Solves one request of the stream.
     ///
     /// The committed commands, unit order, and verdict are identical to what
@@ -212,13 +197,13 @@ impl UpdateEngine {
             .encoder
             .cover(&[&problem.initial, &problem.final_config])
         {
-            if let Some(ctx) = &mut self.ctx {
-                ctx.begin_new_series();
-            }
+            self.ctx = None;
         }
         let units = plan_units(problem, self.options.granularity);
         let backend = self.options.backend;
-        let ctx = self.ctx.get_or_insert_with(|| CheckContext::fresh(backend));
+        let ctx = self
+            .ctx
+            .get_or_insert_with(|| CheckContext::new(backend, &self.encoder, &problem.initial));
         match check_endpoints(ctx, &self.encoder, problem, &units)? {
             ControlFlow::Break(trivial) => Ok(trivial),
             ControlFlow::Continue(stats) => {
@@ -248,16 +233,13 @@ impl UpdateEngine {
     }
 
     /// Re-pins the engine to the problem's triple: a new encoder (new
-    /// skeleton, footprint started over), structure dropped, checker kept
-    /// but reset via `begin_query` so its backing storage is recycled.
+    /// skeleton, footprint started over) and no context.
     fn rebuild(&mut self, problem: &UpdateProblem) {
         self.topology = Arc::clone(&problem.topology);
         self.classes = problem.classes.clone();
         self.ingress_hosts = problem.ingress_hosts.clone();
         self.encoder = build_encoder(&self.topology, &self.classes, &self.ingress_hosts);
-        if let Some(ctx) = &mut self.ctx {
-            ctx.begin_new_series();
-        }
+        self.ctx = None;
         self.last_explanation = None;
         self.rebuilds += 1;
     }
@@ -369,23 +351,36 @@ mod tests {
 
     #[test]
     fn incompatible_problems_force_a_rebuild_but_stay_correct() {
-        let problems = churn_problems(PropertyKind::Reachability, 1, 7);
-        let mut engine = UpdateEngine::for_problem(&problems[0], SynthesisOptions::default());
-        engine.solve(&problems[0]).expect("first topology");
-
-        // A problem over a different topology: the engine rebuilds and
-        // solves it cold, matching the fresh synthesizer.
+        let a = churn_problems(PropertyKind::Reachability, 1, 7).remove(0);
+        // A problem over a different topology: A → B → A rebuilds twice, and
+        // every request is served cold on a new context, matching the fresh
+        // synthesizer for every backend.
         let mut rng = StdRng::seed_from_u64(23);
         let other_graph = generators::small_world(16, 4, 0.1, &mut rng);
         let other = diamond_scenario(&other_graph, PropertyKind::Reachability, &mut rng)
             .expect("diamond on the other graph");
-        let other_problem = UpdateProblem::from_scenario(&other);
-        let fresh = Synthesizer::new(other_problem.clone())
-            .synthesize()
-            .expect("fresh solves");
-        let reused = engine.solve(&other_problem).expect("engine solves");
-        assert_eq!(fresh.commands, reused.commands);
-        assert_eq!(engine.rebuilds(), 1);
+        let b = UpdateProblem::from_scenario(&other);
+        for backend in Backend::ALL {
+            let options = SynthesisOptions::with_backend(backend);
+            let mut engine = UpdateEngine::for_problem(&a, options.clone());
+            for problem in [&a, &b, &a] {
+                let fresh = Synthesizer::new(problem.clone())
+                    .with_options(options.clone())
+                    .synthesize()
+                    .unwrap_or_else(|e| panic!("{backend} fresh: {e}"));
+                let reused = engine
+                    .solve(problem)
+                    .unwrap_or_else(|e| panic!("{backend} engine: {e}"));
+                assert_eq!(fresh.commands, reused.commands, "{backend}");
+                assert_eq!(fresh.order, reused.order, "{backend}");
+                assert_eq!(
+                    fresh.stats.schedule_view(),
+                    reused.stats.schedule_view(),
+                    "{backend}"
+                );
+            }
+            assert_eq!(engine.rebuilds(), 2, "{backend}");
+        }
     }
 
     #[test]
@@ -406,35 +401,6 @@ mod tests {
                 assert_eq!(fresh.order, reused.order, "{backend}");
             }
         }
-    }
-
-    #[test]
-    fn repin_rebuilds_only_on_incompatible_problems() {
-        let problems = churn_problems(PropertyKind::Reachability, 2, 17);
-        let mut engine = UpdateEngine::for_problem(&problems[0], SynthesisOptions::default());
-        engine.solve(&problems[0]).expect("warm-up solve");
-
-        // Compatible repin is a no-op: no rebuild.
-        engine.repin(&problems[1]);
-        assert_eq!(engine.rebuilds(), 0);
-
-        // Incompatible repin rebuilds, and the re-pinned engine answers like
-        // a fresh one on the new stream.
-        let mut rng = StdRng::seed_from_u64(29);
-        let other_graph = generators::small_world(16, 4, 0.1, &mut rng);
-        let other = diamond_scenario(&other_graph, PropertyKind::Reachability, &mut rng)
-            .expect("diamond on the other graph");
-        let other_problem = UpdateProblem::from_scenario(&other);
-        engine.repin(&other_problem);
-        assert_eq!(engine.rebuilds(), 1);
-        let fresh = Synthesizer::new(other_problem.clone())
-            .synthesize()
-            .expect("fresh solves");
-        let reused = engine
-            .solve(&other_problem)
-            .expect("re-pinned engine solves");
-        assert_eq!(fresh.commands, reused.commands);
-        assert_eq!(fresh.order, reused.order);
     }
 
     #[test]

@@ -163,13 +163,14 @@ impl PropTable {
         self.props.len().div_ceil(64).max(1)
     }
 
-    /// A key identifying the current *contents* of this table for caching
-    /// purposes: the table's process-unique identity plus its length.
+    /// A key identifying the current *contents* of this table: the table's
+    /// process-unique identity plus its length.
     ///
     /// Because tables are append-only and clones get fresh identities, two
-    /// equal keys imply an identical `Prop → PropId` mapping — which is what
-    /// the resolution cache in `netupd_ltl::cache` relies on. The key changes
-    /// whenever a new proposition is interned.
+    /// equal keys imply an identical `Prop → PropId` mapping. A checker that
+    /// keeps a [`ResolvedProps`](crate::ResolvedProps) compares keys to tell
+    /// whether it is looking at a different table or at one that interned
+    /// new propositions since it resolved, and re-resolves if so.
     #[inline]
     pub fn cache_key(&self) -> (u64, usize) {
         (self.id, self.props.len())

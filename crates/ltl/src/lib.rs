@@ -16,8 +16,6 @@
 //! * the interned proposition core ([`intern`]): [`PropTable`] maps
 //!   propositions to dense [`PropId`]s and [`PropSet`] is the bitset label
 //!   representation every checking hot path operates on;
-//! * process-wide sharing of closure construction and proposition
-//!   resolution for request streams ([`cache`]);
 //! * finite-trace semantics with final-state stuttering ([`semantics`]);
 //! * builders for the properties evaluated in the paper (reachability,
 //!   waypointing, service chaining) and several others ([`builders`]);
@@ -43,7 +41,6 @@
 
 pub mod ast;
 pub mod builders;
-pub mod cache;
 pub mod closure;
 pub mod intern;
 pub mod parser;

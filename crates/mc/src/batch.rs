@@ -3,8 +3,9 @@
 use netupd_kripke::{Kripke, StateId};
 use netupd_ltl::Ltl;
 
-use crate::checker::{CheckOutcome, CheckStats, Counterexample, ModelChecker};
+use crate::checker::{CheckOutcome, CheckStats, ModelChecker};
 use crate::labeling::Labeling;
+use crate::spec::SpecCache;
 
 /// Non-incremental labeling checker (the paper's "Batch" baseline).
 ///
@@ -12,14 +13,11 @@ use crate::labeling::Labeling;
 /// call — including [`recheck`](ModelChecker::recheck) — relabels the whole
 /// structure. Comparing the two isolates the benefit of incrementality.
 ///
-/// The checker keeps one [`Labeling`] across calls purely as recycled
-/// *storage*: every query still recomputes all labels from scratch (the
-/// baseline's cost profile), but the span/backing vectors are reused instead
-/// of reallocated, which matters when a long-lived engine funnels thousands
-/// of queries through one instance.
+/// Between calls the checker keeps only its spec memo (the closure and its
+/// resolution), so the from-scratch labeling does not rebuild the closure.
 #[derive(Debug, Default)]
 pub struct BatchChecker {
-    scratch: Option<Labeling>,
+    spec: Option<SpecCache>,
 }
 
 impl BatchChecker {
@@ -31,27 +29,16 @@ impl BatchChecker {
 
 impl ModelChecker for BatchChecker {
     fn check(&mut self, kripke: &Kripke, phi: &Ltl) -> CheckOutcome {
-        let labeled = match &mut self.scratch {
-            Some(labeling) => labeling.relabel_all(kripke, phi),
-            None => {
-                let (labeling, labeled) = Labeling::label_all(kripke, phi);
-                self.scratch = Some(labeling);
-                labeled
-            }
-        };
-        let labeling = self.scratch.as_ref().expect("labeling present");
+        let spec = SpecCache::reuse(self.spec.take(), phi, kripke);
+        let (labeling, labeled) = Labeling::with_spec(kripke, spec);
         let stats = CheckStats {
             states_labeled: labeled,
             total_states: kripke.len(),
             incremental: false,
         };
-        match labeling.violating_initial(kripke) {
-            None => CheckOutcome::success(stats),
-            Some((initial, assignment)) => {
-                let path = labeling.extract_path(kripke, initial, &assignment);
-                CheckOutcome::failure(Some(Counterexample::from_states(kripke, path)), stats)
-            }
-        }
+        let outcome = labeling.outcome(kripke, stats);
+        self.spec = Some(labeling.into_spec());
+        outcome
     }
 
     fn recheck(&mut self, kripke: &Kripke, phi: &Ltl, _changed: &[StateId]) -> CheckOutcome {

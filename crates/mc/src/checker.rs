@@ -197,20 +197,6 @@ pub trait ModelChecker: Send {
         }
     }
 
-    /// Prepares the checker for a new query series whose relation to the
-    /// previous one is unknown (e.g. the structure was rebuilt or mutated out
-    /// of band): cached *results* from earlier queries must be discarded, but
-    /// backing storage (labeling spans, path maps, atom-cache vectors) is
-    /// recycled rather than dropped.
-    ///
-    /// After `begin_query`, the next [`recheck`](ModelChecker::recheck)
-    /// behaves like a full [`check`](ModelChecker::check). Checkers that keep
-    /// no cross-call result state (batch, product) need not override the
-    /// default no-op. A long-lived engine that syncs structures *by diff* and
-    /// rechecks with accurate change sets never needs to call this; it exists
-    /// for resets where no change set is available.
-    fn begin_query(&mut self) {}
-
     /// A short, stable backend name used in benchmark output.
     fn name(&self) -> &'static str;
 

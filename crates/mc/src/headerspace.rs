@@ -18,12 +18,12 @@
 //!   (exactly the handicap discussed in the paper's evaluation).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use netupd_kripke::{Kripke, StateId, StateSet};
-use netupd_ltl::{cache as ltl_cache, Closure, Ltl, ResolvedProps};
+use netupd_ltl::Ltl;
 
 use crate::checker::{CheckOutcome, CheckStats, ModelChecker};
+use crate::spec::SpecCache;
 
 /// Maximum number of distinct paths tracked per initial state. Network
 /// configurations synthesized from the diamond workloads are far below this;
@@ -34,15 +34,9 @@ const MAX_PATHS_PER_INGRESS: usize = 16_384;
 #[derive(Debug, Default)]
 pub struct HeaderSpaceChecker {
     cache: Option<PathCache>,
-    /// Per-instance closure/resolution for the current `(spec, table)` pair,
-    /// so the steady-state evaluation path is lock-free: the process-wide
-    /// `netupd_ltl::cache` is only consulted when the spec or table key
-    /// changes.
-    spec_cache: Option<SpecCache>,
-    /// Set by [`ModelChecker::begin_query`]: the cached paths may no longer
-    /// describe the structure, so the next query recomputes all of them
-    /// (recycling the per-ingress map's storage).
-    stale: bool,
+    /// The spec's closure and resolution, rebuilt only when the spec or the
+    /// table key changes.
+    spec: Option<SpecCache>,
 }
 
 #[derive(Debug)]
@@ -51,15 +45,6 @@ struct PathCache {
     paths: HashMap<StateId, Vec<Vec<StateId>>>,
     /// Number of states in the structure when the cache was built.
     states: usize,
-}
-
-#[derive(Debug)]
-struct SpecCache {
-    closure: Arc<Closure>,
-    resolved: Arc<ResolvedProps>,
-    /// The table key ([`netupd_ltl::PropTable::cache_key`]) the resolution
-    /// was computed for.
-    table_key: (u64, usize),
 }
 
 impl HeaderSpaceChecker {
@@ -71,26 +56,11 @@ impl HeaderSpaceChecker {
     fn evaluate(&mut self, kripke: &Kripke, phi: &Ltl, stats: CheckStats) -> CheckOutcome {
         // Finite-trace semantics with final-state stuttering, evaluated
         // backward over each cached path directly against the interned state
-        // labels — no label materialization per path. The closure and its
-        // resolution are cached per instance and shared per (spec, table)
-        // across the query stream via `netupd_ltl::cache`.
-        let table_key = kripke.props().cache_key();
-        let reusable = self
-            .spec_cache
-            .as_ref()
-            .is_some_and(|c| c.table_key == table_key && c.closure.root() == phi);
-        if !reusable {
-            let closure = ltl_cache::shared_closure(phi);
-            let resolved = ltl_cache::shared_resolution(&closure, kripke.props());
-            self.spec_cache = Some(SpecCache {
-                closure,
-                resolved,
-                table_key,
-            });
-        }
+        // labels — no label materialization per path.
+        let spec = SpecCache::reuse(self.spec.take(), phi, kripke);
         let SpecCache {
             closure, resolved, ..
-        } = self.spec_cache.as_ref().expect("refreshed above");
+        } = self.spec.insert(spec);
         let cache = self.cache.as_ref().expect("cache present");
         let holds = cache.paths.values().flatten().all(|path| {
             let Some((last, prefix)) = path.split_last() else {
@@ -146,15 +116,7 @@ fn collect_paths(
 
 impl ModelChecker for HeaderSpaceChecker {
     fn check(&mut self, kripke: &Kripke, phi: &Ltl) -> CheckOutcome {
-        self.stale = false;
-        // Recycle the previous cache's map storage for the full recompute.
-        let mut paths = match self.cache.take() {
-            Some(mut cache) => {
-                cache.paths.clear();
-                cache.paths
-            }
-            None => HashMap::new(),
-        };
+        let mut paths = HashMap::new();
         let mut visited_states = 0;
         for initial in kripke.initial_states() {
             let ingress_paths = Self::compute_paths(kripke, initial);
@@ -174,9 +136,6 @@ impl ModelChecker for HeaderSpaceChecker {
     }
 
     fn recheck(&mut self, kripke: &Kripke, phi: &Ltl, changed: &[StateId]) -> CheckOutcome {
-        if self.stale {
-            return self.check(kripke, phi);
-        }
         let Some(cache) = self.cache.as_ref() else {
             return self.check(kripke, phi);
         };
@@ -217,10 +176,6 @@ impl ModelChecker for HeaderSpaceChecker {
             incremental: true,
         };
         self.evaluate(kripke, phi, stats)
-    }
-
-    fn begin_query(&mut self) {
-        self.stale = true;
     }
 
     fn name(&self) -> &'static str {
@@ -301,17 +256,16 @@ mod tests {
     }
 
     #[test]
-    fn begin_query_forces_a_full_path_recompute() {
+    fn check_recomputes_every_path_after_an_out_of_band_change() {
         let (encoder, config, s0, h1) = line();
         let mut kripke = encoder.encode(&config);
         let spec = builders::reachability(Prop::AtHost(h1));
         let mut hs = HeaderSpaceChecker::new();
         assert!(hs.check(&kripke, &spec).holds);
-        // Mutate the structure out of band; without begin_query an empty
-        // change set would recompute nothing and keep the stale verdict.
+        // Mutate the structure out of band; an empty change set would
+        // recompute nothing, a check recomputes everything.
         encoder.reset_to(&mut kripke, &config.updated(s0, Table::empty()));
-        hs.begin_query();
-        let outcome = hs.recheck(&kripke, &spec, &[]);
+        let outcome = hs.check(&kripke, &spec);
         assert!(!outcome.stats.incremental);
         assert!(!outcome.holds);
     }

@@ -3,8 +3,9 @@
 use netupd_kripke::{Kripke, StateId};
 use netupd_ltl::Ltl;
 
-use crate::checker::{CheckOutcome, CheckStats, Counterexample, ModelChecker};
+use crate::checker::{CheckOutcome, CheckStats, ModelChecker};
 use crate::labeling::Labeling;
+use crate::spec::SpecCache;
 
 /// Incremental LTL checker for DAG-like Kripke structures.
 ///
@@ -15,25 +16,12 @@ use crate::labeling::Labeling;
 /// synthesis loop fast: each switch update triggers one small relabeling
 /// instead of a full model-checking run.
 ///
-/// The checker is reusable across query series: a full re-check (a new spec,
-/// a [`begin_query`](ModelChecker::begin_query) reset, or a changed state
-/// space) recycles the labeling's span/backing storage instead of
-/// reallocating it, and the cross-request path — recheck with an accurate
-/// change set after the structure was synced by diff — keeps full
-/// incrementality.
+/// A full check (the first query, a new spec, or a changed state space)
+/// labels from scratch and hands the previous labeling's spec memo on, so the
+/// closure is built once per spec.
 #[derive(Debug, Default)]
 pub struct IncrementalChecker {
-    state: Option<CheckerState>,
-    /// Set by [`ModelChecker::begin_query`]: the cached labeling's *results*
-    /// may no longer describe the structure, so the next query must relabel
-    /// everything (while still recycling the labeling's storage).
-    stale: bool,
-}
-
-#[derive(Debug)]
-struct CheckerState {
-    phi: Ltl,
-    labeling: Labeling,
+    labeling: Option<Labeling>,
 }
 
 impl IncrementalChecker {
@@ -41,72 +29,32 @@ impl IncrementalChecker {
     pub fn new() -> Self {
         IncrementalChecker::default()
     }
-
-    /// Discards any cached labeling (e.g. when the synthesizer backtracks to
-    /// a configuration whose labeling is no longer available).
-    pub fn reset(&mut self) {
-        self.state = None;
-        self.stale = false;
-    }
-
-    fn outcome(&self, kripke: &Kripke, stats: CheckStats) -> CheckOutcome {
-        let state = self.state.as_ref().expect("labeling present");
-        match state.labeling.violating_initial(kripke) {
-            None => CheckOutcome::success(stats),
-            Some((initial, assignment)) => {
-                let path = state.labeling.extract_path(kripke, initial, &assignment);
-                CheckOutcome::failure(Some(Counterexample::from_states(kripke, path)), stats)
-            }
-        }
-    }
 }
 
 impl ModelChecker for IncrementalChecker {
     fn check(&mut self, kripke: &Kripke, phi: &Ltl) -> CheckOutcome {
-        self.stale = false;
-        let labeled = match &mut self.state {
-            // Recycle the previous labeling's storage for the full relabel.
-            Some(state) => {
-                let labeled = state.labeling.relabel_all(kripke, phi);
-                state.phi = phi.clone();
-                labeled
-            }
-            None => {
-                let (labeling, labeled) = Labeling::label_all(kripke, phi);
-                self.state = Some(CheckerState {
-                    phi: phi.clone(),
-                    labeling,
-                });
-                labeled
-            }
-        };
+        let previous = self.labeling.take().map(Labeling::into_spec);
+        let spec = SpecCache::reuse(previous, phi, kripke);
+        let (labeling, labeled) = Labeling::with_spec(kripke, spec);
         let stats = CheckStats {
             states_labeled: labeled,
             total_states: kripke.len(),
             incremental: false,
         };
-        self.outcome(kripke, stats)
+        self.labeling.insert(labeling).outcome(kripke, stats)
     }
 
     fn recheck(&mut self, kripke: &Kripke, phi: &Ltl, changed: &[StateId]) -> CheckOutcome {
-        let can_reuse = !self.stale && self.state.as_ref().is_some_and(|s| s.phi == *phi);
-        if !can_reuse {
-            return self.check(kripke, phi);
-        }
-        let labeled = {
-            let state = self.state.as_mut().expect("labeling present");
-            state.labeling.relabel(kripke, changed)
+        let labeling = match &mut self.labeling {
+            Some(labeling) if labeling.closure().root() == phi => labeling,
+            _ => return self.check(kripke, phi),
         };
         let stats = CheckStats {
-            states_labeled: labeled,
+            states_labeled: labeling.relabel(kripke, changed),
             total_states: kripke.len(),
             incremental: true,
         };
-        self.outcome(kripke, stats)
-    }
-
-    fn begin_query(&mut self) {
-        self.stale = true;
+        labeling.outcome(kripke, stats)
     }
 
     fn name(&self) -> &'static str {
@@ -192,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn begin_query_forces_a_full_relabel_with_recycled_storage() {
+    fn check_relabels_everything_after_an_out_of_band_change() {
         let (encoder, config, s0, _s1, h1) = line();
         let mut kripke = encoder.encode(&config);
         let spec = builders::reachability(Prop::AtHost(h1));
@@ -200,27 +148,13 @@ mod tests {
         checker.check(&kripke, &spec);
         // Mutate the structure out of band (no change set retained).
         encoder.reset_to(&mut kripke, &config.updated(s0, Table::empty()));
-        checker.begin_query();
-        let outcome = checker.recheck(&kripke, &spec, &[]);
-        // Without begin_query an empty change set would relabel nothing and
-        // the stale labels would still claim the property holds.
-        assert!(!outcome.stats.incremental);
+        let outcome = checker.check(&kripke, &spec);
         assert_eq!(outcome.stats.states_labeled, kripke.len());
         assert!(!outcome.holds);
         // Subsequent rechecks are incremental again.
         let changed = encoder.apply_switch_update(&mut kripke, s0, &config.table(s0));
-        assert!(checker.recheck(&kripke, &spec, &changed).stats.incremental);
-    }
-
-    #[test]
-    fn reset_clears_cached_labels() {
-        let (encoder, config, _s0, _s1, h1) = line();
-        let kripke = encoder.encode(&config);
-        let mut checker = IncrementalChecker::new();
-        let spec = builders::reachability(Prop::AtHost(h1));
-        checker.check(&kripke, &spec);
-        checker.reset();
-        let outcome = checker.recheck(&kripke, &spec, &[]);
-        assert!(!outcome.stats.incremental);
+        let back = checker.recheck(&kripke, &spec, &changed);
+        assert!(back.stats.incremental);
+        assert!(back.holds);
     }
 }

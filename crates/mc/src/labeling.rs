@@ -21,25 +21,20 @@
 //! label probe is a single bit test.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use netupd_kripke::{Kripke, StateId, StateSet};
-use netupd_ltl::{cache, Assignment, Closure, Ltl, ResolvedProps};
+use netupd_ltl::{Assignment, Closure, Ltl};
+
+use crate::checker::{CheckOutcome, CheckStats, Counterexample};
+use crate::spec::SpecCache;
 
 /// A correct labeling of a Kripke structure with respect to a specification.
 #[derive(Debug, Clone)]
 pub struct Labeling {
-    /// The specification closure, shared process-wide per formula
-    /// (`netupd_ltl::cache`), so a stream of requests with a repeated spec
-    /// builds it once.
-    closure: Arc<Closure>,
-    /// The closure's atomic subformulas resolved against the structure's
-    /// table, shared per `(spec, table)` pair.
-    resolved: Arc<ResolvedProps>,
-    /// The table key (`PropTable::cache_key`) the resolution was computed
-    /// for; re-resolution only happens when the key changes (the table
-    /// interned new propositions, or the labeling moved to a new structure).
-    resolved_key: (u64, usize),
+    /// The specification's closure and its resolution against the
+    /// structure's table; the owning checker hands it on to its next
+    /// labeling, so a query series builds the closure once.
+    spec: SpecCache,
     /// Per-state `(offset, len)` span into `backing`.
     spans: Vec<(u32, u32)>,
     /// Flat backing storage for all per-state assignment vectors.
@@ -65,12 +60,14 @@ impl Labeling {
     /// self-loop); the synthesizer rejects such configurations before
     /// checking them.
     pub fn label_all(kripke: &Kripke, phi: &Ltl) -> (Labeling, usize) {
-        let closure = cache::shared_closure(phi);
-        let resolved = cache::shared_resolution(&closure, kripke.props());
+        Labeling::with_spec(kripke, SpecCache::reuse(None, phi, kripke))
+    }
+
+    /// [`label_all`](Self::label_all) for the spec `spec` memoizes, which
+    /// must be resolved against `kripke`'s table.
+    pub(crate) fn with_spec(kripke: &Kripke, spec: SpecCache) -> (Labeling, usize) {
         let mut labeling = Labeling {
-            closure,
-            resolved,
-            resolved_key: kripke.props().cache_key(),
+            spec,
             spans: Vec::new(),
             backing: Vec::with_capacity(kripke.len()),
             dead: 0,
@@ -80,35 +77,9 @@ impl Labeling {
         (labeling, count)
     }
 
-    /// Recomputes this labeling from scratch for `kripke` and `phi`,
-    /// **reusing** the span/backing/scratch allocations of the previous
-    /// computation. Semantically identical to replacing `self` with
-    /// `Labeling::label_all(kripke, phi)`; returns the number of states
-    /// labeled.
-    ///
-    /// This is the `begin_query`-style reset path: a reusable checker serving
-    /// a stream of queries recycles its labeling storage instead of dropping
-    /// and reallocating it per query.
-    pub fn relabel_all(&mut self, kripke: &Kripke, phi: &Ltl) -> usize {
-        if self.closure.root() != phi {
-            self.closure = cache::shared_closure(phi);
-            // A new spec invalidates the resolution regardless of the table.
-            self.resolved = cache::shared_resolution(&self.closure, kripke.props());
-            self.resolved_key = kripke.props().cache_key();
-        } else {
-            self.refresh_resolution(kripke);
-        }
-        self.recompute(kripke)
-    }
-
-    /// Re-resolves the closure against the structure's table iff the table
-    /// key changed (new propositions interned, or a different table).
-    fn refresh_resolution(&mut self, kripke: &Kripke) {
-        let key = kripke.props().cache_key();
-        if key != self.resolved_key {
-            self.resolved = cache::shared_resolution(&self.closure, kripke.props());
-            self.resolved_key = key;
-        }
+    /// Gives up the labels, keeping the spec memo for the next labeling.
+    pub(crate) fn into_spec(self) -> SpecCache {
+        self.spec
     }
 
     /// Labels every state of `kripke` bottom-up, reusing the backing storage.
@@ -130,7 +101,7 @@ impl Labeling {
 
     /// The specification closure this labeling was computed for.
     pub fn closure(&self) -> &Closure {
-        &self.closure
+        &self.spec.closure
     }
 
     /// The label of a state.
@@ -150,12 +121,12 @@ impl Labeling {
         if self.spans.len() != kripke.len() {
             // The state space itself changed; fall back to a full relabel
             // (reusing this labeling's storage).
-            self.refresh_resolution(kripke);
+            self.spec.resolve(kripke);
             return self.recompute(kripke);
         }
         // The table only grows and ids are stable, so a resolution stays
         // valid until the table key changes (a newly interned proposition).
-        self.refresh_resolution(kripke);
+        self.spec.resolve(kripke);
 
         // Restrict attention to ancestors of the changed states and process
         // them in an order where successors-in-the-region come first.
@@ -187,12 +158,24 @@ impl Labeling {
     pub fn violating_initial(&self, kripke: &Kripke) -> Option<(StateId, Assignment)> {
         for state in kripke.initial_states() {
             for assignment in self.label(state) {
-                if !self.closure.satisfies_root(assignment) {
+                if !self.spec.closure.satisfies_root(assignment) {
                     return Some((state, assignment.clone()));
                 }
             }
         }
         None
+    }
+
+    /// The checker outcome this labeling answers: success, or a failure
+    /// with the counterexample [`extract_path`](Self::extract_path) walks.
+    pub(crate) fn outcome(&self, kripke: &Kripke, stats: CheckStats) -> CheckOutcome {
+        match self.violating_initial(kripke) {
+            None => CheckOutcome::success(stats),
+            Some((initial, assignment)) => {
+                let path = self.extract_path(kripke, initial, &assignment);
+                CheckOutcome::failure(Some(Counterexample::from_states(kripke, path)), stats)
+            }
+        }
     }
 
     /// Returns `true` if every trace from every initial state satisfies the
@@ -229,10 +212,10 @@ impl Labeling {
                     continue;
                 }
                 for candidate in self.label(*succ) {
-                    let implied = self.closure.successor_assignment_interned(
+                    let implied = self.spec.closure.successor_assignment_interned(
                         label,
                         candidate,
-                        &self.resolved,
+                        &self.spec.resolved,
                     );
                     if implied == current {
                         path.push(*succ);
@@ -257,7 +240,10 @@ impl Labeling {
     fn compute_label(&self, kripke: &Kripke, state: StateId) -> Vec<Assignment> {
         let label = kripke.label(state);
         if kripke.is_sink(state) {
-            return vec![self.closure.sink_assignment_interned(label, &self.resolved)];
+            return vec![self
+                .spec
+                .closure
+                .sink_assignment_interned(label, &self.spec.resolved)];
         }
         let mut assignments: Vec<Assignment> = Vec::new();
         for succ in kripke.successors(state) {
@@ -265,10 +251,10 @@ impl Labeling {
                 continue;
             }
             for successor_assignment in self.label(*succ) {
-                assignments.push(self.closure.successor_assignment_interned(
+                assignments.push(self.spec.closure.successor_assignment_interned(
                     label,
                     successor_assignment,
-                    &self.resolved,
+                    &self.spec.resolved,
                 ));
             }
         }
@@ -479,36 +465,6 @@ mod tests {
                 assert_eq!(labeling.label(state), fresh.label(state), "round {round}");
             }
         }
-    }
-
-    #[test]
-    fn relabel_all_matches_label_all_across_specs_and_structures() {
-        let (k, _) = figure6();
-        let phi_a = builders::reachability(Prop::switch(3));
-        let phi_b = Ltl::eventually(Ltl::or_all((3..=6).map(|n| Ltl::prop(Prop::switch(n)))));
-        let (mut reused, _) = Labeling::label_all(&k, &phi_a);
-        // Same structure, new spec: the recycled labeling must agree with a
-        // fresh one.
-        let relabeled = reused.relabel_all(&k, &phi_b);
-        assert_eq!(relabeled, k.len());
-        let (fresh, _) = Labeling::label_all(&k, &phi_b);
-        for state in k.states() {
-            assert_eq!(reused.label(state), fresh.label(state));
-        }
-        assert_eq!(reused.holds(&k), fresh.holds(&k));
-        // Back to the first spec on a *different* structure (fewer states).
-        let mut k2 = Kripke::new();
-        let a = k2.add_state(key(0), label(0));
-        let b = k2.add_state(key(3), label(3));
-        k2.mark_initial(a);
-        k2.add_transition(a, b);
-        k2.add_transition(b, b);
-        reused.relabel_all(&k2, &phi_a);
-        let (fresh2, _) = Labeling::label_all(&k2, &phi_a);
-        for state in k2.states() {
-            assert_eq!(reused.label(state), fresh2.label(state));
-        }
-        assert!(reused.holds(&k2));
     }
 
     #[test]

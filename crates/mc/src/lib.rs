@@ -63,6 +63,7 @@ pub mod headerspace;
 pub mod incremental;
 pub mod labeling;
 pub mod product;
+mod spec;
 
 pub use batch::BatchChecker;
 pub use checker::{

@@ -11,28 +11,30 @@
 //! The point of this backend is its *cost profile*, which matches the
 //! external symbolic checker the paper compares against: it is a
 //! general-purpose LTL checker that rebuilds its product from scratch on
-//! every query and reuses nothing between the closely-related queries the
-//! synthesizer issues. Like NuSMV, it does produce counterexamples.
+//! every query and reuses nothing but the spec's closure between the
+//! closely-related queries the synthesizer issues. Like NuSMV, it does
+//! produce counterexamples.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use netupd_kripke::{Kripke, StateId};
-use netupd_ltl::{
-    cache as ltl_cache, Assignment, Closure, Ltl, PropSet, PropSetRef, ResolvedProps,
-};
+use netupd_ltl::{Assignment, Closure, Ltl, PropSet, PropSetRef, ResolvedProps};
 
 use crate::checker::{CheckOutcome, CheckStats, Counterexample, ModelChecker};
+use crate::spec::SpecCache;
 
 /// Monolithic tableau-product model checker.
 ///
 /// The checker owns the per-query atom cache (cleared at the start of every
-/// [`check`](ModelChecker::check), preserving the from-scratch cost profile);
-/// atom vectors are shared between same-label states via [`Arc`], so the
-/// checker is `Send` and cheap to instantiate once per search worker.
+/// [`check`](ModelChecker::check), preserving the from-scratch cost profile)
+/// and the negated spec's closure and resolution, which it rebuilds only when
+/// the spec or the table key changes. Atom vectors are shared between
+/// same-label states via [`Arc`], so the checker is `Send`.
 #[derive(Debug, Default)]
 pub struct ProductChecker {
     cache: AtomCache,
+    negated: Option<SpecCache>,
 }
 
 impl ProductChecker {
@@ -45,12 +47,11 @@ impl ProductChecker {
 impl ModelChecker for ProductChecker {
     fn check(&mut self, kripke: &Kripke, phi: &Ltl) -> CheckOutcome {
         // The negated spec's closure (and its resolution against this
-        // structure's table) is shared across the query stream; the product
-        // itself is still rebuilt from scratch per query — the cost profile
-        // this backend exists to model.
-        let negated = phi.negated();
-        let closure = ltl_cache::shared_closure(&negated);
-        let tableau = Tableau::new(closure, kripke);
+        // structure's table) is kept across queries; the product itself is
+        // still rebuilt from scratch per query — the cost profile this
+        // backend exists to model.
+        let negated = SpecCache::reuse(self.negated.take(), &phi.negated(), kripke);
+        let tableau = Tableau::new(self.negated.insert(negated));
         self.cache.reset(kripke.len());
         let stats = CheckStats {
             states_labeled: kripke.len(),
@@ -97,11 +98,11 @@ impl AtomCache {
 }
 
 /// The tableau of the negated specification.
-struct Tableau {
-    closure: Arc<Closure>,
+struct Tableau<'a> {
+    closure: &'a Closure,
     /// The closure's atomic subformulas resolved against the structure's
     /// proposition table, so atom enumeration probes label bits directly.
-    resolved: Arc<ResolvedProps>,
+    resolved: &'a ResolvedProps,
     /// Indices of the temporal subformulas whose truth value must be guessed
     /// when enumerating atoms.
     temporal: Vec<usize>,
@@ -112,9 +113,11 @@ struct Tableau {
     untils: Vec<(usize, usize)>,
 }
 
-impl Tableau {
-    fn new(closure: Arc<Closure>, kripke: &Kripke) -> Self {
-        let resolved = ltl_cache::shared_resolution(&closure, kripke.props());
+impl<'a> Tableau<'a> {
+    fn new(negated: &'a SpecCache) -> Self {
+        let SpecCache {
+            closure, resolved, ..
+        } = negated;
         let temporal: Vec<usize> = closure
             .iter()
             .filter(|(_, phi)| matches!(phi, Ltl::Next(_) | Ltl::Until(..) | Ltl::Release(..)))

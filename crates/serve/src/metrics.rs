@@ -22,10 +22,8 @@ pub enum EngineUse {
     /// A resident engine for the tenant was taken from the pool — the
     /// request syncs persistent state by diff.
     Hit,
-    /// No resident engine: one was built (or an evicted engine was re-pinned
-    /// via [`UpdateEngine::repin`](netupd_synth::UpdateEngine::repin)) and
-    /// the request ran cold. First requests and post-eviction requests land
-    /// here.
+    /// No resident engine: a new one was built and the request ran cold.
+    /// First requests and post-eviction requests land here.
     Miss,
 }
 
@@ -113,14 +111,10 @@ pub struct MetricsSnapshot {
     pub shed_global: usize,
     /// Requests that found a warm engine in the pool.
     pub engine_hits: usize,
-    /// Requests that built (or re-pinned) an engine.
+    /// Requests that built an engine.
     pub engine_misses: usize,
     /// Engines evicted from the pool under the per-shard cap.
     pub engines_evicted: usize,
-    /// Evicted engines recycled for a new tenant via
-    /// [`UpdateEngine::repin`](netupd_synth::UpdateEngine::repin) instead of
-    /// being rebuilt from scratch.
-    pub engines_recycled: usize,
     /// Queue-wait summary over all completed requests.
     pub queue_wait: LatencySummary,
     /// Service-time summary over all completed requests.
@@ -144,7 +138,6 @@ struct MetricsInner {
     engine_hits: usize,
     engine_misses: usize,
     engines_evicted: usize,
-    engines_recycled: usize,
     queue_waits: Vec<Duration>,
     service_times: Vec<Duration>,
 }
@@ -163,14 +156,8 @@ impl Metrics {
     }
 
     /// Records one completed request: its latencies, its engine hit/miss,
-    /// and pool-eviction/recycling counts observed while returning the
-    /// engine.
-    pub(crate) fn record_completed(
-        &self,
-        metrics: &RequestMetrics,
-        evicted: usize,
-        recycled: bool,
-    ) {
+    /// and the pool evictions observed while returning the engine.
+    pub(crate) fn record_completed(&self, metrics: &RequestMetrics, evicted: usize) {
         let mut inner = self.inner.lock().expect("metrics lock");
         inner.completed += 1;
         match metrics.engine {
@@ -178,9 +165,6 @@ impl Metrics {
             EngineUse::Miss => inner.engine_misses += 1,
         }
         inner.engines_evicted += evicted;
-        if recycled {
-            inner.engines_recycled += 1;
-        }
         inner.queue_waits.push(metrics.queue_wait);
         inner.service_times.push(metrics.service_time);
     }
@@ -196,7 +180,6 @@ impl Metrics {
             engine_hits: inner.engine_hits,
             engine_misses: inner.engine_misses,
             engines_evicted: inner.engines_evicted,
-            engines_recycled: inner.engines_recycled,
             queue_wait: LatencySummary::from_samples(&inner.queue_waits),
             service_time: LatencySummary::from_samples(&inner.service_times),
         }

@@ -11,9 +11,7 @@
 //! misses the pool and runs on a cold engine — which, by the engine ≡ fresh
 //! invariant (DESIGN.md §6), returns exactly what the warm engine would
 //! have. Eviction costs work (the amortization is lost), never correctness.
-//! Evicted engines are kept on a small per-shard spare list and recycled for
-//! the next missing tenant via [`UpdateEngine::repin`], which re-pins the
-//! encoder but recycles the warm context's checker storage.
+//! An evicted engine is dropped; a miss builds a new one.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -23,20 +21,14 @@ use netupd_synth::{SynthesisOptions, UpdateEngine, UpdateProblem};
 use crate::config::TenantId;
 use crate::metrics::EngineUse;
 
-/// Spare (evicted, re-pinnable) engines kept per shard for recycling.
-const SPARES_PER_SHARD: usize = 1;
-
 /// What [`EnginePool::acquire`] produced, and how.
 pub struct AcquiredEngine {
     /// The engine to serve the request with; return it via
     /// [`EnginePool::release`].
     pub engine: UpdateEngine,
     /// Whether a warm engine was found ([`EngineUse::Hit`]) or one had to be
-    /// built or re-pinned ([`EngineUse::Miss`]).
+    /// built ([`EngineUse::Miss`]).
     pub engine_use: EngineUse,
-    /// On a miss: whether an evicted spare was recycled via
-    /// [`UpdateEngine::repin`] instead of constructing from scratch.
-    pub recycled: bool,
 }
 
 /// A sharded pool of per-tenant [`UpdateEngine`]s (see the [module
@@ -50,8 +42,6 @@ pub struct EnginePool {
 #[derive(Debug, Default)]
 struct Shard {
     engines: HashMap<TenantId, Entry>,
-    /// Evicted engines awaiting recycling (bounded by [`SPARES_PER_SHARD`]).
-    spares: Vec<UpdateEngine>,
     /// Monotonic use counter; entries carry the tick of their last use, and
     /// the smallest tick is the LRU victim.
     tick: u64,
@@ -81,45 +71,37 @@ impl EnginePool {
         &self.shards[(tenant.0 % self.shards.len() as u64) as usize]
     }
 
-    /// Takes the tenant's engine out of the pool, building (or recycling a
-    /// spare into) one on a miss. The engine is pinned to `problem`'s triple
-    /// either way; the caller must [`release`](EnginePool::release) it after
-    /// the request.
+    /// Takes the tenant's engine out of the pool, building one for
+    /// `problem`'s triple on a miss; the caller must
+    /// [`release`](EnginePool::release) it after the request.
     pub fn acquire(
         &self,
         tenant: TenantId,
         problem: &UpdateProblem,
         options: &SynthesisOptions,
     ) -> AcquiredEngine {
-        let mut shard = self.shard(tenant).lock().expect("pool shard lock");
-        if let Some(entry) = shard.engines.remove(&tenant) {
-            return AcquiredEngine {
+        let resident = self
+            .shard(tenant)
+            .lock()
+            .expect("pool shard lock")
+            .engines
+            .remove(&tenant);
+        match resident {
+            Some(entry) => AcquiredEngine {
                 engine: entry.engine,
                 engine_use: EngineUse::Hit,
-                recycled: false,
-            };
-        }
-        if let Some(mut spare) = shard.spares.pop() {
-            drop(shard);
-            spare.repin(problem);
-            return AcquiredEngine {
-                engine: spare,
+            },
+            None => AcquiredEngine {
+                engine: UpdateEngine::for_problem(problem, options.clone()),
                 engine_use: EngineUse::Miss,
-                recycled: true,
-            };
-        }
-        drop(shard);
-        AcquiredEngine {
-            engine: UpdateEngine::for_problem(problem, options.clone()),
-            engine_use: EngineUse::Miss,
-            recycled: false,
+            },
         }
     }
 
     /// Returns a tenant's engine to the pool, stamping its recency and
     /// evicting least-recently-used engines while the shard is over its
-    /// engine-count cap. Returns the number of engines evicted (they move to
-    /// the shard's spare list, oldest spares dropped).
+    /// engine-count cap. Returns the number of engines evicted (and
+    /// dropped).
     pub fn release(&self, tenant: TenantId, engine: UpdateEngine) -> usize {
         let mut shard = self.shard(tenant).lock().expect("pool shard lock");
         shard.tick += 1;
@@ -139,18 +121,14 @@ impl EnginePool {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(t, _)| *t)
                 .expect("over-cap shard is non-empty");
-            let entry = shard.engines.remove(&victim).expect("victim resident");
-            shard.spares.push(entry.engine);
-            if shard.spares.len() > SPARES_PER_SHARD {
-                shard.spares.remove(0);
-            }
+            shard.engines.remove(&victim);
             evicted += 1;
         }
         evicted
     }
 
     /// Total resident engines across all shards (excluding engines currently
-    /// taken out for in-flight requests and spares awaiting recycling).
+    /// taken out for in-flight requests).
     pub fn resident(&self) -> usize {
         self.shards
             .iter()
@@ -192,7 +170,6 @@ mod tests {
 
         let acquired = pool.acquire(tenant, &problem, &options);
         assert_eq!(acquired.engine_use, EngineUse::Miss);
-        assert!(!acquired.recycled);
         assert_eq!(pool.release(tenant, acquired.engine), 0);
         assert_eq!(pool.resident(), 1);
 
@@ -203,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn over_cap_shard_evicts_lru_and_recycles_the_spare() {
+    fn over_cap_shard_evicts_the_lru_engine() {
         let (problem_a, problem_b) = two_problems();
         // One shard, cap 1: the second tenant's release evicts the first.
         let pool = EnginePool::new(1, 1);
@@ -218,10 +195,9 @@ mod tests {
         assert_eq!(evicted, 1, "t1's engine is the LRU victim");
         assert_eq!(pool.resident(), 1);
 
-        // t1 misses now — and recycles the evicted spare via repin.
+        // t1's engine was dropped: its next acquire misses.
         let a2 = pool.acquire(t1, &problem_a, &options);
         assert_eq!(a2.engine_use, EngineUse::Miss);
-        assert!(a2.recycled, "the evicted engine is re-pinned, not dropped");
         pool.release(t1, a2.engine);
     }
 

@@ -386,9 +386,7 @@ fn worker_loop(inner: &Inner) {
             engine: acquired.engine_use,
             stats: result.as_ref().ok().map(|u| u.stats.clone()),
         };
-        inner
-            .metrics
-            .record_completed(&metrics, evicted, acquired.recycled);
+        inner.metrics.record_completed(&metrics, evicted);
         // A dropped ResponseHandle is a caller that stopped caring — fine.
         let _ = request.reply.send(ServeOutcome { result, metrics });
 

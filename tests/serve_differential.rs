@@ -117,41 +117,39 @@ fn serve_matches_fresh_for_every_backend_and_strategy() {
 #[test]
 fn serve_matches_fresh_under_constant_eviction() {
     // A one-engine pool under four tenants: every request cold-starts on a
-    // recycled engine. Eviction must be invisible in results.
+    // new engine. Eviction must be invisible in results, for every backend.
     let streams = tenant_streams(4, 2, 79);
-    let config = ServeConfig::default()
-        .worker_threads(2)
-        .shards(1)
-        .engines_per_shard(1);
-    let options = SynthesisOptions::default();
     let steps = streams[0].len();
-    let server = UpdateServer::start(config.options(options.clone()));
-    let mut submitted = Vec::new();
-    for step in 0..steps {
-        for (t, stream) in streams.iter().enumerate() {
-            let handle = server
-                .submit(TenantId(t as u64), stream[step].clone())
-                .expect("admitted");
-            submitted.push((
-                format!("evict: tenant {t} step {step}"),
-                &stream[step],
-                handle,
-            ));
+    for backend in Backend::ALL {
+        let options = SynthesisOptions::with_backend(backend);
+        let config = ServeConfig::default()
+            .worker_threads(2)
+            .shards(1)
+            .engines_per_shard(1);
+        let server = UpdateServer::start(config.options(options.clone()));
+        let mut submitted = Vec::new();
+        for step in 0..steps {
+            for (t, stream) in streams.iter().enumerate() {
+                let handle = server
+                    .submit(TenantId(t as u64), stream[step].clone())
+                    .expect("admitted");
+                submitted.push((
+                    format!("{backend}/evict: tenant {t} step {step}"),
+                    &stream[step],
+                    handle,
+                ));
+            }
         }
+        for (label, problem, handle) in submitted {
+            assert_matches_fresh(&handle.wait(), problem, &options, &label);
+        }
+        let metrics = server.shutdown();
+        assert_eq!(metrics.completed, 8, "{backend}");
+        assert!(
+            metrics.engines_evicted > 0,
+            "{backend}: a one-engine pool under four tenants must evict"
+        );
     }
-    for (label, problem, handle) in submitted {
-        assert_matches_fresh(&handle.wait(), problem, &options, &label);
-    }
-    let metrics = server.shutdown();
-    assert_eq!(metrics.completed, 8);
-    assert!(
-        metrics.engines_evicted > 0,
-        "a one-engine pool under four tenants must evict"
-    );
-    assert!(
-        metrics.engines_recycled > 0,
-        "evicted engines are recycled via repin"
-    );
 }
 
 #[test]
