@@ -38,20 +38,24 @@ const SIZES: [usize; 3] = [20, 50, 100];
 const SCALABILITY_SIZES: [usize; 3] = [50, 100, 200];
 const PROPERTIES: [PropertyKind; 3] = [Reachability, Waypoint, ServiceChain { length: 3 }];
 
-/// A counter column: its header and how to read it off the statistics.
-type Counter = (&'static str, fn(&SynthStats) -> String);
+/// A counter column: its header and how to read it off a row's statistics
+/// (the row itself holds the verdict).
+type Counter = (&'static str, fn(&SynthStats, &Measured) -> String);
 
-const CALLS: Counter = ("mc calls", |s| s.model_checker_calls.to_string());
-const CHARGED: Counter = ("charged", |s| s.charged_calls.to_string());
-const RELABELED: Counter = ("states relabeled", |s| s.states_relabeled.to_string());
-const CEGIS: Counter = ("cegis iters", |s| s.cegis_iterations.to_string());
-const CORE: Counter = ("unsat core", |s| s.unsat_core_size.to_string());
-const STORE: Counter = ("store conflicts/decisions", |s| {
+const CALLS: Counter = ("mc calls", |s, _| s.model_checker_calls.to_string());
+const CHARGED: Counter = ("charged", |s, _| s.charged_calls.to_string());
+const RELABELED: Counter = ("states relabeled", |s, _| s.states_relabeled.to_string());
+const CEGIS: Counter = ("cegis iters", |s, _| s.cegis_iterations.to_string());
+const CORE: Counter = ("unsat core", |_, m| match &m.outcome {
+    Err(SynthesisError::NoOrderingExists { core, .. }) => core.len().to_string(),
+    _ => "0".to_string(),
+});
+const STORE: Counter = ("store conflicts/decisions", |s, _| {
     format!("{}/{}", s.sat_conflicts, s.sat_decisions)
 });
-const WAITS_BEFORE: Counter = ("waits before", |s| s.waits_before_removal.to_string());
-const WAITS_AFTER: Counter = ("waits after", |s| s.waits_after_removal.to_string());
-const REMOVED: Counter = ("removed", |s| {
+const WAITS_BEFORE: Counter = ("waits before", |s, _| s.waits_before_removal.to_string());
+const WAITS_AFTER: Counter = ("waits after", |s, _| s.waits_after_removal.to_string());
+const REMOVED: Counter = ("removed", |s, _| {
     (s.waits_before_removal.saturating_sub(s.waits_after_removal)).to_string()
 });
 
@@ -61,8 +65,8 @@ struct Measured {
     outcome: Result<CommandSeq, SynthesisError>,
     /// The units in the order applied; empty without a solution.
     order: Vec<UpdateUnit>,
-    /// The sequence's statistics on success, the explanation's on a
-    /// constraint-proven infeasibility, `None` when the run reports none.
+    /// The sequence's or the failure's statistics; `None` only for an
+    /// endpoint violation.
     stats: Option<SynthStats>,
     median_ms: f64,
 }
@@ -78,17 +82,18 @@ fn median_ms(mut run: impl FnMut()) -> f64 {
     ms[RUNS / 2]
 }
 
-/// Solves `problem` [`RUNS`] times, each on a fresh [`UpdateEngine`] (so a
-/// constraint-proven verdict still yields its counters through
-/// `last_explanation`), and asserts that the runs agree.
+/// Solves `problem` [`RUNS`] times, each on a fresh [`UpdateEngine`], and
+/// asserts that the runs agree.
 fn measure(problem: &UpdateProblem, options: &SynthesisOptions) -> Measured {
     let (mut runs, mut engines) = (Vec::with_capacity(RUNS), Vec::with_capacity(RUNS));
     let median_ms = median_ms(|| {
         let mut engine = UpdateEngine::for_problem(problem, options.clone());
-        let explained = |e: &UpdateEngine| e.last_explanation().map(|e| e.stats.clone());
         runs.push(match engine.solve(problem) {
             Ok(update) => (Ok(update.commands), update.order, Some(update.stats)),
-            Err(error) => (Err(error), Vec::new(), explained(&engine)),
+            Err(error) => {
+                let stats = error.stats().cloned();
+                (Err(error), Vec::new(), stats)
+            }
         });
         engines.push(engine); // dropped off the clock
     });
@@ -105,12 +110,12 @@ fn measure(problem: &UpdateProblem, options: &SynthesisOptions) -> Measured {
 fn verdict(outcome: &Result<CommandSeq, SynthesisError>) -> String {
     match outcome {
         Ok(_) => "solved".to_string(),
-        Err(SynthesisError::NoOrderingExists {
-            proven_by_constraints: true,
-        }) => "impossible (by SAT constraints)".to_string(),
-        Err(SynthesisError::NoOrderingExists {
-            proven_by_constraints: false,
-        }) => "impossible (search exhausted)".to_string(),
+        Err(SynthesisError::NoOrderingExists { core, .. }) if core.is_empty() => {
+            "impossible (search exhausted)".to_string()
+        }
+        Err(SynthesisError::NoOrderingExists { .. }) => {
+            "impossible (ordering constraints conflict)".to_string()
+        }
         Err(other) => other.to_string(),
     }
 }
@@ -139,7 +144,8 @@ impl Table {
         let mut cells: Vec<String> = params.iter().map(|p| p.to_string()).collect();
         cells.push(verdict(&m.outcome));
         for (_, read) in &self.counters {
-            cells.push(m.stats.as_ref().map_or_else(|| "-".to_string(), read));
+            let cell = m.stats.as_ref().map(|s| read(s, &m));
+            cells.push(cell.unwrap_or_else(|| "-".to_string()));
         }
         cells.push(format!("{:.2}", m.median_ms));
         println!("  {}", cells.join(" | "));
@@ -385,7 +391,11 @@ mod tests {
     #[test]
     fn figure_8h_no_switch_ordering_exists_by_constraints() {
         for m in double_diamonds(Switch, &SIZES[..1]) {
-            assert_eq!(verdict(&m.outcome), "impossible (by SAT constraints)");
+            assert_eq!(
+                verdict(&m.outcome),
+                "impossible (ordering constraints conflict)"
+            );
+            assert_eq!(CORE.1(stats(&m), &m), "8");
         }
     }
 

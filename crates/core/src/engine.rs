@@ -73,7 +73,6 @@ use netupd_kripke::NetworkKripke;
 use netupd_model::{HostId, Topology, TrafficClass};
 
 use crate::context::{check_endpoints, CheckContext};
-use crate::explain::InfeasibilityExplanation;
 use crate::options::{SearchStrategy, SynthesisOptions};
 use crate::problem::UpdateProblem;
 use crate::search::{SynthesisError, UpdateSequence};
@@ -96,8 +95,6 @@ pub struct UpdateEngine {
     /// The checking context of the current series (`None` until the
     /// series' first request builds it).
     ctx: Option<CheckContext>,
-    /// The most recent request's infeasibility explanation, if any.
-    last_explanation: Option<InfeasibilityExplanation>,
     requests_served: usize,
     rebuilds: usize,
 }
@@ -135,7 +132,6 @@ impl UpdateEngine {
             options,
             encoder,
             ctx: None,
-            last_explanation: None,
             requests_served: 0,
             rebuilds: 0,
         }
@@ -190,7 +186,6 @@ impl UpdateEngine {
             self.rebuild(problem);
         }
         self.requests_served += 1;
-        self.last_explanation = None;
         // Every configuration the request can visit holds only initial and
         // final rules; a footprint that grew re-encodes the slice.
         if self
@@ -211,15 +206,7 @@ impl UpdateEngine {
                     SearchStrategy::Dfs => dfs::solve,
                     SearchStrategy::SatGuided => sat_guided::solve,
                 };
-                strategy(
-                    problem,
-                    &self.options,
-                    &units,
-                    &self.encoder,
-                    ctx,
-                    stats,
-                    &mut self.last_explanation,
-                )
+                strategy(problem, &self.options, &units, &self.encoder, ctx, stats)
             }
         }
     }
@@ -240,17 +227,7 @@ impl UpdateEngine {
         self.ingress_hosts = problem.ingress_hosts.clone();
         self.encoder = build_encoder(&self.topology, &self.classes, &self.ingress_hosts);
         self.ctx = None;
-        self.last_explanation = None;
         self.rebuilds += 1;
-    }
-
-    /// The infeasibility explanation of the most recent
-    /// [`solve`](Self::solve), when that request failed with
-    /// [`SynthesisError::NoOrderingExists`] `{ proven_by_constraints: true }`.
-    /// Cleared at the start of every request; `None` after successes and
-    /// other failures.
-    pub fn last_explanation(&self) -> Option<&InfeasibilityExplanation> {
-        self.last_explanation.as_ref()
     }
 }
 

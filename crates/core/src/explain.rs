@@ -1,20 +1,16 @@
 //! Infeasibility explanations.
 //!
 //! When synthesis fails with
-//! [`SynthesisError::NoOrderingExists`](crate::SynthesisError) and
-//! `proven_by_constraints` is `true`, the verdict came from the ordering
-//! store ([`UnitOrdering`]): the accumulated precedence constraints admit no
-//! total order. The store's deletion-minimized core pins that verdict on a
+//! [`SynthesisError::NoOrderingExists`](crate::SynthesisError) and a
+//! non-empty `core`, the verdict came from the ordering store
+//! ([`UnitOrdering`]): the accumulated precedence constraints admit no total
+//! order. The store's deletion-minimized core pins that verdict on a
 //! *minimal conflicting set* of learnt facts —
 //! dropping any one member would make the remainder satisfiable — and this
 //! module renders that set in switch-level terms an operator can act on.
 //!
-//! Explanations are a side channel: [`SynthesisError`](crate::SynthesisError)
-//! stays a small comparable enum, and the engine records the most recent
-//! explanation behind
-//! [`UpdateEngine::last_explanation`](crate::UpdateEngine::last_explanation).
-//! Both strategies produce them through
-//! `InfeasibilityExplanation::from_store`.
+//! The verdict carries its evidence and the run's statistics itself; every
+//! strategy builds it through `SynthesisError::no_ordering`.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -22,7 +18,7 @@ use std::fmt;
 use netupd_model::SwitchId;
 
 use crate::constraints::{LearntConstraint, UnitOrdering};
-use crate::search::SynthStats;
+use crate::search::{SynthStats, SynthesisError};
 use crate::units::UpdateUnit;
 
 /// One member of the minimal conflicting constraint set, in switch terms.
@@ -91,54 +87,24 @@ impl fmt::Display for ConflictConstraint {
     }
 }
 
-/// Why no simple order exists: the minimal conflicting set of learnt
-/// constraints behind a `NoOrderingExists { proven_by_constraints: true }`
-/// verdict, plus the statistics of the run that proved it (including
-/// [`SynthStats::unsat_core_size`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InfeasibilityExplanation {
-    /// The minimal conflicting constraints: every member is a fact derived
-    /// from a concrete counterexample or failing prefix, and dropping any
-    /// single one makes the remainder satisfiable.
-    pub constraints: Vec<ConflictConstraint>,
-    /// Work counters of the run that proved infeasibility. The error path
-    /// returns no [`UpdateSequence`](crate::UpdateSequence), so this is where
-    /// an infeasible run's statistics surface.
-    pub stats: SynthStats,
-}
-
-impl InfeasibilityExplanation {
-    /// Renders the minimal conflicting set `store` extracted when its
-    /// [`propose`](UnitOrdering::propose) returned `None`, and records its
-    /// size in the run's `stats`.
-    pub(crate) fn from_store(
+impl SynthesisError {
+    /// The `NoOrderingExists` verdict of a run whose ordering store is
+    /// `store`: its minimal core rendered in switch terms when a walk found no
+    /// order, otherwise (the search exhausted the space first) an empty core.
+    /// Every strategy's infeasible exit builds its verdict here.
+    pub(crate) fn no_ordering(
         store: &UnitOrdering,
         units: &[UpdateUnit],
-        mut stats: SynthStats,
+        stats: SynthStats,
     ) -> Self {
         let core = store.infeasibility_core().unwrap_or(&[]);
-        stats.unsat_core_size = core.len();
-        InfeasibilityExplanation {
-            constraints: core
+        SynthesisError::NoOrderingExists {
+            core: core
                 .iter()
                 .map(|c| ConflictConstraint::from_learnt(c, units))
                 .collect(),
-            stats,
+            stats: Box::new(stats),
         }
-    }
-}
-
-impl fmt::Display for InfeasibilityExplanation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "no simple order exists; {} constraint(s) conflict:",
-            self.constraints.len()
-        )?;
-        for constraint in &self.constraints {
-            writeln!(f, "  - {constraint}")?;
-        }
-        Ok(())
     }
 }
 
@@ -152,18 +118,18 @@ mod tests {
 
     #[test]
     fn display_is_readable() {
-        let explanation = InfeasibilityExplanation {
-            constraints: vec![
+        let verdict = SynthesisError::NoOrderingExists {
+            core: vec![
                 ConflictConstraint::SomeBefore {
                     before: set(&[2]),
                     after: set(&[1]),
                 },
                 ConflictConstraint::PrefixSet { applied: set(&[2]) },
             ],
-            stats: SynthStats::default(),
+            stats: Box::default(),
         };
-        let text = explanation.to_string();
-        assert!(text.contains("2 constraint(s) conflict"));
+        let text = verdict.to_string();
+        assert!(text.contains("2 ordering constraint(s) conflict"));
         assert!(text.contains("some of {s2} must be updated before some of {s1}"));
         assert!(text.contains("updating exactly {s2} violates"));
     }

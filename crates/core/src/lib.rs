@@ -75,7 +75,7 @@ pub mod units;
 pub mod wait_removal;
 
 pub use engine::UpdateEngine;
-pub use explain::{ConflictConstraint, InfeasibilityExplanation};
+pub use explain::ConflictConstraint;
 pub use options::{Granularity, SearchStrategy, SynthesisOptions};
 pub use problem::UpdateProblem;
 pub use search::{SynthStats, SynthesisError, Synthesizer, UpdateSequence};

@@ -8,6 +8,7 @@ use std::fmt;
 
 use netupd_model::{CommandSeq, Configuration};
 
+use crate::explain::ConflictConstraint;
 use crate::options::SynthesisOptions;
 use crate::problem::UpdateProblem;
 use crate::units::UpdateUnit;
@@ -48,11 +49,6 @@ pub struct SynthStats {
     /// Unit sets the ordering store's walks entered and then backed out of,
     /// having found no completion through them.
     pub sat_decisions: u64,
-    /// Size of the minimal conflicting constraint set when infeasibility was
-    /// proven by constraint unsatisfiability (see
-    /// [`UpdateEngine::last_explanation`](crate::UpdateEngine::last_explanation)).
-    /// Zero when the run did not end in a constraint-proven infeasibility.
-    pub unsat_core_size: usize,
     /// Propose→verify→learn iterations of the SAT-guided strategy's CEGIS
     /// loop. Zero for the DFS strategy.
     pub cegis_iterations: usize,
@@ -87,7 +83,8 @@ pub struct UpdateSequence {
     pub stats: SynthStats,
 }
 
-/// Reasons synthesis can fail.
+/// Reasons synthesis can fail. A failure that ran the search carries the
+/// run's statistics, as a success does.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SynthesisError {
@@ -100,12 +97,19 @@ pub enum SynthesisError {
     /// No simple, careful sequence at the requested granularity satisfies the
     /// specification.
     NoOrderingExists {
-        /// `true` when unsatisfiability of the ordering constraints proved
-        /// infeasibility before the search space was exhausted.
-        proven_by_constraints: bool,
+        /// The evidence: a minimal set of learnt ordering constraints that
+        /// admits no order (dropping any one member makes the rest
+        /// satisfiable). Empty when the search proved the verdict by
+        /// exhausting the space instead (see [`crate::explain`]).
+        core: Vec<ConflictConstraint>,
+        /// Work counters of the run that reached the verdict.
+        stats: Box<SynthStats>,
     },
     /// The search exceeded its model-checking budget.
-    SearchBudgetExhausted,
+    SearchBudgetExhausted {
+        /// Work counters of the run up to the point it stopped.
+        stats: Box<SynthStats>,
+    },
 }
 
 impl fmt::Display for SynthesisError {
@@ -117,21 +121,51 @@ impl fmt::Display for SynthesisError {
             SynthesisError::FinalConfigurationViolates => {
                 write!(f, "the final configuration violates the specification")
             }
-            SynthesisError::NoOrderingExists {
-                proven_by_constraints,
-            } => write!(
-                f,
-                "no correct ordering update exists ({})",
-                if *proven_by_constraints {
-                    "ordering constraints are unsatisfiable"
-                } else {
-                    "search space exhausted"
-                }
-            ),
-            SynthesisError::SearchBudgetExhausted => {
-                write!(f, "synthesis exceeded its model-checking budget")
+            SynthesisError::NoOrderingExists { core, .. } if core.is_empty() => {
+                write!(
+                    f,
+                    "no correct ordering update exists (search space exhausted)"
+                )
             }
+            SynthesisError::NoOrderingExists { core, .. } => {
+                write!(
+                    f,
+                    "no correct ordering update exists; {} ordering constraint(s) conflict:",
+                    core.len()
+                )?;
+                core.iter().try_for_each(|c| write!(f, "\n  - {c}"))
+            }
+            SynthesisError::SearchBudgetExhausted { stats } => write!(
+                f,
+                "synthesis exceeded its model-checking budget ({} checks charged)",
+                stats.charged_calls
+            ),
         }
+    }
+}
+
+impl SynthesisError {
+    /// The statistics of a failure that ran the search; `None` for the
+    /// endpoint violations, which fail before it.
+    pub fn stats(&self) -> Option<&SynthStats> {
+        match self {
+            SynthesisError::NoOrderingExists { stats, .. }
+            | SynthesisError::SearchBudgetExhausted { stats } => Some(stats),
+            _ => None,
+        }
+    }
+
+    /// The error with its statistics projected to their
+    /// [`schedule_view`](SynthStats::schedule_view): what is byte-identical
+    /// engine-vs-fresh.
+    pub fn schedule_view(&self) -> SynthesisError {
+        let mut view = self.clone();
+        if let SynthesisError::NoOrderingExists { stats, .. }
+        | SynthesisError::SearchBudgetExhausted { stats } = &mut view
+        {
+            **stats = stats.schedule_view();
+        }
+        view
     }
 }
 

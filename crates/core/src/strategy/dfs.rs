@@ -10,8 +10,7 @@
 //! are checked, and as the ordering constraints of §4.2 B it ends the search
 //! as soon as it has no total order left to propose — one walk over the
 //! applied-unit sets the learnt clauses leave open, whose refutation is also
-//! the source of the minimal core behind
-//! [`UpdateEngine::last_explanation`](crate::UpdateEngine).
+//! the minimal core the `NoOrderingExists` verdict carries.
 
 use std::collections::{HashMap, HashSet};
 
@@ -20,7 +19,6 @@ use netupd_model::SwitchId;
 
 use crate::constraints::UnitOrdering;
 use crate::context::CheckContext;
-use crate::explain::InfeasibilityExplanation;
 use crate::options::SynthesisOptions;
 use crate::problem::UpdateProblem;
 use crate::search::{finish_sequence, SynthStats, SynthesisError, UpdateSequence};
@@ -32,8 +30,7 @@ use crate::units::{UnitSet, UpdateUnit};
 /// configuration and the search starts from the initial one; the way back is
 /// a deferred sync, relabeled by the first physical recheck. The context is
 /// left wherever the search ended, which the next request syncs from by
-/// diff. When the constraints go unsatisfiable the minimal-core explanation
-/// is left in `explanation`.
+/// diff.
 pub(crate) fn solve(
     problem: &UpdateProblem,
     options: &SynthesisOptions,
@@ -41,7 +38,6 @@ pub(crate) fn solve(
     encoder: &NetworkKripke,
     ctx: &mut CheckContext,
     stats: SynthStats,
-    explanation: &mut Option<InfeasibilityExplanation>,
 ) -> Result<UpdateSequence, SynthesisError> {
     ctx.sync_deferred(encoder, &problem.initial);
     let unit_of = counterexample_units(options, units);
@@ -71,22 +67,21 @@ pub(crate) fn solve(
     ordering.fill_stats(&mut stats);
     match outcome {
         Ok(true) => Ok(finish_sequence(problem, options, units, &path, stats)),
-        Ok(false) => Err(SynthesisError::NoOrderingExists {
-            proven_by_constraints: false,
-        }),
-        Err(error) => {
-            if error
-                == (SynthesisError::NoOrderingExists {
-                    proven_by_constraints: true,
-                })
-            {
-                *explanation = Some(InfeasibilityExplanation::from_store(
-                    &ordering, units, stats,
-                ));
-            }
-            Err(error)
+        Ok(false) | Err(Stop::NoOrderLeft) => {
+            Err(SynthesisError::no_ordering(&ordering, units, stats))
         }
+        Err(Stop::Budget) => Err(SynthesisError::SearchBudgetExhausted {
+            stats: Box::new(stats),
+        }),
     }
+}
+
+/// Why the DFS stopped before trying every extension.
+enum Stop {
+    /// The charged checks reached `max_checks`.
+    Budget,
+    /// Early termination: the learnt constraints admit no order.
+    NoOrderLeft,
 }
 
 /// The mutable state of one DFS run.
@@ -127,7 +122,7 @@ struct DfsSearch<'a> {
 impl DfsSearch<'_> {
     /// Extends the current prefix to a full order, leaving it in `path`;
     /// `false` when every extension fails.
-    fn dfs(&mut self) -> Result<bool, SynthesisError> {
+    fn dfs(&mut self) -> Result<bool, Stop> {
         if self.path.len() == self.units.len() {
             return Ok(true);
         }
@@ -136,7 +131,7 @@ impl DfsSearch<'_> {
                 continue;
             }
             if self.stats.charged_calls >= self.options.max_checks {
-                return Err(SynthesisError::SearchBudgetExhausted);
+                return Err(Stop::Budget);
             }
 
             // Pre-checks against V and W (line 6 of the paper's algorithm),
@@ -177,9 +172,7 @@ impl DfsSearch<'_> {
                             .learn_counterexample(&cex.switches, &self.applied, unit_of);
                     if fresh && self.options.early_termination && self.ordering.propose().is_none()
                     {
-                        return Err(SynthesisError::NoOrderingExists {
-                            proven_by_constraints: true,
-                        });
+                        return Err(Stop::NoOrderLeft);
                     }
                 }
             }

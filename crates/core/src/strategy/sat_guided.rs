@@ -48,7 +48,6 @@ use netupd_model::Configuration;
 
 use crate::constraints::UnitOrdering;
 use crate::context::CheckContext;
-use crate::explain::InfeasibilityExplanation;
 use crate::options::SynthesisOptions;
 use crate::problem::UpdateProblem;
 use crate::search::{finish_sequence, SynthStats, SynthesisError, UpdateSequence};
@@ -58,8 +57,7 @@ use crate::units::{UnitSet, UpdateUnit};
 /// Runs the SAT-guided strategy over the engine's persistent context, after
 /// the entry checks (`stats` is what they charged). They leave the structure
 /// at the final configuration; every verification walk below starts by
-/// syncing to its own base. When the constraints go unsatisfiable the
-/// minimal-core explanation is left in `explanation`.
+/// syncing to its own base.
 pub(crate) fn solve(
     problem: &UpdateProblem,
     options: &SynthesisOptions,
@@ -67,7 +65,6 @@ pub(crate) fn solve(
     encoder: &NetworkKripke,
     ctx: &mut CheckContext,
     mut stats: SynthStats,
-    explanation: &mut Option<InfeasibilityExplanation>,
 ) -> Result<UpdateSequence, SynthesisError> {
     let n = units.len();
     let mut store = UnitOrdering::new(n);
@@ -82,10 +79,7 @@ pub(crate) fn solve(
     loop {
         let Some(order) = store.propose() else {
             fill_cegis_stats(&mut stats, &store);
-            *explanation = Some(InfeasibilityExplanation::from_store(&store, units, stats));
-            return Err(SynthesisError::NoOrderingExists {
-                proven_by_constraints: true,
-            });
+            return Err(SynthesisError::no_ordering(&store, units, stats));
         };
 
         // Skip the longest already-verified prefix: the walk starts at the
@@ -105,7 +99,10 @@ pub(crate) fn solve(
         // A verification pass may need one check per remaining unit; demand
         // the budget up front.
         if stats.charged_calls + (n - start) > options.max_checks {
-            return Err(SynthesisError::SearchBudgetExhausted);
+            fill_cegis_stats(&mut stats, &store);
+            return Err(SynthesisError::SearchBudgetExhausted {
+                stats: Box::new(stats),
+            });
         }
 
         let first_failure = if start == n {
@@ -167,7 +164,7 @@ pub(crate) fn solve(
 }
 
 /// Copies the store's counters and the CEGIS iteration count into the run's
-/// statistics. Shared by the success and infeasibility exits.
+/// statistics. Shared by every exit.
 fn fill_cegis_stats(stats: &mut SynthStats, store: &UnitOrdering) {
     store.fill_stats(stats);
     stats.cegis_iterations = store.proposals();

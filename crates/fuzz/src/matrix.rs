@@ -5,11 +5,12 @@
 //! Cross-checks, in order:
 //!
 //! 1. **engine vs fresh** — per cell and request, the reused engine must
-//!    return byte-identical commands/order (or the identical error) to the
-//!    fresh synthesis under the same options;
+//!    return byte-identical commands/order (or the identical error, its
+//!    statistics compared by their schedule view) to the fresh synthesis
+//!    under the same options;
 //! 2. **verdict agreement** — all cells must agree per request on the
-//!    normalized verdict (`NoOrderingExists` matches regardless of its
-//!    `proven_by_constraints` flag, as in `tests/strategy_differential.rs`);
+//!    verdict kind (a failure matches whatever its core and statistics, as
+//!    in `tests/strategy_differential.rs`);
 //! 3. **trace oracle** — every distinct solved sequence is replayed prefix by
 //!    prefix through `netupd_ltl::semantics` (no model checker involved);
 //! 4. **probe simulator** — the sequence and its wait-minimized form are
@@ -102,6 +103,7 @@ fn verdict(result: &Result<UpdateSequence, SynthesisError>) -> String {
     match result {
         Ok(_) => "solved".to_string(),
         Err(SynthesisError::NoOrderingExists { .. }) => "no-ordering-exists".to_string(),
+        Err(SynthesisError::SearchBudgetExhausted { .. }) => "search-budget-exhausted".to_string(),
         Err(other) => format!("{other:?}"),
     }
 }
@@ -191,7 +193,7 @@ pub fn check_stream(
                 let reused = engine.solve(problem);
                 let agreed = match (&fresh[request], &reused) {
                     (Ok(a), Ok(b)) => a.commands == b.commands && a.order == b.order,
-                    (Err(a), Err(b)) => a == b,
+                    (Err(a), Err(b)) => a.schedule_view() == b.schedule_view(),
                     _ => false,
                 };
                 if !agreed {

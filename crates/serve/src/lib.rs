@@ -22,9 +22,9 @@
 //!   typed [`AdmissionError`] at submit time — reported to the caller and
 //!   counted, never silently dropped, and never enqueued (so a shed can
 //!   never corrupt a tenant's stream);
-//! * **per-request metrics** ([`metrics`]): queue wait, service time, engine
-//!   hit/miss, and the full [`SynthStats`](netupd_synth::SynthStats)
-//!   passthrough, aggregated into p50/p99 summaries.
+//! * **per-request metrics** ([`metrics`]): queue wait, service time and
+//!   engine hit/miss, aggregated into p50/p99 summaries; the synthesis
+//!   result carries its own [`SynthStats`](netupd_synth::SynthStats).
 //!
 //! # Determinism under concurrency
 //!

@@ -1,8 +1,9 @@
 //! Per-request metrics and server-level aggregation.
 //!
 //! Every served request reports a [`RequestMetrics`]: how long it queued,
-//! how long synthesis took, whether a warm engine was found in the pool, and
-//! the full [`SynthStats`] passthrough from the synthesis core. The server
+//! how long synthesis took, and whether a warm engine was found in the pool.
+//! The synthesis core's work counters travel in the result itself, on
+//! success and on failure alike. The server
 //! additionally aggregates every completed request into a
 //! [`MetricsSnapshot`] — counters plus p50/p99 [`LatencySummary`]s.
 //!
@@ -11,8 +12,6 @@
 
 use std::sync::Mutex;
 use std::time::Duration;
-
-use netupd_synth::SynthStats;
 
 use crate::config::TenantId;
 
@@ -49,10 +48,6 @@ pub struct RequestMetrics {
     pub service_time: Duration,
     /// Whether the request found a warm engine in the pool.
     pub engine: EngineUse,
-    /// The synthesis core's work counters, passed through verbatim.
-    /// `None` when the request failed before producing stats (endpoint
-    /// violations, infeasibility, budget exhaustion).
-    pub stats: Option<SynthStats>,
 }
 
 /// Nearest-rank percentile summary of a latency sample set.

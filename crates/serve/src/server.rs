@@ -93,7 +93,8 @@ impl Error for AdmissionError {}
 #[derive(Debug)]
 pub struct ServeOutcome {
     /// The synthesis result — exactly what a fresh per-request synthesizer
-    /// would have returned for this problem.
+    /// would have returned for this problem, failures included, except for
+    /// the statistics' `states_relabeled`, which engine reuse shrinks.
     pub result: Result<UpdateSequence, SynthesisError>,
     /// Timing and engine-reuse metrics for this request.
     pub metrics: RequestMetrics,
@@ -384,7 +385,6 @@ fn worker_loop(inner: &Inner) {
             queue_wait,
             service_time,
             engine: acquired.engine_use,
-            stats: result.as_ref().ok().map(|u| u.stats.clone()),
         };
         inner.metrics.record_completed(&metrics, evicted);
         // A dropped ResponseHandle is a caller that stopped caring — fine.

@@ -4,15 +4,17 @@
 //! same fabric in opposite directions: each flow needs its egress-side
 //! switches updated before its ingress-side ones, and the two requirements
 //! collide — at switch granularity no total order works. The synthesizer
-//! reports `NoOrderingExists { proven_by_constraints: true }`, and the engine
-//! keeps the *evidence* behind that verdict: the ordering store's
-//! deletion-minimized core, a conflicting constraint set in which every
-//! member is derived from a concrete counterexample trace or failing prefix,
-//! and dropping any single member would make the rest satisfiable.
+//! reports `NoOrderingExists`, and the verdict carries its *evidence*: the
+//! ordering store's deletion-minimized core, a conflicting constraint set in
+//! which every member is derived from a concrete counterexample trace or
+//! failing prefix, and dropping any single member would make the rest
+//! satisfiable.
 //!
 //! Run with: `cargo run --release --example explain_infeasible`
 
-use netupd_synth::{Granularity, SearchStrategy, SynthesisOptions, UpdateEngine, UpdateProblem};
+use netupd_synth::{
+    Granularity, SearchStrategy, SynthesisError, SynthesisOptions, UpdateEngine, UpdateProblem,
+};
 use netupd_topo::generators;
 use netupd_topo::scenario::{double_diamond_scenario, PropertyKind};
 use rand::rngs::StdRng;
@@ -34,18 +36,16 @@ fn main() {
     let error = engine
         .solve(&problem)
         .expect_err("double diamonds have no switch-granularity order");
-    println!("verdict: {error}\n");
-
-    let explanation = engine
-        .last_explanation()
-        .expect("constraint-proven verdicts come with an explanation");
-    print!("{explanation}");
+    println!("verdict: {error}");
+    let SynthesisError::NoOrderingExists { core, stats } = &error else {
+        panic!("expected no ordering, got {error:?}");
+    };
     println!(
         "\n(proved in {} CEGIS iteration(s), {} learnt constraint(s), \
          core of {} after minimization)",
-        explanation.stats.cegis_iterations,
-        explanation.stats.sat_constraints,
-        explanation.stats.unsat_core_size,
+        stats.cegis_iterations,
+        stats.sat_constraints,
+        core.len(),
     );
 
     // The conflict is about switch-granularity atomicity, not the

@@ -1,8 +1,8 @@
 //! Differential test for the long-lived `UpdateEngine`: for every backend
 //! and search strategy, an engine fed a churn stream must produce
-//! byte-identical `UpdateSequence`s — commands, unit order, verdict, and
-//! every statistic but `states_relabeled` — to a fresh `Synthesizer` per
-//! request.
+//! byte-identical `UpdateSequence`s and failures — commands, unit order,
+//! verdict, core, and every statistic but `states_relabeled` — to a fresh
+//! `Synthesizer` per request.
 
 use std::sync::Arc;
 
@@ -59,13 +59,11 @@ fn assert_engine_matches_fresh(problems: &[UpdateProblem], options: SynthesisOpt
                     );
                 }
             }
-            (Err(f), Err(r)) => match (&f, &r) {
-                (
-                    SynthesisError::NoOrderingExists { .. },
-                    SynthesisError::NoOrderingExists { .. },
-                ) => {}
-                _ => assert_eq!(f, r, "step {step}: error verdicts diverged"),
-            },
+            (Err(f), Err(r)) => assert_eq!(
+                f.schedule_view(),
+                r.schedule_view(),
+                "step {step}: error verdicts diverged"
+            ),
             (f, r) => panic!("step {step}: verdicts diverged: fresh {f:?}, engine {r:?}"),
         }
     }

@@ -90,9 +90,8 @@ fn strategies_agree_on_every_infeasibility_verdict() {
     }
 }
 
-/// The engine surfaces a minimal-core explanation for constraint-proven
-/// infeasibility under both strategies that produce one (SAT-guided and the
-/// sequential DFS), and clears it on the next request.
+/// Both strategies' constraint-proven verdicts carry a minimal core, in
+/// switch terms, and the statistics of the run that proved it.
 #[test]
 fn engine_explains_constraint_proven_infeasibility() {
     use netupd_synth::{ConflictConstraint, UpdateEngine};
@@ -105,34 +104,23 @@ fn engine_explains_constraint_proven_infeasibility() {
             let context = format!("{strategy} seed {seed}");
             let mut engine =
                 UpdateEngine::for_problem(&problem, SynthesisOptions::default().strategy(strategy));
-            match engine.solve(&problem) {
-                Err(SynthesisError::NoOrderingExists {
-                    proven_by_constraints: true,
-                }) => {}
-                other => {
-                    panic!("{context}: expected constraint-proven infeasibility, got {other:?}")
-                }
-            }
-            let explanation = engine
-                .last_explanation()
-                .unwrap_or_else(|| panic!("{context}: no explanation recorded"));
+            let error = engine.solve(&problem).expect_err(&context);
+            let SynthesisError::NoOrderingExists { core, stats } = &error else {
+                panic!("{context}: expected infeasibility, got {error:?}");
+            };
+            assert!(!core.is_empty(), "{context}: empty conflicting set");
             assert!(
-                !explanation.constraints.is_empty(),
-                "{context}: empty conflicting set"
-            );
-            assert_eq!(
-                explanation.stats.unsat_core_size,
-                explanation.constraints.len(),
-                "{context}: core size must match the explanation"
+                stats.sat_conflicts > 0,
+                "{context}: no refuting walk counted"
             );
             if strategy == SearchStrategy::Dfs {
-                assert_eq!(explanation.stats.charged_calls, dfs_charged, "{context}");
-                assert_eq!(explanation.stats.unsat_core_size, dfs_core, "{context}");
+                assert_eq!(stats.charged_calls, dfs_charged, "{context}");
+                assert_eq!(core.len(), dfs_core, "{context}");
             }
             // A switch that is not being updated can be "updated before"
             // nothing: an explanation names only switches the operator can
             // reorder.
-            for constraint in &explanation.constraints {
+            for constraint in core {
                 let named: Vec<_> = match constraint {
                     ConflictConstraint::SomeBefore { before, after } => {
                         before.iter().chain(after).collect()
@@ -146,26 +134,50 @@ fn engine_explains_constraint_proven_infeasibility() {
                     );
                 }
             }
-            let text = explanation.to_string();
+            let text = error.to_string();
             assert!(
-                text.contains("constraint(s) conflict"),
+                text.contains(&format!("{} ordering constraint(s) conflict", core.len())),
                 "{context}: unreadable rendering: {text}"
             );
+        }
+    }
+}
 
-            // A subsequent request clears the stale explanation.
-            let trivial = UpdateProblem::new(
-                std::sync::Arc::clone(&problem.topology),
-                problem.initial.clone(),
-                problem.initial.clone(),
-                problem.classes.clone(),
-                problem.ingress_hosts.clone(),
-                problem.spec.clone(),
-            );
-            engine.solve(&trivial).expect("no-op update");
-            assert!(
-                engine.last_explanation().is_none(),
-                "{context}: explanation must clear on the next request"
-            );
+/// A search cut short by `max_checks` reports how far it got. The DFS stops
+/// at the first candidate past the budget, so it charged the budget or, when
+/// the budget ran out on a failed check, that check's undo beside it.
+/// SAT-guided demands a whole pass up front, so it stays within the budget,
+/// and its store counters are filled as on its other exits.
+#[test]
+fn an_exhausted_budget_carries_the_statistics_of_the_run() {
+    let problem = double_diamond_problem(17);
+    for max_checks in [4, 5, 9] {
+        for strategy in SearchStrategy::ALL {
+            let options = SynthesisOptions {
+                max_checks,
+                ..SynthesisOptions::default().strategy(strategy)
+            };
+            let context = format!("{strategy} budget {max_checks}");
+            let result = Synthesizer::new(problem.clone())
+                .with_options(options)
+                .synthesize();
+            let Err(SynthesisError::SearchBudgetExhausted { stats }) = result else {
+                panic!("{context}: expected exhaustion, got {result:?}");
+            };
+            let charged = stats.charged_calls;
+            match strategy {
+                SearchStrategy::Dfs => assert!(
+                    (max_checks..=max_checks + 1).contains(&charged),
+                    "{context}: charged {charged}"
+                ),
+                SearchStrategy::SatGuided => {
+                    assert!(charged <= max_checks, "{context}: charged {charged}");
+                    assert!(
+                        stats.cegis_iterations > 0,
+                        "{context}: store counters unfilled"
+                    );
+                }
+            }
         }
     }
 }
@@ -203,14 +215,11 @@ fn sat_guided_refutes_a_double_diamond_beside_thirty_free_switches() {
 
     let options = SynthesisOptions::default().strategy(SearchStrategy::SatGuided);
     let mut engine = UpdateEngine::for_problem(&problem, options);
-    match engine.solve(&problem) {
-        Err(SynthesisError::NoOrderingExists {
-            proven_by_constraints: true,
-        }) => {}
+    let (core, stats) = match engine.solve(&problem) {
+        Err(SynthesisError::NoOrderingExists { core, stats }) if !core.is_empty() => (core, stats),
         other => panic!("expected constraint-proven infeasibility, got {other:?}"),
-    }
-    let explanation = engine.last_explanation().expect("an explanation");
-    for constraint in &explanation.constraints {
+    };
+    for constraint in &core {
         let named: Vec<_> = match constraint {
             ConflictConstraint::SomeBefore { before, after } => {
                 before.iter().chain(after).collect()
@@ -222,7 +231,7 @@ fn sat_guided_refutes_a_double_diamond_beside_thirty_free_switches() {
             "{constraint} names a switch outside the diamond"
         );
     }
-    let backed_out = explanation.stats.sat_decisions;
+    let backed_out = stats.sat_decisions;
     assert!(
         backed_out <= (units * units) as u64,
         "backed out of {backed_out} sets over {units} units"
@@ -238,9 +247,11 @@ fn infeasibility_report_comes_with_learning_statistics() {
         .with_options(SynthesisOptions::default().early_termination(false))
         .synthesize();
     match result {
-        Err(SynthesisError::NoOrderingExists {
-            proven_by_constraints,
-        }) => assert!(!proven_by_constraints),
+        Err(SynthesisError::NoOrderingExists { core, stats }) => {
+            assert!(core.is_empty(), "no constraint walk ran, so no core");
+            assert!(stats.counterexamples_learnt > 0);
+            assert!(stats.backtracks > 0);
+        }
         other => panic!("expected exhaustion-based infeasibility, got {other:?}"),
     }
 }

@@ -98,13 +98,12 @@ fn assert_sat_guided_verified(problem: &UpdateProblem, options: SynthesisOptions
     let dfs = synthesize(problem, &options.strategy(SearchStrategy::Dfs));
     match (&dfs, &first) {
         (Ok(_), Ok(_)) => {}
-        (
-            Err(SynthesisError::NoOrderingExists { .. }),
-            Err(SynthesisError::NoOrderingExists { .. }),
-        ) => {}
-        (Err(a), Err(b)) => {
-            assert_eq!(a, b, "{context}: DFS and SatGuided error verdicts diverged")
-        }
+        // The verdict kind only: the strategies charge and learn differently.
+        (Err(a), Err(b)) => assert_eq!(
+            std::mem::discriminant(a),
+            std::mem::discriminant(b),
+            "{context}: DFS and SatGuided error verdicts diverged: {a} vs {b}"
+        ),
         other => panic!("{context}: DFS and SatGuided verdicts diverged: {other:?}"),
     }
 }
@@ -219,16 +218,14 @@ fn double_diamond_sat_guided_verdicts() {
 }
 
 #[test]
-fn sat_guided_infeasibility_is_proven_by_constraints() {
+fn sat_guided_infeasibility_comes_with_a_core() {
     let problem = double_diamond_problem();
     let result = Synthesizer::new(problem)
         .with_options(SynthesisOptions::default().strategy(SearchStrategy::SatGuided))
         .synthesize();
     match result {
-        Err(SynthesisError::NoOrderingExists {
-            proven_by_constraints,
-        }) => assert!(
-            proven_by_constraints,
+        Err(SynthesisError::NoOrderingExists { core, .. }) => assert!(
+            !core.is_empty(),
             "the SAT-guided strategy always proves infeasibility from the clause set"
         ),
         other => panic!("expected infeasibility, got {other:?}"),
@@ -338,12 +335,10 @@ fn dfs_prunes_the_same_without_early_termination() {
         );
         assert!(without.stats.configurations_pruned > 0, "{name}");
     }
-    assert_eq!(
-        synthesize(&double_diamond_problem(), &exhaustive).unwrap_err(),
-        SynthesisError::NoOrderingExists {
-            proven_by_constraints: false
-        }
-    );
+    match synthesize(&double_diamond_problem(), &exhaustive) {
+        Err(SynthesisError::NoOrderingExists { core, .. }) => assert!(core.is_empty()),
+        other => panic!("expected an exhausted search, got {other:?}"),
+    }
 }
 
 #[test]
