@@ -1,13 +1,67 @@
-//! Replaying command sequences against the operational-semantics simulator.
+//! Replaying command sequences against the model's own semantics.
 //!
-//! This is the substrate for Figure 2: a probe stream is injected at the
-//! source host while the controller executes an update sequence, and the
-//! report records which probes were delivered and how many rules each switch
-//! held at its peak.
+//! Two replays live here, and neither touches the Kripke encoder, a model
+//! checker or the search:
+//!
+//! * [`check_on_traces`], the trace oracle: every configuration a sequence
+//!   passes through is checked on its packet traces with
+//!   [`netupd_ltl::semantics`];
+//! * [`run_with_probes`], the substrate for Figure 2: a probe stream is
+//!   injected at the source host while the controller executes an update
+//!   sequence, and the report records which probes were delivered and how
+//!   many rules each switch held at its peak.
 
-use netupd_model::{CommandSeq, Field, HostId, Packet, ProbeReport, Simulator, SimulatorOptions};
+use netupd_ltl::semantics;
+use netupd_model::{
+    CommandSeq, Configuration, Field, HostId, Network, Packet, ProbeReport, Simulator,
+    SimulatorOptions,
+};
 
 use crate::problem::UpdateProblem;
+
+/// Accepts `commands` iff every configuration the network passes through —
+/// the initial one and the one after each update — satisfies the problem's
+/// specification on every trace from every ingress, and the last one has the
+/// final configuration's tables (rule order among equal priorities may
+/// differ at rule granularity).
+///
+/// # Errors
+///
+/// Describes the first violated configuration or unreached final table.
+pub fn check_on_traces(problem: &UpdateProblem, commands: &CommandSeq) -> Result<(), String> {
+    let check = |config: &Configuration, updates: usize| -> Result<(), String> {
+        let net = Network::new(problem.topology.clone(), config.clone());
+        for class in &problem.classes {
+            for host in &problem.ingress_hosts {
+                let (sw, pt) = problem
+                    .topology
+                    .switch_of_host(*host)
+                    .ok_or_else(|| format!("ingress host {host} is not attached"))?;
+                for trace in net.traces_from(sw, pt, class) {
+                    if !semantics::satisfies(&trace, &problem.spec) {
+                        return Err(format!(
+                            "the configuration after {updates} update(s) violates the spec \
+                             on {trace}"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    };
+    let mut config = problem.initial.clone();
+    check(&config, 0)?;
+    for (applied, (sw, table)) in commands.updates().enumerate() {
+        config.set_table(sw, table.clone());
+        check(&config, applied + 1)?;
+    }
+    for sw in problem.final_config.switches() {
+        if !config.table(sw).same_rules(&problem.final_config.table(sw)) {
+            return Err(format!("switch {sw} did not reach its final table"));
+        }
+    }
+    Ok(())
+}
 
 /// Parameters of a probe experiment.
 #[derive(Debug, Clone)]
@@ -92,6 +146,17 @@ mod tests {
         let graph = generators::fat_tree(4);
         let scenario = diamond_scenario(&graph, PropertyKind::Reachability, &mut rng).unwrap();
         UpdateProblem::from_scenario(&scenario)
+    }
+
+    #[test]
+    fn the_trace_oracle_accepts_the_synthesized_order_only() {
+        let problem = sample_problem();
+        let update = Synthesizer::new(problem.clone())
+            .synthesize()
+            .expect("solution");
+        assert_eq!(check_on_traces(&problem, &update.commands), Ok(()));
+        let error = check_on_traces(&problem, &CommandSeq::new()).expect_err("nothing updated");
+        assert!(error.contains("did not reach its final table"), "{error}");
     }
 
     #[test]

@@ -264,52 +264,15 @@ pub(crate) fn build_command_sequence(initial: &Configuration, order: &[UpdateUni
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::check_on_traces;
     use crate::options::Granularity;
-    use netupd_ltl::semantics;
     use netupd_mc::Backend;
-    use netupd_model::Network;
     use netupd_topo::generators;
     use netupd_topo::scenario::{
         diamond_scenario, double_diamond_scenario, multi_diamond_scenario, PropertyKind,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// Replays a command sequence and asserts that every intermediate
-    /// configuration satisfies the problem's specification on all traces.
-    fn assert_sequence_correct(problem: &UpdateProblem, commands: &CommandSeq) {
-        let mut config = problem.initial.clone();
-        let check = |config: &Configuration| {
-            let net = Network::new(problem.topology.clone(), config.clone());
-            for class in &problem.classes {
-                for host in &problem.ingress_hosts {
-                    let (sw, pt) = problem
-                        .topology
-                        .switch_of_host(*host)
-                        .expect("ingress host");
-                    for trace in net.traces_from(sw, pt, class) {
-                        assert!(
-                            semantics::satisfies(&trace, &problem.spec),
-                            "intermediate configuration violates the spec on {trace}"
-                        );
-                    }
-                }
-            }
-        };
-        check(&config);
-        for (sw, table) in commands.updates() {
-            config.set_table(sw, table.clone());
-            check(&config);
-        }
-        // The sequence must reach the final configuration (rule order among
-        // equal priorities may differ at rule granularity).
-        for sw in problem.final_config.switches() {
-            assert!(
-                config.table(sw).same_rules(&problem.final_config.table(sw)),
-                "switch {sw} did not reach its final table"
-            );
-        }
-    }
 
     fn fat_tree_problem(kind: PropertyKind, seed: u64) -> UpdateProblem {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -326,14 +289,14 @@ mod tests {
             .expect("solution");
         assert!(result.commands.is_simple());
         assert!(result.commands.num_updates() > 0);
-        assert_sequence_correct(&problem, &result.commands);
+        assert_eq!(check_on_traces(&problem, &result.commands), Ok(()));
         // Without wait removal, the sequence is fully careful (Definition 5).
         let careful = Synthesizer::new(problem.clone())
             .with_options(SynthesisOptions::default().wait_removal(false))
             .synthesize()
             .expect("solution");
         assert!(careful.commands.is_careful());
-        assert_sequence_correct(&problem, &careful.commands);
+        assert_eq!(check_on_traces(&problem, &careful.commands), Ok(()));
     }
 
     #[test]
@@ -342,7 +305,7 @@ mod tests {
         let result = Synthesizer::new(problem.clone())
             .synthesize()
             .expect("solution");
-        assert_sequence_correct(&problem, &result.commands);
+        assert_eq!(check_on_traces(&problem, &result.commands), Ok(()));
     }
 
     #[test]
@@ -353,7 +316,7 @@ mod tests {
                 .with_options(SynthesisOptions::with_backend(backend))
                 .synthesize()
                 .unwrap_or_else(|e| panic!("{backend} failed: {e}"));
-            assert_sequence_correct(&problem, &result.commands);
+            assert_eq!(check_on_traces(&problem, &result.commands), Ok(()));
         }
     }
 
@@ -419,7 +382,7 @@ mod tests {
             .with_options(SynthesisOptions::default().granularity(Granularity::Rule))
             .synthesize()
             .expect("rule granularity solves the double diamond");
-        assert_sequence_correct(&problem, &result.commands);
+        assert_eq!(check_on_traces(&problem, &result.commands), Ok(()));
     }
 
     #[test]
@@ -433,7 +396,7 @@ mod tests {
             .with_options(options)
             .synthesize()
             .expect("solution without optimizations");
-        assert_sequence_correct(&problem, &result.commands);
+        assert_eq!(check_on_traces(&problem, &result.commands), Ok(()));
         assert_eq!(
             result.stats.waits_before_removal,
             result.stats.waits_after_removal
@@ -466,7 +429,7 @@ mod tests {
                 .with_options(options)
                 .synthesize()
                 .unwrap_or_else(|e| panic!("{strategy}: {e}"));
-            assert_sequence_correct(&problem, &result.commands);
+            assert_eq!(check_on_traces(&problem, &result.commands), Ok(()));
         }
     }
 }

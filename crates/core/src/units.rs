@@ -115,9 +115,9 @@ pub fn plan_units(problem: &UpdateProblem, granularity: Granularity) -> Vec<Upda
 /// is two word-wise passes per clause. Sets compared with each other must
 /// come from the same unit count.
 ///
-/// A small type of its own rather than a generic over
-/// [`PropSet`](netupd_ltl::intern::PropSet) / `StateSet`: those are typed
-/// over their own ids, and `StateSet` grows on insert and has no `Hash`;
+/// A small type of its own rather than a generic over label rows
+/// ([`PropSetRef`](netupd_ltl::intern::PropSetRef)) / `StateSet`: those are
+/// typed over their own ids, and `StateSet` grows on insert and has no `Hash`;
 /// sharing one bitset would make ltl, kripke and mc branch on their caller
 /// for forty lines.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

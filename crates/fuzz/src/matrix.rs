@@ -12,7 +12,8 @@
 //!    verdict kind (a failure matches whatever its core and statistics, as
 //!    in `tests/strategy_differential.rs`);
 //! 3. **trace oracle** — every distinct solved sequence is replayed prefix by
-//!    prefix through `netupd_ltl::semantics` (no model checker involved);
+//!    prefix through `netupd_synth::exec::check_on_traces` (the trace
+//!    semantics, no model checker involved);
 //! 4. **probe simulator** — the sequence and its wait-minimized form are
 //!    executed against the operational semantics with a probe stream; a
 //!    solved update must not drop a probe.
@@ -21,10 +22,9 @@
 //! paper's search is free to commit any correct order — which is exactly why
 //! checks 3 and 4 verify each distinct sequence independently.
 
-use netupd_ltl::semantics;
 use netupd_mc::Backend;
-use netupd_model::{CommandSeq, Configuration, Network};
-use netupd_synth::exec::{run_with_probes, ProbeExperiment};
+use netupd_model::CommandSeq;
+use netupd_synth::exec::{check_on_traces, run_with_probes, ProbeExperiment};
 use netupd_synth::wait_removal::remove_unnecessary_waits;
 use netupd_synth::{
     Granularity, SearchStrategy, SynthesisError, SynthesisOptions, Synthesizer, UpdateEngine,
@@ -106,43 +106,6 @@ fn verdict(result: &Result<UpdateSequence, SynthesisError>) -> String {
         Err(SynthesisError::SearchBudgetExhausted { .. }) => "search-budget-exhausted".to_string(),
         Err(other) => format!("{other:?}"),
     }
-}
-
-/// Replays `commands` prefix by prefix through the trace semantics; an error
-/// describes the violated prefix.
-fn oracle_check(problem: &UpdateProblem, commands: &CommandSeq) -> Result<(), String> {
-    let check = |config: &Configuration, step: usize| -> Result<(), String> {
-        let net = Network::new(problem.topology.clone(), config.clone());
-        for class in &problem.classes {
-            for host in &problem.ingress_hosts {
-                let (sw, pt) = problem
-                    .topology
-                    .switch_of_host(*host)
-                    .ok_or_else(|| format!("ingress host {host} is not attached"))?;
-                for trace in net.traces_from(sw, pt, class) {
-                    if !semantics::satisfies(&trace, &problem.spec) {
-                        return Err(format!(
-                            "intermediate configuration after {step} update(s) violates the \
-                             spec on {trace}"
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-    let mut config = problem.initial.clone();
-    check(&config, 0)?;
-    for (applied, (sw, table)) in commands.updates().enumerate() {
-        config.set_table(sw, table.clone());
-        check(&config, applied + 1)?;
-    }
-    for sw in problem.final_config.switches() {
-        if !config.table(sw).same_rules(&problem.final_config.table(sw)) {
-            return Err(format!("switch {sw} did not reach its final table"));
-        }
-    }
-    Ok(())
 }
 
 /// Executes `commands` under the operational semantics with a probe stream;
@@ -244,7 +207,7 @@ pub fn check_stream(
                     continue;
                 }
                 seen.push((&update.commands, cell.label()));
-                oracle_check(problem, &update.commands)
+                check_on_traces(problem, &update.commands)
                     .map_err(|e| fail(request, format!("{}: {e}", cell.label())))?;
                 probe_check(problem, &update.commands, "synthesized sequence")
                     .map_err(|e| fail(request, format!("{}: {e}", cell.label())))?;

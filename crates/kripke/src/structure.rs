@@ -13,7 +13,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use netupd_ltl::{Prop, PropId, PropSet, PropSetRef, PropTable};
+use netupd_ltl::{Prop, PropId, PropSetRef, PropTable};
 use netupd_model::{PortId, SwitchId};
 
 use crate::stateset::StateSet;
@@ -194,8 +194,6 @@ impl Kripke {
         if let Some(&id) = self.index.get(&key.packed()) {
             return id;
         }
-        let set = self.props.set_of(label);
-        self.ensure_stride();
         let id = StateId(self.keys.len());
         self.keys.push(key);
         self.index.insert(key.packed(), id);
@@ -203,9 +201,11 @@ impl Kripke {
             .entry(key.switch)
             .or_default()
             .push(id);
-        let row_start = self.labels.len();
-        self.labels.resize(row_start + self.label_words, 0);
-        self.labels[row_start..row_start + set.words().len()].copy_from_slice(set.words());
+        self.labels.resize(self.labels.len() + self.label_words, 0);
+        for prop in label {
+            let prop = self.intern_prop(prop);
+            self.set_label_bit(id, prop, true);
+        }
         self.successors.push(Vec::new());
         self.predecessors.push(Vec::new());
         id
@@ -287,23 +287,6 @@ impl Kripke {
         self.props
             .lookup(prop)
             .is_some_and(|id| self.label(state).contains(id))
-    }
-
-    /// Replaces the label of a state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` contains ids not interned in this structure's table.
-    pub fn set_label(&mut self, state: StateId, label: &PropSet) {
-        assert!(
-            label.iter().all(|id| id.index() < self.props.len()),
-            "label contains ids beyond this structure's proposition table"
-        );
-        self.ensure_stride();
-        let start = state.0 * self.label_words;
-        let row = &mut self.labels[start..start + self.label_words];
-        row.fill(0);
-        row[..label.words().len()].copy_from_slice(label.words());
     }
 
     /// Sets or clears one proposition in a state's label; returns `true` if
@@ -526,17 +509,6 @@ mod tests {
         assert!(k.set_label_bit(a, high, true));
         assert!(k.has_prop(a, &Prop::at_host(99)));
         assert!(k.has_prop(a, &Prop::switch(0)));
-    }
-
-    #[test]
-    fn set_label_replaces_whole_row() {
-        let (mut k, [a, ..]) = diamond();
-        let mut new_label = PropSet::new();
-        new_label.insert(k.intern_prop(Prop::Dropped));
-        k.set_label(a, &new_label);
-        assert!(k.has_prop(a, &Prop::Dropped));
-        assert!(!k.has_prop(a, &Prop::switch(0)));
-        assert_eq!(k.label(a), new_label.as_ref());
     }
 
     #[test]

@@ -11,12 +11,10 @@
 //!
 //! * a [`PropTable`] interns every [`Prop`] that appears in a problem to a
 //!   dense [`PropId`] (a `u32` index, stable for the lifetime of the table);
-//! * a [`PropSet`] is a bitset over those ids, mirroring the existing
-//!   [`Assignment`](crate::Assignment) bitset, with O(words) membership,
-//!   subset, intersection, and equality;
-//! * a [`PropSetRef`] is a borrowed view over raw label words, so structures
-//!   that store many labels can keep them in a single flat arena and hand out
-//!   views without cloning.
+//! * a label is a row of `u64` words, a bitset over those ids, and a
+//!   [`PropSetRef`] is the one way to read it: structures that store many
+//!   labels keep them in a single flat arena and hand out views without
+//!   cloning.
 //!
 //! Invariants:
 //!
@@ -25,13 +23,8 @@
 //!   across queries (the incremental checker relies on this).
 //! * **Width is checked at interning time.** [`PropTable::intern`] refuses to
 //!   allocate an id beyond [`PropTable::MAX_PROPS`], so every id fits the
-//!   fixed-width `u64`-word representation and `PropSet` words can be indexed
+//!   fixed-width `u64`-word representation and label rows can be indexed
 //!   without overflow checks on the hot path.
-//! * **Canonical form.** An owned [`PropSet`] never stores trailing zero
-//!   words, so derived hashing stays consistent with the logical (zero-
-//!   padded) equality used everywhere; all comparison helpers additionally
-//!   tolerate trailing zeros so arena-backed [`PropSetRef`] views of a wider
-//!   stride compare correctly against canonical sets.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -183,68 +176,14 @@ impl PropTable {
             .enumerate()
             .map(|(i, p)| (PropId(i as u32), *p))
     }
-
-    /// Builds a set from propositions, interning each.
-    pub fn set_of<I: IntoIterator<Item = Prop>>(&mut self, props: I) -> PropSet {
-        let mut set = PropSet::new();
-        for prop in props {
-            set.insert(self.intern(prop));
-        }
-        set
-    }
 }
 
-// ---- word-level set algebra (tolerant of trailing zeros) -------------------
-
-#[inline]
-fn word_of(words: &[u64], id: PropId) -> u64 {
-    words.get(id.index() / 64).copied().unwrap_or(0)
-}
-
-#[inline]
-pub(crate) fn words_contains(words: &[u64], id: PropId) -> bool {
-    (word_of(words, id) >> (id.index() % 64)) & 1 == 1
-}
-
-fn words_eq(a: &[u64], b: &[u64]) -> bool {
-    let n = a.len().max(b.len());
-    (0..n).all(|i| a.get(i).copied().unwrap_or(0) == b.get(i).copied().unwrap_or(0))
-}
-
-fn words_subset(a: &[u64], b: &[u64]) -> bool {
-    a.iter()
-        .enumerate()
-        .all(|(i, w)| w & !b.get(i).copied().unwrap_or(0) == 0)
-}
-
-fn words_intersect(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b.iter()).any(|(x, y)| x & y != 0)
-}
-
-fn words_count(a: &[u64]) -> usize {
-    a.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-fn words_iter(a: &[u64]) -> impl Iterator<Item = PropId> + '_ {
-    a.iter().enumerate().flat_map(|(i, w)| {
-        let mut w = *w;
-        std::iter::from_fn(move || {
-            if w == 0 {
-                return None;
-            }
-            let bit = w.trailing_zeros() as usize;
-            w &= w - 1;
-            Some(PropId((i * 64 + bit) as u32))
-        })
-    })
-}
-
-/// A borrowed view over the raw words of a proposition bitset.
+/// A borrowed view of one label row: the raw `u64` words of a bitset over a
+/// [`PropTable`]'s ids.
 ///
-/// Arena-backed structures (the Kripke label arena) store labels as rows of a
-/// flat `Vec<u64>` and hand out `PropSetRef`s; all operations treat missing
-/// high words as zero, so a view of any stride compares correctly against a
-/// canonical [`PropSet`].
+/// Labels live only as rows of an arena (the Kripke label arena stores every
+/// state's row at one stride) and are read through this view; a word past
+/// the row's end reads as zero.
 #[derive(Debug, Clone, Copy)]
 pub struct PropSetRef<'a> {
     words: &'a [u64],
@@ -257,7 +196,7 @@ impl<'a> PropSetRef<'a> {
         PropSetRef { words }
     }
 
-    /// The underlying words (may carry trailing zeros).
+    /// The underlying words.
     #[inline]
     pub fn words(self) -> &'a [u64] {
         self.words
@@ -266,192 +205,28 @@ impl<'a> PropSetRef<'a> {
     /// Membership test.
     #[inline]
     pub fn contains(self, id: PropId) -> bool {
-        words_contains(self.words, id)
-    }
-
-    /// Number of propositions in the set.
-    pub fn count(self) -> usize {
-        words_count(self.words)
-    }
-
-    /// Returns `true` if no proposition is present.
-    pub fn is_empty(self) -> bool {
-        self.words.iter().all(|w| *w == 0)
-    }
-
-    /// Returns `true` if `self ⊆ other`.
-    pub fn is_subset(self, other: PropSetRef<'_>) -> bool {
-        words_subset(self.words, other.words)
-    }
-
-    /// Returns `true` if the sets share a proposition.
-    pub fn intersects(self, other: PropSetRef<'_>) -> bool {
-        words_intersect(self.words, other.words)
+        let word = self.words.get(id.index() / 64).copied().unwrap_or(0);
+        (word >> (id.index() % 64)) & 1 == 1
     }
 
     /// Iterates over the ids present, in increasing order.
     pub fn iter(self) -> impl Iterator<Item = PropId> + 'a {
-        words_iter(self.words)
-    }
-
-    /// Copies the view into an owned, canonical [`PropSet`].
-    pub fn to_owned(self) -> PropSet {
-        let mut bits = self.words.to_vec();
-        while bits.last() == Some(&0) {
-            bits.pop();
-        }
-        PropSet { bits }
+        self.words.iter().enumerate().flat_map(|(i, w)| {
+            let mut w = *w;
+            std::iter::from_fn(move || {
+                if w == 0 {
+                    return None;
+                }
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                Some(PropId((i * 64 + bit) as u32))
+            })
+        })
     }
 
     /// Iterates over the propositions present, resolved against `table`.
     pub fn props(self, table: &'a PropTable) -> impl Iterator<Item = Prop> + 'a {
         self.iter().map(|id| table.prop(id))
-    }
-}
-
-impl PartialEq for PropSetRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        words_eq(self.words, other.words)
-    }
-}
-
-impl Eq for PropSetRef<'_> {}
-
-/// An owned set of interned propositions, stored as a bitset.
-///
-/// Kept in canonical form (no trailing zero words) so that the derived-style
-/// `Hash` is consistent with logical equality.
-#[derive(Clone, Default, PartialOrd, Ord)]
-pub struct PropSet {
-    bits: Vec<u64>,
-}
-
-impl PropSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        PropSet::default()
-    }
-
-    /// Creates an empty set with capacity for ids below `words * 64`.
-    pub fn with_words(words: usize) -> Self {
-        let mut set = PropSet::new();
-        set.bits.reserve(words);
-        set
-    }
-
-    /// A borrowed view of this set.
-    #[inline]
-    pub fn as_ref(&self) -> PropSetRef<'_> {
-        PropSetRef { words: &self.bits }
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, id: PropId) -> bool {
-        words_contains(&self.bits, id)
-    }
-
-    /// Inserts an id; returns `true` if it was absent.
-    pub fn insert(&mut self, id: PropId) -> bool {
-        let word = id.index() / 64;
-        if word >= self.bits.len() {
-            self.bits.resize(word + 1, 0);
-        }
-        let mask = 1u64 << (id.index() % 64);
-        let was_absent = self.bits[word] & mask == 0;
-        self.bits[word] |= mask;
-        was_absent
-    }
-
-    /// Removes an id; returns `true` if it was present.
-    pub fn remove(&mut self, id: PropId) -> bool {
-        let word = id.index() / 64;
-        if word >= self.bits.len() {
-            return false;
-        }
-        let mask = 1u64 << (id.index() % 64);
-        let was_present = self.bits[word] & mask != 0;
-        self.bits[word] &= !mask;
-        while self.bits.last() == Some(&0) {
-            self.bits.pop();
-        }
-        was_present
-    }
-
-    /// Number of propositions in the set.
-    pub fn count(&self) -> usize {
-        words_count(&self.bits)
-    }
-
-    /// Returns `true` if no proposition is present.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Returns `true` if `self ⊆ other`.
-    pub fn is_subset(&self, other: &PropSet) -> bool {
-        words_subset(&self.bits, &other.bits)
-    }
-
-    /// Returns `true` if the sets share a proposition.
-    pub fn intersects(&self, other: &PropSet) -> bool {
-        words_intersect(&self.bits, &other.bits)
-    }
-
-    /// Unions `other` into `self`.
-    pub fn union_with(&mut self, other: PropSetRef<'_>) {
-        let mut other_words = other.words();
-        while other_words.last() == Some(&0) {
-            other_words = &other_words[..other_words.len() - 1];
-        }
-        if other_words.len() > self.bits.len() {
-            self.bits.resize(other_words.len(), 0);
-        }
-        for (dst, src) in self.bits.iter_mut().zip(other_words) {
-            *dst |= src;
-        }
-    }
-
-    /// Iterates over the ids present, in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = PropId> + '_ {
-        words_iter(&self.bits)
-    }
-
-    /// The canonical words of the set.
-    pub fn words(&self) -> &[u64] {
-        &self.bits
-    }
-}
-
-impl PartialEq for PropSet {
-    fn eq(&self, other: &Self) -> bool {
-        // Canonical form makes word-wise equality exact, but stay tolerant.
-        words_eq(&self.bits, &other.bits)
-    }
-}
-
-impl Eq for PropSet {}
-
-impl std::hash::Hash for PropSet {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Canonical form: hashing the word vector is consistent with Eq.
-        self.bits.hash(state);
-    }
-}
-
-impl FromIterator<PropId> for PropSet {
-    fn from_iter<I: IntoIterator<Item = PropId>>(iter: I) -> Self {
-        let mut set = PropSet::new();
-        for id in iter {
-            set.insert(id);
-        }
-        set
-    }
-}
-
-impl fmt::Debug for PropSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -474,68 +249,22 @@ mod tests {
     }
 
     #[test]
-    fn set_membership_insert_remove() {
-        let mut set = PropSet::new();
-        assert!(set.insert(PropId(3)));
-        assert!(!set.insert(PropId(3)));
-        assert!(set.insert(PropId(130)));
-        assert!(set.contains(PropId(3)) && set.contains(PropId(130)));
-        assert!(!set.contains(PropId(4)));
-        assert_eq!(set.count(), 2);
-        assert!(set.remove(PropId(130)));
-        assert!(!set.remove(PropId(130)));
-        assert_eq!(set.count(), 1);
-        // Canonical form: removing the high bit trims trailing words.
-        assert_eq!(set.words().len(), 1);
-    }
-
-    #[test]
-    fn equality_ignores_trailing_zeros() {
-        let mut a = PropSet::new();
-        a.insert(PropId(1));
-        let wide = [a.words()[0], 0, 0];
-        assert_eq!(PropSetRef::new(&wide), a.as_ref());
-        let mut b = a.clone();
-        b.insert(PropId(200));
-        b.remove(PropId(200));
-        assert_eq!(a, b);
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let hash = |s: &PropSet| {
-            let mut h = DefaultHasher::new();
-            s.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(hash(&a), hash(&b));
-    }
-
-    #[test]
-    fn subset_and_intersection() {
-        let small: PropSet = [PropId(1), PropId(70)].into_iter().collect();
-        let big: PropSet = [PropId(1), PropId(2), PropId(70)].into_iter().collect();
-        let other: PropSet = [PropId(5)].into_iter().collect();
-        assert!(small.is_subset(&big));
-        assert!(!big.is_subset(&small));
-        assert!(small.intersects(&big));
-        assert!(!small.intersects(&other));
-        assert!(PropSet::new().is_subset(&other));
-    }
-
-    #[test]
-    fn iteration_is_ordered() {
-        let set: PropSet = [PropId(70), PropId(0), PropId(65)].into_iter().collect();
-        let ids: Vec<u32> = set.iter().map(|p| p.0).collect();
-        assert_eq!(ids, vec![0, 65, 70]);
-    }
-
-    #[test]
-    fn set_of_interns_and_collects() {
+    fn row_views_probe_and_iterate_in_id_order() {
         let mut table = PropTable::new();
-        let set = table.set_of([Prop::switch(1), Prop::Dropped]);
-        assert_eq!(set.count(), 2);
-        assert!(set.contains(table.lookup(&Prop::Dropped).unwrap()));
-        let props: Vec<Prop> = set.as_ref().props(&table).collect();
-        assert!(props.contains(&Prop::Dropped));
+        let ids: Vec<PropId> = (0..70).map(|n| table.intern(Prop::port(n))).collect();
+        let mut row = vec![0u64; table.words()];
+        for id in [ids[65], ids[0], ids[69]] {
+            row[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        let label = PropSetRef::new(&row);
+        assert!(label.contains(ids[0]) && label.contains(ids[65]));
+        assert!(!label.contains(ids[1]));
+        let present: Vec<u32> = label.iter().map(|p| p.0).collect();
+        assert_eq!(present, vec![0, 65, 69]);
+        let props: Vec<Prop> = label.props(&table).collect();
+        assert_eq!(props, vec![Prop::port(0), Prop::port(65), Prop::port(69)]);
+        // A word past the row's end reads as zero.
+        assert!(!PropSetRef::new(&row[..1]).contains(ids[65]));
     }
 
     #[test]
@@ -550,13 +279,5 @@ mod tests {
         assert_ne!(a.cache_key(), b.cache_key());
         // Without further interning the key is stable.
         assert_eq!(a.cache_key(), after);
-    }
-
-    #[test]
-    fn union_with_widens() {
-        let mut a: PropSet = [PropId(1)].into_iter().collect();
-        let b: PropSet = [PropId(100)].into_iter().collect();
-        a.union_with(b.as_ref());
-        assert!(a.contains(PropId(1)) && a.contains(PropId(100)));
     }
 }

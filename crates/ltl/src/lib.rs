@@ -11,12 +11,16 @@
 //! * LTL formulas in negation normal form ([`Ltl`]) with the derived
 //!   operators `F`, `G`, and implication;
 //! * the *extended closure* `ecl(ϕ)` and the machinery the incremental model
-//!   checker needs: subformula indexing ([`Closure`]), truth assignments over
-//!   subformulas ([`closure::Assignment`]), and the `follows` relation;
+//!   checker needs: a flat table of subformula [`Node`]s ([`Closure`]),
+//!   truth assignments over them ([`closure::Assignment`]) evaluated against
+//!   interned labels, and the `follows` relation;
 //! * the interned proposition core ([`intern`]): [`PropTable`] maps
-//!   propositions to dense [`PropId`]s and [`PropSet`] is the bitset label
-//!   representation every checking hot path operates on;
-//! * finite-trace semantics with final-state stuttering ([`semantics`]);
+//!   propositions to dense [`PropId`]s, and a label is a row of bitset words
+//!   read through [`PropSetRef`], the one label type every checking hot path
+//!   operates on;
+//! * finite-trace semantics with final-state stuttering ([`semantics`]): the
+//!   reference the checkers are tested against, evaluated by the textbook
+//!   definitions and sharing no code with the closure;
 //! * builders for the properties evaluated in the paper (reachability,
 //!   waypointing, service chaining) and several others ([`builders`]);
 //! * a small text parser and pretty-printer ([`parser`]).
@@ -48,6 +52,6 @@ pub mod prop;
 pub mod semantics;
 
 pub use ast::Ltl;
-pub use closure::{Assignment, Closure, ResolvedProps};
-pub use intern::{PropId, PropSet, PropSetRef, PropTable};
+pub use closure::{Assignment, Closure, Node, ResolvedProps};
+pub use intern::{PropId, PropSetRef, PropTable};
 pub use prop::Prop;

@@ -4,6 +4,10 @@
 //! traces in which the final observation repeats forever. This module
 //! evaluates formulas directly over such traces, both for testing the model
 //! checkers against a ground truth and for checking individual simulator runs.
+//!
+//! It is the reference semantics, so it shares no code with the checkers'
+//! closure: each subformula is evaluated at every position by its textbook
+//! definition, not by the backward recurrences the checkers label with.
 
 use std::collections::BTreeSet;
 
@@ -11,7 +15,6 @@ use netupd_model::trace::TraceEnd;
 use netupd_model::{Observation, Trace};
 
 use crate::ast::Ltl;
-use crate::closure::Closure;
 use crate::prop::Prop;
 
 /// The atomic propositions that hold at a single observation.
@@ -50,15 +53,45 @@ pub fn trace_labels(trace: &Trace) -> Vec<BTreeSet<Prop>> {
 /// forever. Returns `true` for the empty sequence (there is nothing to
 /// violate).
 pub fn satisfies_labels(labels: &[BTreeSet<Prop>], phi: &Ltl) -> bool {
-    let Some((last, prefix)) = labels.split_last() else {
-        return true;
+    labels.is_empty() || truth(labels, phi)[0]
+}
+
+/// The truth of `phi` at each position `0..n` of the non-empty `labels`.
+///
+/// Every position from `n - 1` on starts the same suffix (the final label
+/// forever), so a quantifier over later positions stops at `n - 1` exactly.
+fn truth(labels: &[BTreeSet<Prop>], phi: &Ltl) -> Vec<bool> {
+    let n = labels.len();
+    let pointwise = |a: &Ltl, b: &Ltl, op: fn(bool, bool) -> bool| {
+        let (a, b) = (truth(labels, a), truth(labels, b));
+        (0..n).map(|i| op(a[i], b[i])).collect()
     };
-    let closure = Closure::new(phi);
-    let mut assignment = closure.sink_assignment(last);
-    for label in prefix.iter().rev() {
-        assignment = closure.successor_assignment(label, &assignment);
+    match phi {
+        Ltl::True => vec![true; n],
+        Ltl::False => vec![false; n],
+        Ltl::Prop(p) => labels.iter().map(|label| label.contains(p)).collect(),
+        Ltl::NotProp(p) => labels.iter().map(|label| !label.contains(p)).collect(),
+        Ltl::And(a, b) => pointwise(a, b, |a, b| a && b),
+        Ltl::Or(a, b) => pointwise(a, b, |a, b| a || b),
+        Ltl::Next(a) => {
+            let a = truth(labels, a);
+            (0..n).map(|i| a[(i + 1).min(n - 1)]).collect()
+        }
+        // Some `j ≥ i` has `b`, and `a` holds at every `k` in `[i, j)`.
+        Ltl::Until(a, b) => {
+            let (a, b) = (truth(labels, a), truth(labels, b));
+            (0..n)
+                .map(|i| (i..n).any(|j| b[j] && a[i..j].iter().all(|&x| x)))
+                .collect()
+        }
+        // Every `j ≥ i` has `b`, or `a` at some `k` in `[i, j)`.
+        Ltl::Release(a, b) => {
+            let (a, b) = (truth(labels, a), truth(labels, b));
+            (0..n)
+                .map(|i| (i..n).all(|j| b[j] || a[i..j].iter().any(|&x| x)))
+                .collect()
+        }
     }
-    closure.satisfies_root(&assignment)
 }
 
 /// Evaluates `phi` over a single-packet trace (`t ⊨ ϕ` in the paper).

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use netupd_ltl::semantics::satisfies_labels;
-use netupd_ltl::{builders, Closure, Ltl, Prop};
+use netupd_ltl::{builders, Assignment, Closure, Ltl, Node, Prop, PropId, PropSetRef, PropTable};
 use netupd_model::Field;
 use std::collections::BTreeSet;
 
@@ -76,6 +76,62 @@ fn arb_trace() -> impl Strategy<Value = Vec<BTreeSet<Prop>>> {
     proptest::collection::vec(proptest::collection::btree_set(arb_prop(), 0..3), 1..6)
 }
 
+/// The assignments `closure` gives positions `0..n` of the stuttering trace
+/// over `trace`, its labels interned into one table as a structure's are.
+fn closure_assignments(closure: &Closure, trace: &[BTreeSet<Prop>]) -> Vec<Assignment> {
+    let mut table = PropTable::new();
+    let ids: Vec<Vec<PropId>> = trace
+        .iter()
+        .map(|label| label.iter().map(|p| table.intern(*p)).collect())
+        .collect();
+    let resolved = closure.resolve_props(&table);
+    let mut assignments: Vec<Assignment> = Vec::with_capacity(trace.len());
+    for label in ids.iter().rev() {
+        let mut row = vec![0u64; table.words()];
+        for id in label {
+            row[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        let row = PropSetRef::new(&row);
+        let assignment = match assignments.last() {
+            None => closure.sink_assignment(row, &resolved),
+            Some(next) => closure.successor_assignment(row, next, &resolved),
+        };
+        assignments.push(assignment);
+    }
+    assignments.reverse();
+    assignments
+}
+
+/// One position is the whole trace out of a sink: `a R b` and `a U b` read
+/// as `b` there, and `X a` as `a`, in the closure and the semantics alike.
+#[test]
+fn sink_readings_agree() {
+    let (a, b) = (Prop::switch(1), Prop::switch(2));
+    let readings = [
+        (Ltl::release(Ltl::prop(a), Ltl::prop(b)), b),
+        (Ltl::until(Ltl::prop(a), Ltl::prop(b)), b),
+        (Ltl::next(Ltl::prop(a)), a),
+    ];
+    for label in [vec![], vec![a], vec![b], vec![a, b]] {
+        let trace = [label.iter().copied().collect::<BTreeSet<Prop>>()];
+        for (phi, reading) in &readings {
+            let expected = label.contains(reading);
+            let closure = Closure::new(phi);
+            let sink = &closure_assignments(&closure, &trace)[0];
+            assert_eq!(
+                closure.satisfies_root(sink),
+                expected,
+                "closure: {phi} on {label:?}"
+            );
+            assert_eq!(
+                satisfies_labels(&trace, phi),
+                expected,
+                "semantics: {phi} on {label:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -122,7 +178,7 @@ proptest! {
         }
     }
 
-    /// The closure-based evaluation agrees with the expansion laws:
+    /// The reference semantics agrees with the expansion laws:
     /// `a U b  ≡  b ∨ (a ∧ X(a U b))` and `a R b ≡ b ∧ (a ∨ X(a R b))`.
     #[test]
     fn until_and_release_expansion_laws(a in arb_formula(), b in arb_formula(), trace in arb_trace()) {
@@ -143,21 +199,26 @@ proptest! {
         );
     }
 
-    /// Every assignment produced by the closure machinery is locally
-    /// consistent and label-consistent.
+    /// The closure, run over interned label rows as a checker runs it,
+    /// agrees with the reference semantics on every suffix of the trace, and
+    /// every assignment it builds is locally and label-consistent.
     #[test]
     fn closure_assignments_are_consistent(phi in arb_formula(), trace in arb_trace()) {
         let closure = Closure::new(&phi);
-        let (last, prefix) = trace.split_last().unwrap();
-        let mut assignment = closure.sink_assignment(last);
-        prop_assert!(closure.is_locally_consistent(&assignment));
-        prop_assert!(closure.label_consistent(&assignment, last));
-        for label in prefix.iter().rev() {
-            assignment = closure.successor_assignment(label, &assignment);
-            prop_assert!(closure.is_locally_consistent(&assignment));
-            prop_assert!(closure.label_consistent(&assignment, label));
+        for (i, assignment) in closure_assignments(&closure, &trace).iter().enumerate() {
+            prop_assert!(closure.is_locally_consistent(assignment));
+            for (id, node) in closure.nodes().iter().enumerate() {
+                match node {
+                    Node::Prop(p) => prop_assert_eq!(assignment.get(id), trace[i].contains(p)),
+                    Node::NotProp(p) => prop_assert_eq!(assignment.get(id), !trace[i].contains(p)),
+                    _ => {}
+                }
+            }
+            prop_assert!(
+                closure.satisfies_root(assignment) == satisfies_labels(&trace[i..], &phi),
+                "the closure and the semantics disagree on suffix {i} of {trace:?}"
+            );
         }
-        prop_assert_eq!(closure.satisfies_root(&assignment), satisfies_labels(&trace, &phi));
     }
 
     /// The parser round-trips through the pretty-printer.

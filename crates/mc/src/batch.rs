@@ -44,10 +44,6 @@ impl ModelChecker for BatchChecker {
     fn recheck(&mut self, kripke: &Kripke, phi: &Ltl, _changed: &[StateId]) -> CheckOutcome {
         self.check(kripke, phi)
     }
-
-    fn name(&self) -> &'static str {
-        "batch"
-    }
 }
 
 #[cfg(test)]

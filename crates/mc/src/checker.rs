@@ -196,16 +196,6 @@ pub trait ModelChecker: Send {
             states_labeled,
         }
     }
-
-    /// A short, stable backend name used in benchmark output.
-    fn name(&self) -> &'static str;
-
-    /// Whether this backend can produce counterexamples. Backends that cannot
-    /// (e.g. the header-space checker) put the synthesizer at the same
-    /// disadvantage NetPlumber does in the paper.
-    fn provides_counterexamples(&self) -> bool {
-        true
-    }
 }
 
 /// The backends available to the synthesizer and benchmark harness.
@@ -264,9 +254,9 @@ mod tests {
     #[test]
     fn backend_display_and_instantiate() {
         for backend in Backend::ALL {
-            let checker = backend.instantiate();
-            assert!(!checker.name().is_empty());
+            let mut checker = backend.instantiate();
             assert!(!backend.to_string().is_empty());
+            assert!(checker.check(&Kripke::new(), &Ltl::False).holds);
         }
     }
 

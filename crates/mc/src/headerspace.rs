@@ -66,13 +66,10 @@ impl HeaderSpaceChecker {
             let Some((last, prefix)) = path.split_last() else {
                 return true;
             };
-            let mut assignment = closure.sink_assignment_interned(kripke.label(*last), resolved);
+            let mut assignment = closure.sink_assignment(kripke.label(*last), resolved);
             for state in prefix.iter().rev() {
-                assignment = closure.successor_assignment_interned(
-                    kripke.label(*state),
-                    &assignment,
-                    resolved,
-                );
+                assignment =
+                    closure.successor_assignment(kripke.label(*state), &assignment, resolved);
             }
             closure.satisfies_root(&assignment)
         });
@@ -176,14 +173,6 @@ impl ModelChecker for HeaderSpaceChecker {
             incremental: true,
         };
         self.evaluate(kripke, phi, stats)
-    }
-
-    fn name(&self) -> &'static str {
-        "headerspace"
-    }
-
-    fn provides_counterexamples(&self) -> bool {
-        false
     }
 }
 

@@ -56,10 +56,6 @@ impl ModelChecker for IncrementalChecker {
         };
         labeling.outcome(kripke, stats)
     }
-
-    fn name(&self) -> &'static str {
-        "incremental"
-    }
 }
 
 #[cfg(test)]

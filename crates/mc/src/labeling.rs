@@ -212,7 +212,7 @@ impl Labeling {
                     continue;
                 }
                 for candidate in self.label(*succ) {
-                    let implied = self.spec.closure.successor_assignment_interned(
+                    let implied = self.spec.closure.successor_assignment(
                         label,
                         candidate,
                         &self.spec.resolved,
@@ -243,7 +243,7 @@ impl Labeling {
             return vec![self
                 .spec
                 .closure
-                .sink_assignment_interned(label, &self.spec.resolved)];
+                .sink_assignment(label, &self.spec.resolved)];
         }
         let mut assignments: Vec<Assignment> = Vec::new();
         for succ in kripke.successors(state) {
@@ -251,7 +251,7 @@ impl Labeling {
                 continue;
             }
             for successor_assignment in self.label(*succ) {
-                assignments.push(self.spec.closure.successor_assignment_interned(
+                assignments.push(self.spec.closure.successor_assignment(
                     label,
                     successor_assignment,
                     &self.spec.resolved,

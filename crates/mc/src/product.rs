@@ -19,7 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use netupd_kripke::{Kripke, StateId};
-use netupd_ltl::{Assignment, Closure, Ltl, PropSet, PropSetRef, ResolvedProps};
+use netupd_ltl::{Assignment, Closure, Ltl, Node, PropSetRef, ResolvedProps};
 
 use crate::checker::{CheckOutcome, CheckStats, Counterexample, ModelChecker};
 use crate::spec::SpecCache;
@@ -65,10 +65,6 @@ impl ModelChecker for ProductChecker {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "product"
-    }
 }
 
 /// The atom cache for one query: a dense per-state slot array plus a sharing
@@ -83,8 +79,10 @@ impl ModelChecker for ProductChecker {
 struct AtomCache {
     /// Dense per-state atom cache: one slot per state id.
     state_atoms: Vec<Option<Arc<Vec<Assignment>>>>,
-    /// Sharing index from interned label to the atoms enumerated against it.
-    by_label: HashMap<PropSet, Arc<Vec<Assignment>>>,
+    /// Sharing index from a label row's words to the atoms enumerated
+    /// against it. Every row of one structure has the same stride, so equal
+    /// words are equal labels.
+    by_label: HashMap<Vec<u64>, Arc<Vec<Assignment>>>,
 }
 
 impl AtomCache {
@@ -118,19 +116,20 @@ impl<'a> Tableau<'a> {
         let SpecCache {
             closure, resolved, ..
         } = negated;
-        let temporal: Vec<usize> = closure
-            .iter()
-            .filter(|(_, phi)| matches!(phi, Ltl::Next(_) | Ltl::Until(..) | Ltl::Release(..)))
+        let nodes = closure.nodes().iter().enumerate();
+        let temporal: Vec<usize> = (nodes.clone())
+            .filter(|(_, node)| matches!(node, Node::Next(_) | Node::Until(..) | Node::Release(..)))
             .map(|(id, _)| id)
             .collect();
         let mut temporal_pos = vec![usize::MAX; closure.len()];
         for (pos, id) in temporal.iter().enumerate() {
             temporal_pos[*id] = pos;
         }
-        let untils: Vec<(usize, usize)> = closure
-            .until_ids()
-            .into_iter()
-            .map(|id| (id, closure.until_rhs(id)))
+        let untils: Vec<(usize, usize)> = nodes
+            .filter_map(|(id, node)| match node {
+                Node::Until(_, rhs) => Some((id, *rhs)),
+                _ => None,
+            })
             .collect();
         Tableau {
             closure,
@@ -153,12 +152,13 @@ impl<'a> Tableau<'a> {
             return Arc::clone(cached);
         }
         let label = kripke.label(state);
-        let owned = label.to_owned();
-        let atoms = match cache.by_label.get(&owned) {
+        let atoms = match cache.by_label.get(label.words()) {
             Some(shared) => Arc::clone(shared),
             None => {
                 let enumerated = Arc::new(self.enumerate_atoms(label));
-                cache.by_label.insert(owned, Arc::clone(&enumerated));
+                cache
+                    .by_label
+                    .insert(label.words().to_vec(), Arc::clone(&enumerated));
                 enumerated
             }
         };
@@ -174,16 +174,15 @@ impl<'a> Tableau<'a> {
         let mut atoms = Vec::with_capacity(1 << t.min(16));
         for mask in 0u64..(1u64 << t.min(20)) {
             let mut assignment = self.closure.empty_assignment();
-            for (id, phi) in self.closure.iter() {
-                let [a, b] = self.closure.child_ids(id);
-                let value = match phi {
-                    Ltl::True => true,
-                    Ltl::False => false,
-                    Ltl::Prop(_) => self.resolved.prop_in_label(id, label),
-                    Ltl::NotProp(_) => !self.resolved.prop_in_label(id, label),
-                    Ltl::And(..) => assignment.get(a) && assignment.get(b),
-                    Ltl::Or(..) => assignment.get(a) || assignment.get(b),
-                    Ltl::Next(_) | Ltl::Until(..) | Ltl::Release(..) => {
+            for (id, node) in self.closure.nodes().iter().enumerate() {
+                let value = match *node {
+                    Node::True => true,
+                    Node::False => false,
+                    Node::Prop(_) => self.resolved.prop_in_label(id, label),
+                    Node::NotProp(_) => !self.resolved.prop_in_label(id, label),
+                    Node::And(a, b) => assignment.get(a) && assignment.get(b),
+                    Node::Or(a, b) => assignment.get(a) || assignment.get(b),
+                    Node::Next(_) | Node::Until(..) | Node::Release(..) => {
                         (mask >> self.temporal_pos[id]) & 1 == 1
                     }
                 };
@@ -203,10 +202,9 @@ impl<'a> Tableau<'a> {
     }
 
     fn locally_plausible(&self, m: &Assignment) -> bool {
-        for (id, phi) in self.closure.iter() {
-            let [a, b] = self.closure.child_ids(id);
-            match phi {
-                Ltl::Until(..) => {
+        for (id, node) in self.closure.nodes().iter().enumerate() {
+            match *node {
+                Node::Until(a, b) => {
                     let a = m.get(a);
                     let b = m.get(b);
                     if m.get(id) && !a && !b {
@@ -216,7 +214,7 @@ impl<'a> Tableau<'a> {
                         return false;
                     }
                 }
-                Ltl::Release(..) => {
+                Node::Release(_, b) => {
                     let b = m.get(b);
                     if m.get(id) && !b {
                         return false;

@@ -2,11 +2,12 @@
 //!
 //! Two oracles pin down the refactored representation:
 //!
-//! * **Trace semantics.** For random small scenarios, the `PropSet`-interned
-//!   labeling must agree *state for state* with the finite-trace oracle in
-//!   `netupd_ltl::semantics`: a state's label contains only satisfying
-//!   assignments exactly when every simulator trace from that location
-//!   satisfies the specification.
+//! * **Trace semantics.** For random small scenarios, the labeling — closure
+//!   recurrences over interned label rows — must agree *state for state*
+//!   with the finite-trace oracle in `netupd_ltl::semantics`, which evaluates
+//!   the textbook definitions and shares no code with the closure: a state's
+//!   label contains only satisfying assignments exactly when every simulator
+//!   trace from that location satisfies the specification.
 //! * **Incrementality.** After random sequences of switch updates (applies
 //!   and reverts), [`Labeling::relabel`] must agree with a from-scratch
 //!   [`Labeling::label_all`] on every state's assignment vector.

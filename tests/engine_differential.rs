@@ -10,9 +10,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use netupd::kripke::NetworkKripke;
-use netupd::ltl::{builders, semantics, Prop};
+use netupd::ltl::{builders, Prop};
 use netupd::mc::Backend;
-use netupd::model::{Network, Priority};
+use netupd::model::Priority;
+use netupd::synth::exec::check_on_traces;
 use netupd::synth::{
     Granularity, SearchStrategy, SynthesisError, SynthesisOptions, Synthesizer, UpdateEngine,
     UpdateProblem,
@@ -99,35 +100,6 @@ fn engine_matches_fresh_at_rule_granularity() {
     );
 }
 
-/// Replays a synthesized command sequence through the trace semantics — an
-/// independent, model-checker-free check that every intermediate
-/// configuration satisfies the specification.
-fn assert_sequence_correct(problem: &UpdateProblem, commands: &netupd::model::CommandSeq) {
-    let mut config = problem.initial.clone();
-    let check = |config: &netupd::model::Configuration| {
-        let net = Network::new(problem.topology.clone(), config.clone());
-        for class in &problem.classes {
-            for host in &problem.ingress_hosts {
-                let (sw, pt) = problem
-                    .topology
-                    .switch_of_host(*host)
-                    .expect("ingress host");
-                for trace in net.traces_from(sw, pt, class) {
-                    assert!(
-                        semantics::satisfies(&trace, &problem.spec),
-                        "intermediate configuration violates the spec on {trace}"
-                    );
-                }
-            }
-        }
-    };
-    check(&config);
-    for (sw, table) in commands.updates() {
-        config.set_table(sw, table.clone());
-        check(&config);
-    }
-}
-
 #[test]
 fn sat_guided_engine_matches_fresh_for_all_backends() {
     let problems = churn_problems(PropertyKind::Reachability, 4, 101);
@@ -172,7 +144,11 @@ fn strategies_agree_on_churn_stream_verdicts() {
                 let sat = sat_engine.solve(problem);
                 match (&dfs, &sat) {
                     (Ok(_), Ok(sat_result)) => {
-                        assert_sequence_correct(problem, &sat_result.commands);
+                        assert_eq!(
+                            check_on_traces(problem, &sat_result.commands),
+                            Ok(()),
+                            "{backend} step {step}"
+                        );
                     }
                     (
                         Err(SynthesisError::NoOrderingExists { .. }),

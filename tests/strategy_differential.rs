@@ -3,9 +3,9 @@
 //! `SearchStrategy::SatGuided` must, on every example scenario shipped with
 //! the repository, for every backend:
 //!
-//! * produce a *verified* update sequence — independently re-checked here by
-//!   replaying every prefix through the trace semantics, with no model
-//!   checker involved;
+//! * produce a *verified* update sequence — independently re-checked by
+//!   `exec::check_on_traces`, which replays every prefix through the trace
+//!   semantics with no model checker involved;
 //! * be *deterministic* — a second run returns byte-identical commands,
 //!   order, verdict, and statistics;
 //! * *agree with DFS on the verdict* — both find an order or both report
@@ -15,9 +15,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use netupd::ltl::{builders, semantics, Ltl, Prop};
+use netupd::ltl::{builders, Ltl, Prop};
 use netupd::mc::Backend;
-use netupd::model::{Configuration, Network, Priority};
+use netupd::model::{Configuration, Priority};
+use netupd::synth::exec::check_on_traces;
 use netupd::synth::{
     Granularity, SearchStrategy, SynthesisError, SynthesisOptions, Synthesizer, UpdateEngine,
     UpdateProblem, UpdateSequence,
@@ -26,41 +27,6 @@ use netupd::topo::scenario::{
     diamond_scenario, double_diamond_scenario, multi_diamond_scenario, PropertyKind,
 };
 use netupd::topo::{generators, NetworkGraph};
-
-/// Replays a command sequence and asserts that every intermediate
-/// configuration satisfies the problem's specification on all traces — an
-/// independent, model-checker-free verification of a synthesized sequence.
-fn assert_sequence_correct(problem: &UpdateProblem, commands: &netupd::model::CommandSeq) {
-    let mut config = problem.initial.clone();
-    let check = |config: &Configuration| {
-        let net = Network::new(problem.topology.clone(), config.clone());
-        for class in &problem.classes {
-            for host in &problem.ingress_hosts {
-                let (sw, pt) = problem
-                    .topology
-                    .switch_of_host(*host)
-                    .expect("ingress host");
-                for trace in net.traces_from(sw, pt, class) {
-                    assert!(
-                        semantics::satisfies(&trace, &problem.spec),
-                        "intermediate configuration violates the spec on {trace}"
-                    );
-                }
-            }
-        }
-    };
-    check(&config);
-    for (sw, table) in commands.updates() {
-        config.set_table(sw, table.clone());
-        check(&config);
-    }
-    for sw in problem.final_config.switches() {
-        assert!(
-            config.table(sw).same_rules(&problem.final_config.table(sw)),
-            "switch {sw} did not reach its final table"
-        );
-    }
-}
 
 fn synthesize(
     problem: &UpdateProblem,
@@ -89,7 +55,7 @@ fn assert_sat_guided_verified(problem: &UpdateProblem, options: SynthesisOptions
                 a.stats.cegis_iterations >= 1,
                 "{context}: no CEGIS iteration"
             );
-            assert_sequence_correct(problem, &a.commands);
+            assert_eq!(check_on_traces(problem, &a.commands), Ok(()), "{context}");
         }
         (Err(a), Err(b)) => assert_eq!(a, b, "{context}: error verdict not deterministic"),
         other => panic!("{context}: verdicts diverged between identical runs: {other:?}"),
