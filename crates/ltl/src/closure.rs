@@ -6,6 +6,9 @@
 //! `ψ` / `¬ψ` for every subformula `ψ`, it is fully determined by the truth
 //! value it assigns to each (positive) subformula; we therefore represent it
 //! as a compact bitset — an [`Assignment`] — indexed by the [`Closure`].
+//! An assignment owns its word row, built in place with no reference count:
+//! nothing shares a row while it is being built, and the product checker
+//! shares whole vectors of them instead.
 //!
 //! The closure itself is one flat table of [`Node`]s, children first, whose
 //! operands are the ids of earlier nodes. Two operations drive the checker,
@@ -27,7 +30,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::ast::Ltl;
 use crate::intern::{PropId, PropSetRef, PropTable};
@@ -131,54 +133,50 @@ impl Closure {
     /// The unique assignment satisfied by the stuttering trace `q^ω` out of a
     /// sink state labeled `label` (the `Holds0` / `HoldsSink` functions).
     pub fn sink_assignment(&self, label: PropSetRef<'_>, resolved: &ResolvedProps) -> Assignment {
-        debug_assert_eq!(resolved.ids.len(), self.len());
-        let mut assignment = self.empty_assignment();
-        for (id, node) in self.nodes.iter().enumerate() {
-            let value = match *node {
-                Node::True => true,
-                Node::False => false,
-                Node::Prop(_) => resolved.prop_in_label(id, label),
-                Node::NotProp(_) => !resolved.prop_in_label(id, label),
-                Node::And(a, b) => assignment.get(a) && assignment.get(b),
-                Node::Or(a, b) => assignment.get(a) || assignment.get(b),
-                // The only transition is the self-loop, so "next" is "now",
-                // and on the constant trace U and R reduce to their right
-                // argument (see the module documentation).
-                Node::Next(a) => assignment.get(a),
-                Node::Until(_, b) | Node::Release(_, b) => assignment.get(b),
-            };
-            assignment.set(id, value);
-        }
-        assignment
+        self.evaluate(label, None, resolved)
     }
 
     /// The unique assignment satisfied at a non-sink state labeled `label` by
     /// a trace whose tail (from the chosen successor) satisfies `successor`
-    /// (the `Holds` function lifted to full assignments).
+    /// (the `Holds` function lifted to full assignments). Panics if
+    /// `successor` is not sized for this closure.
     pub fn successor_assignment(
         &self,
         label: PropSetRef<'_>,
         successor: &Assignment,
         resolved: &ResolvedProps,
     ) -> Assignment {
+        assert_eq!(successor.capacity(), self.len());
+        self.evaluate(label, Some(&successor.bits), resolved)
+    }
+
+    /// Builds a row children first, each bit written straight into its word;
+    /// `next` is the successor's row, `None` at a sink. Operand ids come from
+    /// the node table, so they are in range.
+    fn evaluate(
+        &self,
+        label: PropSetRef<'_>,
+        next: Option<&[u64]>,
+        resolved: &ResolvedProps,
+    ) -> Assignment {
         debug_assert_eq!(resolved.ids.len(), self.len());
-        debug_assert_eq!(successor.capacity(), self.len());
         let mut assignment = self.empty_assignment();
+        let row = &mut assignment.bits;
         for (id, node) in self.nodes.iter().enumerate() {
-            let value = match *node {
-                Node::True => true,
-                Node::False => false,
-                Node::Prop(_) => resolved.prop_in_label(id, label),
-                Node::NotProp(_) => !resolved.prop_in_label(id, label),
-                Node::And(a, b) => assignment.get(a) && assignment.get(b),
-                Node::Or(a, b) => assignment.get(a) || assignment.get(b),
-                Node::Next(a) => successor.get(a),
-                Node::Until(a, b) => assignment.get(b) || (assignment.get(a) && successor.get(id)),
-                Node::Release(a, b) => {
-                    assignment.get(b) && (assignment.get(a) || successor.get(id))
-                }
+            let value = match (*node, next) {
+                (Node::True, _) => true,
+                (Node::False, _) => false,
+                (Node::Prop(_), _) => resolved.prop_in_label(id, label),
+                (Node::NotProp(_), _) => !resolved.prop_in_label(id, label),
+                (Node::And(a, b), _) => bit(row, a) && bit(row, b),
+                (Node::Or(a, b), _) => bit(row, a) || bit(row, b),
+                (Node::Next(a), Some(next)) => bit(next, a),
+                (Node::Until(a, b), Some(next)) => bit(row, b) || (bit(row, a) && bit(next, id)),
+                (Node::Release(a, b), Some(next)) => bit(row, b) && (bit(row, a) || bit(next, id)),
+                // At a sink "next" is "now", and U and R read their right side.
+                (Node::Next(x) | Node::Until(_, x) | Node::Release(_, x), None) => bit(row, x),
             };
-            assignment.set(id, value);
+            row[id / 64] |= u64::from(value) << (id % 64);
         }
         assignment
     }
@@ -214,6 +212,11 @@ impl Closure {
     pub fn satisfies_root(&self, m: &Assignment) -> bool {
         m.get(self.root_id())
     }
+}
+
+/// Bit `id` of an assignment's word row.
+fn bit(row: &[u64], id: FormulaId) -> bool {
+    (row[id / 64] >> (id % 64)) & 1 == 1
 }
 
 /// Appends `phi`'s subformulas to `nodes` children first, skipping any
@@ -264,7 +267,7 @@ impl ResolvedProps {
 /// representation of a maximally-consistent subset of `ecl(ϕ)`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Assignment {
-    bits: Arc<[u64]>,
+    bits: Box<[u64]>,
     len: usize,
 }
 
@@ -290,7 +293,7 @@ impl Assignment {
     /// Panics if `id` is out of range.
     pub fn get(&self, id: FormulaId) -> bool {
         assert!(id < self.len, "formula id {id} out of range ({})", self.len);
-        (self.bits[id / 64] >> (id % 64)) & 1 == 1
+        bit(&self.bits, id)
     }
 
     /// Sets the truth value of subformula `id`.
@@ -300,12 +303,8 @@ impl Assignment {
     /// Panics if `id` is out of range.
     pub fn set(&mut self, id: FormulaId, value: bool) {
         assert!(id < self.len, "formula id {id} out of range ({})", self.len);
-        let words = Arc::make_mut(&mut self.bits);
-        if value {
-            words[id / 64] |= 1 << (id % 64);
-        } else {
-            words[id / 64] &= !(1 << (id % 64));
-        }
+        let word = &mut self.bits[id / 64];
+        *word = (*word & !(1 << (id % 64))) | (u64::from(value) << (id % 64));
     }
 }
 
@@ -322,6 +321,9 @@ impl fmt::Debug for Assignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
     fn sw(n: u32) -> Prop {
         Prop::switch(n)
@@ -431,6 +433,39 @@ mod tests {
         assert!(!m.get(1) && !m.get(65));
         m.set(64, false);
         assert!(!m.get(64) && m.get(129));
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `compute_label` sorts and deduplicates assignments, and the order
+        /// reaches counterexamples and digests: `cmp`, `==` and `Hash` are
+        /// those of the word row, on one-word and two-word assignments that
+        /// are equal or differ in a bit or two.
+        #[test]
+        fn assignment_order_is_the_word_order(
+            len in 1usize..129,
+            bits in proptest::collection::vec(any::<bool>(), 128..129),
+            flips in proptest::collection::vec(0usize..128, 0..3),
+        ) {
+            let mut a = Assignment::new(len);
+            for (id, value) in bits.iter().take(len).enumerate() {
+                a.set(id, *value);
+            }
+            let mut b = a.clone();
+            for flip in flips {
+                b.set(flip % len, !b.get(flip % len));
+            }
+            prop_assert_eq!(a.cmp(&b), a.bits.cmp(&b.bits));
+            prop_assert_eq!(a == b, a.bits == b.bits);
+            prop_assert_eq!(hash_of(&a) == hash_of(&b), a.bits == b.bits);
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@ use netupd_ltl::semantics::satisfies_labels;
 use netupd_ltl::{builders, Assignment, Closure, Ltl, Node, Prop, PropId, PropSetRef, PropTable};
 use netupd_model::Field;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A small pool of atomic propositions.
 fn arb_prop() -> impl Strategy<Value = Prop> {
@@ -76,6 +78,40 @@ fn arb_trace() -> impl Strategy<Value = Vec<BTreeSet<Prop>>> {
     proptest::collection::vec(proptest::collection::btree_set(arb_prop(), 0..3), 1..6)
 }
 
+/// The first padding atom; `arb_prop` stays below it.
+const PAD_BASE: u32 = 100;
+
+/// Formulas whose closure spans two words or more: 4–10 `arb_formula()`s,
+/// each after 4–6 tautologies `G(p ∨ ¬p)` over atoms of its own, so random
+/// subformulas land in every word. Each tautology adds five nodes. The
+/// conjunction is built without constant folding, so a `false` conjunct
+/// cannot fold the padding away.
+fn arb_wide_formula() -> impl Strategy<Value = Ltl> {
+    proptest::collection::vec((arb_formula(), 4u32..7), 4..11).prop_map(|parts| {
+        let mut atom = PAD_BASE;
+        let mut conjuncts = Vec::new();
+        for (phi, width) in parts {
+            conjuncts.extend((atom..atom + width).map(|k| {
+                let p = Prop::switch(k);
+                Ltl::globally(Ltl::or(Ltl::prop(p), Ltl::not_prop(p)))
+            }));
+            conjuncts.push(phi);
+            atom += width;
+        }
+        conjuncts
+            .into_iter()
+            .reduce(|a, b| Ltl::And(Arc::new(a), Arc::new(b)))
+            .expect("at least four conjuncts")
+    })
+}
+
+/// Traces whose labels also hold padding atoms, so atomic subformulas past
+/// the first word are true somewhere.
+fn arb_wide_trace() -> impl Strategy<Value = Vec<BTreeSet<Prop>>> {
+    let atom = prop_oneof![arb_prop(), (PAD_BASE..PAD_BASE + 60).prop_map(Prop::switch)];
+    proptest::collection::vec(proptest::collection::btree_set(atom, 0..5), 1..6)
+}
+
 /// The assignments `closure` gives positions `0..n` of the stuttering trace
 /// over `trace`, its labels interned into one table as a structure's are.
 fn closure_assignments(closure: &Closure, trace: &[BTreeSet<Prop>]) -> Vec<Assignment> {
@@ -100,6 +136,59 @@ fn closure_assignments(closure: &Closure, trace: &[BTreeSet<Prop>]) -> Vec<Assig
     }
     assignments.reverse();
     assignments
+}
+
+/// The closure, run over interned label rows as a checker runs it, agrees
+/// with the reference semantics on every suffix of the trace, and every
+/// assignment it builds is locally and label-consistent.
+fn agrees_with_semantics(
+    closure: &Closure,
+    phi: &Ltl,
+    trace: &[BTreeSet<Prop>],
+) -> Result<(), TestCaseError> {
+    for (i, assignment) in closure_assignments(closure, trace).iter().enumerate() {
+        prop_assert!(closure.is_locally_consistent(assignment));
+        for (id, node) in closure.nodes().iter().enumerate() {
+            match node {
+                Node::Prop(p) => prop_assert_eq!(assignment.get(id), trace[i].contains(p)),
+                Node::NotProp(p) => prop_assert_eq!(assignment.get(id), !trace[i].contains(p)),
+                _ => {}
+            }
+        }
+        prop_assert!(
+            closure.satisfies_root(assignment) == satisfies_labels(&trace[i..], phi),
+            "the closure and the semantics disagree on suffix {i} of {trace:?}"
+        );
+    }
+    Ok(())
+}
+
+/// Cases of `wide_closure_property` whose closure spans three words or more.
+static THREE_WORD_CASES: AtomicUsize = AtomicUsize::new(0);
+
+/// `closure_assignments_are_consistent` past the first word: operands,
+/// successor bits and label reads cross word boundaries. Every closure spans
+/// two words or more, and some span three.
+#[test]
+fn wide_closure_assignments_are_consistent() {
+    wide_closure_property();
+    assert!(
+        THREE_WORD_CASES.load(Ordering::Relaxed) > 0,
+        "no closure spanned three words"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    fn wide_closure_property(phi in arb_wide_formula(), trace in arb_wide_trace()) {
+        let closure = Closure::new(&phi);
+        prop_assert!(closure.len() > 64, "{} nodes fit in one word", closure.len());
+        if closure.len() > 128 {
+            THREE_WORD_CASES.fetch_add(1, Ordering::Relaxed);
+        }
+        agrees_with_semantics(&closure, &phi, &trace)?;
+    }
 }
 
 /// One position is the whole trace out of a sink: `a R b` and `a U b` read
@@ -204,21 +293,7 @@ proptest! {
     /// every assignment it builds is locally and label-consistent.
     #[test]
     fn closure_assignments_are_consistent(phi in arb_formula(), trace in arb_trace()) {
-        let closure = Closure::new(&phi);
-        for (i, assignment) in closure_assignments(&closure, &trace).iter().enumerate() {
-            prop_assert!(closure.is_locally_consistent(assignment));
-            for (id, node) in closure.nodes().iter().enumerate() {
-                match node {
-                    Node::Prop(p) => prop_assert_eq!(assignment.get(id), trace[i].contains(p)),
-                    Node::NotProp(p) => prop_assert_eq!(assignment.get(id), !trace[i].contains(p)),
-                    _ => {}
-                }
-            }
-            prop_assert!(
-                closure.satisfies_root(assignment) == satisfies_labels(&trace[i..], &phi),
-                "the closure and the semantics disagree on suffix {i} of {trace:?}"
-            );
-        }
+        agrees_with_semantics(&Closure::new(&phi), &phi, &trace)?;
     }
 
     /// The parser round-trips through the pretty-printer.

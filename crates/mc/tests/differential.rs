@@ -11,6 +11,9 @@
 //! * **Incrementality.** After random sequences of switch updates (applies
 //!   and reverts), [`Labeling::relabel`] must agree with a from-scratch
 //!   [`Labeling::label_all`] on every state's assignment vector.
+//!
+//! Both oracles also run on specs padded with tautologies, so every
+//! assignment spans two 64-bit words or more.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,7 +22,7 @@ use rand::{Rng, SeedableRng};
 
 use netupd_kripke::{Kripke, NetworkKripke, StateRole};
 use netupd_ltl::semantics;
-use netupd_ltl::Ltl;
+use netupd_ltl::{Ltl, Prop};
 use netupd_mc::Labeling;
 use netupd_model::{Configuration, HostId, Network, Topology, TrafficClass};
 use netupd_topo::scenario::{diamond_scenario, PropertyKind};
@@ -83,6 +86,82 @@ fn assert_labelings_equal(a: &Labeling, b: &Labeling, kripke: &Kripke, context: 
     }
 }
 
+/// `width` tautologies `G(sw_i ∨ ¬sw_i)` over distinct switch atoms, then
+/// the scenario's spec: the same verdict everywhere, but a closure that spans
+/// two words or more, with the spec's own subformulas past the first word
+/// and some padding atoms read from real labels.
+fn padded_spec(spec: &Ltl, width: u32) -> Ltl {
+    let padding = (0..width).map(|i| {
+        let sw = Prop::switch(i);
+        Ltl::globally(Ltl::or(Ltl::prop(sw), Ltl::not_prop(sw)))
+    });
+    Ltl::and_all(padding.chain(std::iter::once(spec.clone())))
+}
+
+/// The labeling of `spec` agrees with the trace oracle on every arrival
+/// state, for both the initial and the final configuration.
+fn assert_labeling_matches_trace_oracle(scenario: &UpdateScenario, spec: &Ltl, seed: u64) {
+    let encoder = encoder_for(scenario);
+    for config in [&scenario.initial, &scenario.final_config] {
+        let kripke = encoder.encode(config);
+        let (labeling, _) = Labeling::label_all(&kripke, spec);
+        for state in kripke.states() {
+            let key = kripke.key(state);
+            // Egress states are not trace starting points; the oracle is
+            // defined on arrival locations.
+            if key.role != StateRole::Arrival {
+                continue;
+            }
+            let class = &scenario.classes()[key.class];
+            let oracle = oracle_all_traces_satisfy(
+                scenario.topology(),
+                config,
+                class,
+                key.switch,
+                key.port,
+                spec,
+            );
+            assert_eq!(
+                label_says_holds(&labeling, state),
+                oracle,
+                "seed {seed}: state {key} disagrees with the trace oracle"
+            );
+        }
+    }
+}
+
+/// `relabel` agrees with `label_all` on every state's assignment vector
+/// after a random walk of switch updates, including reverts.
+fn assert_relabel_matches_label_all(scenario: &UpdateScenario, spec: &Ltl, seed: u64) {
+    let encoder = encoder_for(scenario);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ff_ee00);
+
+    let mut kripke = encoder.encode(&scenario.initial);
+    let (mut labeling, _) = Labeling::label_all(&kripke, spec);
+
+    // Random walk over configurations: each step applies one switch's
+    // final table or reverts it to its initial table.
+    let mut switches: Vec<_> = scenario.final_config.switches().collect();
+    switches.shuffle(&mut rng);
+    for round in 0..switches.len().min(8) {
+        let sw = switches[round % switches.len()];
+        let table = if rng.gen_bool(0.3) {
+            scenario.initial.table(sw)
+        } else {
+            scenario.final_config.table(sw)
+        };
+        let changed = encoder.apply_switch_update(&mut kripke, sw, &table);
+        labeling.relabel(&kripke, &changed);
+        let (fresh, _) = Labeling::label_all(&kripke, spec);
+        assert_labelings_equal(
+            &labeling,
+            &fresh,
+            &kripke,
+            &format!("seed {seed}, round {round}, switch {sw}"),
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -91,33 +170,7 @@ proptest! {
     #[test]
     fn interned_labeling_matches_trace_oracle(seed in 0u64..64) {
         let Some(scenario) = scenario_for_seed(seed) else { return Ok(()); };
-        let encoder = encoder_for(&scenario);
-        for config in [&scenario.initial, &scenario.final_config] {
-            let kripke = encoder.encode(config);
-            let (labeling, _) = Labeling::label_all(&kripke, &scenario.spec);
-            for state in kripke.states() {
-                let key = kripke.key(state);
-                // Egress states are not trace starting points; the oracle is
-                // defined on arrival locations.
-                if key.role != StateRole::Arrival {
-                    continue;
-                }
-                let class = &scenario.classes()[key.class];
-                let oracle = oracle_all_traces_satisfy(
-                    scenario.topology(),
-                    config,
-                    class,
-                    key.switch,
-                    key.port,
-                    &scenario.spec,
-                );
-                assert_eq!(
-                    label_says_holds(&labeling, state),
-                    oracle,
-                    "seed {seed}: state {key} disagrees with the trace oracle"
-                );
-            }
-        }
+        assert_labeling_matches_trace_oracle(&scenario, &scenario.spec, seed);
     }
 
     /// `relabel` agrees with `label_all` after random sequences of switch
@@ -125,33 +178,19 @@ proptest! {
     #[test]
     fn relabel_matches_label_all_after_random_updates(seed in 0u64..64) {
         let Some(scenario) = scenario_for_seed(seed) else { return Ok(()); };
-        let encoder = encoder_for(&scenario);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ff_ee00);
+        assert_relabel_matches_label_all(&scenario, &scenario.spec, seed);
+    }
 
-        let mut kripke = encoder.encode(&scenario.initial);
-        let (mut labeling, _) = Labeling::label_all(&kripke, &scenario.spec);
-
-        // Random walk over configurations: each step applies one switch's
-        // final table or reverts it to its initial table.
-        let mut switches: Vec<_> = scenario.final_config.switches().collect();
-        switches.shuffle(&mut rng);
-        for round in 0..switches.len().min(8) {
-            let sw = switches[round % switches.len()];
-            let table = if rng.gen_bool(0.3) {
-                scenario.initial.table(sw)
-            } else {
-                scenario.final_config.table(sw)
-            };
-            let changed = encoder.apply_switch_update(&mut kripke, sw, &table);
-            labeling.relabel(&kripke, &changed);
-            let (fresh, _) = Labeling::label_all(&kripke, &scenario.spec);
-            assert_labelings_equal(
-                &labeling,
-                &fresh,
-                &kripke,
-                &format!("seed {seed}, round {round}, switch {sw}"),
-            );
-        }
+    /// Both properties again with labels two words wide or more: operands,
+    /// successor bits and atom reads cross word boundaries.
+    #[test]
+    fn multi_word_labeling_matches_the_oracles(seed in 0u64..64, width in 14u32..40) {
+        let Some(scenario) = scenario_for_seed(seed) else { return Ok(()); };
+        let spec = padded_spec(&scenario.spec, width);
+        let words = netupd_ltl::Closure::new(&spec).len().div_ceil(64);
+        prop_assert!(words >= 2, "seed {seed}, width {width}: {words} word");
+        assert_labeling_matches_trace_oracle(&scenario, &spec, seed);
+        assert_relabel_matches_label_all(&scenario, &spec, seed);
     }
 }
 
