@@ -73,9 +73,7 @@ pub fn two_phase_update(problem: &UpdateProblem) -> TwoPhasePlan {
             continue;
         }
         let mut combined = old.clone();
-        for rule in new.iter() {
-            combined.add_rule(tag_guarded(rule));
-        }
+        combined.extend(new.iter().map(tag_guarded));
         max_rules.insert(*switch, combined.len());
         if !ingress_switches.contains(switch) {
             commands.push_update(*switch, combined.clone());
@@ -92,10 +90,7 @@ pub fn two_phase_update(problem: &UpdateProblem) -> TwoPhasePlan {
         if old == new {
             continue;
         }
-        let mut flipped = Table::empty();
-        for rule in new.iter() {
-            flipped.add_rule(stamp_version(rule));
-        }
+        let flipped: Table = new.iter().map(stamp_version).collect();
         let peak = max_rules.entry(*switch).or_insert(0);
         *peak = (*peak).max(old.len() + flipped.len()).max(flipped.len());
         commands.push_update(*switch, flipped);

@@ -219,8 +219,9 @@ impl Synthesizer {
 }
 
 /// Materializes a solved unit order into the final [`UpdateSequence`]: looks
-/// up the units, builds the careful command sequence, runs wait removal if
-/// enabled, and fills in the wait counters. Shared by both strategies.
+/// up the units, runs wait removal if enabled (else builds the careful
+/// command sequence), and fills in the wait counters. Shared by both
+/// strategies.
 pub(crate) fn finish_sequence(
     problem: &UpdateProblem,
     options: &SynthesisOptions,
@@ -229,12 +230,12 @@ pub(crate) fn finish_sequence(
     mut stats: SynthStats,
 ) -> UpdateSequence {
     let order: Vec<UpdateUnit> = order_indices.iter().map(|i| units[*i].clone()).collect();
-    let careful = build_command_sequence(&problem.initial, &order);
-    stats.waits_before_removal = careful.num_waits();
+    // The careful sequence has a wait between every two updates.
+    stats.waits_before_removal = order.len().saturating_sub(1);
     let commands = if options.remove_waits {
         wait_removal::remove_unnecessary_waits(problem, &order)
     } else {
-        careful
+        build_command_sequence(&problem.initial, &order)
     };
     stats.waits_after_removal = commands.num_waits();
     UpdateSequence {
@@ -401,6 +402,50 @@ mod tests {
             result.stats.waits_before_removal,
             result.stats.waits_after_removal
         );
+    }
+
+    /// `waits_before_removal` counts the careful sequence's waits without
+    /// building it; with wait removal off, that sequence is the result.
+    #[test]
+    fn waits_before_removal_counts_the_careful_sequences_waits() {
+        let problem = fat_tree_problem(PropertyKind::Reachability, 3);
+        let switch = problem.switches_to_update()[0];
+        let one_unit = UpdateProblem::new(
+            problem.topology.clone(),
+            problem.initial.clone(),
+            (problem.initial).updated(switch, problem.final_config.table(switch)),
+            problem.classes.clone(),
+            problem.ingress_hosts.clone(),
+            netupd_ltl::Ltl::True,
+        );
+        let cases = [
+            (&problem, Granularity::Switch),
+            (&problem, Granularity::Rule),
+            (&one_unit, Granularity::Switch),
+        ];
+        for (problem, granularity) in cases {
+            for remove_waits in [true, false] {
+                let options = (SynthesisOptions::default())
+                    .granularity(granularity)
+                    .wait_removal(remove_waits);
+                let result = Synthesizer::new(problem.clone())
+                    .with_options(options)
+                    .synthesize()
+                    .expect("solution");
+                let careful = build_command_sequence(&problem.initial, &result.order);
+                let context = format!("{granularity:?} remove_waits {remove_waits}");
+                assert_eq!(
+                    result.stats.waits_before_removal,
+                    careful.num_waits(),
+                    "{context}"
+                );
+                if !remove_waits {
+                    assert_eq!(result.commands, careful, "{context}");
+                }
+            }
+        }
+        let one = Synthesizer::new(one_unit).synthesize().expect("one unit");
+        assert_eq!((one.order.len(), one.stats.waits_before_removal), (1, 0));
     }
 
     #[test]

@@ -5,7 +5,8 @@ use std::sync::{Arc, OnceLock};
 
 use netupd_ltl::{Prop, PropId};
 use netupd_model::{
-    Configuration, Endpoint, HostId, LinkId, PortId, SwitchId, Table, Topology, TrafficClass,
+    Action, Configuration, Endpoint, HostId, LinkId, Packet, PortId, Rule, SwitchId, Table,
+    Topology, TrafficClass,
 };
 
 use crate::structure::{Kripke, StateId, StateKey, StateRole};
@@ -56,14 +57,19 @@ struct SkeletonState {
 ///   self-loop;
 /// * a state is initial iff its port is reachable directly from an admitted
 ///   ingress host (every initial state is in every footprint);
-/// * transitions follow the forwarding table of the state's switch for the
-///   class's representative packet, to the successor states in the
-///   structure;
-/// * states whose packet is dropped (no matching rule, a drop rule, or no
-///   successor in the structure) get a `Dropped` label and a self-loop.
+/// * transitions follow the forward ports of the rule of the state's switch
+///   that matches the class's representative packet, to the successor states
+///   in the structure;
+/// * states whose packet is dropped (no matching rule, a rule with no
+///   forward action, or no successor in the structure) get a `Dropped` label
+///   and a self-loop.
 ///
 /// Packet modifications stay within the traffic class (the paper likewise
-/// keeps classes disjoint and leaves cross-class rewriting to future work).
+/// keeps classes disjoint and leaves cross-class rewriting to future work),
+/// so a successor depends only on the switch, the out port and the class:
+/// the encoder reads a matching rule's forward ports and never applies its
+/// field modifications, and it computes each class's representative packet
+/// once.
 ///
 /// [`cover`]: NetworkKripke::cover
 /// [`encode`]: NetworkKripke::encode
@@ -73,6 +79,8 @@ struct SkeletonState {
 pub struct NetworkKripke {
     topology: Arc<Topology>,
     classes: Vec<TrafficClass>,
+    /// Each class's representative packet, the one its states match rules on.
+    representatives: Vec<Packet>,
     ingress_hosts: Option<BTreeSet<HostId>>,
     /// The states the skeleton holds, in skeleton order: `None` for every
     /// state of the topology, else the union of the footprints covered so
@@ -91,6 +99,7 @@ impl NetworkKripke {
     pub fn new(topology: impl Into<Arc<Topology>>, classes: Vec<TrafficClass>) -> Self {
         NetworkKripke {
             topology: topology.into(),
+            representatives: classes.iter().map(TrafficClass::representative).collect(),
             classes,
             ingress_hosts: None,
             footprint: None,
@@ -253,8 +262,7 @@ impl NetworkKripke {
             .collect();
         let mut slice = BTreeMap::new();
         let mut reached = HashSet::new();
-        for (class_idx, class) in self.classes.iter().enumerate() {
-            let packet = class.representative();
+        for (class_idx, packet) in self.representatives.iter().enumerate() {
             // Each entry carries the link its packet took to get there.
             let mut worklist: Vec<(LinkId, StateKey)> = (roots.iter())
                 .map(|&(id, sw, pt)| (id, StateKey::arrival(sw, pt, class_idx)))
@@ -270,10 +278,9 @@ impl NetworkKripke {
                 }
                 let tables = configs.iter().filter_map(|c| c.table_ref(key.switch));
                 for rule in tables.flat_map(Table::iter) {
-                    if rule.matches(&packet, key.port) {
-                        for (_, out_port) in rule.apply(&packet) {
-                            worklist.extend(self.successor(key, out_port));
-                        }
+                    if rule.matches(packet, key.port) {
+                        let ports = rule.actions().iter().filter_map(Action::forward_port);
+                        worklist.extend(ports.filter_map(|port| self.successor(key, port)));
                     }
                 }
             }
@@ -396,7 +403,6 @@ impl NetworkKripke {
         dropped: PropId,
     ) -> bool {
         let key = kripke.key(state);
-        let class = &self.classes[key.class];
 
         // Egress states keep their self-loop regardless of the table: the
         // packet has already left the switch.
@@ -404,20 +410,18 @@ impl NetworkKripke {
             return kripke.set_successors(state, vec![state]);
         }
 
-        let packet = class.representative();
-        let outputs = table.process(&packet, key.port);
-
-        let mut successors: Vec<StateId> = (outputs.iter())
-            .filter_map(|(_, out_port)| self.successor(key, *out_port))
+        let rule = table.matching_rule(&self.representatives[key.class], key.port);
+        let mut successors: Vec<StateId> = (rule.map_or(&[][..], Rule::actions).iter())
+            .filter_map(Action::forward_port)
+            .filter_map(|out_port| self.successor(key, out_port))
             .filter_map(|(_, succ)| kripke.state_by_key(&succ))
             .collect();
-        let mut is_dropped = outputs.is_empty();
-        if successors.is_empty() {
+        let is_dropped = successors.is_empty();
+        if is_dropped {
             // Every output dangled (or left the slice — only on states no
             // initial state reaches), or there were none: the packet is stuck
             // here. Definition 9 gives such states a self-loop; we also label
             // them as dropped so drop-freedom properties can see it.
-            is_dropped = true;
             successors.push(state);
         }
 

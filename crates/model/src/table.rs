@@ -1,6 +1,7 @@
 //! Forwarding tables and their denotational semantics `[[tbl]]`.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -17,17 +18,24 @@ use crate::types::PortId;
 /// Rules are kept sorted by descending priority; among rules with equal
 /// priority the one added first wins, which makes the semantics deterministic
 /// (the paper allows any choice among equal-priority matches).
+///
+/// A table is an immutable rule list shared behind an `Arc`: cloning one (a
+/// configuration, a command, an update unit's result) bumps a count instead
+/// of copying patterns and action lists, and the editing methods build a new
+/// list. Equality compares the lists, pointers first.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct Table {
-    rules: Vec<Rule>,
+    rules: Arc<[Rule]>,
 }
 
 impl Table {
     /// Creates a table from a collection of rules.
-    pub fn new(rules: Vec<Rule>) -> Self {
-        let mut table = Table { rules };
-        table.normalize();
-        table
+    pub fn new(mut rules: Vec<Rule>) -> Self {
+        // Stable sort: equal priorities keep insertion order.
+        rules.sort_by_key(|r| std::cmp::Reverse(r.priority()));
+        Table {
+            rules: rules.into(),
+        }
     }
 
     /// The empty table (drops every packet).
@@ -37,15 +45,16 @@ impl Table {
 
     /// Adds a rule, keeping the table sorted by priority.
     pub fn add_rule(&mut self, rule: Rule) {
-        self.rules.push(rule);
-        self.normalize();
+        self.extend([rule]);
     }
 
     /// Removes all rules equal to `rule`, returning how many were removed.
     pub fn remove_rule(&mut self, rule: &Rule) -> usize {
-        let before = self.rules.len();
-        self.rules.retain(|r| r != rule);
-        before - self.rules.len()
+        let removed = self.rules.iter().filter(|r| *r == rule).count();
+        if removed > 0 {
+            *self = self.rules.iter().filter(|r| *r != rule).cloned().collect();
+        }
+        removed
     }
 
     /// The rules, ordered by descending priority.
@@ -102,8 +111,8 @@ impl Table {
     /// Returns `true` if the two tables contain the same set of rules,
     /// regardless of insertion order among equal-priority rules.
     pub fn same_rules(&self, other: &Table) -> bool {
-        let mut a = self.rules.clone();
-        let mut b = other.rules.clone();
+        let mut a = self.rules.to_vec();
+        let mut b = other.rules.to_vec();
         a.sort_unstable();
         b.sort_unstable();
         a == b
@@ -124,11 +133,6 @@ impl Table {
             .cloned()
             .collect();
         (removed, added)
-    }
-
-    fn normalize(&mut self) {
-        // Stable sort: equal priorities keep insertion order.
-        self.rules.sort_by_key(|r| std::cmp::Reverse(r.priority()));
     }
 }
 
@@ -155,14 +159,15 @@ impl FromIterator<Rule> for Table {
 
 impl Extend<Rule> for Table {
     fn extend<I: IntoIterator<Item = Rule>>(&mut self, iter: I) {
-        self.rules.extend(iter);
-        self.normalize();
+        *self = Table::new(self.rules.iter().cloned().chain(iter).collect());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
+
     use crate::action::Action;
     use crate::packet::Field;
     use crate::pattern::Pattern;
@@ -212,6 +217,65 @@ mod tests {
         assert_eq!(table.len(), 1);
         assert_eq!(table.remove_rule(&rule), 1);
         assert!(table.is_empty());
+    }
+
+    #[test]
+    fn editing_a_clone_leaves_the_original_unchanged() {
+        let original = Table::new(vec![fwd_rule(5, 3, 1), fwd_rule(1, 4, 2)]);
+        let snapshot = original.rules().to_vec();
+
+        let mut added = original.clone();
+        added.add_rule(fwd_rule(9, 5, 3));
+        let mut removed = original.clone();
+        assert_eq!(removed.remove_rule(&fwd_rule(5, 3, 1)), 1);
+        let mut extended = original.clone();
+        extended.extend([fwd_rule(2, 6, 4), fwd_rule(7, 7, 5)]);
+
+        assert_eq!(original.rules(), &snapshot[..]);
+        assert_eq!((added.len(), removed.len(), extended.len()), (3, 1, 4));
+        assert_eq!(added.rules()[0], fwd_rule(9, 5, 3));
+        assert_eq!(removed.rules(), &[fwd_rule(1, 4, 2)]);
+        let priorities: Vec<u32> = extended.iter().map(|r| r.priority().0).collect();
+        assert_eq!(priorities, [7, 5, 2, 1]);
+    }
+
+    #[test]
+    fn equal_rule_lists_from_separate_allocations_are_equal_and_hash_equal() {
+        let a = Table::new(vec![fwd_rule(5, 3, 1), fwd_rule(1, 4, 2)]);
+        let b: Table = [fwd_rule(1, 4, 2), fwd_rule(5, 3, 1)].into_iter().collect();
+        let mut c = Table::empty();
+        c.add_rule(fwd_rule(1, 4, 2));
+        c.add_rule(fwd_rule(5, 3, 1));
+        let hasher = std::hash::RandomState::new();
+        for other in [&b, &c] {
+            assert!(!std::ptr::eq(a.rules(), other.rules()));
+            assert_eq!(&a, other);
+            assert_eq!(hasher.hash_one(&a), hasher.hash_one(other));
+        }
+        assert_ne!(a, Table::new(vec![fwd_rule(5, 3, 1)]));
+    }
+
+    #[test]
+    fn equal_priorities_keep_insertion_order_after_add_rule() {
+        let mut table = Table::new(vec![fwd_rule(5, 3, 1), fwd_rule(9, 3, 2)]);
+        table.add_rule(fwd_rule(5, 3, 3));
+        table.add_rule(fwd_rule(9, 3, 4));
+        table.add_rule(fwd_rule(5, 3, 5));
+        let ports: Vec<PortId> = (table.iter())
+            .flat_map(|r| r.actions().iter().filter_map(Action::forward_port))
+            .collect();
+        assert_eq!(ports, [2, 4, 1, 3, 5].map(PortId));
+    }
+
+    #[test]
+    fn removing_an_absent_rule_changes_nothing() {
+        let mut table = Table::new(vec![fwd_rule(5, 3, 1), fwd_rule(1, 4, 2)]);
+        let before = table.clone();
+        assert_eq!(table.remove_rule(&fwd_rule(5, 3, 9)), 0);
+        assert_eq!(table, before);
+        let mut empty = Table::empty();
+        assert_eq!(empty.remove_rule(&fwd_rule(1, 1, 1)), 0);
+        assert_eq!(empty, Table::empty());
     }
 
     #[test]
