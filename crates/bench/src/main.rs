@@ -13,6 +13,7 @@ mod workloads;
 use std::fmt::Display;
 use std::time::Instant;
 
+use netupd_kripke::{Kripke, NetworkKripke};
 use netupd_mc::Backend;
 use netupd_model::CommandSeq;
 use netupd_synth::baselines::{naive_update, ordering_rule_overhead, two_phase_update};
@@ -45,6 +46,11 @@ type Counter = (&'static str, fn(&SynthStats, &Measured) -> String);
 const CALLS: Counter = ("mc calls", |s, _| s.model_checker_calls.to_string());
 const CHARGED: Counter = ("charged", |s, _| s.charged_calls.to_string());
 const RELABELED: Counter = ("states relabeled", |s, _| s.states_relabeled.to_string());
+/// What a from-scratch checker over the whole topology labels — the paper's
+/// NuSMV comparison: one check of every state per query.
+const WHOLE_NETWORK: Counter = ("whole-network relabels", |s, m| {
+    (s.model_checker_calls * m.whole_network_states).to_string()
+});
 const CEGIS: Counter = ("cegis iters", |s, _| s.cegis_iterations.to_string());
 const CORE: Counter = ("unsat core", |_, m| match &m.outcome {
     Err(SynthesisError::NoOrderingExists { core, .. }) => core.len().to_string(),
@@ -68,7 +74,17 @@ struct Measured {
     /// The sequence's or the failure's statistics; `None` only for an
     /// endpoint violation.
     stats: Option<SynthStats>,
+    /// States in the whole-topology encoding of the initial configuration.
+    whole_network_states: usize,
     median_ms: f64,
+}
+
+/// `problem`'s initial configuration encoded by an encoder that was never
+/// asked to cover a footprint: the whole topology.
+fn whole_network(problem: &UpdateProblem) -> Kripke {
+    let encoder = NetworkKripke::new(problem.topology.clone(), problem.classes.clone())
+        .with_ingress_hosts(problem.ingress_hosts.iter().copied());
+    encoder.encode(&problem.initial)
 }
 
 /// The median wall clock of [`RUNS`] calls of `run`, in ms.
@@ -103,6 +119,7 @@ fn measure(problem: &UpdateProblem, options: &SynthesisOptions) -> Measured {
         outcome,
         order,
         stats,
+        whole_network_states: whole_network(problem).len(),
         median_ms,
     }
 }
@@ -194,24 +211,21 @@ fn fig2() -> Vec<usize> {
     dropped
 }
 
-/// Figure 7(a–c): Incremental vs the Batch and Product (NuSMV stand-in)
-/// checkers, both strategies, on the three families. Rows run family, size,
-/// backend, strategy, outermost first.
+/// Figure 7(a–c): Incremental vs Batch, both strategies, on the three
+/// families, beside the whole-network relabels of the paper's monolithic
+/// (NuSMV) baseline. Rows run family, size, backend, strategy, outermost
+/// first.
 fn fig7(sizes: &[usize]) -> Vec<Measured> {
     let mut table = Table::new(
         "Figure 7(a-c): synthesis by backend (reachability)",
         &["family", "switches", "backend", "strategy"],
-        &[CALLS, CHARGED, RELABELED, CEGIS],
+        &[CALLS, CHARGED, RELABELED, WHOLE_NETWORK, CEGIS],
     );
     for family in TopologyFamily::ALL {
         for &size in sizes {
             let workload = diamond_workload(family, size, Reachability, 42);
             let switches = workload.switches;
-            for backend in [Backend::Incremental, Backend::Batch, Backend::Product] {
-                // Product stays on the smaller instances, as the paper's timeout does.
-                if backend == Backend::Product && size > 50 {
-                    continue;
-                }
+            for backend in [Backend::Incremental, Backend::Batch] {
                 for strategy in SearchStrategy::ALL {
                     let options = SynthesisOptions::with_backend(backend).strategy(strategy);
                     let m = measure(&workload.problem, &options);
@@ -379,12 +393,28 @@ mod tests {
     #[test]
     fn figure_7_incremental_relabels_fewer_states_than_batch() {
         let rows = fig7(&SIZES[..1]);
-        // Per family: incremental, batch, product; each dfs then sat-guided.
-        assert_eq!(rows.len(), 3 * 6);
-        for family in rows.chunks(6) {
-            for (incremental, batch) in family[..2].iter().zip(&family[2..4]) {
+        // Per family: incremental, batch; each dfs then sat-guided.
+        assert_eq!(rows.len(), 3 * 4);
+        for family in rows.chunks(4) {
+            for (incremental, batch) in family[..2].iter().zip(&family[2..]) {
                 assert!(stats(incremental).states_relabeled < stats(batch).states_relabeled);
+                // Batch labels the footprint; the whole network holds more.
+                let whole = stats(batch).model_checker_calls * batch.whole_network_states;
+                assert!(stats(batch).states_relabeled < whole);
             }
+        }
+    }
+
+    /// The whole-network column multiplies `mc calls` by one factor: what a
+    /// single from-scratch check of an uncovered encoding labels.
+    #[test]
+    fn a_batch_check_of_the_whole_network_labels_every_state() {
+        for family in TopologyFamily::ALL {
+            let problem = diamond_workload(family, SIZES[0], Reachability, 42).problem;
+            let kripke = whole_network(&problem);
+            let outcome = Backend::Batch.instantiate().check(&kripke, &problem.spec);
+            assert!(outcome.holds, "{}", family.name());
+            assert_eq!(outcome.stats.states_labeled, kripke.len());
         }
     }
 

@@ -155,9 +155,10 @@ pub(crate) fn solve(
                 // exclude the proposal they were learnt from, so the loop
                 // strictly progresses. The clause excludes this set too, so
                 // the walk leaves the block out; without a clause the block
-                // is the whole refutation.
-                let blocked = store.block_prefix_set(&applied);
-                debug_assert!(blocked, "a proposal's failing prefix was blocked");
+                // is the whole refutation. A trace through every unit's
+                // switch learns the block itself as its clause.
+                store.block_prefix_set(&applied);
+                debug_assert!(store.excludes(&applied), "a failing prefix is excluded");
             }
         }
     }

@@ -7,8 +7,7 @@
 //! value it assigns to each (positive) subformula; we therefore represent it
 //! as a compact bitset — an [`Assignment`] — indexed by the [`Closure`].
 //! An assignment owns its word row, built in place with no reference count:
-//! nothing shares a row while it is being built, and the product checker
-//! shares whole vectors of them instead.
+//! nothing shares a row.
 //!
 //! The closure itself is one flat table of [`Node`]s, children first, whose
 //! operands are the ids of earlier nodes. Two operations drive the checker,
@@ -185,8 +184,7 @@ impl Closure {
     /// structure allow `m2` to be the successor of `m1`?
     ///
     /// `successor_assignment` constructs assignments that satisfy this by
-    /// construction; the explicit check is exposed for testing and for the
-    /// automaton-based backend.
+    /// construction; the explicit check is exposed for testing.
     pub fn follows(&self, m1: &Assignment, m2: &Assignment) -> bool {
         self.nodes.iter().enumerate().all(|(id, node)| match *node {
             Node::Next(a) => m1.get(id) == m2.get(a),

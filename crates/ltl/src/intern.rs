@@ -196,12 +196,6 @@ impl<'a> PropSetRef<'a> {
         PropSetRef { words }
     }
 
-    /// The underlying words.
-    #[inline]
-    pub fn words(self) -> &'a [u64] {
-        self.words
-    }
-
     /// Membership test.
     #[inline]
     pub fn contains(self, id: PropId) -> bool {

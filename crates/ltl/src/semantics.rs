@@ -95,8 +95,11 @@ fn truth(labels: &[BTreeSet<Prop>], phi: &Ltl) -> Vec<bool> {
 }
 
 /// Evaluates `phi` over a single-packet trace (`t ⊨ ϕ` in the paper).
+///
+/// A trace that enters a forwarding loop never ends, and satisfies no
+/// formula: the model checkers read it the same way.
 pub fn satisfies(trace: &Trace, phi: &Ltl) -> bool {
-    satisfies_labels(&trace_labels(trace), phi)
+    !trace.has_loop() && satisfies_labels(&trace_labels(trace), phi)
 }
 
 /// Evaluates `phi` over every trace in a collection (`T ⊨ ϕ`).
@@ -198,6 +201,16 @@ mod tests {
         assert!(!satisfies(
             &trace,
             &Ltl::eventually(Ltl::prop(Prop::FieldIs(Field::Dst, 4)))
+        ));
+    }
+
+    #[test]
+    fn a_looping_trace_satisfies_nothing() {
+        let trace = Trace::new(vec![obs(1), obs(2)], TraceEnd::Loop);
+        assert!(!satisfies(&trace, &Ltl::True));
+        assert!(!satisfies(
+            &trace,
+            &Ltl::globally(Ltl::not_prop(Prop::Dropped))
         ));
     }
 

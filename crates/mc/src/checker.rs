@@ -149,7 +149,7 @@ pub trait ModelChecker: Send {
     /// and re-checks over exactly the rewired states, so every backend
     /// verifies the sequence at its own incremental cost model (the
     /// incremental and header-space checkers relabel only affected states,
-    /// batch and product pay a full check per step). `carried` is folded into
+    /// batch pays a full check per step). `carried` is folded into
     /// the first step's change set — callers that synced the structure to the
     /// walk's starting configuration by diff (the engine's cross-request
     /// reuse, or a [`reset_to`](NetworkKripke::reset_to) re-point) pass the
@@ -205,20 +205,13 @@ pub enum Backend {
     Incremental,
     /// The same labeling engine, run from scratch each call.
     Batch,
-    /// The monolithic tableau-product checker (NuSMV stand-in).
-    Product,
     /// The header-space reachability checker (NetPlumber stand-in).
     HeaderSpace,
 }
 
 impl Backend {
     /// All backends, in a stable order.
-    pub const ALL: [Backend; 4] = [
-        Backend::Incremental,
-        Backend::Batch,
-        Backend::Product,
-        Backend::HeaderSpace,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::Incremental, Backend::Batch, Backend::HeaderSpace];
 
     /// Instantiates the backend.
     ///
@@ -229,7 +222,6 @@ impl Backend {
         match self {
             Backend::Incremental => Box::new(crate::IncrementalChecker::new()),
             Backend::Batch => Box::new(crate::BatchChecker::new()),
-            Backend::Product => Box::new(crate::ProductChecker::new()),
             Backend::HeaderSpace => Box::new(crate::HeaderSpaceChecker::new()),
         }
     }
@@ -240,7 +232,6 @@ impl fmt::Display for Backend {
         let name = match self {
             Backend::Incremental => "incremental",
             Backend::Batch => "batch",
-            Backend::Product => "product",
             Backend::HeaderSpace => "headerspace",
         };
         write!(f, "{name}")

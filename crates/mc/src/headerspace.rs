@@ -8,7 +8,7 @@
 //! * per initial state it maintains the set of forwarding paths (sequences of
 //!   states) through the structure;
 //! * properties are evaluated over those paths with the finite-trace LTL
-//!   semantics;
+//!   semantics; a path that runs into a forwarding loop satisfies none;
 //! * on [`recheck`](crate::ModelChecker::recheck) only the paths of initial
 //!   states affected by the change are recomputed — an initial state is
 //!   affected if one of its cached paths touches a changed state or if a
@@ -41,8 +41,9 @@ pub struct HeaderSpaceChecker {
 
 #[derive(Debug)]
 struct PathCache {
-    /// Cached paths per initial state.
-    paths: HashMap<StateId, Vec<Vec<StateId>>>,
+    /// Cached paths per initial state; `None` for one whose forwarding runs
+    /// into a loop.
+    paths: HashMap<StateId, Option<Vec<Vec<StateId>>>>,
     /// Number of states in the structure when the cache was built.
     states: usize,
 }
@@ -62,7 +63,7 @@ impl HeaderSpaceChecker {
             closure, resolved, ..
         } = self.spec.insert(spec);
         let cache = self.cache.as_ref().expect("cache present");
-        let holds = cache.paths.values().flatten().all(|path| {
+        let path_holds = |path: &Vec<StateId>| {
             let Some((last, prefix)) = path.split_last() else {
                 return true;
             };
@@ -72,6 +73,11 @@ impl HeaderSpaceChecker {
                     closure.successor_assignment(kripke.label(*state), &assignment, resolved);
             }
             closure.satisfies_root(&assignment)
+        };
+        let holds = cache.paths.values().all(|paths| {
+            paths
+                .as_ref()
+                .is_some_and(|paths| paths.iter().all(path_holds))
         });
         if holds {
             CheckOutcome::success(stats)
@@ -81,22 +87,29 @@ impl HeaderSpaceChecker {
         }
     }
 
-    fn compute_paths(kripke: &Kripke, initial: StateId) -> Vec<Vec<StateId>> {
+    /// The forwarding paths from `initial`, or `None` if one runs into a
+    /// loop.
+    fn compute_paths(kripke: &Kripke, initial: StateId) -> Option<Vec<Vec<StateId>>> {
         let mut paths = Vec::new();
         let mut current = Vec::new();
-        collect_paths(kripke, initial, &mut current, &mut paths);
-        paths
+        collect_paths(kripke, initial, &mut current, &mut paths)?;
+        Some(paths)
     }
 }
 
+/// Appends the paths from `state` that extend `current` to `out`; `None` as
+/// soon as one revisits a state of its own path.
 fn collect_paths(
     kripke: &Kripke,
     state: StateId,
     current: &mut Vec<StateId>,
     out: &mut Vec<Vec<StateId>>,
-) {
+) -> Option<()> {
+    if current.contains(&state) {
+        return None;
+    }
     if out.len() >= MAX_PATHS_PER_INGRESS {
-        return;
+        return Some(());
     }
     current.push(state);
     if kripke.is_sink(state) {
@@ -104,11 +117,12 @@ fn collect_paths(
     } else {
         for succ in kripke.successors(state) {
             if *succ != state {
-                collect_paths(kripke, *succ, current, out);
+                collect_paths(kripke, *succ, current, out)?;
             }
         }
     }
     current.pop();
+    Some(())
 }
 
 impl ModelChecker for HeaderSpaceChecker {
@@ -117,7 +131,7 @@ impl ModelChecker for HeaderSpaceChecker {
         let mut visited_states = 0;
         for initial in kripke.initial_states() {
             let ingress_paths = Self::compute_paths(kripke, initial);
-            visited_states += ingress_paths.iter().map(Vec::len).sum::<usize>();
+            visited_states += ingress_paths.iter().flatten().map(Vec::len).sum::<usize>();
             paths.insert(initial, ingress_paths);
         }
         self.cache = Some(PathCache {
@@ -151,6 +165,7 @@ impl ModelChecker for HeaderSpaceChecker {
                 ancestors_of_changed.contains(**initial)
                     || paths
                         .iter()
+                        .flatten()
                         .any(|p| p.iter().any(|s| changed_set.contains(*s)))
             })
             .map(|(initial, _)| *initial)
@@ -160,7 +175,7 @@ impl ModelChecker for HeaderSpaceChecker {
         let mut updated_paths = Vec::with_capacity(affected.len());
         for initial in &affected {
             let ingress_paths = Self::compute_paths(kripke, *initial);
-            visited_states += ingress_paths.iter().map(Vec::len).sum::<usize>();
+            visited_states += ingress_paths.iter().flatten().map(Vec::len).sum::<usize>();
             updated_paths.push((*initial, ingress_paths));
         }
         let cache = self.cache.as_mut().expect("cache present");

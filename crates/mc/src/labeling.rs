@@ -12,6 +12,14 @@
 //! can have different labels, and relabeling stops propagating as soon as a
 //! recomputed label is unchanged (the Figure 6 optimization).
 //!
+//! The labels are defined only on DAG-like structures. A configuration with
+//! a forwarding loop yields a structure with a longer cycle; a trace that
+//! enters a loop never ends, and it satisfies no specification. The states
+//! that reach a loop are exactly those a topological order leaves out, so
+//! they get no label: an initial state among them fails the check with a
+//! lasso round the loop as its counterexample, and the next relabel starts
+//! from scratch.
+//!
 //! Representation: per-state assignment vectors live in one flat backing
 //! `Vec<Assignment>` addressed through `(offset, len)` spans, and the
 //! region/dirty bookkeeping of `relabel` runs over dense [`StateSet`]
@@ -46,19 +54,16 @@ pub struct Labeling {
     /// relabel of a small region does not pay an O(total-states) allocation.
     /// Entries are only meaningful for the current call's region members.
     scratch_remaining: Vec<u32>,
+    /// The states that reach a forwarding loop, when the last (re)labeling
+    /// met one. They have no label.
+    looping: Option<StateSet>,
 }
 
 impl Labeling {
     /// Computes a labeling of `kripke` with respect to `phi` from scratch.
     ///
-    /// Returns the labeling and the number of states labeled (always the size
-    /// of the structure).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kripke` is not DAG-like (has a cycle that is not a sink
-    /// self-loop); the synthesizer rejects such configurations before
-    /// checking them.
+    /// Returns the labeling and the number of states labeled: the size of
+    /// the structure, less the states that reach a forwarding loop.
     pub fn label_all(kripke: &Kripke, phi: &Ltl) -> (Labeling, usize) {
         Labeling::with_spec(kripke, SpecCache::reuse(None, phi, kripke))
     }
@@ -72,6 +77,7 @@ impl Labeling {
             backing: Vec::with_capacity(kripke.len()),
             dead: 0,
             scratch_remaining: Vec::new(),
+            looping: None,
         };
         let count = labeling.recompute(kripke);
         (labeling, count)
@@ -88,15 +94,22 @@ impl Labeling {
         self.spans.resize(kripke.len(), (0, 0));
         self.backing.clear();
         self.dead = 0;
-        let order = kripke
-            .topological_order()
-            .expect("network Kripke structures are DAG-like");
+        let all: StateSet = kripke.states().collect();
+        let order = self.order(kripke, &all);
         for state in &order {
             let label = self.compute_label(kripke, *state);
             self.spans[state.0] = (self.backing.len() as u32, label.len() as u32);
             self.backing.extend(label);
         }
-        kripke.len()
+        order.len()
+    }
+
+    /// [`region_topological_order`], recording the states it leaves out.
+    fn order(&mut self, kripke: &Kripke, region: &StateSet) -> Vec<StateId> {
+        let (order, looping) =
+            region_topological_order(kripke, region, &mut self.scratch_remaining);
+        self.looping = looping;
+        order
     }
 
     /// The specification closure this labeling was computed for.
@@ -104,7 +117,8 @@ impl Labeling {
         &self.spec.closure
     }
 
-    /// The label of a state.
+    /// The label of a state; empty for a state that reaches a forwarding
+    /// loop.
     #[inline]
     pub fn label(&self, state: StateId) -> &[Assignment] {
         let (offset, len) = self.spans[state.0];
@@ -118,9 +132,10 @@ impl Labeling {
         if changed.is_empty() {
             return 0;
         }
-        if self.spans.len() != kripke.len() {
-            // The state space itself changed; fall back to a full relabel
-            // (reusing this labeling's storage).
+        if self.spans.len() != kripke.len() || self.looping.is_some() {
+            // The state space itself changed, or the last labeling left the
+            // states that reach a loop unlabeled; fall back to a full
+            // relabel (reusing this labeling's storage).
             self.spec.resolve(kripke);
             return self.recompute(kripke);
         }
@@ -129,9 +144,11 @@ impl Labeling {
         self.spec.resolve(kripke);
 
         // Restrict attention to ancestors of the changed states and process
-        // them in an order where successors-in-the-region come first.
+        // them in an order where successors-in-the-region come first. The
+        // structure was loop-free, so a loop now runs through a changed state
+        // and every state that reaches it is in the region.
         let region = kripke.ancestors(changed);
-        let order = region_topological_order(kripke, &region, &mut self.scratch_remaining);
+        let order = self.order(kripke, &region);
 
         let mut dirty: StateSet = changed.iter().copied().collect();
         let mut relabeled = 0;
@@ -154,7 +171,9 @@ impl Labeling {
     }
 
     /// Returns the first initial state (and offending assignment) whose label
-    /// contains an assignment violating the specification, if any.
+    /// contains an assignment violating the specification, if any. An initial
+    /// state that reaches a forwarding loop has no label: see
+    /// [`holds`](Self::holds).
     pub fn violating_initial(&self, kripke: &Kripke) -> Option<(StateId, Assignment)> {
         for state in kripke.initial_states() {
             for assignment in self.label(state) {
@@ -167,21 +186,48 @@ impl Labeling {
     }
 
     /// The checker outcome this labeling answers: success, or a failure
-    /// with the counterexample [`extract_path`](Self::extract_path) walks.
+    /// whose counterexample is a lasso round a forwarding loop or the path
+    /// [`extract_path`](Self::extract_path) walks.
     pub(crate) fn outcome(&self, kripke: &Kripke, stats: CheckStats) -> CheckOutcome {
-        match self.violating_initial(kripke) {
-            None => CheckOutcome::success(stats),
-            Some((initial, assignment)) => {
-                let path = self.extract_path(kripke, initial, &assignment);
-                CheckOutcome::failure(Some(Counterexample::from_states(kripke, path)), stats)
-            }
-        }
+        let path = match self.lasso(kripke) {
+            Some(lasso) => lasso,
+            None => match self.violating_initial(kripke) {
+                None => return CheckOutcome::success(stats),
+                Some((initial, assignment)) => self.extract_path(kripke, initial, &assignment),
+            },
+        };
+        CheckOutcome::failure(Some(Counterexample::from_states(kripke, path)), stats)
     }
 
     /// Returns `true` if every trace from every initial state satisfies the
-    /// specification.
+    /// specification: none enters a forwarding loop, and every one that ends
+    /// satisfies it.
     pub fn holds(&self, kripke: &Kripke) -> bool {
-        self.violating_initial(kripke).is_none()
+        self.lasso(kripke).is_none() && self.violating_initial(kripke).is_none()
+    }
+
+    /// A path from the first initial state that reaches a forwarding loop
+    /// round the loop, ending at the first state it repeats; `None` if no
+    /// initial state reaches a loop.
+    fn lasso(&self, kripke: &Kripke) -> Option<Vec<StateId>> {
+        let looping = self.looping.as_ref()?;
+        let mut state = kripke.initial_states().find(|s| looping.contains(*s))?;
+        let mut path = vec![state];
+        let mut seen = StateSet::with_capacity(kripke.len());
+        seen.insert(state);
+        // A state reaches a loop iff one of its other successors does.
+        while let Some(&next) = kripke
+            .successors(state)
+            .iter()
+            .find(|s| **s != state && looping.contains(**s))
+        {
+            path.push(next);
+            if !seen.insert(next) {
+                break;
+            }
+            state = next;
+        }
+        Some(path)
     }
 
     /// Extracts a violating path starting at `state`, whose label contains
@@ -301,6 +347,9 @@ impl Labeling {
 /// `region`, ignoring self-loops. Edges leaving the region are ignored: those
 /// successors already have correct labels.
 ///
+/// The order leaves out the region states that reach a cycle inside the
+/// region; they are returned second, or `None` if there are none.
+///
 /// `remaining` is a caller-owned scratch buffer of per-state counters; only
 /// the entries of region members are written and read, so it never needs
 /// clearing — a relabel of a small region stays O(region), not O(states).
@@ -308,7 +357,7 @@ fn region_topological_order(
     kripke: &Kripke,
     region: &StateSet,
     remaining: &mut Vec<u32>,
-) -> Vec<StateId> {
+) -> (Vec<StateId>, Option<StateSet>) {
     if remaining.len() < kripke.len() {
         remaining.resize(kripke.len(), 0);
     }
@@ -335,8 +384,10 @@ fn region_topological_order(
             }
         }
     }
-    debug_assert_eq!(order.len(), size, "region must be acyclic");
-    order
+    // A state is left out iff it keeps a successor that is left out.
+    let looping =
+        (order.len() < size).then(|| region.iter().filter(|s| remaining[s.0] > 0).collect());
+    (order, looping)
 }
 
 #[cfg(test)]
@@ -465,6 +516,58 @@ mod tests {
                 assert_eq!(labeling.label(state), fresh.label(state), "round {round}");
             }
         }
+    }
+
+    /// Figure 6 with J pointed at a new state X that forwards back to J: the
+    /// loop J <-> X is reachable from H.
+    fn figure6_with_a_loop() -> (Kripke, Vec<StateId>) {
+        let (mut k, mut ids) = figure6();
+        let x = k.add_state(key(7), label(7));
+        k.add_transition(x, ids[2]);
+        ids.push(x);
+        (k, ids)
+    }
+
+    #[test]
+    fn a_reachable_loop_fails_with_a_lasso() {
+        let (mut k, ids) = figure6_with_a_loop();
+        let (h, j, x) = (ids[0], ids[2], ids[7]);
+        // Any spec, even one every ending trace satisfies.
+        let phi = Ltl::True;
+        let (mut labeling, _) = Labeling::label_all(&k, &phi);
+        assert!(labeling.holds(&k), "no loop yet");
+        k.set_successors(j, vec![x]);
+        labeling.relabel(&k, &[j]);
+        assert!(!labeling.holds(&k));
+        let (fresh, labeled) = Labeling::label_all(&k, &phi);
+        assert!(!fresh.holds(&k));
+        assert_eq!(labeled, k.len() - 3, "H, J and X reach the loop");
+        let stats = CheckStats::default();
+        let lasso = fresh.outcome(&k, stats).counterexample.expect("a lasso");
+        assert_eq!(lasso.states, [h, j, x, j]);
+        assert_eq!(labeling.outcome(&k, stats), fresh.outcome(&k, stats));
+        // Out of the loop again: the next relabel starts from scratch.
+        k.set_successors(j, vec![ids[5], ids[6]]);
+        assert_eq!(labeling.relabel(&k, &[j]), k.len());
+        let (fresh, _) = Labeling::label_all(&k, &phi);
+        for state in k.states() {
+            assert_eq!(labeling.label(state), fresh.label(state));
+        }
+        assert!(labeling.holds(&k));
+    }
+
+    #[test]
+    fn a_loop_no_initial_state_reaches_is_no_violation() {
+        let (mut k, ids) = figure6_with_a_loop();
+        let (j, x) = (ids[2], ids[7]);
+        // H no longer reaches J; J <-> X loops on its own.
+        k.set_successors(ids[0], vec![ids[1]]);
+        k.set_successors(j, vec![x]);
+        let phi = builders::reachability(Prop::switch(3));
+        let (labeling, _) = Labeling::label_all(&k, &Ltl::True);
+        assert!(labeling.holds(&k));
+        let (labeling, _) = Labeling::label_all(&k, &phi);
+        assert!(!labeling.holds(&k), "H -> I -> L misses s3");
     }
 
     #[test]

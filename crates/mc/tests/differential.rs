@@ -13,7 +13,9 @@
 //!   [`Labeling::label_all`] on every state's assignment vector.
 //!
 //! Both oracles also run on specs padded with tautologies, so every
-//! assignment spans two 64-bit words or more.
+//! assignment spans two 64-bit words or more. The trace oracle runs once more
+//! on configurations where one switch forwards out of two ports, so some
+//! states have two successors, and some configurations loop.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,7 +26,9 @@ use netupd_kripke::{Kripke, NetworkKripke, StateRole};
 use netupd_ltl::semantics;
 use netupd_ltl::{Ltl, Prop};
 use netupd_mc::Labeling;
-use netupd_model::{Configuration, HostId, Network, Topology, TrafficClass};
+use netupd_model::{
+    Action, Configuration, Endpoint, HostId, Network, Rule, Table, Topology, TrafficClass,
+};
 use netupd_topo::scenario::{diamond_scenario, PropertyKind};
 use netupd_topo::{generators, UpdateScenario};
 
@@ -98,13 +102,70 @@ fn padded_spec(spec: &Ltl, width: u32) -> Ltl {
     Ltl::and_all(padding.chain(std::iter::once(spec.clone())))
 }
 
-/// The labeling of `spec` agrees with the trace oracle on every arrival
-/// state, for both the initial and the final configuration.
+/// `scenario` with one switch of each configuration forwarding every packet
+/// out of a second, switch-facing port as well: generated rules forward out
+/// of one port only, so this is where states get two successors. A
+/// configuration may loop now.
+fn branched(scenario: &UpdateScenario, seed: u64) -> UpdateScenario {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xb2a2_c4ed);
+    let topology = scenario.topology().clone();
+    let mut branched = scenario.clone();
+    for config in [&mut branched.initial, &mut branched.final_config] {
+        let switches: Vec<_> = config.switches().collect();
+        let Some(&sw) = switches.choose(&mut rng) else {
+            continue;
+        };
+        let ports: Vec<_> = (topology.links_from_switch(sw))
+            .filter_map(|(_, link)| match (link.src, link.dst) {
+                (Endpoint::SwitchPort(_, port), Endpoint::SwitchPort(..)) => Some(port),
+                _ => None,
+            })
+            .collect();
+        let table = config.table(sw);
+        let rules = table.iter().map(|rule| {
+            let used: Vec<_> = rule
+                .actions()
+                .iter()
+                .filter_map(Action::forward_port)
+                .collect();
+            let spare: Vec<_> = ports.iter().filter(|p| !used.contains(p)).collect();
+            let mut actions = rule.actions().to_vec();
+            actions.extend(spare.choose(&mut rng).map(|port| Action::Forward(**port)));
+            Rule::new(rule.priority(), rule.pattern().clone(), actions)
+        });
+        config.set_table(sw, Table::new(rules.collect()));
+    }
+    branched
+}
+
+/// The labeling of `spec` agrees with the trace oracle, for both the initial
+/// and the final configuration: on every arrival state of a DAG-like
+/// structure, and on the verdict of one with a loop.
 fn assert_labeling_matches_trace_oracle(scenario: &UpdateScenario, spec: &Ltl, seed: u64) {
     let encoder = encoder_for(scenario);
     for config in [&scenario.initial, &scenario.final_config] {
         let kripke = encoder.encode(config);
         let (labeling, _) = Labeling::label_all(&kripke, spec);
+        let oracle = |state| {
+            let key = kripke.key(state);
+            let class = &scenario.classes()[key.class];
+            oracle_all_traces_satisfy(
+                scenario.topology(),
+                config,
+                class,
+                key.switch,
+                key.port,
+                spec,
+            )
+        };
+        if !kripke.is_dag_like() {
+            assert_eq!(
+                labeling.holds(&kripke),
+                kripke.initial_states().all(oracle),
+                "seed {seed}: the verdict on a loop disagrees with the trace oracle"
+            );
+            continue;
+        }
         for state in kripke.states() {
             let key = kripke.key(state);
             // Egress states are not trace starting points; the oracle is
@@ -112,18 +173,9 @@ fn assert_labeling_matches_trace_oracle(scenario: &UpdateScenario, spec: &Ltl, s
             if key.role != StateRole::Arrival {
                 continue;
             }
-            let class = &scenario.classes()[key.class];
-            let oracle = oracle_all_traces_satisfy(
-                scenario.topology(),
-                config,
-                class,
-                key.switch,
-                key.port,
-                spec,
-            );
             assert_eq!(
                 label_says_holds(&labeling, state),
-                oracle,
+                oracle(state),
                 "seed {seed}: state {key} disagrees with the trace oracle"
             );
         }
@@ -166,11 +218,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Interned labeling agrees with the trace-semantics oracle on every
-    /// arrival state, for both the initial and the final configuration.
+    /// arrival state, for both the initial and the final configuration, and
+    /// again once one switch of each forwards out of two ports.
     #[test]
     fn interned_labeling_matches_trace_oracle(seed in 0u64..64) {
         let Some(scenario) = scenario_for_seed(seed) else { return Ok(()); };
         assert_labeling_matches_trace_oracle(&scenario, &scenario.spec, seed);
+        assert_labeling_matches_trace_oracle(&branched(&scenario, seed), &scenario.spec, seed);
     }
 
     /// `relabel` agrees with `label_all` after random sequences of switch

@@ -16,12 +16,12 @@ const SMOKE_SEED: u64 = 0x5eed_cafe;
 #[test]
 fn the_behavior_matrix_is_fully_populated() {
     // The differential claim below is only as strong as the matrix is wide:
-    // 4 backends × 2 strategies.
+    // 3 backends × 2 strategies.
     let cells = Cell::all();
-    assert_eq!(cells.len(), 8);
+    assert_eq!(cells.len(), 6);
     let backends: std::collections::BTreeSet<String> =
         cells.iter().map(|c| format!("{}", c.backend)).collect();
-    assert_eq!(backends.len(), 4, "expected 4 distinct backends");
+    assert_eq!(backends.len(), 3, "expected 3 distinct backends");
 }
 
 #[test]
