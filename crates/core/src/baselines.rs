@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use netupd_model::{Action, Command, CommandSeq, Field, Priority, Rule, SwitchId, Table};
+use netupd_model::{Action, CommandSeq, Field, Priority, Rule, SwitchId, Table};
 
 use crate::problem::UpdateProblem;
 
@@ -159,14 +159,6 @@ pub fn ordering_rule_overhead(problem: &UpdateProblem) -> BTreeMap<SwitchId, usi
         .collect()
 }
 
-/// Returns `true` if a command sequence contains no waits (used to verify the
-/// naïve baseline in tests and benches).
-pub fn has_no_waits(commands: &CommandSeq) -> bool {
-    !commands
-        .iter()
-        .any(|c| matches!(c, Command::Incr | Command::Flush))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +180,7 @@ mod tests {
         let problem = sample_problem();
         let commands = naive_update(&problem);
         assert_eq!(commands.num_updates(), problem.switches_to_update().len());
-        assert!(has_no_waits(&commands));
+        assert_eq!(commands.len(), commands.num_updates());
     }
 
     #[test]

@@ -168,11 +168,6 @@ impl UnitOrdering {
         }
     }
 
-    /// Number of *distinct* learnt constraint clauses.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Number of [`propose`](UnitOrdering::propose) calls made (the
     /// SAT-guided strategy's CEGIS iteration count).
     pub fn proposals(&self) -> usize {
@@ -450,7 +445,6 @@ mod tests {
         assert!(store.learn_counterexample(&[sw(1), sw(2)], &applied, &unit_of));
         assert!(!store.learn_counterexample(&[sw(2), sw(1)], &applied, &unit_of));
         assert_eq!(store.rows.len(), 1);
-        assert_eq!(store.num_constraints(), 1);
     }
 
     proptest! {
@@ -510,7 +504,7 @@ mod tests {
         assert_eq!(first, vec![0, 1, 2, 3]);
         assert_eq!(first, second);
         assert_eq!(store.proposals(), 2);
-        assert_eq!(store.num_constraints(), 0);
+        assert_eq!(store.solver_stats().clauses, 0);
     }
 
     #[test]
@@ -582,7 +576,7 @@ mod tests {
         assert!(!store.learn_counterexample(&[sw(4), sw(6)], &updated, &unit_of));
         assert!(!store.learn_counterexample(&[sw(5)], &updated, &unit_of));
         assert!(!store.learn_counterexample(&[sw(9), sw(5)], &updated, &unit_of));
-        assert_eq!(store.num_constraints(), 1);
+        assert_eq!(store.solver_stats().clauses, 1);
         assert_eq!(store.propose(), Some(vec![0, 2, 1]));
     }
 
@@ -591,7 +585,7 @@ mod tests {
         let mut store = UnitOrdering::new(3);
         assert!(store.require_some_before(&[0], &[1, 2]));
         assert!(!store.require_some_before(&[0], &[1, 2]));
-        assert_eq!(store.num_constraints(), 1);
+        assert_eq!(store.solver_stats().clauses, 1);
     }
 
     #[test]

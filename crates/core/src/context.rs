@@ -25,7 +25,7 @@ use std::ops::ControlFlow;
 
 use netupd_kripke::{Kripke, NetworkKripke, StateId};
 use netupd_ltl::Ltl;
-use netupd_mc::{Backend, CheckOutcome, ModelChecker, SequenceOutcome, SequenceStep};
+use netupd_mc::{Backend, CheckOutcome, ModelChecker};
 use netupd_model::{CommandSeq, Configuration, SwitchId, Table};
 
 use crate::problem::UpdateProblem;
@@ -104,35 +104,6 @@ impl CheckContext {
         changed.sort_unstable();
         changed.dedup();
         self.checker.recheck(&self.kripke, spec, &changed)
-    }
-
-    /// Verifies an update-step sequence starting from `base` on the search
-    /// structure: syncs to `base` by per-switch diff, then walks the steps
-    /// through the checker's first-failing-prefix entry
-    /// ([`ModelChecker::check_sequence`]), folding the sync's rewired states
-    /// into the first recheck so no separate baseline query is paid.
-    ///
-    /// The context's tracked configuration is updated to wherever the walk
-    /// stopped (base plus the applied steps), which is what lets the next
-    /// CEGIS iteration (or the next request) sync by diff again.
-    pub(crate) fn verify_sequence(
-        &mut self,
-        encoder: &NetworkKripke,
-        base: &Configuration,
-        spec: &Ltl,
-        steps: &[SequenceStep],
-    ) -> SequenceOutcome {
-        self.sync_deferred(encoder, base);
-        let carried = std::mem::take(&mut self.pending);
-        let outcome = self
-            .checker
-            .check_sequence(encoder, &mut self.kripke, spec, &carried, steps);
-        // The sync left `self.config` at `base`; advance it by the steps
-        // the walk actually applied.
-        for step in &steps[..outcome.steps_applied] {
-            self.config.set_table(step.switch, step.table.clone());
-        }
-        outcome
     }
 }
 

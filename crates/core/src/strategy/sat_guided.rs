@@ -9,12 +9,10 @@
 //!    units consistent with every learnt precedence clause
 //!    ([`UnitOrdering::propose`]): one lex-first walk over the applied-unit
 //!    sets no learnt clause excludes.
-//! 2. **Verify.** Check the candidate sequence with the configured backend
-//!    through the first-failing-prefix entry
-//!    ([`ModelChecker::check_sequence`](netupd_mc::ModelChecker)): walk the
-//!    order, recheck incrementally after every step, stop at the first
-//!    violating prefix and extract its counterexample trace — one call per
-//!    candidate.
+//! 2. **Verify.** Walk the candidate with the configured backend by the
+//!    move the DFS is made of: one `step` and one incremental `recheck` per
+//!    prefix, stopping at the first violating prefix and taking its
+//!    counterexample trace.
 //! 3. **Learn.** Refute the failure: at switch granularity with a
 //!    counterexample in hand, the §4.2 B clause "some not-yet-updated switch
 //!    on the trace must precede some updated one"; otherwise (rule
@@ -43,7 +41,6 @@
 use std::collections::HashSet;
 
 use netupd_kripke::NetworkKripke;
-use netupd_mc::SequenceStep;
 use netupd_model::Configuration;
 
 use crate::constraints::UnitOrdering;
@@ -105,24 +102,27 @@ pub(crate) fn solve(
             });
         }
 
-        let first_failure = if start == n {
-            // Every prefix of this order was verified in earlier iterations.
-            None
-        } else {
-            // Materialize the candidate: one table-install step per unit,
-            // and the configuration the walk starts from (the initial one
-            // with the skipped prefix applied).
-            let (steps, base) = materialize(problem, units, &order, start);
-            let outcome = ctx.verify_sequence(encoder, &base, &problem.spec, &steps[start..]);
-            stats.model_checker_calls += outcome.checks;
-            stats.states_relabeled += outcome.states_labeled;
-            outcome.first_failure.map(|local| {
-                (
-                    start + local,
-                    outcome.counterexample.map(|cex| cex.switches),
-                )
-            })
-        };
+        // Walk the candidate from its first unverified prefix: sync to the
+        // initial configuration with `order[..start]` applied (its rewired
+        // states fold into the first recheck, so no baseline query is
+        // paid), then one step and one recheck per unit, stopping at the
+        // first violating prefix.
+        let mut first_failure = None;
+        if start < n {
+            ctx.sync_deferred(encoder, &applied_config(problem, units, &order[..start]));
+            for (k, &index) in order.iter().enumerate().skip(start) {
+                let unit = &units[index];
+                let table = unit.apply(ctx.config());
+                ctx.step(encoder, unit.switch(), table);
+                let outcome = ctx.recheck(&problem.spec);
+                stats.model_checker_calls += 1;
+                stats.states_relabeled += outcome.stats.states_labeled;
+                if !outcome.holds {
+                    first_failure = Some((k, outcome.counterexample.map(|cex| cex.switches)));
+                    break;
+                }
+            }
+        }
 
         // Record the prefixes this iteration proved to hold.
         let held_through = match &first_failure {
@@ -171,34 +171,17 @@ fn fill_cegis_stats(stats: &mut SynthStats, store: &UnitOrdering) {
     stats.cegis_iterations = store.proposals();
 }
 
-/// Builds the candidate's step sequence — one table-install per unit — and
-/// the configuration before step `start`, with a single clone of the initial
-/// configuration: steps before `start` walk that clone, later ones walk an
-/// overlay holding only the switches they touch (a unit reads no table but
-/// its own switch's).
-fn materialize(
+/// The initial configuration with the units of `prefix` applied in order.
+fn applied_config(
     problem: &UpdateProblem,
     units: &[UpdateUnit],
-    order: &[usize],
-    start: usize,
-) -> (Vec<SequenceStep>, Configuration) {
-    let mut base = problem.initial.clone();
-    let mut overlay = Configuration::new();
-    let mut steps = Vec::with_capacity(order.len());
-    for (k, &index) in order.iter().enumerate() {
+    prefix: &[usize],
+) -> Configuration {
+    let mut config = problem.initial.clone();
+    for &index in prefix {
         let unit = &units[index];
-        let switch = unit.switch();
-        let config = if k < start {
-            &mut base
-        } else {
-            if overlay.table_ref(switch).is_none() {
-                overlay.set_table(switch, base.table(switch));
-            }
-            &mut overlay
-        };
-        let table = unit.apply(config);
-        config.set_table(switch, table.clone());
-        steps.push(SequenceStep { switch, table });
+        let table = unit.apply(&config);
+        config.set_table(unit.switch(), table);
     }
-    (steps, base)
+    config
 }

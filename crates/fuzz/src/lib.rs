@@ -3,7 +3,7 @@
 //! The harness generates random update-synthesis cases — topologies,
 //! configuration changes, enriched LTL specifications, and failure-injected
 //! churn streams — and runs every case through the full behavior matrix
-//! (4 model-checking backends × 2 search strategies, both
+//! (3 model-checking backends × 2 search strategies, both
 //! fresh per request and through a reused [`UpdateEngine`]), cross-checking
 //! all results against each other and against two implementation-independent
 //! oracles: the finite-trace LTL semantics and the probe simulator.
@@ -38,8 +38,6 @@ use std::fmt::Write as _;
 pub use generator::{case_seed, generate_case, FuzzCase};
 pub use matrix::{check_stream, Cell, MatrixFailure, StreamStats};
 pub use shrink::{minimize, render_reproducer};
-
-use netupd_synth::Granularity;
 
 /// What to fuzz and how.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,13 +98,12 @@ impl FuzzReport {
     pub fn summary(&self) -> String {
         let mut out = format!(
             "fuzz(seed={:#x}): {} case(s), {} solved, {} infeasible, {} endpoint-violating, \
-             {} sequence(s) oracle-verified, {} discrepanc{}",
+             {} discrepanc{}",
             self.seed,
             self.cases_run,
             self.stats.solved,
             self.stats.infeasible,
             self.stats.endpoint_violations,
-            self.stats.verified_sequences,
             self.discrepancies.len(),
             if self.discrepancies.len() == 1 {
                 "y"
@@ -179,12 +176,8 @@ pub fn run(options: &FuzzOptions) -> FuzzReport {
             Ok(stats) => {
                 report.stats.absorb(stats);
                 format!(
-                    "{}: ok solved={} infeasible={} endpoint={} verified={}",
-                    case.descriptor,
-                    stats.solved,
-                    stats.infeasible,
-                    stats.endpoint_violations,
-                    stats.verified_sequences
+                    "{}: ok solved={} infeasible={} endpoint={}",
+                    case.descriptor, stats.solved, stats.infeasible, stats.endpoint_violations
                 )
             }
             Err(discrepancy) => {
@@ -204,12 +197,6 @@ pub fn run(options: &FuzzOptions) -> FuzzReport {
 pub fn reproduce(master_seed: u64, index: usize) -> Result<StreamStats, Discrepancy> {
     let case = generate_case(master_seed, index);
     check_case(&case, true)
-}
-
-/// The granularity distribution is part of the generator's public contract;
-/// re-exported so tests can assert over it without reaching into internals.
-pub fn granularities() -> [Granularity; 2] {
-    [Granularity::Switch, Granularity::Rule]
 }
 
 #[cfg(test)]

@@ -11,16 +11,19 @@
 //! 2. **verdict agreement** — all cells must agree per request on the
 //!    verdict kind (a failure matches whatever its core and statistics, as
 //!    in `tests/strategy_differential.rs`);
-//! 3. **trace oracle** — every distinct solved sequence is replayed prefix by
-//!    prefix through `netupd_synth::exec::check_on_traces` (the trace
-//!    semantics, no model checker involved);
-//! 4. **probe simulator** — the sequence and its wait-minimized form are
+//! 3. **order agreement** — on a solved request every cell must commit the
+//!    same unit order and the same commands. Check outcomes are a pure
+//!    function of the configuration on every backend, and both strategies
+//!    commit the lex-min correct order (DFS walks units in index order and
+//!    prunes only orders no correct one extends; SAT-guided proposes the
+//!    lex-min order its learnt clauses allow), so the committed order is a
+//!    function of the problem alone;
+//! 4. **trace oracle** — the agreed sequence is replayed prefix by prefix
+//!    through `netupd_synth::exec::check_on_traces` (the trace semantics, no
+//!    model checker involved);
+//! 5. **probe simulator** — the sequence and its wait-minimized form are
 //!    executed against the operational semantics with a probe stream; a
 //!    solved update must not drop a probe.
-//!
-//! Sequences are *not* required to agree across backends or strategies — the
-//! paper's search is free to commit any correct order — which is exactly why
-//! checks 3 and 4 verify each distinct sequence independently.
 
 use netupd_mc::Backend;
 use netupd_model::CommandSeq;
@@ -77,15 +80,13 @@ pub struct MatrixFailure {
 /// Aggregate statistics of a clean matrix run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Requests for which every cell committed a sequence.
+    /// Requests for which every cell committed the same sequence, verified
+    /// against the trace oracle and the probe simulator.
     pub solved: usize,
     /// Requests every cell reported as having no correct ordering.
     pub infeasible: usize,
     /// Requests rejected because an endpoint configuration violates the spec.
     pub endpoint_violations: usize,
-    /// Distinct sequences verified against the trace oracle and the probe
-    /// simulator.
-    pub verified_sequences: usize,
 }
 
 impl StreamStats {
@@ -94,7 +95,6 @@ impl StreamStats {
         self.solved += other.solved;
         self.infeasible += other.infeasible;
         self.endpoint_violations += other.endpoint_violations;
-        self.verified_sequences += other.verified_sequences;
     }
 }
 
@@ -178,7 +178,7 @@ pub fn check_stream(
 
     let mut stats = StreamStats::default();
     for (request, problem) in problems.iter().enumerate() {
-        // Verdict agreement across every cell.
+        // Verdict and order agreement across every cell.
         let reference = verdict(&outcomes[0][request]);
         for (c, cell) in cells.iter().enumerate().skip(1) {
             let v = verdict(&outcomes[c][request]);
@@ -192,6 +192,18 @@ pub fn check_stream(
                     ),
                 ));
             }
+            if let (Ok(a), Ok(b)) = (&outcomes[0][request], &outcomes[c][request]) {
+                if a.order != b.order || a.commands != b.commands {
+                    return Err(fail(
+                        request,
+                        format!(
+                            "order mismatch: {} and {} commit different sequences",
+                            cells[0].label(),
+                            cell.label()
+                        ),
+                    ));
+                }
+            }
         }
         match reference.as_str() {
             "solved" => stats.solved += 1,
@@ -199,23 +211,14 @@ pub fn check_stream(
             _ => stats.endpoint_violations += 1,
         }
 
-        // Oracle and probe verification of every distinct committed sequence.
-        let mut seen: Vec<(&CommandSeq, String)> = Vec::new();
-        for (c, cell) in cells.iter().enumerate() {
-            if let Ok(update) = &outcomes[c][request] {
-                if seen.iter().any(|(cmds, _)| *cmds == &update.commands) {
-                    continue;
-                }
-                seen.push((&update.commands, cell.label()));
-                check_on_traces(problem, &update.commands)
-                    .map_err(|e| fail(request, format!("{}: {e}", cell.label())))?;
-                probe_check(problem, &update.commands, "synthesized sequence")
-                    .map_err(|e| fail(request, format!("{}: {e}", cell.label())))?;
-                let minimized = remove_unnecessary_waits(problem, &update.order);
-                probe_check(problem, &minimized, "wait-minimized sequence")
-                    .map_err(|e| fail(request, format!("{}: {e}", cell.label())))?;
-                stats.verified_sequences += 1;
-            }
+        // Oracle and probe verification of the one committed sequence.
+        if let Ok(update) = &outcomes[0][request] {
+            check_on_traces(problem, &update.commands).map_err(|e| fail(request, e))?;
+            probe_check(problem, &update.commands, "synthesized sequence")
+                .map_err(|e| fail(request, e))?;
+            let minimized = remove_unnecessary_waits(problem, &update.order);
+            probe_check(problem, &minimized, "wait-minimized sequence")
+                .map_err(|e| fail(request, e))?;
         }
     }
     Ok(stats)

@@ -400,11 +400,6 @@ impl Kripke {
         visited
     }
 
-    /// All sink states.
-    pub fn sinks(&self) -> Vec<StateId> {
-        self.states().filter(|s| self.is_sink(*s)).collect()
-    }
-
     /// The states whose key refers to the given switch, in id order.
     pub fn states_of_switch(&self, switch: SwitchId) -> Vec<StateId> {
         self.by_switch.get(&switch).cloned().unwrap_or_default()
@@ -532,7 +527,8 @@ mod tests {
         assert!(k.is_complete());
         assert!(k.is_dag_like());
         assert!(k.is_sink(d));
-        assert_eq!(k.sinks(), vec![d]);
+        let sinks: Vec<StateId> = k.states().filter(|&s| k.is_sink(s)).collect();
+        assert_eq!(sinks, vec![d]);
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //!   reference the checkers are tested against, evaluated by the textbook
 //!   definitions and sharing no code with the closure;
 //! * builders for the properties evaluated in the paper (reachability,
-//!   waypointing, service chaining) and several others ([`builders`]);
-//! * a small text parser and pretty-printer ([`parser`]).
+//!   waypointing, service chaining) and several others ([`builders`]).
 //!
 //! # Example
 //!
@@ -47,7 +46,6 @@ pub mod ast;
 pub mod builders;
 pub mod closure;
 pub mod intern;
-pub mod parser;
 pub mod prop;
 pub mod semantics;
 

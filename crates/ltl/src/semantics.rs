@@ -102,11 +102,6 @@ pub fn satisfies(trace: &Trace, phi: &Ltl) -> bool {
     !trace.has_loop() && satisfies_labels(&trace_labels(trace), phi)
 }
 
-/// Evaluates `phi` over every trace in a collection (`T ⊨ ϕ`).
-pub fn all_satisfy<'a, I: IntoIterator<Item = &'a Trace>>(traces: I, phi: &Ltl) -> bool {
-    traces.into_iter().all(|t| satisfies(t, phi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,14 +213,5 @@ mod tests {
     fn empty_trace_satisfies_everything() {
         let trace = Trace::new(Vec::new(), TraceEnd::Dropped);
         assert!(satisfies(&trace, &Ltl::False));
-    }
-
-    #[test]
-    fn all_satisfy_over_collection() {
-        let traces = vec![egress_trace(&[1, 2], 9), egress_trace(&[1, 3, 2], 9)];
-        let phi = Ltl::eventually(Ltl::prop(Prop::switch(2)));
-        assert!(all_satisfy(&traces, &phi));
-        let strict = Ltl::next(Ltl::prop(Prop::switch(2)));
-        assert!(!all_satisfy(&traces, &strict));
     }
 }

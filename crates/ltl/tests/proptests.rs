@@ -15,8 +15,8 @@ fn arb_prop() -> impl Strategy<Value = Prop> {
     (0u32..4).prop_map(Prop::switch)
 }
 
-/// Atoms covering every parser production: switches, ports, hosts, header
-/// fields, and the dropped sink.
+/// Atoms of every kind: switches, ports, hosts, header fields, and the
+/// dropped sink.
 fn arb_rich_prop() -> impl Strategy<Value = Prop> {
     prop_oneof![
         (0u32..6).prop_map(Prop::switch),
@@ -294,26 +294,6 @@ proptest! {
     #[test]
     fn closure_assignments_are_consistent(phi in arb_formula(), trace in arb_trace()) {
         agrees_with_semantics(&Closure::new(&phi), &phi, &trace)?;
-    }
-
-    /// The parser round-trips through the pretty-printer.
-    #[test]
-    fn parser_roundtrips_pretty_printer(phi in arb_formula()) {
-        let printed = phi.to_string();
-        let reparsed = netupd_ltl::parser::parse(&printed)
-            .unwrap_or_else(|e| panic!("failed to reparse `{printed}`: {e}"));
-        prop_assert_eq!(reparsed, phi);
-    }
-
-    /// The parser also round-trips the enriched builder grammar — nested
-    /// until chains, `G F` recurrence, and response properties — over the
-    /// full atom pool (ports, hosts, header fields, `dropped`).
-    #[test]
-    fn parser_roundtrips_builder_grammar(phi in arb_builder_formula()) {
-        let printed = phi.to_string();
-        let reparsed = netupd_ltl::parser::parse(&printed)
-            .unwrap_or_else(|e| panic!("failed to reparse `{printed}`: {e}"));
-        prop_assert_eq!(reparsed, phi);
     }
 
     /// Negation stays complementary on the enriched grammar as well.

@@ -151,10 +151,10 @@ pub trait ModelChecker: Send {
     /// incremental and header-space checkers relabel only affected states,
     /// batch pays a full check per step). `carried` is folded into
     /// the first step's change set — callers that synced the structure to the
-    /// walk's starting configuration by diff (the engine's cross-request
-    /// reuse, or a [`reset_to`](NetworkKripke::reset_to) re-point) pass the
-    /// states that sync rewired, so no separate "establish the baseline"
-    /// query is needed.
+    /// walk's starting configuration by diff (a
+    /// [`reset_to`](NetworkKripke::reset_to) re-point, say) pass the states
+    /// that sync rewired, so no separate "establish the baseline" query is
+    /// needed.
     ///
     /// On return the structure encodes the configuration after
     /// [`steps_applied`](SequenceOutcome::steps_applied) steps: all of them

@@ -27,7 +27,9 @@ use crate::spec::SpecCache;
 
 /// Maximum number of distinct paths tracked per initial state. Network
 /// configurations synthesized from the diamond workloads are far below this;
-/// the cap only guards against pathological inputs.
+/// the cap only guards against pathological inputs. An initial state with
+/// more paths fails the way a loop does: its unstored paths were never
+/// judged, so the check fails (without a counterexample) rather than pass.
 const MAX_PATHS_PER_INGRESS: usize = 16_384;
 
 /// NetPlumber-style incremental header-space path checker.
@@ -42,7 +44,7 @@ pub struct HeaderSpaceChecker {
 #[derive(Debug)]
 struct PathCache {
     /// Cached paths per initial state; `None` for one whose forwarding runs
-    /// into a loop.
+    /// into a loop or has more than [`MAX_PATHS_PER_INGRESS`] paths.
     paths: HashMap<StateId, Option<Vec<Vec<StateId>>>>,
     /// Number of states in the structure when the cache was built.
     states: usize,
@@ -88,7 +90,7 @@ impl HeaderSpaceChecker {
     }
 
     /// The forwarding paths from `initial`, or `None` if one runs into a
-    /// loop.
+    /// loop or there are more than [`MAX_PATHS_PER_INGRESS`].
     fn compute_paths(kripke: &Kripke, initial: StateId) -> Option<Vec<Vec<StateId>>> {
         let mut paths = Vec::new();
         let mut current = Vec::new();
@@ -98,7 +100,8 @@ impl HeaderSpaceChecker {
 }
 
 /// Appends the paths from `state` that extend `current` to `out`; `None` as
-/// soon as one revisits a state of its own path.
+/// soon as one revisits a state of its own path, or there are more than
+/// [`MAX_PATHS_PER_INGRESS`].
 fn collect_paths(
     kripke: &Kripke,
     state: StateId,
@@ -109,7 +112,7 @@ fn collect_paths(
         return None;
     }
     if out.len() >= MAX_PATHS_PER_INGRESS {
-        return Some(());
+        return None;
     }
     current.push(state);
     if kripke.is_sink(state) {
@@ -194,8 +197,9 @@ impl ModelChecker for HeaderSpaceChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::Backend;
     use crate::incremental::IncrementalChecker;
-    use netupd_kripke::NetworkKripke;
+    use netupd_kripke::{NetworkKripke, StateKey};
     use netupd_ltl::{builders, Prop};
     use netupd_model::prelude::*;
 
@@ -286,5 +290,48 @@ mod tests {
         assert_eq!(outcome.stats.states_labeled, 0);
         assert!(outcome.holds);
         let _ = s0;
+    }
+
+    /// One initial state branches into two chains of 14 diamonds, so each
+    /// branch has 2^14 paths and the two together exceed
+    /// `MAX_PATHS_PER_INGRESS`. Only the right-hand chain ends at `s99`,
+    /// which the spec forbids: a checker that judged only the paths it had
+    /// stored would pass it.
+    #[test]
+    fn more_paths_than_the_cap_fail_the_check_like_the_labeling_backends() {
+        let mut kripke = Kripke::new();
+        let mut next_switch = 0;
+        let mut state = |kripke: &mut Kripke, label: u32| {
+            next_switch += 1;
+            let key = StateKey::arrival(SwitchId(next_switch), PortId(1), 0);
+            kripke.add_state(key, [Prop::Switch(SwitchId(label))])
+        };
+        let root = state(&mut kripke, 0);
+        kripke.mark_initial(root);
+        for sink_label in [1, 99] {
+            let mut head = state(&mut kripke, 2);
+            kripke.add_transition(root, head);
+            for _ in 0..14 {
+                let (left, right, join) = (
+                    state(&mut kripke, 3),
+                    state(&mut kripke, 4),
+                    state(&mut kripke, 5),
+                );
+                for side in [left, right] {
+                    kripke.add_transition(head, side);
+                    kripke.add_transition(side, join);
+                }
+                head = join;
+            }
+            let sink = state(&mut kripke, sink_label);
+            kripke.add_transition(head, sink);
+            kripke.add_transition(sink, sink);
+        }
+        let spec = builders::always_avoids(Prop::Switch(SwitchId(99)));
+        let verdicts: Vec<bool> = Backend::ALL
+            .iter()
+            .map(|backend| backend.instantiate().check(&kripke, &spec).holds)
+            .collect();
+        assert_eq!(verdicts, [false; 3], "{:?}", Backend::ALL);
     }
 }

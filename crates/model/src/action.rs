@@ -28,11 +28,6 @@ impl Action {
             Action::SetField(..) => None,
         }
     }
-
-    /// Returns `true` if this action outputs a packet.
-    pub fn is_forward(&self) -> bool {
-        matches!(self, Action::Forward(_))
-    }
 }
 
 impl fmt::Display for Action {
@@ -52,12 +47,6 @@ mod tests {
     fn forward_port_extraction() {
         assert_eq!(Action::Forward(PortId(3)).forward_port(), Some(PortId(3)));
         assert_eq!(Action::SetField(Field::Tag, 1).forward_port(), None);
-    }
-
-    #[test]
-    fn is_forward() {
-        assert!(Action::Forward(PortId(0)).is_forward());
-        assert!(!Action::SetField(Field::Src, 2).is_forward());
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub enum Command {
 }
 
 impl Command {
-    /// The switch affected by this command, if it is an update.
-    pub fn updated_switch(&self) -> Option<SwitchId> {
-        match self {
-            Command::Update(sw, _) => Some(*sw),
-            Command::Incr | Command::Flush => None,
-        }
-    }
-
     /// Returns `true` if this command is a switch update.
     pub fn is_update(&self) -> bool {
         matches!(self, Command::Update(..))
@@ -162,17 +154,6 @@ impl CommandSeq {
         true
     }
 
-    /// Removes trailing `incr`/`flush` commands that follow the last update;
-    /// they have no effect on correctness.
-    pub fn trim_trailing_waits(&mut self) {
-        let last_update = self
-            .commands
-            .iter()
-            .rposition(Command::is_update)
-            .map_or(0, |i| i + 1);
-        self.commands.truncate(last_update);
-    }
-
     /// Concatenates two sequences.
     #[must_use]
     pub fn concat(mut self, other: CommandSeq) -> CommandSeq {
@@ -256,16 +237,6 @@ mod tests {
         assert_eq!(seq.num_updates(), 2);
         assert_eq!(seq.num_waits(), 2);
         assert_eq!(seq.len(), 6);
-    }
-
-    #[test]
-    fn trim_trailing_waits() {
-        let mut seq = CommandSeq::new();
-        seq.push(upd(1));
-        seq.push_wait();
-        seq.trim_trailing_waits();
-        assert_eq!(seq.len(), 1);
-        assert_eq!(seq.num_waits(), 0);
     }
 
     #[test]

@@ -106,13 +106,6 @@ impl Configuration {
             })
             .collect()
     }
-
-    /// Merges `other` into `self`, with `other`'s tables winning on conflict.
-    pub fn merge(&mut self, other: &Configuration) {
-        for (sw, table) in other.iter() {
-            self.set_table(sw, table.clone());
-        }
-    }
 }
 
 impl fmt::Display for Configuration {
@@ -195,13 +188,5 @@ mod tests {
         let explicit = unset.clone().with_table(SwitchId(3), Table::empty());
         assert!(unset.differing_switches(&explicit).is_empty());
         assert!(explicit.differing_switches(&unset).is_empty());
-    }
-
-    #[test]
-    fn merge_overwrites() {
-        let mut a = Configuration::new().with_table(SwitchId(1), simple_table(2));
-        let b = Configuration::new().with_table(SwitchId(1), simple_table(9));
-        a.merge(&b);
-        assert_eq!(a.table(SwitchId(1)), simple_table(9));
     }
 }

@@ -8,7 +8,7 @@ use crate::config::Configuration;
 use crate::packet::TrafficClass;
 use crate::topology::{Endpoint, Topology};
 use crate::trace::{Observation, Trace, TraceEnd};
-use crate::types::{HostId, PortId, SwitchId};
+use crate::types::{PortId, SwitchId};
 
 /// A static network: a topology together with the forwarding tables currently
 /// installed on its switches (and no pending controller commands).
@@ -52,15 +52,6 @@ impl Network {
         Network {
             topology: Arc::clone(&self.topology),
             config: self.config.updated(sw, table),
-        }
-    }
-
-    /// Replaces the whole configuration, keeping (sharing) the topology.
-    #[must_use]
-    pub fn with_config(&self, config: Configuration) -> Network {
-        Network {
-            topology: Arc::clone(&self.topology),
-            config,
         }
     }
 
@@ -146,32 +137,6 @@ impl Network {
         path.pop();
         visited.remove(&obs);
     }
-
-    /// Returns `true` if the two networks are trace-equivalent for the given
-    /// traffic classes (`N1 ≃ N2` in the paper): they generate exactly the
-    /// same single-packet traces.
-    pub fn trace_equivalent(&self, other: &Network, classes: &[TrafficClass]) -> bool {
-        classes.iter().all(|class| {
-            let mut a = self.single_packet_traces(class);
-            let mut b = other.single_packet_traces(class);
-            a.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
-            b.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
-            a == b
-        })
-    }
-
-    /// Returns `true` if some trace of `class` contains a forwarding loop.
-    pub fn has_loop(&self, class: &TrafficClass) -> bool {
-        self.single_packet_traces(class)
-            .iter()
-            .any(|t| t.has_loop())
-    }
-
-    /// Returns `true` if every trace of `class` reaches `host`.
-    pub fn all_reach(&self, class: &TrafficClass, host: HostId) -> bool {
-        let traces = self.single_packet_traces(class);
-        !traces.is_empty() && traces.iter().all(|t| t.reaches_host(host))
-    }
 }
 
 impl fmt::Display for Network {
@@ -188,7 +153,7 @@ mod tests {
     use crate::pattern::Pattern;
     use crate::rule::Rule;
     use crate::table::Table;
-    use crate::types::Priority;
+    use crate::types::{HostId, Priority};
 
     /// h0 -- s0 -- s1 -- h1, forwarding dst=1 from h0 to h1.
     fn line_network() -> (Network, HostId, HostId, SwitchId, SwitchId) {
@@ -259,31 +224,7 @@ mod tests {
             .with_table(s1, loop_rule(1));
         let net = Network::new(topo, config);
         let class = TrafficClass::new();
-        assert!(net.has_loop(&class));
-    }
-
-    #[test]
-    fn trace_equivalence_of_identical_configs() {
-        let (net, ..) = line_network();
-        let class = TrafficClass::new().with_field(Field::Dst, 1);
-        assert!(net.trace_equivalent(&net.clone(), &[class]));
-    }
-
-    #[test]
-    fn trace_inequivalence_after_update() {
-        let (net, _, _, s0, _) = line_network();
-        let class = TrafficClass::new().with_field(Field::Dst, 1);
-        let changed = net.updated(s0, Table::empty());
-        assert!(!net.trace_equivalent(&changed, &[class]));
-    }
-
-    #[test]
-    fn all_reach_requires_every_trace() {
-        let (net, _h0, h1, _s0, _s1) = line_network();
-        let class = TrafficClass::new().with_field(Field::Dst, 1);
-        // Packets entering at h1's side also carry dst=1 and are forwarded
-        // out of port 2 back toward h1, so every trace reaches h1.
-        assert!(net.all_reach(&class, h1));
+        assert!(net.single_packet_traces(&class).iter().any(Trace::has_loop));
     }
 
     #[test]

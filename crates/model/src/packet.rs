@@ -42,9 +42,6 @@ impl fmt::Display for Field {
     }
 }
 
-/// All standard fields, in a fixed order.
-pub const STANDARD_FIELDS: [Field; 4] = [Field::Src, Field::Dst, Field::Typ, Field::Tag];
-
 /// A concrete packet: a total assignment of values to the fields it carries.
 ///
 /// Fields that are absent behave as "don't care" both when matching patterns
@@ -186,13 +183,6 @@ impl TrafficClass {
             .map(|(f, v)| (*f, *v))
             .collect::<Packet>()
     }
-
-    /// Returns `true` if every packet of `other` is also in `self`.
-    pub fn subsumes(&self, other: &TrafficClass) -> bool {
-        self.constraints
-            .iter()
-            .all(|(f, v)| other.field(*f) == Some(*v))
-    }
 }
 
 impl fmt::Display for TrafficClass {
@@ -266,14 +256,6 @@ mod tests {
         let class = TrafficClass::new();
         assert!(Packet::new().in_class(&class));
         assert!(Packet::new().with_field(Field::Src, 5).in_class(&class));
-    }
-
-    #[test]
-    fn subsumption() {
-        let broad = TrafficClass::new().with_field(Field::Dst, 3);
-        let narrow = TrafficClass::flow(1, 3);
-        assert!(broad.subsumes(&narrow));
-        assert!(!narrow.subsumes(&broad));
     }
 
     #[test]

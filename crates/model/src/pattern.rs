@@ -71,16 +71,6 @@ impl Pattern {
         self.fields.iter().copied()
     }
 
-    /// Number of field constraints (the ingress port does not count).
-    pub fn num_field_constraints(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// Returns `true` if this pattern places no constraints at all.
-    pub fn is_wildcard(&self) -> bool {
-        self.in_port.is_none() && self.fields.is_empty()
-    }
-
     /// Returns `true` if `packet` arriving on `port` matches this pattern.
     pub fn matches(&self, packet: &Packet, port: PortId) -> bool {
         if let Some(p) = self.in_port {
@@ -138,7 +128,6 @@ mod tests {
     #[test]
     fn wildcard_matches_everything() {
         let pat = Pattern::any();
-        assert!(pat.is_wildcard());
         assert!(pat.matches(&Packet::new(), PortId(1)));
         assert!(pat.matches(&Packet::new().with_field(Field::Src, 9), PortId(2)));
     }
@@ -202,7 +191,6 @@ mod tests {
             .with_field(Field::Typ, 5);
         assert_eq!(one, other);
         assert_eq!(one.field(Field::Typ), Some(5));
-        assert_eq!(one.num_field_constraints(), 2);
         let fields: Vec<_> = one.fields().collect();
         assert_eq!(fields, vec![(Field::Src, 2), (Field::Typ, 5)]);
     }

@@ -78,11 +78,6 @@ impl Rule {
         }
         out
     }
-
-    /// Returns `true` if the rule drops all matching packets (has no forward).
-    pub fn is_drop(&self) -> bool {
-        !self.actions.iter().any(Action::is_forward)
-    }
 }
 
 impl fmt::Display for Rule {
@@ -151,7 +146,6 @@ mod tests {
     #[test]
     fn drop_rule_emits_nothing() {
         let rule = Rule::drop(Priority(10), Pattern::any());
-        assert!(rule.is_drop());
         assert!(rule.apply(&Packet::new()).is_empty());
     }
 

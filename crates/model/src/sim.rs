@@ -153,22 +153,6 @@ impl ProbeReport {
             self.total_received() as f64 / sent as f64
         }
     }
-
-    /// Fraction of probes received within the window `[from, to)` of
-    /// injection ticks, in `[0, 1]`. Uses sent counts as the denominator.
-    pub fn delivery_ratio_in(&self, from: u64, to: u64) -> f64 {
-        let sent: usize = self.sent_per_tick.range(from..to).map(|(_, c)| *c).sum();
-        let received: usize = self
-            .received_per_tick
-            .range(from..to)
-            .map(|(_, c)| *c)
-            .sum();
-        if sent == 0 {
-            1.0
-        } else {
-            received as f64 / sent as f64
-        }
-    }
 }
 
 /// Pending controller work derived from a [`CommandSeq`].
@@ -283,16 +267,6 @@ impl Simulator {
     /// Returns `true` if no packets are in flight anywhere in the network.
     pub fn is_quiescent(&self) -> bool {
         self.link_queues.iter().all(VecDeque::is_empty)
-    }
-
-    /// Returns `true` if the network is *stable*: all in-flight packets carry
-    /// the current epoch (no update is in progress from the packets' point of
-    /// view).
-    pub fn is_stable(&self) -> bool {
-        self.link_queues
-            .iter()
-            .flatten()
-            .all(|p| p.epoch == self.epoch)
     }
 
     /// Runs the simulation for `ticks` ticks (or until the configured

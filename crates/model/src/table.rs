@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::packet::{Packet, TrafficClass};
+use crate::packet::Packet;
 use crate::rule::Rule;
 use crate::types::PortId;
 
@@ -92,20 +92,6 @@ impl Table {
     /// Returns the highest-priority rule matching `packet` on `port`, if any.
     pub fn matching_rule(&self, packet: &Packet, port: PortId) -> Option<&Rule> {
         self.rules.iter().find(|r| r.matches(packet, port))
-    }
-
-    /// Restricts the table to the rules that could affect packets of `class`.
-    ///
-    /// Used by rule-granularity updates and the header-space checker to narrow
-    /// attention to the rules relevant to a traffic class.
-    pub fn restrict_to_class(&self, class: &TrafficClass) -> Table {
-        Table::new(
-            self.rules
-                .iter()
-                .filter(|r| r.overlaps_class(class, None))
-                .cloned()
-                .collect(),
-        )
     }
 
     /// Returns `true` if the two tables contain the same set of rules,
@@ -276,15 +262,6 @@ mod tests {
         let mut empty = Table::empty();
         assert_eq!(empty.remove_rule(&fwd_rule(1, 1, 1)), 0);
         assert_eq!(empty, Table::empty());
-    }
-
-    #[test]
-    fn restrict_to_class_keeps_overlapping_rules() {
-        let table = Table::new(vec![fwd_rule(1, 3, 1), fwd_rule(1, 4, 2)]);
-        let class = TrafficClass::new().with_field(Field::Dst, 3);
-        let restricted = table.restrict_to_class(&class);
-        assert_eq!(restricted.len(), 1);
-        assert_eq!(restricted.rules()[0].pattern().field(Field::Dst), Some(3));
     }
 
     #[test]

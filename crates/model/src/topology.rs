@@ -236,12 +236,6 @@ impl Topology {
             .find(|(_, l)| l.src == Endpoint::port(sw, out_port))
     }
 
-    /// The host reachable directly out of `(sw, out_port)`, if any.
-    pub fn host_from_port(&self, sw: SwitchId, out_port: PortId) -> Option<HostId> {
-        self.link_from_port(sw, out_port)
-            .and_then(|(_, l)| l.dst.as_host())
-    }
-
     /// The switch adjacent to `host`, with the port and direction host→switch.
     pub fn switch_of_host(&self, host: HostId) -> Option<(SwitchId, PortId)> {
         self.links.iter().find_map(|l| {
@@ -254,22 +248,6 @@ impl Topology {
                 None
             }
         })
-    }
-
-    /// Switch-level adjacency: all switches directly reachable from `sw`.
-    pub fn neighbor_switches(&self, sw: SwitchId) -> Vec<SwitchId> {
-        let mut out: Vec<SwitchId> = self
-            .links_from_switch(sw)
-            .filter_map(|(_, l)| l.dst.switch())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Returns `true` if the switch identifier exists in this topology.
-    pub fn contains_switch(&self, sw: SwitchId) -> bool {
-        self.switches.binary_search(&sw).is_ok() || self.switches.contains(&sw)
     }
 }
 
@@ -328,25 +306,10 @@ mod tests {
     }
 
     #[test]
-    fn host_from_port_lookup() {
-        let (topo, h0, s0, s1, h1) = line_topology();
-        assert_eq!(topo.host_from_port(s0, PortId(1)), Some(h0));
-        assert_eq!(topo.host_from_port(s1, PortId(2)), Some(h1));
-        assert_eq!(topo.host_from_port(s0, PortId(2)), None);
-    }
-
-    #[test]
     fn switch_of_host_lookup() {
         let (topo, h0, s0, s1, h1) = line_topology();
         assert_eq!(topo.switch_of_host(h0), Some((s0, PortId(1))));
         assert_eq!(topo.switch_of_host(h1), Some((s1, PortId(2))));
-    }
-
-    #[test]
-    fn neighbor_switches() {
-        let (topo, _, s0, s1, _) = line_topology();
-        assert_eq!(topo.neighbor_switches(s0), vec![s1]);
-        assert_eq!(topo.neighbor_switches(s1), vec![s0]);
     }
 
     #[test]

@@ -97,20 +97,9 @@ impl Trace {
         self.end == TraceEnd::Loop
     }
 
-    /// Returns `true` if the trace visits `switch` at any hop.
-    pub fn visits_switch(&self, switch: SwitchId) -> bool {
-        self.observations.iter().any(|o| o.switch == switch)
-    }
-
     /// The sequence of switches visited, in order (with repeats, if any).
     pub fn switch_path(&self) -> Vec<SwitchId> {
         self.observations.iter().map(|o| o.switch).collect()
-    }
-
-    /// Returns `true` if the trace is loop-free: no observation repeats.
-    pub fn is_loop_free(&self) -> bool {
-        let mut seen = std::collections::BTreeSet::new();
-        self.observations.iter().all(|o| seen.insert(o.clone()))
     }
 }
 
@@ -153,19 +142,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_visits_switch() {
+    fn trace_switch_path() {
         let t = Trace::new(vec![obs(1, 1), obs(2, 1)], TraceEnd::Dropped);
-        assert!(t.visits_switch(SwitchId(2)));
-        assert!(!t.visits_switch(SwitchId(3)));
         assert_eq!(t.switch_path(), vec![SwitchId(1), SwitchId(2)]);
     }
 
     #[test]
-    fn loop_free_detection() {
-        let fine = Trace::new(vec![obs(1, 1), obs(2, 1)], TraceEnd::Egress(HostId(0)));
-        assert!(fine.is_loop_free());
+    fn loop_detection() {
         let looping = Trace::new(vec![obs(1, 1), obs(2, 1), obs(1, 1)], TraceEnd::Loop);
-        assert!(!looping.is_loop_free());
         assert!(looping.has_loop());
     }
 

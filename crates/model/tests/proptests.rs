@@ -5,7 +5,6 @@ use proptest::prelude::*;
 
 use netupd_model::{
     Action, Command, CommandSeq, Field, Packet, Pattern, PortId, Priority, Rule, SwitchId, Table,
-    TrafficClass,
 };
 
 fn arb_packet() -> impl Strategy<Value = Packet> {
@@ -102,16 +101,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Restricting a table to a class never changes the behaviour of packets in that class.
-    #[test]
-    fn restriction_preserves_class_behaviour(table in arb_table(), dst in 0u64..4, port in 0u32..3) {
-        let class = TrafficClass::new().with_field(Field::Dst, dst);
-        let packet = class.representative();
-        let port = PortId(port);
-        let restricted = table.restrict_to_class(&class);
-        prop_assert_eq!(table.process(&packet, port), restricted.process(&packet, port));
     }
 
     /// Applying a table diff to the old table yields the new table (as a rule set).

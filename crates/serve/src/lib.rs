@@ -23,8 +23,9 @@
 //!   counted, never silently dropped, and never enqueued (so a shed can
 //!   never corrupt a tenant's stream);
 //! * **per-request metrics** ([`metrics`]): queue wait, service time and
-//!   engine hit/miss, aggregated into p50/p99 summaries; the synthesis
-//!   result carries its own [`SynthStats`](netupd_synth::SynthStats).
+//!   engine hit/miss on every outcome, and server-wide counters of
+//!   admissions, completions, sheds, engine hits and evictions; the
+//!   synthesis result carries its own [`SynthStats`](netupd_synth::SynthStats).
 //!
 //! # Determinism under concurrency
 //!
@@ -90,7 +91,7 @@ pub mod pool;
 pub mod server;
 
 pub use config::{ServeConfig, TenantId};
-pub use metrics::{EngineUse, LatencySummary, MetricsSnapshot, RequestMetrics};
+pub use metrics::{EngineUse, MetricsSnapshot, RequestMetrics};
 pub use server::{AdmissionError, ResponseHandle, ServeOutcome, UpdateServer};
 
 // The worker fleet moves engines and problems across threads; keep the

@@ -4,11 +4,10 @@
 //! how long synthesis took, and whether a warm engine was found in the pool.
 //! The synthesis core's work counters travel in the result itself, on
 //! success and on failure alike. The server
-//! additionally aggregates every completed request into a
-//! [`MetricsSnapshot`] — counters plus p50/p99 [`LatencySummary`]s.
-//!
-//! Percentiles use the nearest-rank definition over the full recorded sample
-//! set (no histogram bucketing), so `p50 ≤ p99 ≤ max` holds exactly.
+//! additionally counts admissions, completions, sheds, engine hits and
+//! evictions into a [`MetricsSnapshot`]. It keeps no per-request samples, so
+//! its memory does not grow with the requests it serves; a caller that wants
+//! latency percentiles computes them from the [`RequestMetrics`] it receives.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -50,49 +49,6 @@ pub struct RequestMetrics {
     pub engine: EngineUse,
 }
 
-/// Nearest-rank percentile summary of a latency sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LatencySummary {
-    /// Number of samples summarized.
-    pub samples: usize,
-    /// Arithmetic mean.
-    pub mean: Duration,
-    /// 50th percentile (nearest rank).
-    pub p50: Duration,
-    /// 99th percentile (nearest rank).
-    pub p99: Duration,
-    /// Largest sample.
-    pub max: Duration,
-}
-
-impl LatencySummary {
-    /// Summarizes a sample set. Sorts a copy; `p50 ≤ p99 ≤ max` by
-    /// construction. An empty set summarizes to all-zero.
-    pub fn from_samples(samples: &[Duration]) -> Self {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let total: Duration = sorted.iter().sum();
-        LatencySummary {
-            samples: sorted.len(),
-            mean: total / sorted.len() as u32,
-            p50: nearest_rank(&sorted, 0.50),
-            p99: nearest_rank(&sorted, 0.99),
-            max: *sorted.last().expect("non-empty"),
-        }
-    }
-}
-
-/// The nearest-rank percentile of an ascending-sorted non-empty sample set:
-/// the `ceil(q · n)`-th smallest sample (1-indexed).
-fn nearest_rank(sorted: &[Duration], q: f64) -> Duration {
-    debug_assert!(!sorted.is_empty());
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// A point-in-time snapshot of the server's aggregated metrics.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
@@ -110,14 +66,9 @@ pub struct MetricsSnapshot {
     pub engine_misses: usize,
     /// Engines evicted from the pool under the per-shard cap.
     pub engines_evicted: usize,
-    /// Queue-wait summary over all completed requests.
-    pub queue_wait: LatencySummary,
-    /// Service-time summary over all completed requests.
-    pub service_time: LatencySummary,
 }
 
-/// The server's live metrics aggregator. Counters and raw latency samples
-/// behind one mutex — touched once per request completion and once per shed,
+/// The server's live metrics aggregator. Counters behind one mutex — touched once per request completion and once per shed,
 /// which is negligible next to a synthesis call.
 #[derive(Debug, Default)]
 pub(crate) struct Metrics {
@@ -133,8 +84,6 @@ struct MetricsInner {
     engine_hits: usize,
     engine_misses: usize,
     engines_evicted: usize,
-    queue_waits: Vec<Duration>,
-    service_times: Vec<Duration>,
 }
 
 impl Metrics {
@@ -150,8 +99,8 @@ impl Metrics {
         self.inner.lock().expect("metrics lock").shed_global += 1;
     }
 
-    /// Records one completed request: its latencies, its engine hit/miss,
-    /// and the pool evictions observed while returning the engine.
+    /// Records one completed request: its engine hit/miss, and the pool
+    /// evictions observed while returning the engine.
     pub(crate) fn record_completed(&self, metrics: &RequestMetrics, evicted: usize) {
         let mut inner = self.inner.lock().expect("metrics lock");
         inner.completed += 1;
@@ -160,8 +109,6 @@ impl Metrics {
             EngineUse::Miss => inner.engine_misses += 1,
         }
         inner.engines_evicted += evicted;
-        inner.queue_waits.push(metrics.queue_wait);
-        inner.service_times.push(metrics.service_time);
     }
 
     /// Summarizes everything recorded so far.
@@ -175,50 +122,6 @@ impl Metrics {
             engine_hits: inner.engine_hits,
             engine_misses: inner.engine_misses,
             engines_evicted: inner.engines_evicted,
-            queue_wait: LatencySummary::from_samples(&inner.queue_waits),
-            service_time: LatencySummary::from_samples(&inner.service_times),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
-    }
-
-    #[test]
-    fn empty_summary_is_zero() {
-        let summary = LatencySummary::from_samples(&[]);
-        assert_eq!(summary.samples, 0);
-        assert_eq!(summary.p99, Duration::ZERO);
-    }
-
-    #[test]
-    fn nearest_rank_percentiles_are_ordered() {
-        let samples: Vec<Duration> = (1..=100).map(ms).collect();
-        let summary = LatencySummary::from_samples(&samples);
-        assert_eq!(summary.p50, ms(50));
-        assert_eq!(summary.p99, ms(99));
-        assert_eq!(summary.max, ms(100));
-        assert!(summary.p50 <= summary.p99 && summary.p99 <= summary.max);
-    }
-
-    #[test]
-    fn single_sample_collapses_all_percentiles() {
-        let summary = LatencySummary::from_samples(&[ms(7)]);
-        assert_eq!(summary.p50, ms(7));
-        assert_eq!(summary.p99, ms(7));
-        assert_eq!(summary.max, ms(7));
-        assert_eq!(summary.mean, ms(7));
-    }
-
-    #[test]
-    fn summary_is_order_independent() {
-        let a = LatencySummary::from_samples(&[ms(3), ms(1), ms(2)]);
-        let b = LatencySummary::from_samples(&[ms(1), ms(2), ms(3)]);
-        assert_eq!(a, b);
     }
 }

@@ -120,11 +120,6 @@ impl ResponseHandle {
             .recv()
             .expect("server dropped an admitted request (worker panicked?)")
     }
-
-    /// Non-blocking poll: the outcome if the request has been served.
-    pub fn try_wait(&self) -> Option<ServeOutcome> {
-        self.receiver.try_recv().ok()
-    }
 }
 
 /// One admitted, not-yet-served request.
@@ -288,13 +283,8 @@ impl UpdateServer {
         self.submit(tenant, problem).map(ResponseHandle::wait)
     }
 
-    /// Pauses the worker fleet: admitted requests queue up (and shed by the
-    /// normal rules) but none starts until [`resume`](Self::resume).
-    pub fn pause(&self) {
-        self.inner.sched.lock().expect("scheduler lock").paused = true;
-    }
-
-    /// Resumes a [paused](Self::pause) worker fleet.
+    /// Resumes a worker fleet started paused
+    /// ([`ServeConfig::start_paused`](crate::ServeConfig::start_paused)).
     pub fn resume(&self) {
         self.inner.sched.lock().expect("scheduler lock").paused = false;
         self.inner.work_ready.notify_all();

@@ -83,12 +83,4 @@ fn main() {
         "  engine pool       {} hits / {} misses / {} evicted",
         metrics.engine_hits, metrics.engine_misses, metrics.engines_evicted
     );
-    println!(
-        "  queue wait        p50 {:?}  p99 {:?}",
-        metrics.queue_wait.p50, metrics.queue_wait.p99
-    );
-    println!(
-        "  service time      p50 {:?}  p99 {:?}",
-        metrics.service_time.p50, metrics.service_time.p99
-    );
 }

@@ -17,7 +17,7 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`model`] | `netupd-model` | packets, rules, tables, topologies, command language, operational semantics |
-//! | [`ltl`] | `netupd-ltl` | LTL formulas in NNF, parser, closure node table over interned label rows, reference trace semantics |
+//! | [`ltl`] | `netupd-ltl` | LTL formulas in NNF, closure node table over interned label rows, reference trace semantics |
 //! | [`topo`] | `netupd-topo` | topology generators and update-scenario builders |
 //! | [`kripke`] | `netupd-kripke` | Kripke structures over `(switch, port, class)` states, one component per traffic class |
 //! | [`mc`] | `netupd-mc` | incremental model checking + header-space baseline backend |

@@ -1,17 +1,22 @@
 //! The public API the repo benchmark compiles against.
 //!
 //! `benchmark/` is a workspace of its own, so `cargo build && cargo test` at
-//! the root never compiles it, and a PR that renames or removes something it
-//! imports would break the performance gate unnoticed. This suite *uses*
+//! the root never compiles it, and a change that renames or removes something
+//! it imports would break the performance gate unnoticed. This suite *uses*
 //! exactly what `benchmark/src` imports from `netupd_synth` and
-//! `netupd_serve` — by the same paths, with the field types it relies on —
-//! so tier-1 stops compiling when one of them moves. Keep it in step with
-//! `benchmark/src/{workloads,run,replay,report}.rs`; it asserts little beyond
-//! that each entry point answers a small request.
+//! `netupd_serve`, and the checker-layer and oracle entry points its layer
+//! replay and correctness check call — by the same paths, with the field
+//! types it relies on — so tier-1 stops compiling when one of them moves.
+//! Keep it in step with `benchmark/src/{workloads,run,replay,oracle,report}.rs`;
+//! it asserts little beyond that each entry point answers a small request.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use netupd_kripke::{Kripke, NetworkKripke};
+use netupd_ltl::{semantics, Closure};
+use netupd_mc::{Backend, SequenceStep};
+use netupd_model::Network;
 use netupd_serve::{
     EngineUse, MetricsSnapshot, ResponseHandle, ServeConfig, TenantId, UpdateServer,
 };
@@ -167,4 +172,62 @@ fn the_server_surface_of_the_open_loop_workload() {
     let snapshot: MetricsSnapshot = server.metrics();
     assert_eq!(snapshot.submitted - snapshot.completed, 0);
     assert_eq!(snapshot.engines_evicted, 0);
+}
+
+/// The calls `benchmark/src/replay.rs` makes below the synthesizer, and the
+/// ones `benchmark/src/oracle.rs` makes to judge a committed sequence.
+#[test]
+fn the_checker_layer_and_oracle_entry_points() {
+    let problem = churn_problems(1).remove(0);
+    let spec = &problem.spec;
+    let update = Synthesizer::new(problem.clone())
+        .synthesize()
+        .expect("solvable");
+
+    let encoder = NetworkKripke::new(problem.topology.clone(), problem.classes.clone())
+        .with_ingress_hosts(problem.ingress_hosts.iter().copied());
+    let mut kripke: Kripke = encoder.encode(&problem.initial);
+    let sizes: [usize; 3] = [
+        Closure::new(spec).len(),
+        kripke.len(),
+        kripke.num_transitions(),
+    ];
+    assert!(sizes.iter().all(|&size| size > 0), "{sizes:?}");
+    let mut checker = Backend::Incremental.instantiate();
+    assert!(checker.check(&kripke, spec).holds);
+    let mut config = problem.initial.clone();
+    let mut steps = Vec::new();
+    for unit in &update.order {
+        let table = unit.apply(&config);
+        let changed = encoder.apply_switch_update(&mut kripke, unit.switch(), &table);
+        assert!(checker.recheck(&kripke, spec, &changed).holds);
+        config.set_table(unit.switch(), table.clone());
+        steps.push(SequenceStep {
+            switch: unit.switch(),
+            table,
+        });
+    }
+
+    let changed = encoder.reset_to(&mut kripke, &problem.initial);
+    assert!(!changed.is_empty());
+    for backend in [Backend::Incremental, Backend::Batch] {
+        let mut kripke = encoder.encode(&problem.initial);
+        let mut checker = backend.instantiate();
+        checker.check(&kripke, spec);
+        let walked = checker.check_sequence(&encoder, &mut kripke, spec, &[], &steps);
+        assert_eq!(walked.first_failure, None, "{backend}");
+    }
+
+    let network = Network::new(problem.topology.clone(), config);
+    for class in &problem.classes {
+        for host in &problem.ingress_hosts {
+            let (switch, port) = problem
+                .topology
+                .switch_of_host(*host)
+                .expect("ingress hosts are attached");
+            for trace in network.traces_from(switch, port, class) {
+                assert!(semantics::satisfies(&trace, spec), "{trace}");
+            }
+        }
+    }
 }

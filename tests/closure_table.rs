@@ -51,8 +51,8 @@ fn reference_nodes(root: &Ltl) -> Vec<Node> {
         .collect()
 }
 
-/// A spec and its negation (the product checker closes the negation) both
-/// number their subformulas as the reference does.
+/// A spec and its negation both number their subformulas as the reference
+/// does.
 fn assert_same_ids(spec: &Ltl) {
     for phi in [spec.clone(), spec.negated()] {
         let closure = Closure::new(&phi);

@@ -14,12 +14,9 @@
 //! expectation. Any future discrepancy found by the fuzzer should land here
 //! as a new pinned entry once minimized and fixed.
 //!
-//! The `verified` counts were re-pinned when the SAT-guided strategy gained
-//! its lexicographically-minimal proposal rule: `verified` counts *distinct*
-//! committed sequences across cells, and since DFS explores units in index
-//! order, its committed sequence is the lex-min feasible one too — so the
-//! strategies now agree on these cases and the distinct count dropped. The
-//! DFS verdicts and every solved/infeasible/endpoint count are unchanged.
+//! The digests carry no count of oracle-verified sequences: every cell must
+//! commit the same sequence on a solved request, and that one sequence is
+//! verified, so the count would always equal `solved`.
 
 use netupd_fuzz::{check_case, generate_case};
 
@@ -31,56 +28,56 @@ const CORPUS: &[(usize, &str)] = &[
     (
         0,
         "seed=0xf9684fd62e22e083 topo=waxman(n=11) kind=waypointing shape=churn[3] \
-         gran=switch enrich=response: ok solved=3 infeasible=0 endpoint=0 verified=3",
+         gran=switch enrich=response: ok solved=3 infeasible=0 endpoint=0",
     ),
     (
         1,
         "seed=0xfcbc2a31276c7aae topo=small_world(n=12) kind=waypointing \
          shape=double-diamond gran=switch enrich=none: ok solved=0 infeasible=0 \
-         endpoint=1 verified=0",
+         endpoint=1",
     ),
     (
         4,
         "seed=0xc5ff16c224524798 topo=figure1 kind=waypointing shape=partially-applied \
-         gran=rule enrich=until-chain: ok solved=1 infeasible=0 endpoint=1 verified=1",
+         gran=rule enrich=until-chain: ok solved=1 infeasible=0 endpoint=1",
     ),
     (
         7,
         "seed=0x6aecea827bd4cd4f topo=fat_tree(4) kind=reachability shape=churn[3] \
-         gran=rule enrich=until-chain: ok solved=3 infeasible=0 endpoint=0 verified=3",
+         gran=rule enrich=until-chain: ok solved=3 infeasible=0 endpoint=0",
     ),
     (
         9,
         "seed=0x6f7f615a771732f4 topo=small_world(n=14) kind=waypointing \
          shape=failure-churn[reroute,rollback,reroute] gran=switch enrich=fairness: \
-         ok solved=3 infeasible=0 endpoint=0 verified=3",
+         ok solved=3 infeasible=0 endpoint=0",
     ),
     (
         13,
         "seed=0xe2cd797a816eedc4 topo=waxman(n=9) kind=service-chaining \
          shape=failure-churn[reroute,link-failure,reroute] gran=switch enrich=response: \
-         ok solved=3 infeasible=0 endpoint=0 verified=3",
+         ok solved=3 infeasible=0 endpoint=0",
     ),
     (
         15,
         "seed=0xc78239ed57b995bd topo=figure1 kind=reachability shape=partially-applied \
-         gran=switch enrich=no-drops: ok solved=1 infeasible=0 endpoint=1 verified=1",
+         gran=switch enrich=no-drops: ok solved=1 infeasible=0 endpoint=1",
     ),
     (
         16,
         "seed=0x8fcc6a079ea37944 topo=figure1 kind=reachability shape=double-diamond \
-         gran=switch enrich=none: ok solved=0 infeasible=1 endpoint=0 verified=0",
+         gran=switch enrich=none: ok solved=0 infeasible=1 endpoint=0",
     ),
     (
         21,
         "seed=0x86ef71a4740814da topo=fat_tree(4) kind=waypointing \
          shape=multi-diamond[2] gran=switch enrich=until-chain: ok solved=1 \
-         infeasible=0 endpoint=0 verified=1",
+         infeasible=0 endpoint=0",
     ),
     (
         22,
         "seed=0x5245339c16fe769a topo=waxman(n=12) kind=service-chaining shape=diamond \
-         gran=rule enrich=none: ok solved=1 infeasible=0 endpoint=0 verified=1",
+         gran=rule enrich=none: ok solved=1 infeasible=0 endpoint=0",
     ),
 ];
 
@@ -88,12 +85,8 @@ fn digest_of(index: usize) -> String {
     let case = generate_case(CORPUS_SEED, index);
     match check_case(&case, true) {
         Ok(stats) => format!(
-            "{}: ok solved={} infeasible={} endpoint={} verified={}",
-            case.descriptor,
-            stats.solved,
-            stats.infeasible,
-            stats.endpoint_violations,
-            stats.verified_sequences
+            "{}: ok solved={} infeasible={} endpoint={}",
+            case.descriptor, stats.solved, stats.infeasible, stats.endpoint_violations
         ),
         Err(d) => format!("{}: FAIL {}\n{}", case.descriptor, d.detail, d.reproducer),
     }

@@ -49,10 +49,6 @@ fn fuzz_smoke() {
         "no case solved anything: {}",
         report.summary()
     );
-    assert!(
-        report.stats.verified_sequences >= report.stats.solved,
-        "every solved request contributes at least one verified sequence"
-    );
 }
 
 #[test]
