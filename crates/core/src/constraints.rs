@@ -20,7 +20,7 @@
 //!   back as a new clause.
 //!
 //! All three are questions about applied-unit sets, answered on the same
-//! list of rows: the store holds no propositional encoding and calls no
+//! list of clauses: the store holds no propositional encoding and calls no
 //! solver.
 //!
 //! The visited set `V` needs no type of its own: it is a
@@ -33,28 +33,6 @@ use netupd_model::SwitchId;
 use crate::search::SynthStats;
 use crate::units::UnitSet;
 
-/// Provenance of one learnt [`UnitOrdering`] clause, in unit indices.
-///
-/// Kept alongside the clause's row, so that an infeasibility verdict can be
-/// explained as the minimal conflicting set of counterexample-level facts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LearntConstraint {
-    /// Some unit of `before` must be applied before some unit of `after`
-    /// (the §4.2 B counterexample constraint).
-    SomeBefore {
-        /// Units not yet applied when the counterexample was observed.
-        before: Vec<usize>,
-        /// Units already applied when the counterexample was observed.
-        after: Vec<usize>,
-    },
-    /// The units of `applied` must not be exactly the units of a prefix of
-    /// the order.
-    PrefixSet {
-        /// The violating prefix set.
-        applied: UnitSet,
-    },
-}
-
 /// Effort counters of a [`UnitOrdering`]'s walks, in the shape the layer
 /// replay reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,7 +42,7 @@ pub struct OrderingStats {
     pub decisions: u64,
     /// Walks that found no order.
     pub conflicts: u64,
-    /// Distinct learnt rows.
+    /// Distinct learnt clauses.
     pub clauses: usize,
     /// Units the store orders.
     pub vars: usize,
@@ -74,14 +52,13 @@ pub struct OrderingStats {
 /// kept as the set test it is: with disjoint sides, an order violates the
 /// clause exactly when one of its prefix sets holds all of `after` and none
 /// of `before`.
-#[derive(Debug)]
-struct Row {
-    after: UnitSet,
-    before: UnitSet,
-    learnt: LearntConstraint,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Clause {
+    pub(crate) before: UnitSet,
+    pub(crate) after: UnitSet,
 }
 
-impl Row {
+impl Clause {
     fn excludes(&self, applied: &UnitSet) -> bool {
         self.after.is_subset(applied) && self.before.is_disjoint(applied)
     }
@@ -90,27 +67,27 @@ impl Row {
 /// The ordering store of every strategy: precedence constraints over *update
 /// units* (§4.2 B), with a canonical order extractor.
 ///
-/// ## One list of rows
+/// ## One kind of clause
 ///
-/// Every learnt clause is a row `(after, before)` of disjoint unit sets,
-/// deduplicated on the row. The §4.2 B clause "some unit of `B` precedes
-/// some unit of `A`" is the row `(A, B)`: an order violates it exactly when
-/// some prefix of the order contains all of `A` and none of `B`. Blocking a
-/// violating prefix set `S`
-/// ([`block_prefix_set`](UnitOrdering::block_prefix_set)) is the row
-/// `(S, complement of S)`, which matches `S` alone — sound for any
-/// granularity and backend, because applying a set of units yields the same
-/// configuration in any order. So an order satisfies the store exactly when
-/// none of its prefix sets `∅, {σ₀}, {σ₀, σ₁}, …, all` is
+/// Every learnt fact is a clause `(after, before)` of disjoint unit sets,
+/// deduplicated as a whole. The §4.2 B clause "some unit of `B` precedes
+/// some unit of `A`" has `after = A`, `before = B`: an order violates it
+/// exactly when some prefix of the order contains all of `A` and none of
+/// `B`. Blocking a violating prefix set `S`
+/// ([`block_prefix_set`](UnitOrdering::block_prefix_set)) is the clause with
+/// `after = S`, `before` = the complement of `S`, which matches `S` alone —
+/// sound for any granularity and backend, because applying a set of units
+/// yields the same configuration in any order. So an order satisfies the
+/// store exactly when none of its prefix sets `∅, {σ₀}, {σ₀, σ₁}, …, all` is
 /// [`excluded`](UnitOrdering::excludes), and every question the store is
 /// asked is a question about paths from `∅` to the full set through unit
-/// sets no row excludes. An empty side makes the root or the full set
+/// sets no clause excludes. An empty side makes the root or the full set
 /// excluded, so it correctly means "no order".
 ///
 /// ## The lex-min proposal rule
 ///
 /// [`propose`](UnitOrdering::propose) returns the **lexicographically
-/// minimal** total order consistent with every learnt row: a depth-first
+/// minimal** total order consistent with every learnt clause: a depth-first
 /// walk from `∅` that visits children in unit-index order, skips excluded
 /// sets, and remembers the sets it found no completion through. Ordered
 /// children enumerate paths lexicographically and the memo cuts only sets
@@ -120,37 +97,29 @@ impl Row {
 /// **correct** order, independent of which entailed clauses happen to be in
 /// the store.
 ///
-/// The dead-set memo splits the rows in two. A *clause*
-/// ([`require_some_before`](UnitOrdering::require_some_before)) names few
-/// units; a *block* names every unit but excludes one set, and a block some
-/// clause already excludes is left out of the walk — at switch granularity
-/// the SAT-guided strategy learns each block beside a clause that excludes
-/// it. Whether a set with no remaining block above it completes is then
-/// the clauses' verdict alone. A unit no clause names never changes that
-/// verdict and can always be appended last, so the memo keys such a set on
-/// its *named* part, its intersection with the union of the clauses' masks;
-/// a set below a block is keyed whole. A walk backs out of at most one
-/// chain of free units per dead named part, plus once per set below a
-/// block: exponential in the named units at worst, and each remaining block
-/// adds at most the subsets of its set.
+/// Whether a set completes depends only on its *named* part, its
+/// intersection with the union of the clauses' sides: a unit no clause
+/// names never changes whether a set is excluded, and can always be
+/// appended last. So the dead-set memo is keyed on the named part, and a
+/// walk backs out of at most one chain of free units per dead named part:
+/// exponential in the named units at worst. A blocked prefix set names
+/// every unit, so a store that holds one keys its memo on whole sets.
 ///
 /// ## Unsat cores
 ///
-/// When no order is left the store deletion-minimizes its rows, newest
-/// first: a row stays in the core only if the core becomes feasible without
-/// it, each trial one fresh walk. The result, readable through
-/// [`infeasibility_core`](UnitOrdering::infeasibility_core) with full
-/// [`LearntConstraint`] provenance in learn order, is a *minimal*
-/// conflicting set — dropping any single member makes it feasible.
+/// When no order is left the store deletion-minimizes its clauses, newest
+/// first: a clause stays in the core only if the core becomes feasible
+/// without it, each trial one fresh walk. The result, in learn order, is a
+/// *minimal* conflicting set — dropping any single member makes it
+/// feasible.
 #[derive(Debug)]
 pub struct UnitOrdering {
     n: usize,
-    /// Every distinct learnt row, in learn order.
-    rows: Vec<Row>,
-    /// Minimal conflicting constraint set, populated when
+    /// Every distinct learnt clause, in learn order.
+    rows: Vec<Clause>,
+    /// Minimal conflicting clause set, populated when
     /// [`UnitOrdering::propose`] proves infeasibility.
-    core: Option<Vec<LearntConstraint>>,
-    proposals: usize,
+    core: Vec<Clause>,
     decisions: u64,
     conflicts: u64,
 }
@@ -161,17 +130,10 @@ impl UnitOrdering {
         UnitOrdering {
             n,
             rows: Vec::new(),
-            core: None,
-            proposals: 0,
+            core: Vec::new(),
             decisions: 0,
             conflicts: 0,
         }
-    }
-
-    /// Number of [`propose`](UnitOrdering::propose) calls made (the
-    /// SAT-guided strategy's CEGIS iteration count).
-    pub fn proposals(&self) -> usize {
-        self.proposals
     }
 
     /// Effort counters of the store's walks.
@@ -185,27 +147,25 @@ impl UnitOrdering {
     }
 
     /// Returns the *lexicographically minimal* total order consistent with
-    /// every constraint learnt so far (see the type-level docs). Returns
-    /// `None` when no simple order of the units exists, in which case
-    /// [`UnitOrdering::infeasibility_core`] holds the minimal conflicting
-    /// constraint set.
+    /// every clause learnt so far (see the type-level docs). Returns `None`
+    /// when no simple order of the units exists, in which case the store
+    /// holds the minimal conflicting clause set.
     pub fn propose(&mut self) -> Option<Vec<usize>> {
-        self.proposals += 1;
-        let rows: Vec<&Row> = self.rows.iter().collect();
+        let rows: Vec<&Clause> = self.rows.iter().collect();
         let order = lex_first(self.n, &rows, &mut self.decisions);
         if order.is_none() {
             self.conflicts += 1;
-            self.core = Some(self.minimal_core());
+            self.core = self.minimal_core();
         }
         order
     }
 
-    /// Deletion-minimizes the (infeasible) row list, newest row first: a row
-    /// is dropped whenever the rows left stay infeasible without it. Every
-    /// kept row was needed by a superset of the final core, so the core is
-    /// minimal.
-    fn minimal_core(&mut self) -> Vec<LearntConstraint> {
-        let mut core: Vec<&Row> = self.rows.iter().collect();
+    /// Deletion-minimizes the (infeasible) clause list, newest clause first:
+    /// a clause is dropped whenever the clauses left stay infeasible without
+    /// it. Every kept clause was needed by a superset of the final core, so
+    /// the core is minimal.
+    fn minimal_core(&mut self) -> Vec<Clause> {
+        let mut core: Vec<&Clause> = self.rows.iter().collect();
         for dropped in (0..core.len()).rev() {
             let row = core.remove(dropped);
             if lex_first(self.n, &core, &mut self.decisions).is_some() {
@@ -214,14 +174,14 @@ impl UnitOrdering {
                 self.conflicts += 1;
             }
         }
-        core.iter().map(|row| row.learnt.clone()).collect()
+        core.into_iter().cloned().collect()
     }
 
-    /// The minimal conflicting set of learnt constraints, available after
-    /// [`UnitOrdering::propose`] has returned `None`: dropping any single
-    /// member makes the remainder satisfiable.
-    pub fn infeasibility_core(&self) -> Option<&[LearntConstraint]> {
-        self.core.as_deref()
+    /// The minimal conflicting set of learnt clauses once
+    /// [`UnitOrdering::propose`] has returned `None` (dropping any single
+    /// member makes the remainder satisfiable); empty before that.
+    pub(crate) fn infeasibility_core(&self) -> &[Clause] {
+        &self.core
     }
 
     /// Learns that the unit set `applied` must never be exactly the units of
@@ -230,11 +190,11 @@ impl UnitOrdering {
     /// (in any order — unit applications commute) violates the
     /// specification. Returns `false` if the clause was already known.
     pub fn block_prefix_set(&mut self, applied: &UnitSet) -> bool {
-        let outside = UnitSet::of(self.n, (0..self.n).filter(|&u| !applied.contains(u)));
-        let learnt = LearntConstraint::PrefixSet {
-            applied: applied.clone(),
-        };
-        self.learn(applied.clone(), outside, learnt)
+        let before = UnitSet::of(self.n, (0..self.n).filter(|&u| !applied.contains(u)));
+        self.learn(Clause {
+            before,
+            after: applied.clone(),
+        })
     }
 
     /// Learns the §4.2 B constraint: some unit of `before_units` must precede
@@ -249,34 +209,32 @@ impl UnitOrdering {
     /// `[0, 1, 2]`.
     pub fn require_some_before(&mut self, before_units: &[usize], after_units: &[usize]) -> bool {
         let mask = |units: &[usize]| UnitSet::of(self.n, units.iter().copied());
-        let (after, before) = (mask(after_units), mask(before_units));
-        assert!(after.is_disjoint(&before), "a clause's sides overlap");
-        let learnt = LearntConstraint::SomeBefore {
-            before: before_units.to_vec(),
-            after: after_units.to_vec(),
+        let clause = Clause {
+            before: mask(before_units),
+            after: mask(after_units),
         };
-        self.learn(after, before, learnt)
+        assert!(
+            clause.after.is_disjoint(&clause.before),
+            "a clause's sides overlap"
+        );
+        self.learn(clause)
     }
 
-    /// Adds the row `(after, before)` unless it is already known.
-    fn learn(&mut self, after: UnitSet, before: UnitSet, learnt: LearntConstraint) -> bool {
-        let known = (self.rows.iter()).any(|row| row.after == after && row.before == before);
+    /// Adds `clause` unless it is already known.
+    fn learn(&mut self, clause: Clause) -> bool {
+        let known = self.rows.contains(&clause);
         if !known {
-            self.rows.push(Row {
-                after,
-                before,
-                learnt,
-            });
+            self.rows.push(clause);
         }
         !known
     }
 
-    /// The wrong-set `W` of §4.1, read off the learnt rows: `true` when the
-    /// configuration with exactly the units of `applied` applied is ruled out
-    /// by some counterexample already seen — every `after` unit of the clause
-    /// applied and no `before` unit, which is the updated / not-updated split
-    /// of the trace the clause was learnt from, so the same trace exists in
-    /// this configuration too.
+    /// The wrong-set `W` of §4.1, read off the learnt clauses: `true` when
+    /// the configuration with exactly the units of `applied` applied is ruled
+    /// out by some counterexample already seen — every `after` unit of the
+    /// clause applied and no `before` unit, which is the updated /
+    /// not-updated split of the trace the clause was learnt from, so the same
+    /// trace exists in this configuration too.
     pub fn excludes(&self, applied: &UnitSet) -> bool {
         self.rows.iter().any(|row| row.excludes(applied))
     }
@@ -309,7 +267,7 @@ impl UnitOrdering {
         !before.is_empty() && !after.is_empty() && self.require_some_before(&before, &after)
     }
 
-    /// Copies the store's row count and walk counters into the run's
+    /// Copies the store's clause count and walk counters into the run's
     /// statistics.
     pub(crate) fn fill_stats(&self, stats: &mut SynthStats) {
         stats.sat_constraints = self.rows.len();
@@ -319,28 +277,18 @@ impl UnitOrdering {
 }
 
 /// The lex-first path from `∅` to the full set of `0..n` through unit sets
-/// no row of `rows` excludes — the lex-min order satisfying `rows` — or
+/// no clause of `rows` excludes — the lex-min order satisfying `rows` — or
 /// `None` when there is none. Adds to `backed_out` every set the walk
 /// entered and then left without a completion.
-fn lex_first(n: usize, rows: &[&Row], backed_out: &mut u64) -> Option<Vec<usize>> {
-    let (blocks, clauses): (Vec<&Row>, Vec<&Row>) =
-        (rows.iter()).partition(|row| matches!(row.learnt, LearntConstraint::PrefixSet { .. }));
-    // A block that a clause already excludes rules out nothing more.
-    let blocks: Vec<&Row> = (blocks.into_iter())
-        .filter(|block| !clauses.iter().any(|clause| clause.excludes(&block.after)))
-        .collect();
-    let excluded =
-        |applied: &UnitSet| (clauses.iter().chain(&blocks)).any(|row| row.excludes(applied));
+fn lex_first(n: usize, rows: &[&Clause], backed_out: &mut u64) -> Option<Vec<usize>> {
+    let excluded = |applied: &UnitSet| rows.iter().any(|row| row.excludes(applied));
     let mut named = UnitSet::new(n);
-    for clause in &clauses {
-        named.union_with(&clause.after);
-        named.union_with(&clause.before);
+    for row in rows {
+        named.union_with(&row.after);
+        named.union_with(&row.before);
     }
-    // Sets found to have no completion. Whether a set with no block above
-    // it completes is the clauses' verdict alone, so its named part is the
-    // key; a set below a block is keyed whole.
+    // Sets found to have no completion, keyed on their named part.
     let mut dead: HashSet<UnitSet> = HashSet::new();
-    let mut dead_below_block: HashSet<UnitSet> = HashSet::new();
     let mut applied = UnitSet::new(n);
     let mut order = Vec::with_capacity(n);
     if excluded(&applied) {
@@ -355,8 +303,7 @@ fn lex_first(n: usize, rows: &[&Row], backed_out: &mut u64) -> Option<Vec<usize>
             }
             applied.insert(unit);
             let open = !excluded(&applied)
-                && (dead.is_empty() || !dead.contains(&applied.intersection(&named)))
-                && !dead_below_block.contains(&applied);
+                && (dead.is_empty() || !dead.contains(&applied.intersection(&named)));
             applied.remove(unit);
             open
         });
@@ -368,11 +315,7 @@ fn lex_first(n: usize, rows: &[&Row], backed_out: &mut u64) -> Option<Vec<usize>
             // `applied` has no completion: back out of it.
             let last = order.pop()?;
             *backed_out += 1;
-            if blocks.iter().any(|block| applied.is_subset(&block.after)) {
-                dead_below_block.insert(applied.clone());
-            } else {
-                dead.insert(applied.intersection(&named));
-            }
+            dead.insert(applied.intersection(&named));
             applied.remove(last);
             next = last + 1;
         }
@@ -385,6 +328,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    /// A learnt fact as a test states it, fed to the store through the
+    /// public entry point that produces it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum LearntConstraint {
+        /// Some unit of `before` must be applied before some unit of `after`.
+        SomeBefore {
+            before: Vec<usize>,
+            after: Vec<usize>,
+        },
+        /// The units of `applied` must not be exactly the units of a prefix.
+        PrefixSet { applied: UnitSet },
+    }
+
+    impl LearntConstraint {
+        /// A store clause read back as the precedence constraint it is.
+        fn of_clause(clause: &Clause) -> Self {
+            LearntConstraint::SomeBefore {
+                before: clause.before.iter().collect(),
+                after: clause.after.iter().collect(),
+            }
+        }
+    }
 
     fn sw(n: u32) -> SwitchId {
         SwitchId(n)
@@ -503,7 +469,6 @@ mod tests {
         let second = store.propose().expect("still satisfiable");
         assert_eq!(first, vec![0, 1, 2, 3]);
         assert_eq!(first, second);
-        assert_eq!(store.proposals(), 2);
         assert_eq!(store.solver_stats().clauses, 0);
     }
 
@@ -555,6 +520,20 @@ mod tests {
     }
 
     #[test]
+    fn a_blocked_prefix_set_is_the_clause_of_its_complement() {
+        // Blocking {0, 2} of four units is "1 or 3 before 0 or 2": whichever
+        // is learnt first, the other is already known.
+        let (inside, outside) = ([0, 2], [1, 3]);
+        let mut blocked_first = UnitOrdering::new(4);
+        assert!(blocked_first.block_prefix_set(&UnitSet::of(4, inside)));
+        assert!(!blocked_first.require_some_before(&outside, &inside));
+        let mut clause_first = UnitOrdering::new(4);
+        assert!(clause_first.require_some_before(&outside, &inside));
+        assert!(!clause_first.block_prefix_set(&UnitSet::of(4, inside)));
+        assert_eq!(blocked_first.rows, clause_first.rows);
+    }
+
+    #[test]
     fn counterexample_traces_become_clauses_over_updating_switches() {
         // Units 0, 1, 2 update switches 4, 5, 6; switch 9 never updates.
         let unit_of: HashMap<SwitchId, usize> = [(sw(4), 0), (sw(5), 1), (sw(6), 2)].into();
@@ -562,10 +541,10 @@ mod tests {
         let mut store = UnitOrdering::new(3);
         assert!(store.learn_counterexample(&[sw(9), sw(5), sw(6)], &updated, &unit_of));
         assert_eq!(
-            store.rows.iter().map(|row| &row.learnt).collect::<Vec<_>>(),
-            vec![&LearntConstraint::SomeBefore {
-                before: vec![2],
-                after: vec![1],
+            store.rows,
+            vec![Clause {
+                before: UnitSet::of(3, [2]),
+                after: UnitSet::of(3, [1]),
             }]
         );
         // The same trace again is the same clause.
@@ -623,17 +602,12 @@ mod tests {
         assert!(store.require_some_before(&[0], &[1]));
         assert!(store.require_some_before(&[1], &[0]));
         assert!(store.propose().is_none());
-        let core = store.infeasibility_core().expect("core after unsat");
+        let core = store.infeasibility_core();
         assert_eq!(core.len(), 2);
-        for constraint in core {
-            match constraint {
-                LearntConstraint::SomeBefore { before, after } => {
-                    let mentioned: BTreeSet<usize> =
-                        before.iter().chain(after.iter()).copied().collect();
-                    assert_eq!(mentioned, [0, 1].into_iter().collect::<BTreeSet<_>>());
-                }
-                other => panic!("unexpected core member {other:?}"),
-            }
+        for clause in core {
+            let mentioned: BTreeSet<usize> =
+                clause.before.iter().chain(clause.after.iter()).collect();
+            assert_eq!(mentioned, [0, 1].into_iter().collect::<BTreeSet<_>>());
         }
     }
 
@@ -768,9 +742,10 @@ mod tests {
             let expected = brute_force_lex_min(n, learnt);
             assert_eq!(store.propose(), expected, "constraints: {learnt:?}");
             // Both unsatisfiable scenarios are cycles: every clause is needed.
+            let core_len = if expected.is_none() { learnt.len() } else { 0 };
             assert_eq!(
-                store.infeasibility_core().map(<[_]>::len),
-                expected.is_none().then_some(learnt.len()),
+                store.infeasibility_core().len(),
+                core_len,
                 "constraints: {learnt:?}"
             );
         }
@@ -829,51 +804,7 @@ mod tests {
         assert!(store.require_some_before(&[1], &[0]));
         assert!(store.require_some_before(&[0], &[1]));
         assert_eq!(store.propose(), None);
-        assert_eq!(store.infeasibility_core().map(<[_]>::len), Some(2));
-        let backed_out = store.solver_stats().decisions;
-        assert!(
-            backed_out <= (n * n) as u64,
-            "backed out of {backed_out} sets"
-        );
-    }
-
-    #[test]
-    fn blocks_beside_the_two_cycle_do_not_make_every_unit_named() {
-        // The SAT-guided strategy learns a block beside each clause: here
-        // of {0}, and of every unit but 1 (the proposal `2, 3, …, 39, 0, 1`
-        // fails there). Each block names all forty units, and every set
-        // without units 0 and 1 lies below the second. But the clause
-        // ({0}, {1}) already excludes both blocks' sets: the walk leaves
-        // them out, keys its memo on units 0 and 1, and the core is the
-        // two-cycle.
-        let n = 40;
-        let mut store = UnitOrdering::new(n);
-        assert!(store.require_some_before(&[1], &[0]));
-        assert!(store.require_some_before(&[0], &[1]));
-        assert!(store.block_prefix_set(&UnitSet::of(n, [0])));
-        assert!(store.block_prefix_set(&UnitSet::of(n, (0..n).filter(|&u| u != 1))));
-        assert_eq!(store.propose(), None);
-        assert_eq!(store.infeasibility_core().map(<[_]>::len), Some(2));
-        let backed_out = store.solver_stats().decisions;
-        assert!(
-            backed_out <= (n * n) as u64,
-            "backed out of {backed_out} sets"
-        );
-    }
-
-    #[test]
-    fn a_dead_region_beside_a_block_is_cut_on_its_named_part() {
-        // Once unit 0 is applied, neither 1 nor 2 can follow it alone, so
-        // every set holding 0 but neither 1 nor 2 is dead. No clause
-        // excludes the block of {3}; only the empty set lies below it, so
-        // the sets of the dead region are still keyed on units 0..=2.
-        let n = 40;
-        let mut store = UnitOrdering::new(n);
-        assert!(store.require_some_before(&[2], &[0, 1]));
-        assert!(store.require_some_before(&[1], &[0, 2]));
-        assert!(store.block_prefix_set(&UnitSet::of(n, [3])));
-        let expected: Vec<usize> = [1, 2, 0].into_iter().chain(3..n).collect();
-        assert_eq!(store.propose(), Some(expected));
+        assert_eq!(store.infeasibility_core().len(), 2);
         let backed_out = store.solver_stats().decisions;
         assert!(
             backed_out <= (n * n) as u64,
@@ -1017,7 +948,9 @@ mod tests {
                     }
                 }
             }
-            let core = store.infeasibility_core().expect("core after unsat").to_vec();
+            let core: Vec<LearntConstraint> =
+                (store.infeasibility_core().iter()).map(LearntConstraint::of_clause).collect();
+            prop_assert!(!core.is_empty(), "no core after unsat");
             prop_assert_eq!(brute_force_lex_min(n, &core), None);
             for dropped in 0..core.len() {
                 let mut rest = core.clone();

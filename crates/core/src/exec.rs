@@ -21,18 +21,23 @@ use crate::problem::UpdateProblem;
 
 /// Accepts `commands` iff every configuration the network passes through —
 /// the initial one and the one after each update — satisfies the problem's
-/// specification on every trace from every ingress, and the last one has the
-/// final configuration's tables (rule order among equal priorities may
-/// differ at rule granularity).
+/// specification on every trace from every ingress (every host when the
+/// problem lists none), and the last one has the final configuration's
+/// tables (rule order among equal priorities may differ at rule
+/// granularity).
 ///
 /// # Errors
 ///
 /// Describes the first violated configuration or unreached final table.
 pub fn check_on_traces(problem: &UpdateProblem, commands: &CommandSeq) -> Result<(), String> {
+    let ingress = match problem.ingress_hosts.as_slice() {
+        [] => problem.topology.hosts(),
+        listed => listed,
+    };
     let check = |config: &Configuration, updates: usize| -> Result<(), String> {
         let net = Network::new(problem.topology.clone(), config.clone());
         for class in &problem.classes {
-            for host in &problem.ingress_hosts {
+            for host in ingress {
                 let (sw, pt) = problem
                     .topology
                     .switch_of_host(*host)
@@ -157,6 +162,42 @@ mod tests {
         assert_eq!(check_on_traces(&problem, &update.commands), Ok(()));
         let error = check_on_traces(&problem, &CommandSeq::new()).expect_err("nothing updated");
         assert!(error.contains("did not reach its final table"), "{error}");
+    }
+
+    #[test]
+    fn an_empty_ingress_list_is_checked_from_every_host() {
+        // The naive order breaks reachability from the flow's source on
+        // these diamonds. Listing no ingress means every host, the source
+        // among them, so the oracle must reject it then too.
+        let graph = generators::fat_tree(4);
+        for seed in 0..5 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let scenario = diamond_scenario(&graph, PropertyKind::Reachability, &mut rng).unwrap();
+            let source_only = UpdateProblem::from_scenario(&scenario);
+            let every_host = UpdateProblem {
+                ingress_hosts: source_only.topology.hosts().to_vec(),
+                ..source_only.clone()
+            };
+            let unlisted = UpdateProblem {
+                ingress_hosts: Vec::new(),
+                ..source_only.clone()
+            };
+            for (name, problem) in [
+                ("source", &source_only),
+                ("every host", &every_host),
+                ("none listed", &unlisted),
+            ] {
+                let naive = baselines::naive_update(problem);
+                assert!(
+                    check_on_traces(problem, &naive).is_err(),
+                    "seed {seed}, ingress {name}: the naive order passed"
+                );
+                let update = Synthesizer::new(problem.clone())
+                    .synthesize()
+                    .unwrap_or_else(|e| panic!("seed {seed}, ingress {name}: {e}"));
+                assert_eq!(check_on_traces(problem, &update.commands), Ok(()));
+            }
+        }
     }
 
     #[test]

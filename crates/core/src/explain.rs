@@ -17,9 +17,9 @@ use std::fmt;
 
 use netupd_model::SwitchId;
 
-use crate::constraints::{LearntConstraint, UnitOrdering};
+use crate::constraints::{Clause, UnitOrdering};
 use crate::search::{SynthStats, SynthesisError};
-use crate::units::UpdateUnit;
+use crate::units::{UnitSet, UpdateUnit};
 
 /// One member of the minimal conflicting constraint set, in switch terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,19 +41,22 @@ pub enum ConflictConstraint {
 }
 
 impl ConflictConstraint {
-    /// Renders a unit-level constraint of the ordering store in switch
-    /// terms. At switch granularity the mapping is one-to-one; at rule
-    /// granularity several units collapse onto their switch.
-    pub(crate) fn from_learnt(constraint: &LearntConstraint, units: &[UpdateUnit]) -> Self {
-        let switches = |indices: &[usize]| indices.iter().map(|&i| units[i].switch()).collect();
-        match constraint {
-            LearntConstraint::SomeBefore { before, after } => ConflictConstraint::SomeBefore {
-                before: switches(before),
-                after: switches(after),
-            },
-            LearntConstraint::PrefixSet { applied } => ConflictConstraint::PrefixSet {
-                applied: applied.iter().map(|i| units[i].switch()).collect(),
-            },
+    /// Renders a clause of the ordering store in switch terms. At switch
+    /// granularity the mapping is one-to-one; at rule granularity several
+    /// units collapse onto their switch. A clause that names every unit
+    /// excludes exactly one set, its `after` side, so it reads as that
+    /// prefix set.
+    pub(crate) fn from_clause(clause: &Clause, units: &[UpdateUnit]) -> Self {
+        let switches = |set: &UnitSet| set.iter().map(|i| units[i].switch()).collect();
+        if clause.before.len() + clause.after.len() == units.len() {
+            ConflictConstraint::PrefixSet {
+                applied: switches(&clause.after),
+            }
+        } else {
+            ConflictConstraint::SomeBefore {
+                before: switches(&clause.before),
+                after: switches(&clause.after),
+            }
         }
     }
 }
@@ -97,11 +100,9 @@ impl SynthesisError {
         units: &[UpdateUnit],
         stats: SynthStats,
     ) -> Self {
-        let core = store.infeasibility_core().unwrap_or(&[]);
         SynthesisError::NoOrderingExists {
-            core: core
-                .iter()
-                .map(|c| ConflictConstraint::from_learnt(c, units))
+            core: (store.infeasibility_core().iter())
+                .map(|clause| ConflictConstraint::from_clause(clause, units))
                 .collect(),
             stats: Box::new(stats),
         }

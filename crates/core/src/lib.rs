@@ -21,8 +21,8 @@
 //!   by one walk over the applied-unit sets they leave open).
 //! * [`SearchStrategy::SatGuided`] runs the same §4.2 B store as a CEGIS
 //!   loop: the store *proposes* a constraint-consistent total order, the
-//!   backend verifies it prefix by prefix in one first-failing-prefix call,
-//!   and the failure is learnt back as a new clause — until a proposal
+//!   backend verifies it prefix by prefix up to its first failing prefix,
+//!   and the failure is learnt back as one new clause — until a proposal
 //!   verifies or the clause set goes unsatisfiable.
 //!
 //! Either way, unnecessary `wait` commands are removed in a

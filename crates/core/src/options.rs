@@ -70,8 +70,6 @@ pub struct SynthesisOptions {
     /// Terminate the search as soon as the accumulated ordering constraints
     /// become unsatisfiable (§4.2 B).
     pub early_termination: bool,
-    /// Run the wait-removal post-pass on the synthesized sequence (§4.2 C).
-    pub remove_waits: bool,
     /// Hard bound on the number of model-checker calls before the search
     /// gives up (guards against pathological instances). The bound is
     /// applied to the schedule
@@ -88,7 +86,6 @@ impl Default for SynthesisOptions {
             granularity: Granularity::Switch,
             use_counterexamples: true,
             early_termination: true,
-            remove_waits: true,
             max_checks: 1_000_000,
         }
     }
@@ -131,13 +128,6 @@ impl SynthesisOptions {
         self.early_termination = enabled;
         self
     }
-
-    /// Builder-style setter for wait removal.
-    #[must_use]
-    pub fn wait_removal(mut self, enabled: bool) -> Self {
-        self.remove_waits = enabled;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +142,6 @@ mod tests {
         assert_eq!(options.granularity, Granularity::Switch);
         assert!(options.use_counterexamples);
         assert!(options.early_termination);
-        assert!(options.remove_waits);
     }
 
     #[test]
@@ -161,30 +150,27 @@ mod tests {
             .strategy(SearchStrategy::SatGuided)
             .granularity(Granularity::Rule)
             .counterexamples(false)
-            .early_termination(false)
-            .wait_removal(false);
+            .early_termination(false);
         assert_eq!(options.backend, Backend::Batch);
         assert_eq!(options.strategy, SearchStrategy::SatGuided);
         assert_eq!(options.granularity, Granularity::Rule);
         assert!(!options.use_counterexamples);
         assert!(!options.early_termination);
-        assert!(!options.remove_waits);
     }
 
-    /// The option surface is closed: an eighth field or a third strategy is a
+    /// The option surface is closed: a seventh field or a third strategy is a
     /// second path through the search that tests and benchmarks must cover
     /// (a thread count, a portfolio strategy, a checkpoint budget and a
     /// carry-forward switch were measured and deleted, EXPERIMENTS.md "PR 21"
     /// and "PR 23"). Adding one means editing this test on purpose.
     #[test]
-    fn the_option_surface_is_seven_fields_and_two_strategies() {
+    fn the_option_surface_is_six_fields_and_two_strategies() {
         let SynthesisOptions {
             backend: _,
             strategy,
             granularity: _,
             use_counterexamples: _,
             early_termination: _,
-            remove_waits: _,
             max_checks: _,
         } = SynthesisOptions::default();
         match strategy {

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use netupd_model::{CommandSeq, Configuration};
+use netupd_model::CommandSeq;
 
 use crate::explain::ConflictConstraint;
 use crate::options::SynthesisOptions;
@@ -219,12 +219,10 @@ impl Synthesizer {
 }
 
 /// Materializes a solved unit order into the final [`UpdateSequence`]: looks
-/// up the units, runs wait removal if enabled (else builds the careful
-/// command sequence), and fills in the wait counters. Shared by both
-/// strategies.
+/// up the units, runs wait removal, and fills in the wait counters. Shared by
+/// both strategies.
 pub(crate) fn finish_sequence(
     problem: &UpdateProblem,
-    options: &SynthesisOptions,
     units: &[UpdateUnit],
     order_indices: &[usize],
     mut stats: SynthStats,
@@ -232,11 +230,7 @@ pub(crate) fn finish_sequence(
     let order: Vec<UpdateUnit> = order_indices.iter().map(|i| units[*i].clone()).collect();
     // The careful sequence has a wait between every two updates.
     stats.waits_before_removal = order.len().saturating_sub(1);
-    let commands = if options.remove_waits {
-        wait_removal::remove_unnecessary_waits(problem, &order)
-    } else {
-        build_command_sequence(&problem.initial, &order)
-    };
+    let commands = wait_removal::remove_unnecessary_waits(problem, &order);
     stats.waits_after_removal = commands.num_waits();
     UpdateSequence {
         commands,
@@ -245,29 +239,14 @@ pub(crate) fn finish_sequence(
     }
 }
 
-/// Builds the careful command sequence for a unit order: one table-replacement
-/// command per unit, separated by waits (Definition 5), with trailing waits
-/// trimmed.
-pub(crate) fn build_command_sequence(initial: &Configuration, order: &[UpdateUnit]) -> CommandSeq {
-    let mut commands = CommandSeq::new();
-    let mut config = initial.clone();
-    for (i, unit) in order.iter().enumerate() {
-        if i > 0 {
-            commands.push_wait();
-        }
-        let table = unit.apply(&config);
-        config.set_table(unit.switch(), table.clone());
-        commands.push_update(unit.switch(), table);
-    }
-    commands
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::check_on_traces;
     use crate::options::Granularity;
+    use crate::wait_removal::build_command_sequence;
     use netupd_mc::Backend;
+    use netupd_model::Configuration;
     use netupd_topo::generators;
     use netupd_topo::scenario::{
         diamond_scenario, double_diamond_scenario, multi_diamond_scenario, PropertyKind,
@@ -291,13 +270,10 @@ mod tests {
         assert!(result.commands.is_simple());
         assert!(result.commands.num_updates() > 0);
         assert_eq!(check_on_traces(&problem, &result.commands), Ok(()));
-        // Without wait removal, the sequence is fully careful (Definition 5).
-        let careful = Synthesizer::new(problem.clone())
-            .with_options(SynthesisOptions::default().wait_removal(false))
-            .synthesize()
-            .expect("solution");
-        assert!(careful.commands.is_careful());
-        assert_eq!(check_on_traces(&problem, &careful.commands), Ok(()));
+        // The committed order as a fully careful sequence (Definition 5).
+        let careful = build_command_sequence(&problem.initial, &result.order);
+        assert!(careful.is_careful());
+        assert_eq!(check_on_traces(&problem, &careful), Ok(()));
     }
 
     #[test]
@@ -391,21 +367,16 @@ mod tests {
         let problem = fat_tree_problem(PropertyKind::Reachability, 21);
         let options = SynthesisOptions::default()
             .counterexamples(false)
-            .early_termination(false)
-            .wait_removal(false);
+            .early_termination(false);
         let result = Synthesizer::new(problem.clone())
             .with_options(options)
             .synthesize()
             .expect("solution without optimizations");
         assert_eq!(check_on_traces(&problem, &result.commands), Ok(()));
-        assert_eq!(
-            result.stats.waits_before_removal,
-            result.stats.waits_after_removal
-        );
     }
 
     /// `waits_before_removal` counts the careful sequence's waits without
-    /// building it; with wait removal off, that sequence is the result.
+    /// building it.
     #[test]
     fn waits_before_removal_counts_the_careful_sequences_waits() {
         let problem = fat_tree_problem(PropertyKind::Reachability, 3);
@@ -424,25 +395,16 @@ mod tests {
             (&one_unit, Granularity::Switch),
         ];
         for (problem, granularity) in cases {
-            for remove_waits in [true, false] {
-                let options = (SynthesisOptions::default())
-                    .granularity(granularity)
-                    .wait_removal(remove_waits);
-                let result = Synthesizer::new(problem.clone())
-                    .with_options(options)
-                    .synthesize()
-                    .expect("solution");
-                let careful = build_command_sequence(&problem.initial, &result.order);
-                let context = format!("{granularity:?} remove_waits {remove_waits}");
-                assert_eq!(
-                    result.stats.waits_before_removal,
-                    careful.num_waits(),
-                    "{context}"
-                );
-                if !remove_waits {
-                    assert_eq!(result.commands, careful, "{context}");
-                }
-            }
+            let result = Synthesizer::new(problem.clone())
+                .with_options(SynthesisOptions::default().granularity(granularity))
+                .synthesize()
+                .expect("solution");
+            let careful = build_command_sequence(&problem.initial, &result.order);
+            assert_eq!(
+                result.stats.waits_before_removal,
+                careful.num_waits(),
+                "{granularity:?}"
+            );
         }
         let one = Synthesizer::new(one_unit).synthesize().expect("one unit");
         assert_eq!((one.order.len(), one.stats.waits_before_removal), (1, 0));

@@ -66,7 +66,7 @@ pub(crate) fn solve(
     } = search;
     ordering.fill_stats(&mut stats);
     match outcome {
-        Ok(true) => Ok(finish_sequence(problem, options, units, &path, stats)),
+        Ok(true) => Ok(finish_sequence(problem, units, &path, stats)),
         Ok(false) | Err(Stop::NoOrderLeft) => {
             Err(SynthesisError::no_ordering(&ordering, units, stats))
         }

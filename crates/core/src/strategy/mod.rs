@@ -21,8 +21,8 @@
 //! * `sat_guided` runs the same store forward as a CEGIS loop (§4.2 B):
 //!   the store *proposes* the lex-min total order consistent with every
 //!   learnt precedence clause, the configured backend verifies the candidate
-//!   sequence prefix by prefix in one first-failing-prefix call, and the
-//!   failure is learnt back as a new clause — until a proposal verifies
+//!   sequence prefix by prefix up to its first failing prefix, and the
+//!   failure is learnt back as one new clause — until a proposal verifies
 //!   (success) or the clause set goes unsatisfiable (infeasible, strictly
 //!   subsuming the DFS's early termination).
 //!

@@ -13,22 +13,21 @@
 //!    move the DFS is made of: one `step` and one incremental `recheck` per
 //!    prefix, stopping at the first violating prefix and taking its
 //!    counterexample trace.
-//! 3. **Learn.** Refute the failure: at switch granularity with a
-//!    counterexample in hand, the §4.2 B clause "some not-yet-updated switch
-//!    on the trace must precede some updated one"; otherwise (rule
-//!    granularity, counterexample-free backends, or ablations) the exact
-//!    prefix-set blocking clause "some unit outside the failing set must
-//!    precede some unit inside it" — sound because unit applications
-//!    commute, so the violating configuration is a function of the applied
-//!    *set*, not the order.
+//! 3. **Learn.** Refute the failure with one clause: at switch granularity
+//!    with a counterexample in hand, the §4.2 B clause "some not-yet-updated
+//!    switch on the trace must precede some updated one"; otherwise (rule
+//!    granularity, counterexample-free backends, or ablations) the
+//!    prefix-set clause "some unit outside the failing set must precede some
+//!    unit inside it" — sound because unit applications commute, so the
+//!    violating configuration is a function of the applied *set*, not the
+//!    order.
 //!
 //! The loop ends with a verified proposal (success) or a store with no order
 //! left (infeasible — strictly subsuming the DFS's early termination, which
 //! proves infeasibility only from the counterexamples its own search path
-//! happens to produce). A proposal satisfies every learnt clause, so none of
-//! its prefix sets is blocked yet: the block of its failing prefix is always
-//! new and excludes the proposal, so the loop visits each total order at
-//! most once and terminates.
+//! happens to produce). A proposal passes through no excluded set, so the
+//! clause learnt from its failing prefix is always new and excludes the
+//! proposal: the loop visits each total order at most once and terminates.
 //!
 //! # Determinism
 //!
@@ -74,8 +73,9 @@ pub(crate) fn solve(
     // only perturbs the tail it refuted.
     let mut verified: HashSet<UnitSet> = HashSet::new();
     loop {
+        stats.cegis_iterations += 1;
         let Some(order) = store.propose() else {
-            fill_cegis_stats(&mut stats, &store);
+            store.fill_stats(&mut stats);
             return Err(SynthesisError::no_ordering(&store, units, stats));
         };
 
@@ -96,7 +96,7 @@ pub(crate) fn solve(
         // A verification pass may need one check per remaining unit; demand
         // the budget up front.
         if stats.charged_calls + (n - start) > options.max_checks {
-            fill_cegis_stats(&mut stats, &store);
+            store.fill_stats(&mut stats);
             return Err(SynthesisError::SearchBudgetExhausted {
                 stats: Box::new(stats),
             });
@@ -136,39 +136,32 @@ pub(crate) fn solve(
 
         match first_failure {
             None => {
-                fill_cegis_stats(&mut stats, &store);
+                store.fill_stats(&mut stats);
                 // Every failing pass charged `failing + 1 - start` as it was
                 // learnt; this verifying pass walked `n - start` prefixes.
                 stats.charged_calls += n - start;
-                return Ok(finish_sequence(problem, options, units, &order, stats));
+                return Ok(finish_sequence(problem, units, &order, stats));
             }
             Some((failing, cex_switches)) => {
                 stats.charged_calls += failing + 1 - start;
                 stats.backtracks += 1;
                 applied.insert(order[failing]);
-                if let (Some(unit_of), Some(cex)) = (&unit_of, &cex_switches) {
-                    stats.counterexamples_learnt += 1;
-                    store.learn_counterexample(cex, &applied, unit_of);
+                // One clause per failure: the counterexample's, else the
+                // failing prefix set's.
+                let learnt = match (&unit_of, &cex_switches) {
+                    (Some(unit_of), Some(cex)) => {
+                        stats.counterexamples_learnt += 1;
+                        store.learn_counterexample(cex, &applied, unit_of)
+                    }
+                    _ => false,
+                };
+                if !learnt {
+                    store.block_prefix_set(&applied);
                 }
-                // Dual-clause learning: the prefix-set block is learnt
-                // alongside the counterexample clause. Both are entailed and
-                // exclude the proposal they were learnt from, so the loop
-                // strictly progresses. The clause excludes this set too, so
-                // the walk leaves the block out; without a clause the block
-                // is the whole refutation. A trace through every unit's
-                // switch learns the block itself as its clause.
-                store.block_prefix_set(&applied);
                 debug_assert!(store.excludes(&applied), "a failing prefix is excluded");
             }
         }
     }
-}
-
-/// Copies the store's counters and the CEGIS iteration count into the run's
-/// statistics. Shared by every exit.
-fn fill_cegis_stats(stats: &mut SynthStats, store: &UnitOrdering) {
-    store.fill_stats(stats);
-    stats.cegis_iterations = store.proposals();
 }
 
 /// The initial configuration with the units of `prefix` applied in order.

@@ -121,11 +121,28 @@ pub fn remove_unnecessary_waits(problem: &UpdateProblem, order: &[UpdateUnit]) -
     commands
 }
 
+/// The fully careful command sequence for a unit order: one
+/// table-replacement command per unit, separated by waits (Definition 5). It
+/// is the reference [`remove_unnecessary_waits`] is tested against.
+#[cfg(test)]
+pub(crate) fn build_command_sequence(initial: &Configuration, order: &[UpdateUnit]) -> CommandSeq {
+    let mut commands = CommandSeq::new();
+    let mut config = initial.clone();
+    for (i, unit) in order.iter().enumerate() {
+        if i > 0 {
+            commands.push_wait();
+        }
+        let table = unit.apply(&config);
+        config.set_table(unit.switch(), table.clone());
+        commands.push_update(unit.switch(), table);
+    }
+    commands
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::options::Granularity;
-    use crate::search::build_command_sequence;
     use crate::units::plan_units;
     use netupd_ltl::Ltl;
     use netupd_model::{

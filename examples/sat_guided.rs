@@ -4,14 +4,13 @@
 //! counterexample-guided loop: the ordering store *proposes* the lex-min
 //! total order consistent with every precedence constraint learnt so far,
 //! the configured backend verifies the candidate sequence prefix by prefix
-//! in one first-failing-prefix call, and the failure is learnt back as a new
+//! up to its first failing prefix, and the failure is learnt back as one new
 //! clause — until a proposal verifies (success) or no order is left (no
 //! simple order exists). Both strategies commit the lex-min correct order,
-//! so they commit the same sequence. Where the DFS pays two checks per
-//! backtrack (the failed candidate plus the label restore), the SAT-guided
-//! loop pays one check per walked prefix — on workloads where a few learnt
-//! constraints pin the order down, it needs markedly fewer model-checker
-//! calls.
+//! so they commit the same sequence, and they issue the same model-checker
+//! calls. The DFS is charged two checks per backtrack (the failed candidate
+//! plus the label restore) where the SAT-guided loop is charged one per
+//! walked prefix, so SAT-guided is charged fewer checks: it pays no undo.
 //!
 //! Run with: `cargo run --release --example sat_guided`
 

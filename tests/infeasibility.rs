@@ -186,7 +186,7 @@ fn an_exhausted_budget_carries_the_statistics_of_the_run() {
 /// switches of a `k = 6` fat tree gain a rule for a destination no host has.
 /// The conflict names only the diamond's switches, so refuting it must not
 /// enumerate subsets of the others — under the SAT-guided strategy too,
-/// whose prefix-set blocks name every unit.
+/// which learns its counterexamples' clauses, not its failing prefix sets.
 #[test]
 fn sat_guided_refutes_a_double_diamond_beside_thirty_free_switches() {
     use netupd_model::{Field, Pattern, Priority, Rule};

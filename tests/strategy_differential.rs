@@ -20,8 +20,8 @@ use netupd::mc::Backend;
 use netupd::model::{Configuration, Priority};
 use netupd::synth::exec::check_on_traces;
 use netupd::synth::{
-    Granularity, SearchStrategy, SynthesisError, SynthesisOptions, Synthesizer, UpdateEngine,
-    UpdateProblem, UpdateSequence,
+    Granularity, SearchStrategy, SynthStats, SynthesisError, SynthesisOptions, Synthesizer,
+    UpdateEngine, UpdateProblem, UpdateSequence,
 };
 use netupd::topo::scenario::{
     diamond_scenario, double_diamond_scenario, multi_diamond_scenario, PropertyKind,
@@ -37,12 +37,45 @@ fn synthesize(
         .synthesize()
 }
 
+/// The statistics of a run, on every exit that carries them.
+fn stats_of(result: &Result<UpdateSequence, SynthesisError>) -> Option<&SynthStats> {
+    match result {
+        Ok(update) => Some(&update.stats),
+        Err(error) => error.stats(),
+    }
+}
+
+/// A SAT-guided run learns exactly one clause per failed walk: the
+/// counterexample's when the backend reports one at switch granularity,
+/// otherwise the failing prefix set's. A run never mixes the two, so it
+/// learns a counterexample on every failed walk or on none. Holds on every
+/// exit that carries statistics.
+fn assert_one_clause_per_failed_walk(
+    result: &Result<UpdateSequence, SynthesisError>,
+    context: &str,
+) {
+    let Some(stats) = stats_of(result) else {
+        return;
+    };
+    assert_eq!(
+        stats.sat_constraints, stats.backtracks,
+        "{context}: clauses learnt against failed walks"
+    );
+    assert!(
+        [0, stats.backtracks].contains(&stats.counterexamples_learnt),
+        "{context}: {} counterexamples over {} failed walks",
+        stats.counterexamples_learnt,
+        stats.backtracks
+    );
+}
+
 /// Runs SatGuided twice (byte-identical including stats), verifies the
 /// sequence independently, and checks verdict agreement with DFS.
 fn assert_sat_guided_verified(problem: &UpdateProblem, options: SynthesisOptions, context: &str) {
     let sat_options = options.clone().strategy(SearchStrategy::SatGuided);
     let first = synthesize(problem, &sat_options);
     let second = synthesize(problem, &sat_options);
+    assert_one_clause_per_failed_walk(&first, context);
     match (&first, &second) {
         (Ok(a), Ok(b)) => {
             assert_eq!(
@@ -196,6 +229,54 @@ fn sat_guided_infeasibility_comes_with_a_core() {
         ),
         other => panic!("expected infeasibility, got {other:?}"),
     }
+}
+
+#[test]
+fn sat_guided_learns_one_clause_per_failed_walk() {
+    // Every backend, both granularities, and solved, infeasible and
+    // budget-exhausted runs. A backend that reports counterexamples learns
+    // them at switch granularity; everything else learns prefix sets.
+    let problems = [
+        ("quickstart", quickstart_problem()),
+        ("waypoint", waypoint_problem()),
+        ("firewall chain", firewall_chain_problem()),
+        ("double diamond", double_diamond_problem()),
+        ("two diamonds", small_world_two_diamonds_problem()),
+    ];
+    let (mut solved, mut infeasible, mut exhausted) = (0, 0, 0);
+    let (mut with_counterexamples, mut with_prefix_sets) = (0, 0);
+    for (name, problem) in &problems {
+        for backend in Backend::ALL {
+            for granularity in [Granularity::Switch, Granularity::Rule] {
+                for max_checks in [8, SynthesisOptions::default().max_checks] {
+                    let options = SynthesisOptions {
+                        max_checks,
+                        ..SynthesisOptions::with_backend(backend)
+                            .granularity(granularity)
+                            .strategy(SearchStrategy::SatGuided)
+                    };
+                    let context = format!("{name} {backend} {granularity:?} budget {max_checks}");
+                    let result = synthesize(problem, &options);
+                    assert_one_clause_per_failed_walk(&result, &context);
+                    match &result {
+                        Ok(_) => solved += 1,
+                        Err(SynthesisError::NoOrderingExists { .. }) => infeasible += 1,
+                        Err(SynthesisError::SearchBudgetExhausted { .. }) => exhausted += 1,
+                        Err(other) => panic!("{context}: {other}"),
+                    }
+                    match stats_of(&result) {
+                        Some(stats) if stats.backtracks > 0 && stats.counterexamples_learnt > 0 => {
+                            with_counterexamples += 1
+                        }
+                        Some(stats) if stats.backtracks > 0 => with_prefix_sets += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    assert!(solved > 0 && infeasible > 0 && exhausted > 0);
+    assert!(with_counterexamples > 0 && with_prefix_sets > 0);
 }
 
 #[test]

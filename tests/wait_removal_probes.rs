@@ -1,21 +1,21 @@
 //! Property test for the wait-removal heuristic (§4.2 C): removing waits
 //! must never cause probe loss.
 //!
-//! The search emits fully careful sequences (a `wait` between every pair of
-//! updates); `wait_removal` keeps only the waits its reachability analysis
-//! deems necessary. The safety claim is operational: executing the minimized
-//! sequence against the operational-semantics simulator drops no more probes
-//! than executing the fully careful sequence. This replays both through the
-//! `exec` probe harness over randomized scenarios and checks exactly that —
-//! previously `wait_removal` had no direct test beyond a
-//! `wait_removal(false)` toggle in the determinism suites.
+//! The search orders the updates; the fully careful sequence of that order
+//! has a `wait` between every pair of updates, and `wait_removal` keeps only
+//! the waits its reachability analysis deems necessary. The safety claim is
+//! operational: executing the minimized sequence against the
+//! operational-semantics simulator drops no more probes than executing the
+//! fully careful sequence. This replays both through the `exec` probe
+//! harness over randomized scenarios and checks exactly that.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use netupd::model::CommandSeq;
 use netupd::synth::exec::{run_with_probes, ProbeExperiment};
-use netupd::synth::{SearchStrategy, SynthesisOptions, Synthesizer, UpdateProblem};
+use netupd::synth::{SearchStrategy, SynthesisOptions, Synthesizer, UpdateProblem, UpdateUnit};
 use netupd::topo::generators;
 use netupd::topo::scenario::{diamond_scenario, PropertyKind};
 
@@ -35,6 +35,22 @@ fn problem_for_seed(seed: u64) -> Option<UpdateProblem> {
     diamond_scenario(&graph, kind, &mut rng).map(|s| UpdateProblem::from_scenario(&s))
 }
 
+/// The fully careful sequence of a unit order: a `wait` between every two
+/// updates (Definition 5).
+fn careful_sequence(problem: &UpdateProblem, order: &[UpdateUnit]) -> CommandSeq {
+    let mut commands = CommandSeq::new();
+    let mut config = problem.initial.clone();
+    for (i, unit) in order.iter().enumerate() {
+        if i > 0 {
+            commands.push_wait();
+        }
+        let table = unit.apply(&config);
+        config.set_table(unit.switch(), table.clone());
+        commands.push_update(unit.switch(), table);
+    }
+    commands
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -46,15 +62,12 @@ proptest! {
         let minimized = Synthesizer::new(problem.clone())
             .synthesize()
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let careful = Synthesizer::new(problem.clone())
-            .with_options(SynthesisOptions::default().wait_removal(false))
-            .synthesize()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        prop_assert!(careful.commands.is_careful());
-        prop_assert!(minimized.commands.num_waits() <= careful.commands.num_waits());
+        let careful = careful_sequence(&problem, &minimized.order);
+        prop_assert!(careful.is_careful());
+        prop_assert!(minimized.commands.num_waits() <= careful.num_waits());
 
         let experiment = ProbeExperiment::for_problem(&problem);
-        let careful_report = run_with_probes(&problem, &careful.commands, &experiment)
+        let careful_report = run_with_probes(&problem, &careful, &experiment)
             .unwrap_or_else(|e| panic!("seed {seed}: careful replay: {e}"));
         let minimized_report = run_with_probes(&problem, &minimized.commands, &experiment)
             .unwrap_or_else(|e| panic!("seed {seed}: minimized replay: {e}"));
@@ -76,8 +89,7 @@ proptest! {
     }
 
     /// The same safety claim holds for sequences the SAT-guided strategy
-    /// produces (its orders differ from the DFS's, so the wait-removal
-    /// windows differ too).
+    /// produces, which commit the DFS's order through a different search.
     #[test]
     fn wait_removal_is_safe_for_sat_guided_sequences(seed in 0u64..64) {
         let Some(problem) = problem_for_seed(seed) else { return Ok(()); };
