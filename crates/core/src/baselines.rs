@@ -104,7 +104,7 @@ pub fn two_phase_update(problem: &UpdateProblem) -> TwoPhasePlan {
         if old == new || ingress_switches.contains(switch) {
             continue;
         }
-        commands.push_update(*switch, strip_tags(&new));
+        commands.push_update(*switch, new);
     }
 
     TwoPhasePlan {
@@ -129,11 +129,6 @@ fn stamp_version(rule: &Rule) -> Rule {
     let mut actions = vec![Action::SetField(Field::Tag, TWO_PHASE_NEW_VERSION)];
     actions.extend(rule.actions().iter().copied());
     Rule::new(rule.priority(), rule.pattern().clone(), actions)
-}
-
-/// Removes version guards from a final table (phase 3 cleanup).
-fn strip_tags(table: &Table) -> Table {
-    table.iter().cloned().collect()
 }
 
 /// Peak rule count per switch for an *ordering* update: each switch holds at

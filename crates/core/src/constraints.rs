@@ -30,7 +30,6 @@ use std::collections::{HashMap, HashSet};
 
 use netupd_model::SwitchId;
 
-use crate::search::SynthStats;
 use crate::units::UnitSet;
 
 /// Effort counters of a [`UnitOrdering`]'s walks, in the shape the layer
@@ -248,8 +247,8 @@ impl UnitOrdering {
     /// nothing, when either side comes out empty (the trace does not depend
     /// on the order) or the clause was already known.
     ///
-    /// Every strategy's learn site goes through here, so a trace means the
-    /// same clause to all of them.
+    /// A search run's one refutation site goes through here, so a trace
+    /// means the same clause to both strategies.
     pub(crate) fn learn_counterexample(
         &mut self,
         trace: &[SwitchId],
@@ -265,14 +264,6 @@ impl UnitOrdering {
             }
         }
         !before.is_empty() && !after.is_empty() && self.require_some_before(&before, &after)
-    }
-
-    /// Copies the store's clause count and walk counters into the run's
-    /// statistics.
-    pub(crate) fn fill_stats(&self, stats: &mut SynthStats) {
-        stats.sat_constraints = self.rows.len();
-        stats.sat_conflicts = self.conflicts;
-        stats.sat_decisions = self.decisions;
     }
 }
 

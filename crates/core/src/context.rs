@@ -21,16 +21,10 @@
 //! history of rechecks that led to a configuration. Engine reuse and the
 //! deferred-undo discipline of the DFS both rest on this.
 
-use std::ops::ControlFlow;
-
 use netupd_kripke::{Kripke, NetworkKripke, StateId};
 use netupd_ltl::Ltl;
 use netupd_mc::{Backend, CheckOutcome, ModelChecker};
-use netupd_model::{CommandSeq, Configuration, SwitchId, Table};
-
-use crate::problem::UpdateProblem;
-use crate::search::{SynthStats, SynthesisError, UpdateSequence};
-use crate::units::UpdateUnit;
+use netupd_model::{Configuration, SwitchId, Table};
 
 /// The persistent checking state of an engine: a Kripke structure pinned to
 /// a known configuration and a checker whose cached labels describe that
@@ -81,10 +75,16 @@ impl CheckContext {
     /// a DFS apply, a DFS undo, each switch of a sync. The rewired states
     /// join the pending set and are relabeled by the next physical recheck
     /// (the deferred-undo discipline), so a there-and-back costs no query.
-    pub(crate) fn step(&mut self, encoder: &NetworkKripke, switch: SwitchId, table: Table) {
+    /// Returns the table it replaced.
+    pub(crate) fn step(
+        &mut self,
+        encoder: &NetworkKripke,
+        switch: SwitchId,
+        table: Table,
+    ) -> Table {
         self.pending
             .extend(encoder.apply_switch_update(&mut self.kripke, switch, &table));
-        self.config.set_table(switch, table);
+        self.config.set_table(switch, table).unwrap_or_default()
     }
 
     /// Moves the search structure to `config` without checking it: one
@@ -107,51 +107,12 @@ impl CheckContext {
     }
 }
 
-/// The checks every request opens with, and their bookkeeping: the initial
-/// configuration (line 7 of the paper's algorithm; across a churn stream it
-/// is usually where the previous request left the structure, so the sync is
-/// an empty diff), the trivial-update return, then the final configuration —
-/// by diff on the same structure, which is left *at* `final_config`.
-///
-/// Returns `Break` with the empty sequence when there is nothing to update,
-/// `Continue` with the statistics so far otherwise.
-pub(crate) fn check_endpoints(
-    ctx: &mut CheckContext,
-    encoder: &NetworkKripke,
-    problem: &UpdateProblem,
-    units: &[UpdateUnit],
-) -> Result<ControlFlow<UpdateSequence, SynthStats>, SynthesisError> {
-    let mut stats = SynthStats::default();
-    let mut holds_at = |config: &Configuration| {
-        ctx.sync_deferred(encoder, config);
-        let outcome = ctx.recheck(&problem.spec);
-        stats.charged_calls += 1;
-        stats.model_checker_calls += 1;
-        stats.states_relabeled += outcome.stats.states_labeled;
-        outcome.holds
-    };
-
-    if !holds_at(&problem.initial) {
-        return Err(SynthesisError::InitialConfigurationViolates);
-    }
-    if units.is_empty() {
-        return Ok(ControlFlow::Break(UpdateSequence {
-            commands: CommandSeq::new(),
-            order: Vec::new(),
-            stats,
-        }));
-    }
-    // Every complete sequence of a problem whose target violates the
-    // specification would end in a violating state.
-    if !holds_at(&problem.final_config) {
-        return Err(SynthesisError::FinalConfigurationViolates);
-    }
-    Ok(ControlFlow::Continue(stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::{Granularity, SynthesisOptions};
+    use crate::problem::UpdateProblem;
+    use crate::strategy::Run;
     use netupd_topo::generators;
     use netupd_topo::scenario::{diamond_scenario, PropertyKind};
     use rand::rngs::StdRng;
@@ -172,19 +133,21 @@ mod tests {
         let problem = UpdateProblem::from_scenario(&scenario);
         let encoder = NetworkKripke::new(problem.topology.clone(), problem.classes.clone())
             .with_ingress_hosts(problem.ingress_hosts.iter().copied());
-        let units = crate::units::plan_units(&problem, crate::options::Granularity::Switch);
+        let units = crate::units::plan_units(&problem, Granularity::Switch);
 
         let mut violations = 0;
         let switches = problem.switches_to_update();
         for backend in Backend::ALL {
+            let options = SynthesisOptions::with_backend(backend);
             for (i, &sw) in switches.iter().enumerate() {
                 let next = problem.initial.updated(sw, problem.final_config.table(sw));
                 let cold = CheckContext::new(backend, &encoder, &next).recheck(&problem.spec);
                 violations += usize::from(cold.counterexample.is_some());
                 for via_initial in [false, true] {
                     let mut ctx = CheckContext::new(backend, &encoder, &problem.initial);
-                    let entry = check_endpoints(&mut ctx, &encoder, &problem, &units);
-                    assert!(matches!(entry, Ok(ControlFlow::Continue(_))));
+                    let entry =
+                        Run::new(&problem, &options, &units, &encoder, &mut ctx).check_endpoints();
+                    assert!(matches!(entry, Ok(None)));
                     assert_eq!(ctx.config, problem.final_config);
                     assert!(ctx.pending.is_empty());
                     if via_initial {

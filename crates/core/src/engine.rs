@@ -66,17 +66,16 @@
 //! assert_eq!(engine.requests_served(), 3);
 //! ```
 
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use netupd_kripke::NetworkKripke;
 use netupd_model::{HostId, Topology, TrafficClass};
 
-use crate::context::{check_endpoints, CheckContext};
-use crate::options::{SearchStrategy, SynthesisOptions};
+use crate::context::CheckContext;
+use crate::options::SynthesisOptions;
 use crate::problem::UpdateProblem;
 use crate::search::{SynthesisError, UpdateSequence};
-use crate::strategy::{dfs, sat_guided};
+use crate::strategy;
 use crate::units::plan_units;
 
 /// A long-lived synthesis engine serving a stream of [`UpdateProblem`]s over
@@ -199,16 +198,7 @@ impl UpdateEngine {
         let ctx = self
             .ctx
             .get_or_insert_with(|| CheckContext::new(backend, &self.encoder, &problem.initial));
-        match check_endpoints(ctx, &self.encoder, problem, &units)? {
-            ControlFlow::Break(trivial) => Ok(trivial),
-            ControlFlow::Continue(stats) => {
-                let strategy = match self.options.strategy {
-                    SearchStrategy::Dfs => dfs::solve,
-                    SearchStrategy::SatGuided => sat_guided::solve,
-                };
-                strategy(problem, &self.options, &units, &self.encoder, ctx, stats)
-            }
-        }
+        strategy::solve(problem, &self.options, &units, &self.encoder, ctx)
     }
 
     /// Whether the problem matches the engine's fixed triple. The topology

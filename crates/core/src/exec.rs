@@ -8,8 +8,9 @@
 //!   [`netupd_ltl::semantics`];
 //! * [`run_with_probes`], the substrate for Figure 2: a probe stream is
 //!   injected at the source host while the controller executes an update
-//!   sequence, and the report records which probes were delivered and how
-//!   many rules each switch held at its peak.
+//!   sequence, and the report counts the probes sent, delivered and dropped.
+//!   Figure 2(b)'s rule overhead comes from [`crate::baselines`], not from
+//!   the simulator.
 
 use netupd_ltl::semantics;
 use netupd_model::{

@@ -3,22 +3,23 @@
 //! When synthesis fails with
 //! [`SynthesisError::NoOrderingExists`](crate::SynthesisError) and a
 //! non-empty `core`, the verdict came from the ordering store
-//! ([`UnitOrdering`]): the accumulated precedence constraints admit no total
-//! order. The store's deletion-minimized core pins that verdict on a
-//! *minimal conflicting set* of learnt facts —
-//! dropping any one member would make the remainder satisfiable — and this
-//! module renders that set in switch-level terms an operator can act on.
+//! ([`UnitOrdering`](crate::constraints::UnitOrdering)): the accumulated
+//! precedence constraints admit no total order. The store's
+//! deletion-minimized core pins that verdict on a *minimal conflicting set*
+//! of learnt facts — dropping any one member would make the remainder
+//! satisfiable — and this module renders that set in switch-level terms an
+//! operator can act on.
 //!
-//! The verdict carries its evidence and the run's statistics itself; every
-//! strategy builds it through `SynthesisError::no_ordering`.
+//! The verdict carries its evidence and the run's statistics itself; both
+//! strategies reach it through the one verdict site of a search run
+//! (`strategy::Run::finish`).
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use netupd_model::SwitchId;
 
-use crate::constraints::{Clause, UnitOrdering};
-use crate::search::{SynthStats, SynthesisError};
+use crate::constraints::Clause;
 use crate::units::{UnitSet, UpdateUnit};
 
 /// One member of the minimal conflicting constraint set, in switch terms.
@@ -90,28 +91,10 @@ impl fmt::Display for ConflictConstraint {
     }
 }
 
-impl SynthesisError {
-    /// The `NoOrderingExists` verdict of a run whose ordering store is
-    /// `store`: its minimal core rendered in switch terms when a walk found no
-    /// order, otherwise (the search exhausted the space first) an empty core.
-    /// Every strategy's infeasible exit builds its verdict here.
-    pub(crate) fn no_ordering(
-        store: &UnitOrdering,
-        units: &[UpdateUnit],
-        stats: SynthStats,
-    ) -> Self {
-        SynthesisError::NoOrderingExists {
-            core: (store.infeasibility_core().iter())
-                .map(|clause| ConflictConstraint::from_clause(clause, units))
-                .collect(),
-            stats: Box::new(stats),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::SynthesisError;
 
     fn set(ids: &[u32]) -> BTreeSet<SwitchId> {
         ids.iter().map(|&n| SwitchId(n)).collect()

@@ -7,8 +7,9 @@
 //! specification over single-packet traces, the synthesizer searches for an
 //! ordering of switch updates (interleaved with `wait` commands) such that
 //! every intermediate configuration satisfies the specification. Two
-//! [`SearchStrategy`] implementations share one substrate (see
-//! [`strategy`]):
+//! [`SearchStrategy`] implementations share one search run — the checks,
+//! the refutations, the learnt store and the verdict — and differ only in
+//! which unit they try next (see [`strategy`]):
 //!
 //! * [`SearchStrategy::Dfs`] (the default) is the paper's `OrderUpdate`
 //!   algorithm: a depth-first search over simple, careful command sequences

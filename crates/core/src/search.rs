@@ -1,8 +1,7 @@
-//! The shared substrate of the `OrderUpdate` synthesis strategies (§4 of the
-//! paper): result and statistics types, the one-shot [`Synthesizer`] entry
-//! point, and the sequence-materialization helpers every
-//! [`SearchStrategy`](crate::SearchStrategy) commits its result through. The
-//! strategy implementations themselves live in [`crate::strategy`].
+//! The results of the `OrderUpdate` synthesis strategies (§4 of the paper):
+//! result and statistics types and the one-shot [`Synthesizer`] entry point.
+//! The search itself, and the one place its verdicts are built, live in
+//! [`crate::strategy`].
 
 use std::fmt;
 
@@ -12,7 +11,6 @@ use crate::explain::ConflictConstraint;
 use crate::options::SynthesisOptions;
 use crate::problem::UpdateProblem;
 use crate::units::UpdateUnit;
-use crate::wait_removal;
 
 /// Counters describing the work a synthesis run performed.
 ///
@@ -215,27 +213,6 @@ impl Synthesizer {
     pub fn synthesize(&self) -> Result<UpdateSequence, SynthesisError> {
         crate::engine::UpdateEngine::for_problem(&self.problem, self.options.clone())
             .solve(&self.problem)
-    }
-}
-
-/// Materializes a solved unit order into the final [`UpdateSequence`]: looks
-/// up the units, runs wait removal, and fills in the wait counters. Shared by
-/// both strategies.
-pub(crate) fn finish_sequence(
-    problem: &UpdateProblem,
-    units: &[UpdateUnit],
-    order_indices: &[usize],
-    mut stats: SynthStats,
-) -> UpdateSequence {
-    let order: Vec<UpdateUnit> = order_indices.iter().map(|i| units[*i].clone()).collect();
-    // The careful sequence has a wait between every two updates.
-    stats.waits_before_removal = order.len().saturating_sub(1);
-    let commands = wait_removal::remove_unnecessary_waits(problem, &order);
-    stats.waits_after_removal = commands.num_waits();
-    UpdateSequence {
-        commands,
-        order,
-        stats,
     }
 }
 

@@ -10,9 +10,8 @@
 //!    ([`UnitOrdering::propose`]): one lex-first walk over the applied-unit
 //!    sets no learnt clause excludes.
 //! 2. **Verify.** Walk the candidate with the configured backend by the
-//!    move the DFS is made of: one `step` and one incremental `recheck` per
-//!    prefix, stopping at the first violating prefix and taking its
-//!    counterexample trace.
+//!    moves the DFS is made of: one apply and one check per prefix, stopping
+//!    at the first violating prefix and taking its counterexample trace.
 //! 3. **Learn.** Refute the failure with one clause: at switch granularity
 //!    with a counterexample in hand, the §4.2 B clause "some not-yet-updated
 //!    switch on the trace must precede some updated one"; otherwise (rule
@@ -36,35 +35,22 @@
 //! prefix verdict is a pure function of the prefix (DESIGN.md §5). Every
 //! walked prefix is one charged check and one checker call, so
 //! `charged_calls == model_checker_calls` on every request, warm or cold.
+//!
+//! [`UnitOrdering::propose`]: crate::constraints::UnitOrdering::propose
 
 use std::collections::HashSet;
 
-use netupd_kripke::NetworkKripke;
 use netupd_model::Configuration;
 
-use crate::constraints::UnitOrdering;
-use crate::context::CheckContext;
-use crate::options::SynthesisOptions;
+use super::{Run, Stop};
 use crate::problem::UpdateProblem;
-use crate::search::{finish_sequence, SynthStats, SynthesisError, UpdateSequence};
-use crate::strategy::counterexample_units;
 use crate::units::{UnitSet, UpdateUnit};
 
-/// Runs the SAT-guided strategy over the engine's persistent context, after
-/// the entry checks (`stats` is what they charged). They leave the structure
+/// Runs the CEGIS loop after the endpoint checks. They leave the structure
 /// at the final configuration; every verification walk below starts by
 /// syncing to its own base.
-pub(crate) fn solve(
-    problem: &UpdateProblem,
-    options: &SynthesisOptions,
-    units: &[UpdateUnit],
-    encoder: &NetworkKripke,
-    ctx: &mut CheckContext,
-    mut stats: SynthStats,
-) -> Result<UpdateSequence, SynthesisError> {
-    let n = units.len();
-    let mut store = UnitOrdering::new(n);
-    let unit_of = counterexample_units(options, units);
+pub(super) fn search(run: &mut Run<'_>) -> Result<Vec<usize>, Stop> {
+    let n = run.units.len();
     // Prefix *sets* already verified to hold. A prefix verdict is a pure
     // function of the applied unit set (unit applications commute and check
     // outcomes are pure functions of the configuration), so a prefix a
@@ -73,11 +59,8 @@ pub(crate) fn solve(
     // only perturbs the tail it refuted.
     let mut verified: HashSet<UnitSet> = HashSet::new();
     loop {
-        stats.cegis_iterations += 1;
-        let Some(order) = store.propose() else {
-            store.fill_stats(&mut stats);
-            return Err(SynthesisError::no_ordering(&store, units, stats));
-        };
+        run.stats.cegis_iterations += 1;
+        let order = run.store.propose().ok_or(Stop::NoOrder)?;
 
         // Skip the longest already-verified prefix: the walk starts at the
         // first prefix whose unit set has not been checked before. `applied`
@@ -95,72 +78,45 @@ pub(crate) fn solve(
 
         // A verification pass may need one check per remaining unit; demand
         // the budget up front.
-        if stats.charged_calls + (n - start) > options.max_checks {
-            store.fill_stats(&mut stats);
-            return Err(SynthesisError::SearchBudgetExhausted {
-                stats: Box::new(stats),
-            });
+        if !run.affords(n - start) {
+            return Err(Stop::Budget);
         }
 
         // Walk the candidate from its first unverified prefix: sync to the
         // initial configuration with `order[..start]` applied (its rewired
-        // states fold into the first recheck, so no baseline query is
-        // paid), then one step and one recheck per unit, stopping at the
-        // first violating prefix.
-        let mut first_failure = None;
+        // states fold into the first check, so no baseline query is paid),
+        // then one apply and one check per unit, stopping at the first
+        // violating prefix.
+        let mut failure = None;
         if start < n {
-            ctx.sync_deferred(encoder, &applied_config(problem, units, &order[..start]));
+            run.sync(&applied_config(run.problem, run.units, &order[..start]));
             for (k, &index) in order.iter().enumerate().skip(start) {
-                let unit = &units[index];
-                let table = unit.apply(ctx.config());
-                ctx.step(encoder, unit.switch(), table);
-                let outcome = ctx.recheck(&problem.spec);
-                stats.model_checker_calls += 1;
-                stats.states_relabeled += outcome.stats.states_labeled;
+                run.apply(index);
+                let outcome = run.check();
                 if !outcome.holds {
-                    first_failure = Some((k, outcome.counterexample.map(|cex| cex.switches)));
+                    failure = Some((k, outcome));
                     break;
                 }
             }
         }
 
         // Record the prefixes this iteration proved to hold.
-        let held_through = match &first_failure {
-            Some((failing, _)) => *failing,
-            None => n,
-        };
+        let held_through = failure.as_ref().map_or(n, |(failing, _)| *failing);
         for &index in &order[start..held_through] {
             applied.insert(index);
             verified.insert(applied.clone());
         }
 
-        match first_failure {
-            None => {
-                store.fill_stats(&mut stats);
-                // Every failing pass charged `failing + 1 - start` as it was
-                // learnt; this verifying pass walked `n - start` prefixes.
-                stats.charged_calls += n - start;
-                return Ok(finish_sequence(problem, units, &order, stats));
-            }
-            Some((failing, cex_switches)) => {
-                stats.charged_calls += failing + 1 - start;
-                stats.backtracks += 1;
-                applied.insert(order[failing]);
-                // One clause per failure: the counterexample's, else the
-                // failing prefix set's.
-                let learnt = match (&unit_of, &cex_switches) {
-                    (Some(unit_of), Some(cex)) => {
-                        stats.counterexamples_learnt += 1;
-                        store.learn_counterexample(cex, &applied, unit_of)
-                    }
-                    _ => false,
-                };
-                if !learnt {
-                    store.block_prefix_set(&applied);
-                }
-                debug_assert!(store.excludes(&applied), "a failing prefix is excluded");
-            }
+        let Some((failing, outcome)) = failure else {
+            return Ok(order);
+        };
+        // One clause per failure: the counterexample's, else the failing
+        // prefix set's.
+        applied.insert(order[failing]);
+        if !run.refute(&outcome, &applied) {
+            run.store.block_prefix_set(&applied);
         }
+        debug_assert!(run.store.excludes(&applied), "a failing prefix is excluded");
     }
 }
 

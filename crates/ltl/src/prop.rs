@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use netupd_model::{Field, HostId, PortId, SwitchId};
 
 /// An atomic proposition, evaluated at a single packet observation.
@@ -13,7 +11,7 @@ use netupd_model::{Field, HostId, PortId, SwitchId};
 /// properties easy to state: `Dropped` holds at the sink state of a packet
 /// that was dropped inside the network, and `AtHost(h)` holds at the sink
 /// state of a packet that egressed to host `h`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Prop {
     /// The packet is currently being processed at this switch.
     Switch(SwitchId),

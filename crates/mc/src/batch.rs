@@ -1,6 +1,6 @@
 //! The batch checker: the labeling engine run from scratch on every query.
 
-use netupd_kripke::{Kripke, StateId};
+use netupd_kripke::Kripke;
 use netupd_ltl::Ltl;
 
 use crate::checker::{CheckOutcome, CheckStats, ModelChecker};
@@ -10,8 +10,9 @@ use crate::spec::SpecCache;
 /// Non-incremental labeling checker (the paper's "Batch" baseline).
 ///
 /// Identical labeling algorithm to [`crate::IncrementalChecker`], but every
-/// call — including [`recheck`](ModelChecker::recheck) — relabels the whole
-/// structure. Comparing the two isolates the benefit of incrementality.
+/// call — including [`recheck`](ModelChecker::recheck), whose default body is
+/// a full check — relabels the whole structure. Comparing the two isolates
+/// the benefit of incrementality.
 ///
 /// Between calls the checker keeps only its spec memo (the closure and its
 /// resolution), so the from-scratch labeling does not rebuild the closure.
@@ -39,10 +40,6 @@ impl ModelChecker for BatchChecker {
         let outcome = labeling.outcome(kripke, stats);
         self.spec = Some(labeling.into_spec());
         outcome
-    }
-
-    fn recheck(&mut self, kripke: &Kripke, phi: &Ltl, _changed: &[StateId]) -> CheckOutcome {
-        self.check(kripke, phi)
     }
 }
 

@@ -20,13 +20,9 @@ impl Counterexample {
     /// Builds a counterexample from a state path, deriving the switch path
     /// from the Kripke structure's state keys.
     pub fn from_states(kripke: &Kripke, states: Vec<StateId>) -> Self {
-        let mut switches = Vec::new();
-        for state in &states {
-            let sw = kripke.key(*state).switch;
-            if switches.last() != Some(&sw) {
-                switches.push(sw);
-            }
-        }
+        let mut switches: Vec<SwitchId> = (states.iter())
+            .map(|&state| kripke.key(state).switch)
+            .collect();
         switches.dedup();
         Counterexample { states, switches }
     }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::packet::Field;
 use crate::types::PortId;
 
@@ -12,7 +10,7 @@ use crate::types::PortId;
 ///
 /// Actions are applied in list order; field modifications affect the packet
 /// seen by all subsequent `Forward` actions of the same rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Action {
     /// `fwd pt`: output the (current) packet on port `pt`.
     Forward(PortId),

@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::table::Table;
 use crate::types::SwitchId;
 
 /// A single controller command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// Replace the forwarding table of a switch (switch-granularity update).
     Update(SwitchId, Table),
@@ -46,7 +44,7 @@ impl fmt::Display for Command {
 /// Provides the derived `wait` command and the *careful* predicate of
 /// Definition 5: a sequence is careful if every pair of switch updates is
 /// separated by a wait (an `incr` followed, possibly later, by a `flush`).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CommandSeq {
     commands: Vec<Command>,
 }

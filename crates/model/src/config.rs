@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::table::Table;
 use crate::types::SwitchId;
 
@@ -12,7 +10,7 @@ use crate::types::SwitchId;
 ///
 /// Switches not present in the map have the empty table and therefore drop
 /// every packet.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Configuration {
     tables: BTreeMap<SwitchId, Table>,
 }
@@ -23,9 +21,10 @@ impl Configuration {
         Configuration::default()
     }
 
-    /// Sets the forwarding table of `sw`, replacing any previous table.
-    pub fn set_table(&mut self, sw: SwitchId, table: Table) {
-        self.tables.insert(sw, table);
+    /// Sets the forwarding table of `sw`, returning the table it replaced
+    /// (`None` if none was set).
+    pub fn set_table(&mut self, sw: SwitchId, table: Table) -> Option<Table> {
+        self.tables.insert(sw, table)
     }
 
     /// Builder-style variant of [`Configuration::set_table`].

@@ -70,7 +70,7 @@ pub use network::Network;
 pub use packet::{Field, Packet, TrafficClass};
 pub use pattern::Pattern;
 pub use rule::Rule;
-pub use sim::{ProbeReport, SimEvent, Simulator, SimulatorOptions};
+pub use sim::{ProbeReport, Simulator, SimulatorOptions};
 pub use table::Table;
 pub use topology::{Endpoint, Link, LinkId, Topology};
 pub use trace::{Observation, Trace};

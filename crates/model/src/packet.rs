@@ -9,14 +9,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A packet header field.
 ///
 /// The model uses a small, fixed set of fields; `Custom` leaves room for
 /// application-specific headers (e.g. VLAN, MPLS labels) without changing the
 /// crate's API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Field {
     /// Source address.
     Src,
@@ -47,7 +45,7 @@ impl fmt::Display for Field {
 /// Fields that are absent behave as "don't care" both when matching patterns
 /// (an absent field only matches patterns that do not constrain it) and when
 /// comparing packets.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Packet {
     fields: BTreeMap<Field, u64>,
 }
@@ -127,7 +125,7 @@ impl FromIterator<(Field, u64)> for Packet {
 /// In the paper, traffic classes are elements of `2^AP` — sets of packets that
 /// agree on the values of particular header fields. The network-to-Kripke
 /// encoding builds one disjoint sub-structure per traffic class of interest.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TrafficClass {
     constraints: BTreeMap<Field, u64>,
 }

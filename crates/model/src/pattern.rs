@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::packet::{Field, Packet, TrafficClass};
 use crate::types::PortId;
 
@@ -13,7 +11,7 @@ use crate::types::PortId;
 /// A packet arriving on a port matches the pattern if the pattern's port (when
 /// present) equals the arrival port and every constrained field of the pattern
 /// equals the packet's value for that field.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pattern {
     in_port: Option<PortId>,
     /// Sorted by field, one entry per field: the order, equality and hash of

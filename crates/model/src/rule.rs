@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::action::Action;
 use crate::packet::{Packet, TrafficClass};
 use crate::pattern::Pattern;
@@ -14,7 +12,7 @@ use crate::types::{PortId, Priority};
 /// The highest-priority rule whose pattern matches an incoming packet
 /// determines how the packet is processed; rules with no `Forward` action drop
 /// matching packets.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rule {
     priority: Priority,
     pattern: Pattern,

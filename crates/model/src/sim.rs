@@ -7,11 +7,11 @@
 //! command (updates take a configurable number of ticks, modelling the
 //! seconds-long rule-installation latency the paper cites).
 //!
-//! This is the substrate for reproducing Figure 2 of the paper: probe packets
-//! are injected while an update executes and the report records which probes
-//! made it to their destination and how many rules each switch held over time.
+//! This is the substrate for reproducing Figure 2(a) of the paper: probe
+//! packets are injected while an update executes and the report counts the
+//! probes sent, delivered and dropped.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::command::{Command, CommandSeq};
@@ -57,53 +57,6 @@ struct InFlight {
     hops: u32,
 }
 
-/// An event recorded by the simulator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimEvent {
-    /// A packet entered the network at a host (rule IN).
-    Ingress {
-        /// Tick at which the packet entered.
-        tick: u64,
-        /// The host that emitted the packet.
-        host: HostId,
-        /// The packet.
-        packet: Packet,
-    },
-    /// A packet exited the network at a host (rule OUT).
-    Egress {
-        /// Tick at which the packet was delivered.
-        tick: u64,
-        /// The destination host.
-        host: HostId,
-        /// The packet.
-        packet: Packet,
-    },
-    /// A packet was dropped at a switch (no matching rule, drop rule, dangling
-    /// port, or hop budget exceeded).
-    Drop {
-        /// Tick at which the packet was dropped.
-        tick: u64,
-        /// The switch at which the drop occurred.
-        switch: SwitchId,
-        /// The packet.
-        packet: Packet,
-    },
-    /// A switch's table was replaced (rule UPDATE).
-    Update {
-        /// Tick at which the new table became active.
-        tick: u64,
-        /// The updated switch.
-        switch: SwitchId,
-    },
-    /// The controller finished a flush (all old-epoch packets drained).
-    FlushDone {
-        /// Tick at which the flush completed.
-        tick: u64,
-        /// The epoch that was flushed up to.
-        epoch: Epoch,
-    },
-}
-
 /// A periodically injected probe stream, used to reproduce Figure 2(a).
 #[derive(Debug, Clone)]
 struct ProbeStream {
@@ -112,45 +65,40 @@ struct ProbeStream {
     period: u64,
 }
 
-/// Summary of a probe experiment: how many probes were sent and received in
-/// each time bucket, and the maximum number of rules each switch held.
+/// Summary of a probe experiment: how many probes were sent, delivered and
+/// dropped.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProbeReport {
-    /// Per-tick count of probes injected.
-    pub sent_per_tick: BTreeMap<u64, usize>,
-    /// Per-tick count of probes delivered to any host.
-    pub received_per_tick: BTreeMap<u64, usize>,
-    /// Per-tick count of probes dropped inside the network.
-    pub dropped_per_tick: BTreeMap<u64, usize>,
-    /// Maximum number of rules observed on each switch at any point.
-    pub max_rules_per_switch: BTreeMap<SwitchId, usize>,
-    /// Tick at which the last controller command completed (0 if none).
-    pub update_finished_at: u64,
+    /// Probes injected.
+    pub sent: usize,
+    /// Probes delivered to any host.
+    pub received: usize,
+    /// Probes dropped inside the network.
+    pub dropped: usize,
 }
 
 impl ProbeReport {
     /// Total number of probes sent.
     pub fn total_sent(&self) -> usize {
-        self.sent_per_tick.values().sum()
+        self.sent
     }
 
     /// Total number of probes received.
     pub fn total_received(&self) -> usize {
-        self.received_per_tick.values().sum()
+        self.received
     }
 
     /// Total number of probes dropped.
     pub fn total_dropped(&self) -> usize {
-        self.dropped_per_tick.values().sum()
+        self.dropped
     }
 
     /// Fraction of probes received, in `[0, 1]`.
     pub fn delivery_ratio(&self) -> f64 {
-        let sent = self.total_sent();
-        if sent == 0 {
+        if self.sent == 0 {
             1.0
         } else {
-            self.total_received() as f64 / sent as f64
+            self.received as f64 / self.sent as f64
         }
     }
 }
@@ -186,7 +134,6 @@ pub struct Simulator {
     epoch: Epoch,
     tick: u64,
     probes: Vec<ProbeStream>,
-    events: Vec<SimEvent>,
     report: ProbeReport,
 }
 
@@ -198,10 +145,6 @@ impl Simulator {
     pub fn new(topology: impl Into<Arc<Topology>>, initial: Configuration) -> Self {
         let topology = topology.into();
         let link_queues = vec![VecDeque::new(); topology.num_links()];
-        let mut report = ProbeReport::default();
-        for (sw, table) in initial.iter() {
-            report.max_rules_per_switch.insert(sw, table.len());
-        }
         Simulator {
             topology,
             config: initial,
@@ -212,8 +155,7 @@ impl Simulator {
             epoch: Epoch::ZERO,
             tick: 0,
             probes: Vec::new(),
-            events: Vec::new(),
-            report,
+            report: ProbeReport::default(),
         }
     }
 
@@ -257,11 +199,6 @@ impl Simulator {
     /// The current tick.
     pub fn tick(&self) -> u64 {
         self.tick
-    }
-
-    /// All recorded events so far.
-    pub fn events(&self) -> &[SimEvent] {
-        &self.events
     }
 
     /// Returns `true` if no packets are in flight anywhere in the network.
@@ -354,12 +291,7 @@ impl Simulator {
             }
             ControllerState::Flushing { target } => {
                 if self.min_inflight_epoch().is_none_or(|e| e >= target) {
-                    self.events.push(SimEvent::FlushDone {
-                        tick: self.tick,
-                        epoch: target,
-                    });
                     self.controller = ControllerState::Idle;
-                    self.note_command_progress();
                 }
             }
         }
@@ -371,33 +303,10 @@ impl Simulator {
         };
         match cmd {
             Command::Update(sw, table) => {
-                let count = table.len();
-                let entry = self.report.max_rules_per_switch.entry(sw).or_insert(0);
-                // During installation both rule sets may coexist in TCAM; the
-                // overhead we report is the maximum of old+new vs either.
-                let overlap = self.config.rules_on(sw) + count;
-                *entry = (*entry).max(overlap).max(count);
                 self.config.set_table(sw, table);
-                self.events.push(SimEvent::Update {
-                    tick: self.tick,
-                    switch: sw,
-                });
-                self.note_command_progress();
             }
-            Command::Incr => {
-                self.epoch = self.epoch.next();
-                self.note_command_progress();
-            }
-            Command::Flush => {
-                self.controller = ControllerState::Flushing { target: self.epoch };
-                // Completion is recorded when the flush actually finishes.
-            }
-        }
-    }
-
-    fn note_command_progress(&mut self) {
-        if self.commands.is_empty() && matches!(self.controller, ControllerState::Idle) {
-            self.report.update_finished_at = self.tick;
+            Command::Incr => self.epoch = self.epoch.next(),
+            Command::Flush => self.controller = ControllerState::Flushing { target: self.epoch },
         }
     }
 
@@ -412,7 +321,6 @@ impl Simulator {
         // them against the switch's *current* table; outputs are enqueued on
         // outgoing links and will be handled next tick (one hop per tick).
         let mut arrivals: Vec<(SwitchId, PortId, InFlight)> = Vec::new();
-        let mut deliveries: Vec<(HostId, InFlight)> = Vec::new();
 
         for (idx, queue) in self.link_queues.iter_mut().enumerate() {
             if queue.is_empty() {
@@ -422,33 +330,24 @@ impl Simulator {
             while let Some(pkt) = queue.pop_front() {
                 match link.dst {
                     Endpoint::SwitchPort(sw, pt) => arrivals.push((sw, pt, pkt)),
-                    Endpoint::Host(h) => deliveries.push((h, pkt)),
+                    Endpoint::Host(_) => self.report.received += 1,
                 }
             }
         }
 
-        for (host, inflight) in deliveries {
-            *self.report.received_per_tick.entry(self.tick).or_insert(0) += 1;
-            self.events.push(SimEvent::Egress {
-                tick: self.tick,
-                host,
-                packet: inflight.packet,
-            });
-        }
-
         for (sw, pt, inflight) in arrivals {
             if inflight.hops >= self.options.max_hops {
-                self.record_drop(sw, inflight.packet);
+                self.report.dropped += 1;
                 continue;
             }
             let outputs = self.config.table(sw).process(&inflight.packet, pt);
             if outputs.is_empty() {
-                self.record_drop(sw, inflight.packet);
+                self.report.dropped += 1;
                 continue;
             }
             for (packet, out_port) in outputs {
                 match self.topology.link_from_port(sw, out_port) {
-                    None => self.record_drop(sw, packet),
+                    None => self.report.dropped += 1,
                     Some((link_id, _)) => {
                         self.link_queues[link_id.0].push_back(InFlight {
                             packet,
@@ -459,15 +358,6 @@ impl Simulator {
                 }
             }
         }
-    }
-
-    fn record_drop(&mut self, switch: SwitchId, packet: Packet) {
-        *self.report.dropped_per_tick.entry(self.tick).or_insert(0) += 1;
-        self.events.push(SimEvent::Drop {
-            tick: self.tick,
-            switch,
-            packet,
-        });
     }
 
     fn step_probes(&mut self) {
@@ -507,12 +397,7 @@ impl Simulator {
         else {
             return;
         };
-        *self.report.sent_per_tick.entry(self.tick).or_insert(0) += 1;
-        self.events.push(SimEvent::Ingress {
-            tick: self.tick,
-            host,
-            packet: packet.clone(),
-        });
+        self.report.sent += 1;
         self.link_queues[link_id.0].push_back(InFlight {
             packet,
             epoch,
@@ -627,11 +512,8 @@ mod tests {
         let mut cmds = CommandSeq::new();
         cmds.push_wait();
         sim.schedule_commands(cmds);
+        // `run_to_completion` returns only once the flush has completed.
         sim.run_to_completion().unwrap();
-        assert!(sim
-            .events()
-            .iter()
-            .any(|e| matches!(e, SimEvent::FlushDone { .. })));
         assert_eq!(sim.epoch(), Epoch(1));
     }
 
@@ -661,33 +543,6 @@ mod tests {
         sim.run(100).unwrap();
         assert_eq!(sim.report().total_dropped(), 1);
         assert!(sim.is_quiescent());
-    }
-
-    #[test]
-    fn rule_overhead_tracks_coexisting_tables() {
-        let (topo, config, _h0, _h1, s0, _s1) = line();
-        let mut sim = Simulator::new(topo, config.clone()).with_options(SimulatorOptions {
-            ticks_per_update: 1,
-            ..SimulatorOptions::default()
-        });
-        // Install a second rule set on s0: max rules observed is old + new.
-        let bigger = Table::new(vec![
-            Rule::new(
-                Priority(5),
-                Pattern::any(),
-                vec![Action::Forward(PortId(2))],
-            ),
-            Rule::new(
-                Priority(4),
-                Pattern::any(),
-                vec![Action::Forward(PortId(2))],
-            ),
-        ]);
-        let mut cmds = CommandSeq::new();
-        cmds.push_update(s0, bigger);
-        sim.schedule_commands(cmds);
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.report().max_rules_per_switch[&s0], 3);
     }
 
     #[test]

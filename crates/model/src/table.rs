@@ -3,8 +3,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::packet::Packet;
 use crate::rule::Rule;
 use crate::types::PortId;
@@ -23,7 +21,7 @@ use crate::types::PortId;
 /// configuration, a command, an update unit's result) bumps a count instead
 /// of copying patterns and action lists, and the editing methods build a new
 /// list. Equality compares the lists, pointers first.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Table {
     rules: Arc<[Rule]>,
 }

@@ -3,14 +3,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::{HostId, PortId, SwitchId};
 
 /// One end of a link: either a host or a `(switch, port)` pair.
 ///
 /// This is the `loc` of the paper's link records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Endpoint {
     /// An end host.
     Host(HostId),
@@ -56,7 +54,7 @@ impl fmt::Display for Endpoint {
 }
 
 /// Identifier of a (directed) link within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub usize);
 
 /// A directed link from `src` to `dst`.
@@ -64,7 +62,7 @@ pub struct LinkId(pub usize);
 /// The paper's links carry a queue of in-flight packets; the queues live in
 /// the simulator ([`crate::sim::Simulator`]), keeping the topology itself
 /// purely structural.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Link {
     /// Source endpoint.
     pub src: Endpoint,
@@ -76,7 +74,7 @@ pub struct Link {
 ///
 /// Bidirectional physical cables are modeled as a pair of directed links; use
 /// [`Topology::add_duplex_link`] for that common case.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Topology {
     switches: Vec<SwitchId>,
     hosts: Vec<HostId>,

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::packet::Packet;
 use crate::types::{HostId, PortId, SwitchId};
 
 /// An observation `(sw, pt, pkt)`: a packet being processed at a switch port.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Observation {
     /// The switch processing the packet.
     pub switch: SwitchId,
@@ -36,7 +34,7 @@ impl fmt::Display for Observation {
 }
 
 /// How a single-packet trace terminated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceEnd {
     /// The packet exited the network at the given host (rule OUT).
     Egress(HostId),
@@ -50,7 +48,7 @@ pub enum TraceEnd {
 
 /// A single-packet trace: the end-to-end path one packet takes through a
 /// static network, plus how it terminated.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     observations: Vec<Observation>,
     end: TraceEnd,

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a switch.
 ///
 /// ```
@@ -15,30 +13,22 @@ use serde::{Deserialize, Serialize};
 /// let s = SwitchId(3);
 /// assert_eq!(format!("{s}"), "s3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SwitchId(pub u32);
 
 /// Identifier of a port on a switch.
 ///
 /// Ports are only meaningful relative to a switch: `(SwitchId, PortId)` pairs
 /// identify a physical attachment point.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PortId(pub u32);
 
 /// Identifier of an end host.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct HostId(pub u32);
 
 /// Priority of a forwarding rule; higher priorities win.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Priority(pub u32);
 
 /// Controller epoch used to reason about in-flight packets.
@@ -46,9 +36,7 @@ pub struct Priority(pub u32);
 /// Packets are stamped with the epoch current at ingress; the `flush` command
 /// blocks the controller until all packets from earlier epochs have left the
 /// network.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Epoch(pub u64);
 
 impl Epoch {

@@ -461,3 +461,52 @@ fn a_fresh_request_labels_the_network_once() {
         );
     }
 }
+
+#[test]
+fn dfs_charges_one_undo_per_check_off_the_committed_path() {
+    // The DFS charges every check and every undo, and undoes every check
+    // but the endpoints' and those of the committed path. So a solved run
+    // over n ≥ 1 units charges `2·checks − n − 2`, and a run that exhausts
+    // the space (no core) undoes every search check: `2·checks − 2`.
+    let problems = [
+        ("quickstart", quickstart_problem()),
+        ("waypoint", waypoint_problem()),
+        ("firewall chain", firewall_chain_problem()),
+        ("double diamond", double_diamond_problem()),
+        ("two diamonds", small_world_two_diamonds_problem()),
+    ];
+    let (mut solved, mut exhausted) = (0, 0);
+    for (name, problem) in &problems {
+        for backend in Backend::ALL {
+            for granularity in [Granularity::Switch, Granularity::Rule] {
+                for early_termination in [true, false] {
+                    let options = SynthesisOptions::with_backend(backend)
+                        .granularity(granularity)
+                        .early_termination(early_termination);
+                    let context =
+                        format!("{name} {backend} {granularity:?} early {early_termination}");
+                    match synthesize(problem, &options) {
+                        Ok(update) if !update.order.is_empty() => {
+                            let (checks, n) =
+                                (update.stats.model_checker_calls, update.order.len());
+                            assert_eq!(update.stats.charged_calls, 2 * checks - n - 2, "{context}");
+                            solved += 1;
+                        }
+                        Err(SynthesisError::NoOrderingExists { core, stats })
+                            if core.is_empty() =>
+                        {
+                            let checks = stats.model_checker_calls;
+                            assert_eq!(stats.charged_calls, 2 * checks - 2, "{context}");
+                            exhausted += 1;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        solved > 0 && exhausted > 0,
+        "{solved} solved, {exhausted} exhausted"
+    );
+}
