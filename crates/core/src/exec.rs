@@ -87,16 +87,17 @@ pub struct ProbeExperiment {
 
 impl ProbeExperiment {
     /// A probe experiment for the first flow of `problem`: ICMP-like probes
-    /// of the first traffic class injected at the first ingress host.
+    /// of the first traffic class injected at the first ingress host, or at
+    /// the topology's first host when the problem lists no ingress (which
+    /// means every host).
     ///
     /// # Panics
     ///
-    /// Panics if the problem has no ingress hosts or no traffic classes.
+    /// Panics if the topology has no hosts or the problem no traffic classes.
     pub fn for_problem(problem: &UpdateProblem) -> Self {
-        let src_host = *problem
-            .ingress_hosts
-            .first()
-            .expect("problem has an ingress host");
+        let src_host = *(problem.ingress_hosts.first())
+            .or(problem.topology.hosts().first())
+            .expect("the topology has a host");
         let class = problem
             .classes
             .first()
@@ -213,6 +214,20 @@ mod tests {
         // lost; everything injected early enough must be delivered.
         assert!(report.total_sent() > 0);
         assert_eq!(report.total_dropped(), 0);
+    }
+
+    #[test]
+    fn an_empty_ingress_list_probes_from_a_host() {
+        let problem = UpdateProblem {
+            ingress_hosts: Vec::new(),
+            ..sample_problem()
+        };
+        let update = Synthesizer::new(problem.clone())
+            .synthesize()
+            .expect("solution");
+        let experiment = ProbeExperiment::for_problem(&problem);
+        let report = run_with_probes(&problem, &update.commands, &experiment).expect("simulation");
+        assert!(report.total_sent() > 0);
     }
 
     #[test]

@@ -21,14 +21,13 @@
 //! 4. **trace oracle** — the agreed sequence is replayed prefix by prefix
 //!    through `netupd_synth::exec::check_on_traces` (the trace semantics, no
 //!    model checker involved);
-//! 5. **probe simulator** — the sequence and its wait-minimized form are
-//!    executed against the operational semantics with a probe stream; a
-//!    solved update must not drop a probe.
+//! 5. **probe simulator** — the sequence, whose waits the synthesizer has
+//!    already minimized, is executed against the operational semantics with
+//!    a probe stream; a solved update must not drop a probe.
 
 use netupd_mc::Backend;
 use netupd_model::CommandSeq;
 use netupd_synth::exec::{check_on_traces, run_with_probes, ProbeExperiment};
-use netupd_synth::wait_removal::remove_unnecessary_waits;
 use netupd_synth::{
     Granularity, SearchStrategy, SynthesisError, SynthesisOptions, Synthesizer, UpdateEngine,
     UpdateProblem, UpdateSequence,
@@ -110,16 +109,16 @@ fn verdict(result: &Result<UpdateSequence, SynthesisError>) -> String {
 
 /// Executes `commands` under the operational semantics with a probe stream;
 /// a correct update must not drop a probe.
-fn probe_check(problem: &UpdateProblem, commands: &CommandSeq, what: &str) -> Result<(), String> {
+fn probe_check(problem: &UpdateProblem, commands: &CommandSeq) -> Result<(), String> {
     let mut experiment = ProbeExperiment::for_problem(problem);
     // The update completes within a few ticks per command; a short window
     // keeps 200-case debug runs fast while still covering the transition.
     experiment.duration = 200 + 20 * commands.len() as u64;
     let report = run_with_probes(problem, commands, &experiment)
-        .map_err(|e| format!("{what}: probe simulation failed: {e}"))?;
+        .map_err(|e| format!("probe simulation failed: {e}"))?;
     if report.total_dropped() > 0 {
         return Err(format!(
-            "{what}: dropped {}/{} probes",
+            "dropped {}/{} probes",
             report.total_dropped(),
             report.total_sent()
         ));
@@ -214,11 +213,7 @@ pub fn check_stream(
         // Oracle and probe verification of the one committed sequence.
         if let Ok(update) = &outcomes[0][request] {
             check_on_traces(problem, &update.commands).map_err(|e| fail(request, e))?;
-            probe_check(problem, &update.commands, "synthesized sequence")
-                .map_err(|e| fail(request, e))?;
-            let minimized = remove_unnecessary_waits(problem, &update.order);
-            probe_check(problem, &minimized, "wait-minimized sequence")
-                .map_err(|e| fail(request, e))?;
+            probe_check(problem, &update.commands).map_err(|e| fail(request, e))?;
         }
     }
     Ok(stats)

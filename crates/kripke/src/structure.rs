@@ -343,28 +343,45 @@ impl Kripke {
     /// Returns `true` if the structure is DAG-like: the only cycles are
     /// self-loops on sink states.
     pub fn is_dag_like(&self) -> bool {
-        self.topological_order().is_some()
+        let all: StateSet = self.states().collect();
+        self.topological_order(&all, &mut Vec::new()).1.is_none()
     }
 
-    /// A topological order of the states ignoring self-loops, or `None` if a
-    /// non-trivial cycle exists.
+    /// A topological order of the subgraph induced by `region`, ignoring
+    /// self-loops and the edges that leave the region.
     ///
-    /// The order lists every state after all of its (non-self) successors —
-    /// i.e. sinks come first — which is the evaluation order the labeling
-    /// algorithms need.
-    pub fn topological_order(&self) -> Option<Vec<StateId>> {
-        let n = self.keys.len();
-        // Count non-self outgoing edges.
-        let mut remaining: Vec<usize> = (0..n)
-            .map(|i| self.successors[i].iter().filter(|s| s.0 != i).count())
-            .collect();
-        let mut queue: VecDeque<StateId> =
-            (0..n).filter(|i| remaining[*i] == 0).map(StateId).collect();
-        let mut order = Vec::with_capacity(n);
+    /// The order lists every state after all of its (non-self) successors in
+    /// the region, so sinks come first: the evaluation order the labeling
+    /// algorithms need. It leaves out the region states that reach a cycle
+    /// inside the region; they are returned second, or `None` if there are
+    /// none.
+    ///
+    /// `remaining` is a caller-owned scratch buffer of per-state counters.
+    /// Only the entries of region members are written and read, so it never
+    /// needs clearing, and an order over a small region costs O(region), not
+    /// O(states).
+    pub fn topological_order(
+        &self,
+        region: &StateSet,
+        remaining: &mut Vec<u32>,
+    ) -> (Vec<StateId>, Option<StateSet>) {
+        if remaining.len() < self.len() {
+            remaining.resize(self.len(), 0);
+        }
+        let mut size = 0;
+        for state in region.iter() {
+            remaining[state.0] = self.successors[state.0]
+                .iter()
+                .filter(|s| **s != state && region.contains(**s))
+                .count() as u32;
+            size += 1;
+        }
+        let mut queue: VecDeque<StateId> = region.iter().filter(|s| remaining[s.0] == 0).collect();
+        let mut order = Vec::with_capacity(size);
         while let Some(state) = queue.pop_front() {
             order.push(state);
             for pred in &self.predecessors[state.0] {
-                if pred.0 == state.0 {
+                if *pred == state || !region.contains(*pred) {
                     continue;
                 }
                 remaining[pred.0] -= 1;
@@ -373,11 +390,10 @@ impl Kripke {
                 }
             }
         }
-        if order.len() == n {
-            Some(order)
-        } else {
-            None
-        }
+        // A state is left out iff it keeps a successor that is left out.
+        let looping =
+            (order.len() < size).then(|| region.iter().filter(|s| remaining[s.0] > 0).collect());
+        (order, looping)
     }
 
     /// The ancestors of the states in `seeds` (including the seeds
@@ -548,13 +564,19 @@ mod tests {
         k.add_transition(a, b);
         k.add_transition(b, a);
         assert!(!k.is_dag_like());
-        assert!(k.topological_order().is_none());
+        let all: StateSet = k.states().collect();
+        let (order, looping) = k.topological_order(&all, &mut Vec::new());
+        assert!(order.is_empty());
+        assert_eq!(looping.map(|l| l.count()), Some(2));
     }
 
     #[test]
     fn topological_order_lists_sinks_first() {
         let (k, [a, _, _, d]) = diamond();
-        let order = k.topological_order().unwrap();
+        let all: StateSet = k.states().collect();
+        let (order, looping) = k.topological_order(&all, &mut Vec::new());
+        assert!(looping.is_none());
+        assert_eq!(order.len(), k.len());
         let pos = |s: StateId| order.iter().position(|x| *x == s).unwrap();
         assert!(pos(d) < pos(a));
         for state in k.states() {

@@ -46,8 +46,6 @@ pub struct CheckStats {
     pub states_labeled: usize,
     /// Number of states in the structure at the time of the check.
     pub total_states: usize,
-    /// Whether this check reused labels from a previous check.
-    pub incremental: bool,
 }
 
 /// The outcome of a model-checking query.

@@ -20,15 +20,11 @@
 //! lasso round the loop as its counterexample, and the next relabel starts
 //! from scratch.
 //!
-//! Representation: per-state assignment vectors live in one flat backing
-//! `Vec<Assignment>` addressed through `(offset, len)` spans, and the
-//! region/dirty bookkeeping of `relabel` runs over dense [`StateSet`]
-//! bitmaps — no per-state allocation, no tree-set churn on the hot path.
+//! Representation: one assignment vector per state, and the region/dirty
+//! bookkeeping of `relabel` runs over dense [`StateSet`] bitmaps.
 //! Atomic-proposition tests go through the closure's interned resolution
 //! against the structure's [`PropTable`](netupd_ltl::PropTable), so each
 //! label probe is a single bit test.
-
-use std::collections::VecDeque;
 
 use netupd_kripke::{Kripke, StateId, StateSet};
 use netupd_ltl::{Assignment, Closure, Ltl};
@@ -43,14 +39,9 @@ pub struct Labeling {
     /// structure's table; the owning checker hands it on to its next
     /// labeling, so a query series builds the closure once.
     spec: SpecCache,
-    /// Per-state `(offset, len)` span into `backing`.
-    spans: Vec<(u32, u32)>,
-    /// Flat backing storage for all per-state assignment vectors.
-    backing: Vec<Assignment>,
-    /// Number of superseded (dead) assignments still occupying `backing`;
-    /// when they outnumber the live ones the storage is compacted.
-    dead: usize,
-    /// Reusable per-state counters for `region_topological_order`, so a
+    /// The label of each state, indexed by state id.
+    labels: Vec<Vec<Assignment>>,
+    /// Reusable per-state counters for [`Kripke::topological_order`], so a
     /// relabel of a small region does not pay an O(total-states) allocation.
     /// Entries are only meaningful for the current call's region members.
     scratch_remaining: Vec<u32>,
@@ -73,9 +64,7 @@ impl Labeling {
     pub(crate) fn with_spec(kripke: &Kripke, spec: SpecCache) -> (Labeling, usize) {
         let mut labeling = Labeling {
             spec,
-            spans: Vec::new(),
-            backing: Vec::with_capacity(kripke.len()),
-            dead: 0,
+            labels: Vec::new(),
             scratch_remaining: Vec::new(),
             looping: None,
         };
@@ -88,26 +77,21 @@ impl Labeling {
         self.spec
     }
 
-    /// Labels every state of `kripke` bottom-up, reusing the backing storage.
+    /// Labels every state of `kripke` bottom-up.
     fn recompute(&mut self, kripke: &Kripke) -> usize {
-        self.spans.clear();
-        self.spans.resize(kripke.len(), (0, 0));
-        self.backing.clear();
-        self.dead = 0;
+        self.labels.clear();
+        self.labels.resize(kripke.len(), Vec::new());
         let all: StateSet = kripke.states().collect();
         let order = self.order(kripke, &all);
         for state in &order {
-            let label = self.compute_label(kripke, *state);
-            self.spans[state.0] = (self.backing.len() as u32, label.len() as u32);
-            self.backing.extend(label);
+            self.labels[state.0] = self.compute_label(kripke, *state);
         }
         order.len()
     }
 
-    /// [`region_topological_order`], recording the states it leaves out.
+    /// [`Kripke::topological_order`], recording the states it leaves out.
     fn order(&mut self, kripke: &Kripke, region: &StateSet) -> Vec<StateId> {
-        let (order, looping) =
-            region_topological_order(kripke, region, &mut self.scratch_remaining);
+        let (order, looping) = kripke.topological_order(region, &mut self.scratch_remaining);
         self.looping = looping;
         order
     }
@@ -121,8 +105,7 @@ impl Labeling {
     /// loop.
     #[inline]
     pub fn label(&self, state: StateId) -> &[Assignment] {
-        let (offset, len) = self.spans[state.0];
-        &self.backing[offset as usize..(offset + len) as usize]
+        &self.labels[state.0]
     }
 
     /// Recomputes labels after the outgoing transitions of `changed` states
@@ -132,10 +115,10 @@ impl Labeling {
         if changed.is_empty() {
             return 0;
         }
-        if self.spans.len() != kripke.len() || self.looping.is_some() {
+        if self.labels.len() != kripke.len() || self.looping.is_some() {
             // The state space itself changed, or the last labeling left the
             // states that reach a loop unlabeled; fall back to a full
-            // relabel (reusing this labeling's storage).
+            // relabel.
             self.spec.resolve(kripke);
             return self.recompute(kripke);
         }
@@ -158,8 +141,8 @@ impl Labeling {
             }
             let new_label = self.compute_label(kripke, state);
             relabeled += 1;
-            if new_label.as_slice() != self.label(state) {
-                self.replace_label(state, new_label);
+            if new_label != self.labels[state.0] {
+                self.labels[state.0] = new_label;
                 for pred in kripke.predecessors(state) {
                     if *pred != state {
                         dirty.insert(*pred);
@@ -291,12 +274,11 @@ impl Labeling {
                 .closure
                 .sink_assignment(label, &self.spec.resolved)];
         }
-        let mut assignments: Vec<Assignment> = Vec::new();
-        for succ in kripke.successors(state) {
-            if *succ == state {
-                continue;
-            }
-            for successor_assignment in self.label(*succ) {
+        let successors = || kripke.successors(state).iter().filter(|s| **s != state);
+        let size = successors().map(|s| self.labels[s.0].len()).sum();
+        let mut assignments = Vec::with_capacity(size);
+        for succ in successors() {
+            for successor_assignment in &self.labels[succ.0] {
                 assignments.push(self.spec.closure.successor_assignment(
                     label,
                     successor_assignment,
@@ -308,86 +290,6 @@ impl Labeling {
         assignments.dedup();
         assignments
     }
-
-    /// Replaces one state's span. Same-length labels are overwritten in
-    /// place; different lengths append to the backing and leave the old span
-    /// dead until the next compaction.
-    fn replace_label(&mut self, state: StateId, new: Vec<Assignment>) {
-        let (offset, len) = self.spans[state.0];
-        if new.len() == len as usize {
-            for (dst, src) in self.backing[offset as usize..].iter_mut().zip(new) {
-                *dst = src;
-            }
-            return;
-        }
-        self.dead += len as usize;
-        self.spans[state.0] = (self.backing.len() as u32, new.len() as u32);
-        self.backing.extend(new);
-        if self.dead > self.backing.len() / 2 && self.backing.len() > 1024 {
-            self.compact();
-        }
-    }
-
-    /// Rewrites `backing` keeping only live spans, in state order.
-    fn compact(&mut self) {
-        let live = self.backing.len() - self.dead;
-        let mut compacted = Vec::with_capacity(live);
-        for span in &mut self.spans {
-            let (offset, len) = *span;
-            let start = compacted.len() as u32;
-            compacted.extend_from_slice(&self.backing[offset as usize..(offset + len) as usize]);
-            *span = (start, len);
-        }
-        self.backing = compacted;
-        self.dead = 0;
-    }
-}
-
-/// A topological order (successors first) of the subgraph induced by
-/// `region`, ignoring self-loops. Edges leaving the region are ignored: those
-/// successors already have correct labels.
-///
-/// The order leaves out the region states that reach a cycle inside the
-/// region; they are returned second, or `None` if there are none.
-///
-/// `remaining` is a caller-owned scratch buffer of per-state counters; only
-/// the entries of region members are written and read, so it never needs
-/// clearing — a relabel of a small region stays O(region), not O(states).
-fn region_topological_order(
-    kripke: &Kripke,
-    region: &StateSet,
-    remaining: &mut Vec<u32>,
-) -> (Vec<StateId>, Option<StateSet>) {
-    if remaining.len() < kripke.len() {
-        remaining.resize(kripke.len(), 0);
-    }
-    let mut size = 0;
-    for state in region.iter() {
-        remaining[state.0] = kripke
-            .successors(state)
-            .iter()
-            .filter(|s| **s != state && region.contains(**s))
-            .count() as u32;
-        size += 1;
-    }
-    let mut queue: VecDeque<StateId> = region.iter().filter(|s| remaining[s.0] == 0).collect();
-    let mut order = Vec::with_capacity(size);
-    while let Some(state) = queue.pop_front() {
-        order.push(state);
-        for pred in kripke.predecessors(state) {
-            if *pred == state || !region.contains(*pred) {
-                continue;
-            }
-            remaining[pred.0] -= 1;
-            if remaining[pred.0] == 0 {
-                queue.push_back(*pred);
-            }
-        }
-    }
-    // A state is left out iff it keeps a successor that is left out.
-    let looping =
-        (order.len() < size).then(|| region.iter().filter(|s| remaining[s.0] > 0).collect());
-    (order, looping)
 }
 
 #[cfg(test)]
@@ -500,9 +402,9 @@ mod tests {
     }
 
     #[test]
-    fn repeated_relabels_stay_consistent_under_compaction() {
-        // Flip J's successors back and forth; span replacement and
-        // compaction must preserve agreement with the from-scratch labeling.
+    fn repeated_relabels_stay_consistent() {
+        // Flip J's successors back and forth; every relabel must agree with
+        // the from-scratch labeling.
         let (mut k, ids) = figure6();
         let phi = builders::reachability(Prop::switch(3));
         let (mut labeling, _) = Labeling::label_all(&k, &phi);

@@ -10,7 +10,10 @@
 //!   trace from that location satisfies the specification.
 //! * **Incrementality.** After random sequences of switch updates (applies
 //!   and reverts), [`Labeling::relabel`] must agree with a from-scratch
-//!   [`Labeling::label_all`] on every state's assignment vector.
+//!   [`Labeling::label_all`] on every state's assignment vector, and
+//!   [`HeaderSpaceChecker`]'s recheck with a fresh check on the verdict, also
+//!   where one switch forwards out of two ports, so updates make and fix
+//!   loops.
 //!
 //! Both oracles also run on specs padded with tautologies, so every
 //! assignment spans two 64-bit words or more. The trace oracle runs once more
@@ -25,9 +28,9 @@ use rand::{Rng, SeedableRng};
 use netupd_kripke::{Kripke, NetworkKripke, StateRole};
 use netupd_ltl::semantics;
 use netupd_ltl::{Ltl, Prop};
-use netupd_mc::Labeling;
+use netupd_mc::{HeaderSpaceChecker, Labeling, ModelChecker};
 use netupd_model::{
-    Action, Configuration, Endpoint, HostId, Network, Rule, Table, Topology, TrafficClass,
+    Action, Configuration, Endpoint, HostId, Network, Rule, SwitchId, Table, Topology, TrafficClass,
 };
 use netupd_topo::scenario::{diamond_scenario, PropertyKind};
 use netupd_topo::{generators, UpdateScenario};
@@ -182,26 +185,32 @@ fn assert_labeling_matches_trace_oracle(scenario: &UpdateScenario, spec: &Ltl, s
     }
 }
 
+/// A random walk over configurations from `scenario`'s initial one: each
+/// step applies one switch's final table or reverts it to its initial table.
+fn random_updates(scenario: &UpdateScenario, seed: u64) -> Vec<(SwitchId, Table)> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ff_ee00);
+    let mut switches: Vec<_> = scenario.final_config.switches().collect();
+    switches.shuffle(&mut rng);
+    (0..switches.len().min(8))
+        .map(|round| {
+            let sw = switches[round % switches.len()];
+            let table = if rng.gen_bool(0.3) {
+                scenario.initial.table(sw)
+            } else {
+                scenario.final_config.table(sw)
+            };
+            (sw, table)
+        })
+        .collect()
+}
+
 /// `relabel` agrees with `label_all` on every state's assignment vector
 /// after a random walk of switch updates, including reverts.
 fn assert_relabel_matches_label_all(scenario: &UpdateScenario, spec: &Ltl, seed: u64) {
     let encoder = encoder_for(scenario);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ff_ee00);
-
     let mut kripke = encoder.encode(&scenario.initial);
     let (mut labeling, _) = Labeling::label_all(&kripke, spec);
-
-    // Random walk over configurations: each step applies one switch's
-    // final table or reverts it to its initial table.
-    let mut switches: Vec<_> = scenario.final_config.switches().collect();
-    switches.shuffle(&mut rng);
-    for round in 0..switches.len().min(8) {
-        let sw = switches[round % switches.len()];
-        let table = if rng.gen_bool(0.3) {
-            scenario.initial.table(sw)
-        } else {
-            scenario.final_config.table(sw)
-        };
+    for (round, (sw, table)) in random_updates(scenario, seed).into_iter().enumerate() {
         let changed = encoder.apply_switch_update(&mut kripke, sw, &table);
         labeling.relabel(&kripke, &changed);
         let (fresh, _) = Labeling::label_all(&kripke, spec);
@@ -210,6 +219,23 @@ fn assert_relabel_matches_label_all(scenario: &UpdateScenario, spec: &Ltl, seed:
             &fresh,
             &kripke,
             &format!("seed {seed}, round {round}, switch {sw}"),
+        );
+    }
+}
+
+/// `HeaderSpaceChecker::recheck` agrees with a fresh check on the verdict
+/// after every step of the random walk of [`random_updates`].
+fn assert_headerspace_recheck_matches_check(scenario: &UpdateScenario, spec: &Ltl, seed: u64) {
+    let encoder = encoder_for(scenario);
+    let mut kripke = encoder.encode(&scenario.initial);
+    let mut checker = HeaderSpaceChecker::new();
+    checker.check(&kripke, spec);
+    for (round, (sw, table)) in random_updates(scenario, seed).into_iter().enumerate() {
+        let changed = encoder.apply_switch_update(&mut kripke, sw, &table);
+        assert_eq!(
+            checker.recheck(&kripke, spec, &changed).holds,
+            HeaderSpaceChecker::new().check(&kripke, spec).holds,
+            "seed {seed}, round {round}, switch {sw}: recheck and check disagree"
         );
     }
 }
@@ -233,6 +259,17 @@ proptest! {
     fn relabel_matches_label_all_after_random_updates(seed in 0u64..64) {
         let Some(scenario) = scenario_for_seed(seed) else { return Ok(()); };
         assert_relabel_matches_label_all(&scenario, &scenario.spec, seed);
+    }
+
+    /// HeaderSpace's recheck agrees with a fresh check after every step of
+    /// the same random walks, and again once one switch of each
+    /// configuration forwards out of two ports, so steps make and fix loops.
+    #[test]
+    fn headerspace_recheck_matches_a_fresh_check(seed in 0u64..64) {
+        let Some(scenario) = scenario_for_seed(seed) else { return Ok(()); };
+        assert_headerspace_recheck_matches_check(&scenario, &scenario.spec, seed);
+        let branched = branched(&scenario, seed);
+        assert_headerspace_recheck_matches_check(&branched, &scenario.spec, seed);
     }
 
     /// Both properties again with labels two words wide or more: operands,

@@ -301,12 +301,7 @@ fn assemble(
         }
         pairs.push(pair);
     }
-    // Switches only used initially end up with an explicitly empty table.
-    for sw in initial.switches().collect::<Vec<_>>() {
-        if final_config.table_ref(sw).is_none() {
-            final_config.set_table(sw, netupd_model::Table::empty());
-        }
-    }
+    drain_abandoned(&initial, &mut final_config);
     let spec = Ltl::and_all(pairs.iter().map(|p| p.spec.clone()));
     UpdateScenario {
         graph: graph.clone(),
@@ -315,6 +310,17 @@ fn assemble(
         final_config,
         spec,
         kind,
+    }
+}
+
+/// Gives every switch that has a table in `initial` (rules, or an explicitly
+/// empty one) but none in `final_config` an empty final table: the update
+/// drains the switches the final configuration abandons.
+fn drain_abandoned(initial: &Configuration, final_config: &mut Configuration) {
+    for sw in initial.switches() {
+        if final_config.table_ref(sw).is_none() {
+            final_config.set_table(sw, netupd_model::Table::empty());
+        }
     }
 }
 
@@ -535,36 +541,34 @@ fn churn_step<R: Rng>(
     if new_path == *current {
         return None;
     }
+    Some(next_step(graph, prev, new_path))
+}
 
-    // The step starts exactly where the previous step ended.
+/// The churn step after `prev` that moves its (single) flow from its current
+/// (final) path to `new_path`. The step starts exactly where `prev` ended,
+/// and drains the switches the new path abandons, as in `assemble`.
+fn next_step(
+    graph: &NetworkGraph,
+    prev: &UpdateScenario,
+    new_path: Vec<SwitchId>,
+) -> UpdateScenario {
+    let pair = &prev.pairs[0];
     let initial = prev.final_config.clone();
     let mut final_config = graph.compile_path(&new_path, pair.dst_host, &pair.class, Priority(10));
-    // Switches carrying rules (or explicitly emptied tables) in the initial
-    // configuration that the new path does not use must end empty — they are
-    // part of the update, exactly as in `assemble`.
-    for sw in initial.switches().collect::<Vec<_>>() {
-        if final_config.table_ref(sw).is_none() {
-            final_config.set_table(sw, netupd_model::Table::empty());
-        }
-    }
-
+    drain_abandoned(&initial, &mut final_config);
     let next_pair = FlowPair {
-        src_host: pair.src_host,
-        dst_host: pair.dst_host,
-        class: pair.class.clone(),
-        initial_path: current.clone(),
+        initial_path: pair.final_path.clone(),
         final_path: new_path,
-        waypoints: pair.waypoints.clone(),
-        spec: pair.spec.clone(),
+        ..pair.clone()
     };
-    Some(UpdateScenario {
+    UpdateScenario {
         graph: graph.clone(),
         pairs: vec![next_pair],
         initial,
         final_config,
         spec: prev.spec.clone(),
         kind: prev.kind,
-    })
+    }
 }
 
 /// The perturbation a failure-injected churn step applies to the flow.
@@ -664,34 +668,7 @@ fn failure_churn_step<R: Rng>(
     if new_path == *current {
         return None;
     }
-
-    // Identical step construction to `churn_step`: start exactly where the
-    // previous step ended, drain abandoned switches to empty tables.
-    let initial = prev.final_config.clone();
-    let mut final_config = graph.compile_path(&new_path, pair.dst_host, &pair.class, Priority(10));
-    for sw in initial.switches().collect::<Vec<_>>() {
-        if final_config.table_ref(sw).is_none() {
-            final_config.set_table(sw, netupd_model::Table::empty());
-        }
-    }
-    let next_pair = FlowPair {
-        src_host: pair.src_host,
-        dst_host: pair.dst_host,
-        class: pair.class.clone(),
-        initial_path: current.clone(),
-        final_path: new_path,
-        waypoints: pair.waypoints.clone(),
-        spec: pair.spec.clone(),
-    };
-    let next = UpdateScenario {
-        graph: graph.clone(),
-        pairs: vec![next_pair],
-        initial,
-        final_config,
-        spec: prev.spec.clone(),
-        kind: prev.kind,
-    };
-    Some((event, next))
+    Some((event, next_step(graph, prev, new_path)))
 }
 
 /// Derives a request whose initial configuration is a **partially applied**
