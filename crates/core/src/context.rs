@@ -82,8 +82,7 @@ impl CheckContext {
         switch: SwitchId,
         table: Table,
     ) -> Table {
-        self.pending
-            .extend(encoder.apply_switch_update(&mut self.kripke, switch, &table));
+        encoder.apply_switch_update_into(&mut self.kripke, switch, &table, &mut self.pending);
         self.config.set_table(switch, table).unwrap_or_default()
     }
 

@@ -13,9 +13,10 @@
 //!   the simulator.
 
 use netupd_ltl::semantics;
+use netupd_model::trace::TraceEnd;
 use netupd_model::{
     CommandSeq, Configuration, Field, HostId, Network, Packet, ProbeReport, Simulator,
-    SimulatorOptions,
+    SimulatorOptions, TrafficClass,
 };
 
 use crate::problem::UpdateProblem;
@@ -87,21 +88,29 @@ pub struct ProbeExperiment {
 
 impl ProbeExperiment {
     /// A probe experiment for the first flow of `problem`: ICMP-like probes
-    /// of the first traffic class injected at the first ingress host, or at
-    /// the topology's first host when the problem lists no ingress (which
-    /// means every host).
+    /// of the first traffic class injected at the first ingress host.
+    ///
+    /// A problem that lists no ingress (which means every host) probes from
+    /// the first host that is a source of that class: the first whose
+    /// traces under the initial configuration all leave at another host.
+    /// Probes from a host that is no source are dropped before and after
+    /// any update, so they could not tell a good order from a bad one. With
+    /// no such host, the topology's first host probes.
     ///
     /// # Panics
     ///
     /// Panics if the topology has no hosts or the problem no traffic classes.
     pub fn for_problem(problem: &UpdateProblem) -> Self {
-        let src_host = *(problem.ingress_hosts.first())
-            .or(problem.topology.hosts().first())
-            .expect("the topology has a host");
         let class = problem
             .classes
             .first()
             .expect("problem has a traffic class");
+        let src_host = match problem.ingress_hosts.first() {
+            Some(&host) => host,
+            None => first_source(problem, class)
+                .or(problem.topology.hosts().first().copied())
+                .expect("the topology has a host"),
+        };
         let probe = class.representative().with_field(Field::Typ, 1);
         ProbeExperiment {
             src_host,
@@ -111,6 +120,23 @@ impl ProbeExperiment {
             sim_options: SimulatorOptions::default(),
         }
     }
+}
+
+/// The first host of the topology whose `class` traces under the problem's
+/// initial configuration all leave the network at another host.
+fn first_source(problem: &UpdateProblem, class: &TrafficClass) -> Option<HostId> {
+    let net = Network::new(problem.topology.clone(), problem.initial.clone());
+    problem.topology.hosts().iter().copied().find(|&host| {
+        problem
+            .topology
+            .switch_of_host(host)
+            .is_some_and(|(sw, pt)| {
+                let traces = net.traces_from(sw, pt, class);
+                !traces.is_empty()
+                    && (traces.iter())
+                        .all(|trace| matches!(trace.end(), TraceEnd::Egress(to) if to != host))
+            })
+    })
 }
 
 /// Runs `commands` on the problem's initial configuration while injecting
@@ -227,7 +253,10 @@ mod tests {
             .expect("solution");
         let experiment = ProbeExperiment::for_problem(&problem);
         let report = run_with_probes(&problem, &update.commands, &experiment).expect("simulation");
+        // The probes come from a source of the flow, so they arrive.
         assert!(report.total_sent() > 0);
+        assert!(report.total_received() > 0);
+        assert_eq!(report.total_dropped(), 0);
     }
 
     #[test]

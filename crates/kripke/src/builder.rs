@@ -9,6 +9,7 @@ use netupd_model::{
     Topology, TrafficClass,
 };
 
+use crate::stateset::StateSet;
 use crate::structure::{Kripke, StateId, StateKey, StateRole};
 
 /// Where a state sits in the whole-topology enumeration: its class, its role
@@ -173,9 +174,10 @@ impl NetworkKripke {
     fn skeleton(&self) -> &Kripke {
         self.skeleton.get_or_init(|| {
             let mut kripke = Kripke::new();
-            // Intern the dynamic proposition first so its id is available
-            // (and stable) before any state label is written.
-            kripke.intern_prop(Prop::Dropped);
+            // Intern the dynamic proposition first, so it is `DROPPED` in
+            // every structure this encoder builds.
+            let dropped = kripke.intern_prop(Prop::Dropped);
+            debug_assert_eq!(dropped, DROPPED);
             self.add_states(&mut kripke);
             kripke
         })
@@ -201,13 +203,13 @@ impl NetworkKripke {
     ///
     /// [`apply_switch_update`]: NetworkKripke::apply_switch_update
     pub fn reset_to(&self, kripke: &mut Kripke, config: &Configuration) -> Vec<StateId> {
-        let dropped = kripke.intern_prop(Prop::Dropped);
+        debug_assert_eq!(kripke.props().lookup(&Prop::Dropped), Some(DROPPED));
         let empty = Table::empty();
         let mut changed = Vec::new();
         for state in kripke.states() {
             let switch = kripke.key(state).switch;
             let table = config.table_ref(switch).unwrap_or(&empty);
-            if self.encode_state(kripke, state, table, dropped) {
+            if self.encode_state(kripke, state, table) {
                 changed.push(state);
             }
         }
@@ -227,14 +229,28 @@ impl NetworkKripke {
         switch: SwitchId,
         new_table: &Table,
     ) -> Vec<StateId> {
-        let dropped = kripke.intern_prop(Prop::Dropped);
         let mut changed = Vec::new();
-        for state in kripke.states_of_switch(switch) {
-            if self.encode_state(kripke, state, new_table, dropped) {
+        self.apply_switch_update_into(kripke, switch, new_table, &mut changed);
+        changed
+    }
+
+    /// [`apply_switch_update`](Self::apply_switch_update), appending the
+    /// changed states to `changed` instead of returning a new list: a step
+    /// costs the switch's own states, with no allocation of its own.
+    pub fn apply_switch_update_into(
+        &self,
+        kripke: &mut Kripke,
+        switch: SwitchId,
+        new_table: &Table,
+        changed: &mut Vec<StateId>,
+    ) {
+        debug_assert_eq!(kripke.props().lookup(&Prop::Dropped), Some(DROPPED));
+        let index = kripke.switch_index();
+        for &state in index.states(switch) {
+            if self.encode_state(kripke, state, new_table) {
                 changed.push(state);
             }
         }
-        changed
     }
 
     // ---- internals ---------------------------------------------------------
@@ -249,6 +265,10 @@ impl NetworkKripke {
     /// The footprint of `configs` (see [`cover`](Self::cover)), keyed by
     /// each state's place in the whole-topology enumeration: a worklist
     /// closure from the admitted ingress states over every matching rule.
+    ///
+    /// Once a covered footprint's skeleton is built, a reached state it
+    /// already holds is walked on but neither placed nor returned: the map
+    /// holds the new states alone, so a covered request costs its walk.
     fn footprint(&self, configs: &[&Configuration]) -> BTreeMap<Place, SkeletonState> {
         // The roots, once for every class: the ports admitted hosts' packets
         // enter at, each with the link that enters there.
@@ -260,19 +280,30 @@ impl NetworkKripke {
                 _ => None,
             })
             .collect();
+        let covered = self.footprint.as_ref().and(self.skeleton.get());
         let mut slice = BTreeMap::new();
         let mut reached = HashSet::new();
+        let mut reached_covered = StateSet::with_capacity(covered.map_or(0, Kripke::len));
         for (class_idx, packet) in self.representatives.iter().enumerate() {
             // Each entry carries the link its packet took to get there.
             let mut worklist: Vec<(LinkId, StateKey)> = (roots.iter())
                 .map(|&(id, sw, pt)| (id, StateKey::arrival(sw, pt, class_idx)))
                 .collect();
             while let Some((via, key)) = worklist.pop() {
-                if !reached.insert(key.packed()) {
-                    continue;
+                match covered.and_then(|skeleton| skeleton.state_by_key(&key)) {
+                    Some(state) => {
+                        if !reached_covered.insert(state) {
+                            continue;
+                        }
+                    }
+                    None => {
+                        if !reached.insert(key.packed()) {
+                            continue;
+                        }
+                        let (place, state) = self.place(key, via);
+                        slice.insert(place, state);
+                    }
                 }
-                let (place, state) = self.place(key, via);
-                slice.insert(place, state);
                 if key.role == StateRole::Egress {
                     continue;
                 }
@@ -395,28 +426,23 @@ impl NetworkKripke {
 
     /// Recomputes the outgoing transitions (and drop labeling) of one state.
     /// Returns `true` if the transitions or the label changed.
-    fn encode_state(
-        &self,
-        kripke: &mut Kripke,
-        state: StateId,
-        table: &Table,
-        dropped: PropId,
-    ) -> bool {
+    fn encode_state(&self, kripke: &mut Kripke, state: StateId, table: &Table) -> bool {
         let key = kripke.key(state);
 
         // Egress states keep their self-loop regardless of the table: the
         // packet has already left the switch.
         if key.role == StateRole::Egress {
-            return kripke.set_successors(state, vec![state]);
+            return kripke.set_successors(state, &[state]);
         }
 
         let rule = table.matching_rule(&self.representatives[key.class], key.port);
-        let mut successors: Vec<StateId> = (rule.map_or(&[][..], Rule::actions).iter())
+        let mut successors = Successors::default();
+        (rule.map_or(&[][..], Rule::actions).iter())
             .filter_map(Action::forward_port)
             .filter_map(|out_port| self.successor(key, out_port))
             .filter_map(|(_, succ)| kripke.state_by_key(&succ))
-            .collect();
-        let is_dropped = successors.is_empty();
+            .for_each(|succ| successors.push(succ));
+        let is_dropped = successors.len == 0;
         if is_dropped {
             // Every output dangled (or left the slice — only on states no
             // initial state reaches), or there were none: the packet is stuck
@@ -427,8 +453,66 @@ impl NetworkKripke {
 
         // Only the Dropped proposition is dynamic; toggling one interned bit
         // replaces the old clone-modify-store of the whole label set.
-        let label_changed = kripke.set_label_bit(state, dropped, is_dropped);
-        kripke.set_successors(state, successors) || label_changed
+        let label_changed = kripke.set_label_bit(state, DROPPED, is_dropped);
+        kripke.set_successors(state, successors.sorted()) || label_changed
+    }
+}
+
+/// The id of [`Prop::Dropped`] in every structure the encoder builds: the
+/// skeleton interns it before anything else.
+const DROPPED: PropId = PropId(0);
+
+/// How many successors of one state [`Successors`] holds on the stack.
+const INLINE_SUCCESSORS: usize = 8;
+
+/// The successors of one state as the rewiring step collects them: on the
+/// stack up to [`INLINE_SUCCESSORS`] of them (a rule forwards out of one or
+/// two ports), in a `Vec` past that.
+struct Successors {
+    inline: [StateId; INLINE_SUCCESSORS],
+    spilled: Vec<StateId>,
+    len: usize,
+}
+
+impl Default for Successors {
+    fn default() -> Self {
+        Successors {
+            inline: [StateId(0); INLINE_SUCCESSORS],
+            spilled: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl Successors {
+    fn push(&mut self, state: StateId) {
+        if self.len < INLINE_SUCCESSORS {
+            self.inline[self.len] = state;
+        } else {
+            if self.spilled.is_empty() {
+                self.spilled.extend_from_slice(&self.inline);
+            }
+            self.spilled.push(state);
+        }
+        self.len += 1;
+    }
+
+    /// The successors sorted, without repeats.
+    fn sorted(&mut self) -> &[StateId] {
+        let all = if self.len <= INLINE_SUCCESSORS {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spilled[..]
+        };
+        all.sort_unstable();
+        let mut distinct = 0;
+        for at in 0..all.len() {
+            if distinct == 0 || all[at] != all[distinct - 1] {
+                all[distinct] = all[at];
+                distinct += 1;
+            }
+        }
+        &all[..distinct]
     }
 }
 
@@ -672,7 +756,7 @@ mod tests {
         assert!(kripke.is_complete() && kripke.is_dag_like());
     }
 
-    /// `states_of_switch` against the linear scan it replaced, for every
+    /// The per-switch index against a linear scan, for every
     /// switch with a state and one without.
     fn assert_switch_index_matches_scan(kripke: &Kripke, context: &str) {
         let mut switches: Vec<SwitchId> = kripke.states().map(|s| kripke.key(s).switch).collect();
@@ -682,7 +766,7 @@ mod tests {
                 .states()
                 .filter(|s| kripke.key(*s).switch == sw)
                 .collect();
-            assert_eq!(kripke.states_of_switch(sw), scanned, "{context}: {sw}");
+            assert_eq!(kripke.switch_index().states(sw), scanned, "{context}: {sw}");
         }
     }
 
@@ -697,11 +781,11 @@ mod tests {
         assert_switch_index_matches_scan(&kripke, "encoded clone");
         for sw in [s0, s1] {
             assert_eq!(
-                kripke.states_of_switch(sw),
-                encoder.skeleton().states_of_switch(sw),
+                kripke.switch_index().states(sw),
+                encoder.skeleton().switch_index().states(sw),
                 "a clone sees its skeleton's index"
             );
-            assert!(!kripke.states_of_switch(sw).is_empty());
+            assert!(!kripke.switch_index().states(sw).is_empty());
         }
 
         assert!(!encoder
@@ -716,6 +800,57 @@ mod tests {
             .reset_to(&mut kripke, &Configuration::new())
             .is_empty());
         assert_switch_index_matches_scan(&kripke, "after reset_to");
+    }
+
+    /// A star: h0 enters s0 at port 0, and s0's ports 1..=n lead each to a
+    /// switch of its own with a host behind it.
+    fn star(n: u32) -> (Topology, SwitchId) {
+        let mut topo = Topology::new();
+        let h0 = topo.add_host();
+        let s0 = topo.add_switch();
+        topo.attach_host(h0, s0, PortId(0));
+        for port in 1..=n {
+            let (h, s) = (topo.add_host(), topo.add_switch());
+            topo.add_duplex_link(s0, PortId(port), s, PortId(1));
+            topo.attach_host(h, s, PortId(2));
+        }
+        (topo, s0)
+    }
+
+    #[test]
+    fn a_rule_with_more_exits_than_the_stack_holds_rewires_like_a_fresh_encode() {
+        let n = 2 * INLINE_SUCCESSORS as u32 + 1;
+        let (topo, s0) = star(n);
+        let flood = |ports: &mut dyn Iterator<Item = u32>| {
+            let actions = ports.map(|port| Action::Forward(PortId(port)));
+            Table::new(vec![Rule::new(
+                Priority(1),
+                Pattern::any().with_field(Field::Dst, 1),
+                actions.collect(),
+            )])
+        };
+        // Out of every port, in descending order, and out of two twice.
+        let wide = flood(&mut (1..=n).rev().chain([3, 1]));
+        let narrow = flood(&mut [2, 1].into_iter());
+        let encoder = NetworkKripke::new(topo, vec![class()]);
+        let mut kripke = encoder.encode(&Configuration::new().with_table(s0, narrow.clone()));
+        let entry = kripke
+            .state_by_key(&StateKey::arrival(s0, PortId(0), 0))
+            .expect("the entry state");
+        assert_eq!(kripke.successors(entry).len(), 2);
+        for (table, exits) in [(&wide, n as usize), (&narrow, 2), (&wide, n as usize)] {
+            let changed = encoder.apply_switch_update(&mut kripke, s0, table);
+            assert!(changed.contains(&entry));
+            let fresh = encoder.encode(&Configuration::new().with_table(s0, table.clone()));
+            let successors = kripke.successors(entry);
+            assert_eq!(successors.len(), exits);
+            assert!(successors.windows(2).all(|pair| pair[0] < pair[1]));
+            assert_eq!(successors, fresh.successors(entry));
+            for succ in successors {
+                assert!(kripke.predecessors(*succ).contains(&entry));
+            }
+            assert!(!kripke.has_prop(entry, &Prop::Dropped));
+        }
     }
 
     #[test]

@@ -104,6 +104,26 @@ impl fmt::Display for StateKey {
     }
 }
 
+/// The states of each switch, in id order: a list per switch id (switch ids
+/// are dense), so a lookup is an index, not a hash.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SwitchIndex(Vec<Vec<StateId>>);
+
+impl SwitchIndex {
+    /// The states of `switch` (none for a switch without states).
+    pub(crate) fn states(&self, switch: SwitchId) -> &[StateId] {
+        self.0.get(switch.0 as usize).map_or(&[], Vec::as_slice)
+    }
+
+    fn push(&mut self, switch: SwitchId, state: StateId) {
+        let at = switch.0 as usize;
+        if self.0.len() <= at {
+            self.0.resize_with(at + 1, Vec::new);
+        }
+        self.0[at].push(state);
+    }
+}
+
 /// A finite Kripke structure `(Q, Q0, δ, λ)` with proposition labels.
 ///
 /// The structures produced by the network encoding are *complete* (every
@@ -123,12 +143,14 @@ pub struct Kripke {
     /// The states of each switch in id order, filled by `add_state`. Shared
     /// rather than deep-copied by `clone` — the encoder's skeleton fixes the
     /// state space, so its per-`encode` clones never write to it.
-    by_switch: Arc<HashMap<SwitchId, Vec<StateId>>>,
+    by_switch: Arc<SwitchIndex>,
     /// Arena stride: number of `u64` words each state's label row occupies.
     /// Grows (rarely — at 64-proposition boundaries) via `ensure_stride`.
     label_words: usize,
     /// Dense label arena: `keys.len() * label_words` words.
     labels: Vec<u64>,
+    /// Each state's successors, sorted and without repeats (both mutators
+    /// keep them so).
     successors: Vec<Vec<StateId>>,
     predecessors: Vec<Vec<StateId>>,
     initial: BTreeSet<StateId>,
@@ -197,10 +219,7 @@ impl Kripke {
         let id = StateId(self.keys.len());
         self.keys.push(key);
         self.index.insert(key.packed(), id);
-        Arc::make_mut(&mut self.by_switch)
-            .entry(key.switch)
-            .or_default()
-            .push(id);
+        Arc::make_mut(&mut self.by_switch).push(key.switch, id);
         self.labels.resize(self.labels.len() + self.label_words, 0);
         for prop in label {
             let prop = self.intern_prop(prop);
@@ -216,31 +235,40 @@ impl Kripke {
         self.initial.insert(state);
     }
 
-    /// Adds a transition `from → to` (idempotent).
+    /// Adds a transition `from → to` (idempotent), keeping `from`'s
+    /// successor list sorted.
     pub fn add_transition(&mut self, from: StateId, to: StateId) {
-        if !self.successors[from.0].contains(&to) {
-            self.successors[from.0].push(to);
+        let successors = &mut self.successors[from.0];
+        if let Err(at) = successors.binary_search(&to) {
+            successors.insert(at, to);
             self.predecessors[to.0].push(from);
         }
     }
 
-    /// Replaces the outgoing transitions of `state`, maintaining predecessor
-    /// lists. Returns `true` if the successor set actually changed.
-    pub fn set_successors(&mut self, state: StateId, mut new: Vec<StateId>) -> bool {
-        new.sort_unstable();
-        new.dedup();
-        let mut old = self.successors[state.0].clone();
-        old.sort_unstable();
-        if old == new {
+    /// Replaces the outgoing transitions of `state` with `new`, which must
+    /// be sorted and free of repeats, maintaining predecessor lists. Returns
+    /// `true` if the successor set actually changed.
+    ///
+    /// Successor lists are always sorted, so an unchanged list is one slice
+    /// comparison, and a changed one is copied into the old list's storage.
+    pub fn set_successors(&mut self, state: StateId, new: &[StateId]) -> bool {
+        debug_assert!(
+            new.windows(2).all(|pair| pair[0] < pair[1]),
+            "successors must be sorted and distinct"
+        );
+        if self.successors[state.0] == new {
             return false;
         }
-        for succ in &old {
+        let mut list = std::mem::take(&mut self.successors[state.0]);
+        for succ in &list {
             self.predecessors[succ.0].retain(|p| *p != state);
         }
-        for succ in &new {
+        for succ in new {
             self.predecessors[succ.0].push(state);
         }
-        self.successors[state.0] = new;
+        list.clear();
+        list.extend_from_slice(new);
+        self.successors[state.0] = list;
         true
     }
 
@@ -304,7 +332,7 @@ impl Kripke {
         was_set != value
     }
 
-    /// The successors of a state.
+    /// The successors of a state, in id order.
     pub fn successors(&self, state: StateId) -> &[StateId] {
         &self.successors[state.0]
     }
@@ -416,9 +444,12 @@ impl Kripke {
         visited
     }
 
-    /// The states whose key refers to the given switch, in id order.
-    pub fn states_of_switch(&self, switch: SwitchId) -> Vec<StateId> {
-        self.by_switch.get(&switch).cloned().unwrap_or_default()
+    /// The per-switch state index (the states whose key refers to each
+    /// switch, in id order), shared: a handle that outlives a mutable borrow
+    /// of the structure, so a rewiring step can walk a switch's states while
+    /// it rewires them, without copying the list.
+    pub(crate) fn switch_index(&self) -> Arc<SwitchIndex> {
+        Arc::clone(&self.by_switch)
     }
 }
 
@@ -602,22 +633,22 @@ mod tests {
     fn set_successors_updates_predecessors() {
         let (mut k, [a, b, c, d]) = diamond();
         // Re-route a to go only to c.
-        let changed = k.set_successors(a, vec![c]);
+        let changed = k.set_successors(a, &[c]);
         assert!(changed);
         assert_eq!(k.successors(a), &[c]);
         assert!(!k.predecessors(b).contains(&a));
         assert!(k.predecessors(c).contains(&a));
         // Setting the same successors again reports no change.
-        assert!(!k.set_successors(a, vec![c]));
+        assert!(!k.set_successors(a, &[c]));
         assert!(k.is_dag_like());
         let _ = d;
     }
 
     #[test]
-    fn states_of_switch() {
+    fn switch_index_lists_each_switch_s_states() {
         let (k, [a, ..]) = diamond();
-        assert_eq!(k.states_of_switch(SwitchId(0)), vec![a]);
-        assert!(k.states_of_switch(SwitchId(9)).is_empty());
+        assert_eq!(k.switch_index().states(SwitchId(0)), &[a]);
+        assert!(k.switch_index().states(SwitchId(9)).is_empty());
     }
 
     #[test]
@@ -626,7 +657,7 @@ mod tests {
         let mut clone = k.clone();
         assert!(Arc::ptr_eq(&k.by_switch, &clone.by_switch));
         let extra = clone.add_state(key(0, 2), label(0));
-        assert_eq!(clone.states_of_switch(SwitchId(0)), vec![a, extra]);
-        assert_eq!(k.states_of_switch(SwitchId(0)), vec![a]);
+        assert_eq!(clone.switch_index().states(SwitchId(0)), &[a, extra]);
+        assert_eq!(k.switch_index().states(SwitchId(0)), &[a]);
     }
 }

@@ -367,7 +367,7 @@ mod tests {
         // Redirect J to only reach N, as in the paper's Figure 6 example.
         let j = ids[2];
         let n = ids[6];
-        k.set_successors(j, vec![n]);
+        k.set_successors(j, &[n]);
         let relabeled = labeling.relabel(&k, &[j]);
         assert!(relabeled >= 1);
         let (fresh, _) = Labeling::label_all(&k, &phi);
@@ -385,7 +385,7 @@ mod tests {
         let (mut labeling, _) = Labeling::label_all(&k, &phi);
         let j = ids[2];
         let n = ids[6];
-        k.set_successors(j, vec![n]);
+        k.set_successors(j, &[n]);
         let relabeled = labeling.relabel(&k, &[j]);
         // Only J itself needs recomputation: its label does not change, so the
         // propagation stops before reaching H.
@@ -410,7 +410,7 @@ mod tests {
         let (mut labeling, _) = Labeling::label_all(&k, &phi);
         let (j, m, n) = (ids[2], ids[5], ids[6]);
         for round in 0..64 {
-            let target = if round % 2 == 0 { vec![n] } else { vec![m, n] };
+            let target: &[StateId] = if round % 2 == 0 { &[n] } else { &[m, n] };
             k.set_successors(j, target);
             labeling.relabel(&k, &[j]);
             let (fresh, _) = Labeling::label_all(&k, &phi);
@@ -438,7 +438,7 @@ mod tests {
         let phi = Ltl::True;
         let (mut labeling, _) = Labeling::label_all(&k, &phi);
         assert!(labeling.holds(&k), "no loop yet");
-        k.set_successors(j, vec![x]);
+        k.set_successors(j, &[x]);
         labeling.relabel(&k, &[j]);
         assert!(!labeling.holds(&k));
         let (fresh, labeled) = Labeling::label_all(&k, &phi);
@@ -449,7 +449,7 @@ mod tests {
         assert_eq!(lasso.states, [h, j, x, j]);
         assert_eq!(labeling.outcome(&k, stats), fresh.outcome(&k, stats));
         // Out of the loop again: the next relabel starts from scratch.
-        k.set_successors(j, vec![ids[5], ids[6]]);
+        k.set_successors(j, &[ids[5], ids[6]]);
         assert_eq!(labeling.relabel(&k, &[j]), k.len());
         let (fresh, _) = Labeling::label_all(&k, &phi);
         for state in k.states() {
@@ -463,8 +463,8 @@ mod tests {
         let (mut k, ids) = figure6_with_a_loop();
         let (j, x) = (ids[2], ids[7]);
         // H no longer reaches J; J <-> X loops on its own.
-        k.set_successors(ids[0], vec![ids[1]]);
-        k.set_successors(j, vec![x]);
+        k.set_successors(ids[0], &[ids[1]]);
+        k.set_successors(j, &[x]);
         let phi = builders::reachability(Prop::switch(3));
         let (labeling, _) = Labeling::label_all(&k, &Ltl::True);
         assert!(labeling.holds(&k));

@@ -87,23 +87,39 @@ impl Configuration {
     ///
     /// This is the set of switches the synthesizer must update to move from
     /// one configuration to the other.
+    ///
+    /// One merge walk over the two switch-ordered maps, so the result is in
+    /// switch order. A switch set on one side only differs iff its table
+    /// has rules: an unset switch has the empty table.
     pub fn differing_switches(&self, other: &Configuration) -> Vec<SwitchId> {
-        let mut switches: Vec<SwitchId> = self
-            .tables
-            .keys()
-            .chain(other.tables.keys())
-            .copied()
-            .collect();
-        switches.sort_unstable();
-        switches.dedup();
-        // An unset switch compares as the empty table, by reference.
-        let empty = Table::default();
-        switches
-            .into_iter()
-            .filter(|sw| {
-                self.table_ref(*sw).unwrap_or(&empty) != other.table_ref(*sw).unwrap_or(&empty)
-            })
-            .collect()
+        let mut differing = Vec::new();
+        let mut ours = self.tables.iter().peekable();
+        let mut theirs = other.tables.iter().peekable();
+        loop {
+            let (sw, differs) = match (ours.peek(), theirs.peek()) {
+                (None, None) => return differing,
+                (Some(&(a, ta)), Some(&(b, tb))) if a == b => {
+                    ours.next();
+                    theirs.next();
+                    (*a, ta != tb)
+                }
+                (Some(&(a, ta)), Some(&(b, _))) if a < b => {
+                    ours.next();
+                    (*a, !ta.is_empty())
+                }
+                (Some(&(a, ta)), None) => {
+                    ours.next();
+                    (*a, !ta.is_empty())
+                }
+                (_, Some(&(b, tb))) => {
+                    theirs.next();
+                    (*b, !tb.is_empty())
+                }
+            };
+            if differs {
+                differing.push(sw);
+            }
+        }
     }
 }
 
@@ -133,6 +149,7 @@ mod tests {
     use crate::pattern::Pattern;
     use crate::rule::Rule;
     use crate::types::{PortId, Priority};
+    use proptest::prelude::*;
 
     fn simple_table(port: u32) -> Table {
         Table::new(vec![Rule::new(
@@ -187,5 +204,59 @@ mod tests {
         let explicit = unset.clone().with_table(SwitchId(3), Table::empty());
         assert!(unset.differing_switches(&explicit).is_empty());
         assert!(explicit.differing_switches(&unset).is_empty());
+    }
+
+    /// The definition the merge walk must meet: every switch set on either
+    /// side, sorted and without repeats, whose tables differ when an unset
+    /// switch reads as the empty table.
+    fn differing_by_definition(a: &Configuration, b: &Configuration) -> Vec<SwitchId> {
+        let mut switches: Vec<SwitchId> = a.switches().chain(b.switches()).collect();
+        switches.sort_unstable();
+        switches.dedup();
+        let empty = Table::default();
+        switches
+            .into_iter()
+            .filter(|sw| a.table_ref(*sw).unwrap_or(&empty) != b.table_ref(*sw).unwrap_or(&empty))
+            .collect()
+    }
+
+    /// The table a slot of the property below puts on a switch: unset, the
+    /// empty table two ways, a table shared by pointer with the other side,
+    /// an equal table built apart, or a different one.
+    fn slot_table(slot: u8, shared: &Table) -> Option<Table> {
+        match slot {
+            0 => None,
+            1 => Some(Table::empty()),
+            2 => Some(Table::new(Vec::new())),
+            3 => Some(shared.clone()),
+            4 => Some(simple_table(2)),
+            _ => Some(simple_table(3)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `differing_switches` against its definition, both ways round, on
+        /// switches set on one side only or on both, unset against empty,
+        /// and tables shared, equal but apart, or different.
+        #[test]
+        fn differing_switches_meets_its_definition(
+            slots in proptest::collection::vec((0u32..12, 0u8..6, 0u8..6), 0..12)
+        ) {
+            let shared = simple_table(2);
+            let (mut a, mut b) = (Configuration::new(), Configuration::new());
+            for (sw, left, right) in slots {
+                if let Some(table) = slot_table(left, &shared) {
+                    a.set_table(SwitchId(sw), table);
+                }
+                if let Some(table) = slot_table(right, &shared) {
+                    b.set_table(SwitchId(sw), table);
+                }
+            }
+            prop_assert_eq!(a.differing_switches(&b), differing_by_definition(&a, &b));
+            prop_assert_eq!(b.differing_switches(&a), differing_by_definition(&b, &a));
+            prop_assert!(a.differing_switches(&a).is_empty());
+        }
     }
 }
