@@ -98,11 +98,14 @@ impl CheckContext {
     /// from the pending set: a full check on a cold context, an incremental
     /// one on a warm context. The outcome is a pure function of the encoded
     /// configuration and `spec` either way (see the module docs on purity).
+    /// The pending set is sorted and cleared in place, so its buffer serves
+    /// every step of the series.
     pub(crate) fn recheck(&mut self, spec: &Ltl) -> CheckOutcome {
-        let mut changed = std::mem::take(&mut self.pending);
-        changed.sort_unstable();
-        changed.dedup();
-        self.checker.recheck(&self.kripke, spec, &changed)
+        self.pending.sort_unstable();
+        self.pending.dedup();
+        let outcome = self.checker.recheck(&self.kripke, spec, &self.pending);
+        self.pending.clear();
+        outcome
     }
 }
 

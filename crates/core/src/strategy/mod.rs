@@ -27,11 +27,11 @@
 //!   subsuming the DFS's early termination).
 //!
 //! Each is one propose / check / learn loop on the calling thread; the search
-//! is single-threaded because a step is a ~4 µs incremental recheck
-//! (`mc.recheck_us` 3.4–4.3 µs in the repo benchmark's traced `oneshot-dfs`
-//! runs, `--seed 7 --seconds 6 --trace 1`, on a 2-core Xeon container),
-//! cheaper than handing it to another thread (EXPERIMENTS.md, "Earn-or-remove
-//! audit").
+//! is single-threaded because a step is a ~1.6 µs incremental recheck
+//! (`mc.recheck_us` 1.51–1.74 µs in three of the repo benchmark's traced
+//! `oneshot-dfs` runs, `--seed 7 --seconds 5 --trace 1`, on a 2-core Xeon
+//! container), cheaper than handing it to another thread (EXPERIMENTS.md,
+//! "Earn-or-remove audit").
 //!
 //! Each strategy is individually deterministic: for a fixed problem and
 //! options, commands, unit order, verdict, and statistics are byte-identical

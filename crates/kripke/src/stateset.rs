@@ -51,6 +51,11 @@ impl StateSet {
         was_absent
     }
 
+    /// Removes every state, keeping the storage.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// Membership test.
     #[inline]
     pub fn contains(&self, state: StateId) -> bool {
@@ -116,6 +121,9 @@ mod tests {
         assert_eq!(set.count(), 2);
         let ids: Vec<usize> = set.iter().map(|s| s.0).collect();
         assert_eq!(ids, vec![3, 100]);
+        set.clear();
+        assert!(set.is_empty() && !set.contains(StateId(100)));
+        assert_eq!(set, StateSet::new());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! keyed by a packed 128-bit encoding of [`StateKey`] instead of hashing the
 //! four-field struct.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -372,30 +372,34 @@ impl Kripke {
     /// self-loops on sink states.
     pub fn is_dag_like(&self) -> bool {
         let all: StateSet = self.states().collect();
-        self.topological_order(&all, &mut Vec::new()).1.is_none()
+        self.topological_order(&all, &mut Vec::new(), &mut Vec::new())
+            .is_none()
     }
 
-    /// A topological order of the subgraph induced by `region`, ignoring
-    /// self-loops and the edges that leave the region.
+    /// Fills `order` with a topological order of the subgraph induced by
+    /// `region`, ignoring self-loops and the edges that leave the region.
     ///
     /// The order lists every state after all of its (non-self) successors in
     /// the region, so sinks come first: the evaluation order the labeling
     /// algorithms need. It leaves out the region states that reach a cycle
-    /// inside the region; they are returned second, or `None` if there are
-    /// none.
+    /// inside the region; they are returned, or `None` if there are none.
     ///
-    /// `remaining` is a caller-owned scratch buffer of per-state counters.
-    /// Only the entries of region members are written and read, so it never
-    /// needs clearing, and an order over a small region costs O(region), not
-    /// O(states).
+    /// `remaining` (per-state counters) and `order` are caller-owned, so a
+    /// caller that keeps them orders without allocating. Only the counters
+    /// of region members are written and read, so they never need clearing,
+    /// and an order over a small region costs O(region), not O(states).
+    /// `order` doubles as Kahn's queue: states are appended as they become
+    /// ready and taken in that order.
     pub fn topological_order(
         &self,
         region: &StateSet,
         remaining: &mut Vec<u32>,
-    ) -> (Vec<StateId>, Option<StateSet>) {
+        order: &mut Vec<StateId>,
+    ) -> Option<StateSet> {
         if remaining.len() < self.len() {
             remaining.resize(self.len(), 0);
         }
+        order.clear();
         let mut size = 0;
         for state in region.iter() {
             remaining[state.0] = self.successors[state.0]
@@ -404,44 +408,42 @@ impl Kripke {
                 .count() as u32;
             size += 1;
         }
-        let mut queue: VecDeque<StateId> = region.iter().filter(|s| remaining[s.0] == 0).collect();
-        let mut order = Vec::with_capacity(size);
-        while let Some(state) = queue.pop_front() {
-            order.push(state);
+        order.extend(region.iter().filter(|s| remaining[s.0] == 0));
+        let mut next = 0;
+        while let Some(&state) = order.get(next) {
+            next += 1;
             for pred in &self.predecessors[state.0] {
                 if *pred == state || !region.contains(*pred) {
                     continue;
                 }
                 remaining[pred.0] -= 1;
                 if remaining[pred.0] == 0 {
-                    queue.push_back(*pred);
+                    order.push(*pred);
                 }
             }
         }
         // A state is left out iff it keeps a successor that is left out.
-        let looping =
-            (order.len() < size).then(|| region.iter().filter(|s| remaining[s.0] > 0).collect());
-        (order, looping)
+        (order.len() < size).then(|| region.iter().filter(|s| remaining[s.0] > 0).collect())
     }
 
-    /// The ancestors of the states in `seeds` (including the seeds
-    /// themselves): every state from which some seed is reachable.
-    pub fn ancestors(&self, seeds: &[StateId]) -> StateSet {
-        let mut visited = StateSet::with_capacity(self.len());
-        let mut queue: VecDeque<StateId> = VecDeque::with_capacity(seeds.len());
+    /// Fills `ancestors` with the ancestors of the states in `seeds`
+    /// (including the seeds themselves): every state from which some seed
+    /// is reachable. `work` is a caller-owned worklist, left empty.
+    pub fn ancestors(&self, seeds: &[StateId], ancestors: &mut StateSet, work: &mut Vec<StateId>) {
+        ancestors.clear();
+        work.clear();
         for seed in seeds {
-            if visited.insert(*seed) {
-                queue.push_back(*seed);
+            if ancestors.insert(*seed) {
+                work.push(*seed);
             }
         }
-        while let Some(state) = queue.pop_front() {
+        while let Some(state) = work.pop() {
             for pred in &self.predecessors[state.0] {
-                if visited.insert(*pred) {
-                    queue.push_back(*pred);
+                if ancestors.insert(*pred) {
+                    work.push(*pred);
                 }
             }
         }
-        visited
     }
 
     /// The per-switch state index (the states whose key refers to each
@@ -596,7 +598,8 @@ mod tests {
         k.add_transition(b, a);
         assert!(!k.is_dag_like());
         let all: StateSet = k.states().collect();
-        let (order, looping) = k.topological_order(&all, &mut Vec::new());
+        let mut order = Vec::new();
+        let looping = k.topological_order(&all, &mut Vec::new(), &mut order);
         assert!(order.is_empty());
         assert_eq!(looping.map(|l| l.count()), Some(2));
     }
@@ -605,7 +608,8 @@ mod tests {
     fn topological_order_lists_sinks_first() {
         let (k, [a, _, _, d]) = diamond();
         let all: StateSet = k.states().collect();
-        let (order, looping) = k.topological_order(&all, &mut Vec::new());
+        let mut order = vec![d];
+        let looping = k.topological_order(&all, &mut Vec::new(), &mut order);
         assert!(looping.is_none());
         assert_eq!(order.len(), k.len());
         let pos = |s: StateId| order.iter().position(|x| *x == s).unwrap();
@@ -622,11 +626,14 @@ mod tests {
     #[test]
     fn ancestors_computation() {
         let (k, [a, b, c, d]) = diamond();
-        let anc = k.ancestors(&[d]);
+        let (mut anc, mut work) = (StateSet::new(), Vec::new());
+        k.ancestors(&[d], &mut anc, &mut work);
         assert_eq!(anc.count(), 4);
-        let anc_b = k.ancestors(&[b]);
-        assert!(anc_b.contains(a) && anc_b.contains(b));
-        assert!(!anc_b.contains(c) && !anc_b.contains(d));
+        // The same storage again: the set is refilled, not added to.
+        k.ancestors(&[b], &mut anc, &mut work);
+        assert!(anc.contains(a) && anc.contains(b));
+        assert!(!anc.contains(c) && !anc.contains(d));
+        assert!(work.is_empty());
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! `ψ` / `¬ψ` for every subformula `ψ`, it is fully determined by the truth
 //! value it assigns to each (positive) subformula; we therefore represent it
 //! as a compact bitset — an [`Assignment`] — indexed by the [`Closure`].
-//! An assignment owns its word row, built in place with no reference count:
-//! nothing shares a row.
+//! An assignment keeps its word row inline when the closure fits one 64-bit
+//! word, so computing one allocates nothing; a wider closure boxes its row,
+//! since an inline array sized for the widest spec would make every narrow
+//! assignment pay for it. Either way the row is built in place with no
+//! reference count: nothing shares a row.
 //!
 //! The closure itself is one flat table of [`Node`]s, children first, whose
 //! operands are the ids of earlier nodes. Two operations drive the checker,
@@ -27,8 +30,10 @@
 //! proptests pin the three readings), and derived `G` behaves identically
 //! under both readings.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::ast::Ltl;
 use crate::intern::{PropId, PropSetRef, PropTable};
@@ -146,7 +151,7 @@ impl Closure {
         resolved: &ResolvedProps,
     ) -> Assignment {
         assert_eq!(successor.capacity(), self.len());
-        self.evaluate(label, Some(&successor.bits), resolved)
+        self.evaluate(label, Some(successor.words()), resolved)
     }
 
     /// Builds a row children first, each bit written straight into its word;
@@ -160,7 +165,7 @@ impl Closure {
     ) -> Assignment {
         debug_assert_eq!(resolved.ids.len(), self.len());
         let mut assignment = self.empty_assignment();
-        let row = &mut assignment.bits;
+        let row = assignment.words_mut();
         for (id, node) in self.nodes.iter().enumerate() {
             let value = match (*node, next) {
                 (Node::True, _) => true,
@@ -263,20 +268,32 @@ impl ResolvedProps {
 
 /// A truth assignment over the subformulas of a [`Closure`]: the compact
 /// representation of a maximally-consistent subset of `ecl(ϕ)`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// `Ord`, `Eq` and `Hash` are those of the word row, then the length, so a
+/// sorted label is in row order wherever the row lives.
+#[derive(Clone)]
 pub struct Assignment {
-    bits: Box<[u64]>,
+    bits: Row,
     len: usize,
+}
+
+/// An assignment's word row: inline when the closure fits one word, boxed
+/// past it.
+#[derive(Clone)]
+enum Row {
+    Inline(u64),
+    Boxed(Box<[u64]>),
 }
 
 impl Assignment {
     /// Creates an all-false assignment for `len` subformulas.
     pub fn new(len: usize) -> Self {
-        let words = len.div_ceil(64).max(1);
-        Assignment {
-            bits: vec![0u64; words].into(),
-            len,
-        }
+        let bits = if len <= 64 {
+            Row::Inline(0)
+        } else {
+            Row::Boxed(vec![0u64; len.div_ceil(64)].into())
+        };
+        Assignment { bits, len }
     }
 
     /// Number of subformulas this assignment covers.
@@ -291,7 +308,7 @@ impl Assignment {
     /// Panics if `id` is out of range.
     pub fn get(&self, id: FormulaId) -> bool {
         assert!(id < self.len, "formula id {id} out of range ({})", self.len);
-        bit(&self.bits, id)
+        bit(self.words(), id)
     }
 
     /// Sets the truth value of subformula `id`.
@@ -301,8 +318,52 @@ impl Assignment {
     /// Panics if `id` is out of range.
     pub fn set(&mut self, id: FormulaId, value: bool) {
         assert!(id < self.len, "formula id {id} out of range ({})", self.len);
-        let word = &mut self.bits[id / 64];
+        let word = &mut self.words_mut()[id / 64];
         *word = (*word & !(1 << (id % 64))) | (u64::from(value) << (id % 64));
+    }
+
+    /// The word row, bit `id` in word `id / 64`.
+    fn words(&self) -> &[u64] {
+        match &self.bits {
+            Row::Inline(word) => std::slice::from_ref(word),
+            Row::Boxed(words) => words,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.bits {
+            Row::Inline(word) => std::slice::from_mut(word),
+            Row::Boxed(words) => words,
+        }
+    }
+}
+
+impl PartialEq for Assignment {
+    fn eq(&self, other: &Self) -> bool {
+        self.words() == other.words() && self.len == other.len
+    }
+}
+
+impl Eq for Assignment {}
+
+impl PartialOrd for Assignment {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Assignment {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.words()
+            .cmp(other.words())
+            .then(self.len.cmp(&other.len))
+    }
+}
+
+impl Hash for Assignment {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+        self.len.hash(state);
     }
 }
 
@@ -321,7 +382,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
 
     fn sw(n: u32) -> Prop {
         Prop::switch(n)
@@ -433,6 +493,20 @@ mod tests {
         assert!(!m.get(64) && m.get(129));
     }
 
+    #[test]
+    fn the_last_bit_of_an_inline_row_and_the_first_boxed_one() {
+        for (len, id) in [(64, 63), (65, 64)] {
+            let mut m = Assignment::new(len);
+            m.set(id, true);
+            assert!(m.get(id) && !m.get(id - 1), "length {len}");
+            m.set(id - 1, true);
+            m.set(id, false);
+            assert!(!m.get(id) && m.get(id - 1), "length {len}");
+        }
+        assert!(matches!(Assignment::new(64).bits, Row::Inline(_)));
+        assert!(matches!(Assignment::new(65).bits, Row::Boxed(_)));
+    }
+
     fn hash_of(value: &impl Hash) -> u64 {
         let mut hasher = DefaultHasher::new();
         value.hash(&mut hasher);
@@ -445,24 +519,27 @@ mod tests {
         /// `compute_label` sorts and deduplicates assignments, and the order
         /// reaches counterexamples and digests: `cmp`, `==` and `Hash` are
         /// those of the word row, on one-word and two-word assignments that
-        /// are equal or differ in a bit or two.
+        /// are equal or differ in a bit or two, and at the lengths either
+        /// side of the inline/boxed boundary.
         #[test]
         fn assignment_order_is_the_word_order(
             len in 1usize..129,
             bits in proptest::collection::vec(any::<bool>(), 128..129),
             flips in proptest::collection::vec(0usize..128, 0..3),
         ) {
-            let mut a = Assignment::new(len);
-            for (id, value) in bits.iter().take(len).enumerate() {
-                a.set(id, *value);
+            for len in [len, 64, 65] {
+                let mut a = Assignment::new(len);
+                for (id, value) in bits.iter().take(len).enumerate() {
+                    a.set(id, *value);
+                }
+                let mut b = a.clone();
+                for flip in &flips {
+                    b.set(flip % len, !b.get(flip % len));
+                }
+                prop_assert_eq!(a.cmp(&b), a.words().cmp(b.words()));
+                prop_assert_eq!(a == b, a.words() == b.words());
+                prop_assert_eq!(hash_of(&a) == hash_of(&b), a.words() == b.words());
             }
-            let mut b = a.clone();
-            for flip in flips {
-                b.set(flip % len, !b.get(flip % len));
-            }
-            prop_assert_eq!(a.cmp(&b), a.bits.cmp(&b.bits));
-            prop_assert_eq!(a == b, a.bits == b.bits);
-            prop_assert_eq!(hash_of(&a) == hash_of(&b), a.bits == b.bits);
         }
     }
 

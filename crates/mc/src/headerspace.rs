@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use netupd_kripke::{Kripke, StateId};
+use netupd_kripke::{Kripke, StateId, StateSet};
 use netupd_ltl::Ltl;
 
 use crate::checker::{CheckOutcome, CheckStats, ModelChecker};
@@ -160,7 +160,8 @@ impl ModelChecker for HeaderSpaceChecker {
         }
         // Initial states whose forwarding can be affected: those that reach
         // a changed state in the updated structure (see the module docs).
-        let ancestors_of_changed = kripke.ancestors(changed);
+        let mut ancestors_of_changed = StateSet::new();
+        kripke.ancestors(changed, &mut ancestors_of_changed, &mut Vec::new());
         let affected: Vec<StateId> = cache
             .paths
             .keys()

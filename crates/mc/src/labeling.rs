@@ -24,7 +24,12 @@
 //! bookkeeping of `relabel` runs over dense [`StateSet`] bitmaps.
 //! Atomic-proposition tests go through the closure's interned resolution
 //! against the structure's [`PropTable`](netupd_ltl::PropTable), so each
-//! label probe is a single bit test.
+//! label probe is a single bit test. A label is computed into one scratch
+//! vector and copied into the stored label's own storage only when it
+//! differs; that vector, the region, the evaluation order, the dirty set and
+//! the topological sort's counters stay on the labeling between rechecks.
+//! With the inline rows of a closure of at most 64 subformulas, a warm
+//! recheck whose outcome holds therefore allocates nothing.
 
 use netupd_kripke::{Kripke, StateId, StateSet};
 use netupd_ltl::{Assignment, Closure, Ltl};
@@ -41,13 +46,30 @@ pub struct Labeling {
     spec: SpecCache,
     /// The label of each state, indexed by state id.
     labels: Vec<Vec<Assignment>>,
-    /// Reusable per-state counters for [`Kripke::topological_order`], so a
-    /// relabel of a small region does not pay an O(total-states) allocation.
-    /// Entries are only meaningful for the current call's region members.
-    scratch_remaining: Vec<u32>,
+    /// The storage a (re)labeling works in, kept between calls.
+    scratch: Scratch,
     /// The states that reach a forwarding loop, when the last (re)labeling
     /// met one. They have no label.
     looping: Option<StateSet>,
+}
+
+/// The working storage of [`Labeling::relabel`] and a full labeling, kept
+/// on the labeling so that, once its buffers have grown to the sizes a
+/// query series needs, a relabel whose outcome holds allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The label being computed, compared with the stored one and copied
+    /// into its storage only when they differ.
+    label: Vec<Assignment>,
+    /// The states to (re)label: the ancestors of the changed states.
+    region: StateSet,
+    /// The region in evaluation order (the ancestors' worklist before it).
+    order: Vec<StateId>,
+    /// The region states whose label may have changed.
+    dirty: StateSet,
+    /// Per-state counters for [`Kripke::topological_order`]; only region
+    /// members' entries mean anything.
+    remaining: Vec<u32>,
 }
 
 impl Labeling {
@@ -65,7 +87,7 @@ impl Labeling {
         let mut labeling = Labeling {
             spec,
             labels: Vec::new(),
-            scratch_remaining: Vec::new(),
+            scratch: Scratch::default(),
             looping: None,
         };
         let count = labeling.recompute(kripke);
@@ -77,23 +99,23 @@ impl Labeling {
         self.spec
     }
 
-    /// Labels every state of `kripke` bottom-up.
+    /// Labels every state of `kripke` bottom-up, into the storage the
+    /// labels already have.
     fn recompute(&mut self, kripke: &Kripke) -> usize {
-        self.labels.clear();
         self.labels.resize(kripke.len(), Vec::new());
-        let all: StateSet = kripke.states().collect();
-        let order = self.order(kripke, &all);
-        for state in &order {
-            self.labels[state.0] = self.compute_label(kripke, *state);
+        self.labels.iter_mut().for_each(Vec::clear);
+        let scratch = &mut self.scratch;
+        scratch.region.clear();
+        for state in kripke.states() {
+            scratch.region.insert(state);
         }
-        order.len()
-    }
-
-    /// [`Kripke::topological_order`], recording the states it leaves out.
-    fn order(&mut self, kripke: &Kripke, region: &StateSet) -> Vec<StateId> {
-        let (order, looping) = kripke.topological_order(region, &mut self.scratch_remaining);
-        self.looping = looping;
-        order
+        self.looping =
+            kripke.topological_order(&scratch.region, &mut scratch.remaining, &mut scratch.order);
+        for &state in &scratch.order {
+            compute_label(&self.spec, &self.labels, kripke, state, &mut scratch.label);
+            self.labels[state.0].clone_from(&scratch.label);
+        }
+        scratch.order.len()
     }
 
     /// The specification closure this labeling was computed for.
@@ -130,19 +152,29 @@ impl Labeling {
         // them in an order where successors-in-the-region come first. The
         // structure was loop-free, so a loop now runs through a changed state
         // and every state that reaches it is in the region.
-        let region = kripke.ancestors(changed);
-        let order = self.order(kripke, &region);
+        let Scratch {
+            label,
+            region,
+            order,
+            dirty,
+            remaining,
+        } = &mut self.scratch;
+        kripke.ancestors(changed, region, order);
+        self.looping = kripke.topological_order(region, remaining, order);
 
-        let mut dirty: StateSet = changed.iter().copied().collect();
+        dirty.clear();
+        for state in changed {
+            dirty.insert(*state);
+        }
         let mut relabeled = 0;
-        for state in order {
+        for &state in order.iter() {
             if !dirty.contains(state) {
                 continue;
             }
-            let new_label = self.compute_label(kripke, state);
+            compute_label(&self.spec, &self.labels, kripke, state, label);
             relabeled += 1;
-            if new_label != self.labels[state.0] {
-                self.labels[state.0] = new_label;
+            if *label != self.labels[state.0] {
+                self.labels[state.0].clone_from(label);
                 for pred in kripke.predecessors(state) {
                     if *pred != state {
                         dirty.insert(*pred);
@@ -263,33 +295,37 @@ impl Labeling {
             }
         }
     }
+}
 
-    // ---- internals ---------------------------------------------------------
-
-    fn compute_label(&self, kripke: &Kripke, state: StateId) -> Vec<Assignment> {
-        let label = kripke.label(state);
-        if kripke.is_sink(state) {
-            return vec![self
-                .spec
-                .closure
-                .sink_assignment(label, &self.spec.resolved)];
-        }
-        let successors = || kripke.successors(state).iter().filter(|s| **s != state);
-        let size = successors().map(|s| self.labels[s.0].len()).sum();
-        let mut assignments = Vec::with_capacity(size);
-        for succ in successors() {
-            for successor_assignment in &self.labels[succ.0] {
-                assignments.push(self.spec.closure.successor_assignment(
-                    label,
-                    successor_assignment,
-                    &self.spec.resolved,
-                ));
-            }
-        }
-        assignments.sort_unstable();
-        assignments.dedup();
-        assignments
+/// Writes the label of `state` into `out`, from the labels of its
+/// successors, sorted and without duplicates.
+fn compute_label(
+    spec: &SpecCache,
+    labels: &[Vec<Assignment>],
+    kripke: &Kripke,
+    state: StateId,
+    out: &mut Vec<Assignment>,
+) {
+    out.clear();
+    let label = kripke.label(state);
+    if kripke.is_sink(state) {
+        out.push(spec.closure.sink_assignment(label, &spec.resolved));
+        return;
     }
+    for succ in kripke.successors(state) {
+        if *succ == state {
+            continue;
+        }
+        for successor_assignment in &labels[succ.0] {
+            out.push(spec.closure.successor_assignment(
+                label,
+                successor_assignment,
+                &spec.resolved,
+            ));
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 #[cfg(test)]
